@@ -17,21 +17,48 @@ loses the component
                  ||g_j|| * sqrt(1 - goal^2)
 
 along the raw target g_j.
+
+The sweep runs in Gram space. Every working gradient stays in the span of
+the K raw gradients (the rows of R), w_k = a_k . R, so one K x K Gram
+matrix G = R R^T holds every inner product the sweep needs. Each selected
+client keeps its coefficient vector a_k and u = G a_k, the inner products
+of w_k with every raw gradient; a pair test reads
+phi = u[i] / (||w_k|| sqrt(G_ii)) with ||w_k||^2 = a_k . u, and an
+adjustment changes one coefficient and updates u by one row of G. Only the
+final mean is formed in D space. A round costs O(K^2 D) for G plus
+O(ceil(beta K) K^2) for the sweep, against O(ceil(beta K) K D) for the
+same sweep on D-length vectors (kept as ``oracles.diminish_conflicts_dspace``).
+
+Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
+met, so its pair test never adjusts. Near +1 the adjustment divides by
+sqrt(1 - goal^2); two clients with identical gradients drive their goal to
+exactly 1, and a later cosine of 1 - 1 ulp would otherwise ask for a
+singular rotation. Near -1 any cosine already meets the goal.
+
+Tie tolerance: the conflict counts of a ``RoundRecord`` count a pair only
+when its cosine is below goal - ``CONFLICT_TIE_TOL`` (1e-9), because each
+adjusted working gradient ends exactly on its last goal and rounding would
+otherwise decide those pairs. The sweep's own test stays phi < goal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .client import ClientStatistics
 from .fairness import FairnessStatistics, GroupKey, constraint_values, restrict, usable_keys
-from .numeric import check_finite, cosine, mean_rows, norm
+# cosine is not called here; bench/tracer.py counts calls through
+# aggregation.cosine, so the name stays
+from .numeric import check_finite, cosine, mean_rows, norm  # noqa: F401
 
 ORDER_POLICIES = ("loss_ascending", "random", "reversed")
+
+GOAL_SATURATION_EPS = 1e-9  # |goal| >= 1 - eps counts as met (module docstring)
+CONFLICT_TIE_TOL = 1e-9     # conflict counts need cos < goal - tol (RoundRecord)
 
 
 class DegenerateCancellationError(ArithmeticError):
@@ -83,14 +110,15 @@ class SimilarityState:
 
 
 def ema_update(state: SimilarityState, i: int, j: int, phi: float) -> SimilarityState:
-    """One EMA step on the (i, j) goal, written symmetrically."""
+    """One EMA step on the (i, j) goal, written symmetrically into ``state``
+    (returned for chaining)."""
     if abs(phi) > 1.0:
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
-    out = state.copy()
-    new = state.delta * state.goals[i, j] + (1.0 - state.delta) * phi
-    out.goals[i, j] = new
-    out.goals[j, i] = new
-    return out
+    goals = state.goals
+    new = state.delta * goals[i, j] + (1.0 - state.delta) * phi
+    goals[i, j] = new
+    goals[j, i] = new
+    return state
 
 
 def update_lambda(
@@ -107,19 +135,27 @@ def update_lambda(
     return {k: max(0.0, lam[k] + gamma * h[k]) for k in lam}
 
 
-def adjust_gradient(g_k: np.ndarray, g_j: np.ndarray, phi: float, goal: float) -> np.ndarray:
-    """Rotate-and-rescale g_k against target g_j so cos(result, g_j) == goal."""
-    nk = norm(g_k)
-    nj = norm(g_j)
-    if nk == 0.0 or nj == 0.0:
+def adjustment_coefficient(norm_k: float, norm_j: float, phi: float, goal: float) -> float:
+    """The c for which cos(g_k - c * g_j, g_j) == goal, given ||g_k||,
+    ||g_j|| and phi = cos(g_k, g_j); see the module docstring."""
+    if norm_k == 0.0 or norm_j == 0.0:
         raise ValueError("cannot adjust zero-norm gradients")
     if abs(goal) >= 1.0:
         raise ValueError("similarity goal of +-1 makes the adjustment singular")
     root_goal = math.sqrt(1.0 - goal * goal)
-    coeff = nk * (phi * root_goal - goal * math.sqrt(max(0.0, 1.0 - phi * phi))) / (nj * root_goal)
-    out = g_k - coeff * g_j
+    return norm_k * (phi * root_goal - goal * math.sqrt(max(0.0, 1.0 - phi * phi))) / (norm_j * root_goal)
+
+
+def adjust_gradient(g_k: np.ndarray, g_j: np.ndarray, phi: float, goal: float) -> np.ndarray:
+    """Rotate-and-rescale g_k against target g_j so cos(result, g_j) == goal."""
+    out = g_k - adjustment_coefficient(norm(g_k), norm(g_j), phi, goal) * g_j
     check_finite(out, "adjusted gradient")
     return out
+
+
+def is_conflict(phi: float, goal: float) -> bool:
+    """The sweep's test: phi < goal, with saturated goals counting as met."""
+    return phi < goal and abs(goal) < 1.0 - GOAL_SATURATION_EPS
 
 
 @dataclass
@@ -150,17 +186,14 @@ def lagrangian_losses(
 
 
 def build_order(
-    stats: Sequence[ClientStatistics],
-    lam: Mapping[GroupKey, float],
-    alpha: float,
+    losses: Mapping[int, float],
     policy: str = "loss_ascending",
     rng: Optional[np.random.Generator] = None,
 ) -> ProjectionOrder:
-    """Loss-ascending order (ties broken by client id), or its seeded-random
-    and reversed variants."""
+    """Clients by ascending Lagrangian loss (ties broken by client id), or
+    its seeded-random and reversed variants."""
     if policy not in ORDER_POLICIES:
         raise ValueError(f"unknown order policy {policy!r}")
-    losses = lagrangian_losses(stats, lam, alpha)
     ascending = tuple(cid for cid, _ in sorted(losses.items(), key=lambda kv: (kv[1], kv[0])))
     if policy == "loss_ascending":
         return ProjectionOrder(ascending, policy)
@@ -185,11 +218,24 @@ class PairTest:
 
 @dataclass
 class DiminishResult:
+    """The curated mean and the goals after the sweep. With R the raw
+    gradients as rows in client id order, ``gram`` is R R^T and working
+    gradient k is ``coefficients[k] @ R``."""
+
     gradient: np.ndarray
     state: SimilarityState
     n_adjustments: int
-    tests: list[PairTest] = field(default_factory=list)
-    working: dict[int, np.ndarray] = field(default_factory=dict)
+    tests: list[PairTest]
+    gram: np.ndarray
+    coefficients: np.ndarray
+
+
+def selected_count(n_clients: int, beta: float, spare_high_loss: bool = False) -> int:
+    """How many clients at the front of the order the sweep adjusts:
+    ceil(beta * K), or, with ``spare_high_loss`` (an alternate reading of
+    beta), all but the ceil(beta * K) at the back, which keep raw gradients."""
+    count = math.ceil(beta * n_clients)
+    return n_clients - count if spare_high_loss else count
 
 
 def diminish_conflicts_arrays(
@@ -197,39 +243,56 @@ def diminish_conflicts_arrays(
     order: Sequence[int],
     beta: float,
     state: SimilarityState,
+    *,
+    spare_high_loss: bool = False,
 ) -> DiminishResult:
-    """The conflict-mitigation sweep on raw gradient arrays.
+    """The conflict-mitigation sweep on raw gradient arrays, in Gram space.
 
-    The first ceil(beta*K) clients of the order have their working copies
-    tested against every raw gradient in order (skipping self); a test
+    The first ``selected_count`` clients of the order have their working
+    copies tested against every raw gradient in order (skipping self); a test
     observes the cosine of the current working gradient against the raw
     target, adjusts on conflict, and always EMA-updates the pair's goal.
     Returns the unweighted mean of the K working gradients.
     """
     K = len(order)
-    n_selected = math.ceil(beta * K)
-    selected = list(order[:n_selected])
-    working = {cid: np.array(grads[cid], dtype=np.float64, copy=True) for cid in order}
+    if sorted(order) != list(range(state.n_clients)):
+        raise ValueError("order must be a permutation of the state's client ids")
+    raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
+    gram = raw @ raw.T
+    check_finite(gram, "Gram matrix")
+    root_diag = np.sqrt(np.diag(gram)).tolist()
+    coefficients = np.eye(K)
     out_state = state.copy()
+    goals = out_state.goals
     tests: list[PairTest] = []
     n_adjustments = 0
-    for k in selected:
+    for k in order[: selected_count(K, beta, spare_high_loss)]:
+        a = coefficients[k]  # a view: adjustments land in the matrix
+        u = gram[k].copy()   # u[i] = w_k . g_i
+        norm_w = root_diag[k]
         for i in order:
             if i == k:
                 continue
             # a zero-norm side has no direction: nothing to test or observe
-            if norm(working[k]) == 0.0 or norm(grads[i]) == 0.0:
+            if norm_w == 0.0 or root_diag[i] == 0.0:
                 continue
-            phi = cosine(working[k], grads[i])
-            goal = out_state.get(k, i)
-            conflict = phi < goal
+            phi = min(1.0, max(-1.0, float(u[i]) / (norm_w * root_diag[i])))
+            goal = float(goals[k, i])
+            conflict = is_conflict(phi, goal)
             if conflict:
-                working[k] = adjust_gradient(working[k], grads[i], phi, goal)
+                c = adjustment_coefficient(norm_w, root_diag[i], phi, goal)
+                a[i] -= c
+                u -= c * gram[i]
+                norm_w = math.sqrt(max(0.0, float(a @ u)))
                 n_adjustments += 1
-            out_state = ema_update(out_state, k, i, phi)
+            ema_update(out_state, k, i, phi)
             tests.append(PairTest(k, i, phi, goal, conflict))
-    gradient = mean_rows([working[cid] for cid in sorted(working)])
-    return DiminishResult(gradient, out_state, n_adjustments, tests, working)
+    gradient = mean_rows(raw)
+    if n_adjustments:
+        # add the adjustments alone, so an unadjusted round is the plain mean bit for bit
+        gradient = gradient + ((coefficients - np.eye(K)).sum(axis=0) / K) @ raw
+        check_finite(gradient, "curated gradient")
+    return DiminishResult(gradient, out_state, n_adjustments, tests, gram, coefficients)
 
 
 def diminish_conflicts(
@@ -244,19 +307,22 @@ def diminish_conflicts(
     lengths = {g.shape for g in grads.values()}
     if len(lengths) != 1:
         raise ValueError("client gradients disagree on length")
-    sweep_order = list(order.order)
-    if config.spare_high_loss:
-        # alternate prose reading: the ceil(beta*K) worst keep raw gradients
-        keep = math.ceil(config.beta * len(sweep_order))
-        adjusted = sweep_order[: len(sweep_order) - keep]
-        effective_beta = len(adjusted) / len(sweep_order)
-        return diminish_conflicts_arrays(grads, sweep_order, effective_beta, state)
-    return diminish_conflicts_arrays(grads, sweep_order, config.beta, state)
+    return diminish_conflicts_arrays(
+        grads, list(order.order), config.beta, state, spare_high_loss=config.spare_high_loss
+    )
 
 
 @dataclass
 class RoundRecord:
-    """Per-round trace entry (serialized as one JSON line)."""
+    """Per-round trace entry (serialized as one JSON line).
+
+    ``conflicts_pre`` and ``conflicts_post`` count the ordered pairs (k, i),
+    k != i, whose raw (pre) or curated working (post) gradient k has a
+    cosine below goal - ``CONFLICT_TIE_TOL`` with raw gradient i, against
+    the goals at the start of the round. The tolerance keeps rounding ties
+    out of the counts: every adjusted working gradient ends exactly on its
+    last goal. The sweep's own test is phi < goal, without a tolerance.
+    """
 
     round_index: int
     client_losses: dict[int, float]
@@ -282,19 +348,17 @@ class RoundRecord:
         }
 
 
-def _count_conflicts(
-    lefts: Mapping[int, np.ndarray], raws: Mapping[int, np.ndarray], goals: np.ndarray
-) -> int:
-    count = 0
-    for k in sorted(lefts):
-        for i in sorted(raws):
-            if i == k:
-                continue
-            if norm(lefts[k]) == 0.0 or norm(raws[i]) == 0.0:
-                continue
-            if cosine(lefts[k], raws[i]) < goals[k, i]:
-                count += 1
-    return count
+def _count_conflicts(gram: np.ndarray, coefficients: np.ndarray, goals: np.ndarray) -> int:
+    """Pairs (k, i), k != i, with cos(w_k, g_i) < goals[k, i] - CONFLICT_TIE_TOL,
+    where w_k = coefficients[k] @ R and gram = R R^T; a zero-norm side is
+    no conflict."""
+    dots = coefficients @ gram
+    root_w = np.sqrt(np.maximum(np.einsum("ki,ki->k", coefficients, dots), 0.0))
+    scale = np.outer(root_w, np.sqrt(np.diag(gram)))
+    tested = scale > 0.0
+    np.fill_diagonal(tested, False)
+    cos = np.clip(np.divide(dots, scale, out=np.zeros_like(dots), where=tested), -1.0, 1.0)
+    return int(np.count_nonzero(tested & (cos < goals - CONFLICT_TIE_TOL)))
 
 
 def server_round(
@@ -315,7 +379,8 @@ def server_round(
     h_global = constraint_values(restrict(merged, usable_keys(merged)), config.alpha)
     new_lam = update_lambda(lam, h_global, config.gamma)
 
-    order = build_order(stats, lam, config.alpha, config.order_policy, rng)
+    losses = lagrangian_losses(stats, lam, config.alpha)
+    order = build_order(losses, config.order_policy, rng)
     result = diminish_conflicts(stats, order, config, state)
 
     raw = {st.client_id: st.update_grad for st in stats}
@@ -343,12 +408,12 @@ def server_round(
     record = RoundRecord(
         round_index=round_index,
         client_losses={st.client_id: st.loss for st in stats},
-        lagrangian_losses=lagrangian_losses(stats, lam, config.alpha),
+        lagrangian_losses=losses,
         multipliers={k.to_str(): v for k, v in new_lam.items()},
         order=order.order,
         n_adjustments=result.n_adjustments,
-        conflicts_pre=_count_conflicts(raw, raw, state.goals),
-        conflicts_post=_count_conflicts(result.working, raw, state.goals),
+        conflicts_pre=_count_conflicts(result.gram, np.eye(len(stats)), state.goals),
+        conflicts_post=_count_conflicts(result.gram, result.coefficients, state.goals),
         g_global_norm=norm(g_global),
     )
     return new_params, new_lam, result.state, record

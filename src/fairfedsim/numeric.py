@@ -75,10 +75,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def mean_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Unweighted mean of equal-length vectors (deterministic summation order)."""
-    if not rows:
+def mean_rows(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Unweighted mean of equal-length vectors, given as a sequence or as
+    the rows of a 2-D array (deterministic summation order)."""
+    if len(rows) == 0:
         raise ValueError("mean of no vectors")
-    out = np.mean(np.stack(rows, axis=0), axis=0)
+    stack = rows if isinstance(rows, np.ndarray) else np.stack(rows, axis=0)
+    out = np.mean(stack, axis=0)
     check_finite(out, "mean gradient")
     return out

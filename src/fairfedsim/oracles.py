@@ -21,12 +21,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import SimilarityState, adjust_gradient, diminish_conflicts_arrays
-from .numeric import check_finite, cosine, make_rng, norm
+from .aggregation import (
+    PairTest,
+    SimilarityState,
+    adjust_gradient,
+    diminish_conflicts_arrays,
+    ema_update,
+    is_conflict,
+    selected_count,
+)
+from .numeric import check_finite, cosine, make_rng, mean_rows, norm
 
 
 def finite_diff(fn: Callable[[np.ndarray], float], params: np.ndarray, step: float) -> np.ndarray:
@@ -228,6 +236,53 @@ def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float, order: S
             else:
                 all_conflicted = False
     return lo, hi, all_conflicted, W.mean(axis=0)
+
+
+@dataclass
+class DspaceSweep:
+    """What ``diminish_conflicts_dspace`` computed; ``working`` holds the
+    curated working gradients by client id."""
+
+    gradient: np.ndarray
+    state: SimilarityState
+    n_adjustments: int
+    tests: list[PairTest]
+    working: dict[int, np.ndarray]
+
+
+def diminish_conflicts_dspace(
+    grads: Mapping[int, np.ndarray],
+    order: Sequence[int],
+    beta: float,
+    state: SimilarityState,
+    *,
+    spare_high_loss: bool = False,
+) -> DspaceSweep:
+    """Reference for ``aggregation.diminish_conflicts_arrays``: the same
+    sweep, with every cosine taken between D-length vectors and every
+    adjustment applied to a D-length working copy. The two agree to
+    rounding (rtol 1e-9 in the tests) on the tests made, the goals and the
+    mean."""
+    working = {cid: np.array(grads[cid], dtype=np.float64, copy=True) for cid in order}
+    out_state = state.copy()
+    tests: list[PairTest] = []
+    n_adjustments = 0
+    for k in order[: selected_count(len(order), beta, spare_high_loss)]:
+        for i in order:
+            if i == k:
+                continue
+            if norm(working[k]) == 0.0 or norm(grads[i]) == 0.0:
+                continue
+            phi = cosine(working[k], grads[i])
+            goal = out_state.get(k, i)
+            conflict = is_conflict(phi, goal)
+            if conflict:
+                working[k] = adjust_gradient(working[k], grads[i], phi, goal)
+                n_adjustments += 1
+            ema_update(out_state, k, i, phi)
+            tests.append(PairTest(k, i, phi, goal, conflict))
+    gradient = mean_rows([working[cid] for cid in sorted(working)])
+    return DspaceSweep(gradient, out_state, n_adjustments, tests, working)
 
 
 def theorem2_check(instance: Theorem2Instance, rtol: float = 1e-9) -> BoundReport:

@@ -4,23 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairfedsim import aggregation
 from fairfedsim.aggregation import (
+    CONFLICT_TIE_TOL,
     AggregationConfig,
     DegenerateCancellationError,
     ProjectionOrder,
     SimilarityState,
+    _count_conflicts,
     adjust_gradient,
     build_order,
     diminish_conflicts,
     diminish_conflicts_arrays,
     ema_update,
+    lagrangian_losses,
     server_round,
     update_lambda,
 )
 from fairfedsim.client import ClientStatistics
 from fairfedsim.fairness import FairnessStatistics, GroupKey, GroupStat
 from fairfedsim.numeric import cosine, make_rng, norm
+from fairfedsim.oracles import diminish_conflicts_dspace
 
 
 class TestUpdateLambda:
@@ -64,6 +71,11 @@ class TestEmaUpdate:
     def test_out_of_range_phi_rejected(self):
         with pytest.raises(ValueError):
             ema_update(SimilarityState(2, 0.5), 0, 1, phi=1.5)
+
+    def test_writes_into_the_given_state(self):
+        state = SimilarityState(3, delta=0.5)
+        assert ema_update(state, 0, 2, phi=0.4) is state
+        assert state.goals[0, 2] == state.goals[2, 0] == 0.2
 
     def test_recursion_exact_on_random_sequences(self):
         rng = make_rng(20)
@@ -198,21 +210,119 @@ class TestDiminishConflicts:
         assert adjusted_clients == set(range(math.ceil(0.5 * 5)))
 
 
+    def test_saturated_goals_count_as_met(self):
+        """A goal within 1e-9 of +-1 never asks for the singular rotation."""
+        v = np.array([1.0, 2.0, -0.5])
+        grads = {0: v, 1: v + 1e-6 * np.array([0.3, -0.1, 0.2]), 2: -v}
+        goals = np.array([[0.0, 1.0, -1.0 + 1e-12], [1.0, 0.0, 0.0], [-1.0 + 1e-12, 0.0, 0.0]])
+        state = SimilarityState(3, delta=1.0, goals=goals)
+        res = diminish_conflicts_arrays(grads, [0, 1, 2], beta=0.3, state=state)
+        assert [(t.target, t.phi < t.goal, t.adjusted) for t in res.tests] == [(1, True, False), (2, True, False)]
+        assert res.n_adjustments == 0
+
+    def test_spare_high_loss_keeps_the_worst_raw(self):
+        # K=25, beta=0.7: the 18 worst keep raw gradients, so 7 are swept
+        rng = make_rng(28)
+        stats = make_stats([rng.normal(size=6) for _ in range(25)])
+        order = ProjectionOrder(tuple(int(i) for i in rng.permutation(25)))
+        state = SimilarityState(25, delta=1.0, goals=np.full((25, 25), 0.99))
+        for spare, n_swept in ((True, 7), (False, 18)):
+            cfg = AggregationConfig(beta=0.7, spare_high_loss=spare)
+            res = diminish_conflicts(stats, order, cfg, state)
+            assert {t.client for t in res.tests} == set(order.order[:n_swept])
+            kept = list(order.order[n_swept:])
+            np.testing.assert_array_equal(res.coefficients[kept], np.eye(25)[kept])
+
+    def test_order_must_cover_the_state(self):
+        grads = {0: np.ones(2), 1: -np.ones(2)}
+        with pytest.raises(ValueError, match="permutation"):
+            diminish_conflicts_arrays(grads, [0, 1], beta=1.0, state=SimilarityState(3, 0.5))
+
+
+def dspace_conflicts(lefts, raws, goals):
+    """Conflict count with the tie tolerance, on D-length vectors."""
+    count = 0
+    for k, left in lefts.items():
+        for i, g in raws.items():
+            if i != k and norm(left) > 0.0 and norm(g) > 0.0:
+                count += cosine(left, g) < goals[k, i] - CONFLICT_TIE_TOL
+    return count
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Gaussian gradients with some zero and some duplicated (possibly
+    rescaled) rows, a symmetric goal matrix in (-1, 1) with a few
+    saturated entries, a random order, beta and delta."""
+    K = draw(st.integers(1, 20))
+    D = draw(st.integers(3, 30))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    R = rng.normal(size=(K, D)) * np.exp(rng.normal(size=(K, 1)))
+    for _ in range(draw(st.integers(0, K // 3))):
+        src, dst = rng.integers(K, size=2)
+        R[dst] = R[src] * draw(st.sampled_from([1.0, 0.5, 3.0]))
+    for _ in range(draw(st.integers(0, K // 4))):
+        R[rng.integers(K)] = 0.0
+    goals = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
+    goals[np.triu(rng.random((K, K)) < 0.05, 1)] = 1.0 - 1e-12
+    goals = goals + goals.T
+    grads = {cid: R[cid] for cid in range(K)}
+    order = [int(i) for i in rng.permutation(K)]
+    beta = draw(st.floats(0.0, 1.0))
+    # delta < 1e-6 is left out: a goal written by a test is then the cosine
+    # it observed, and later tests whose cosine is the same in exact
+    # arithmetic (the reverse pair, a duplicated target) are ties that
+    # rounding decides either way
+    delta = draw(st.floats(1e-6, 1.0))
+    return grads, order, beta, SimilarityState(K, delta, goals), draw(st.booleans())
+
+
+class TestGramSweepMatchesDspaceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_inputs())
+    def test_same_tests_goals_and_mean(self, inputs):
+        grads, order, beta, state, spare = inputs
+        goals0 = state.goals.copy()
+        res = diminish_conflicts_arrays(grads, order, beta, state, spare_high_loss=spare)
+        ref = diminish_conflicts_dspace(grads, order, beta, state, spare_high_loss=spare)
+        np.testing.assert_array_equal(state.goals, goals0)  # the input state is left alone
+
+        assert [(t.client, t.target, t.adjusted) for t in res.tests] == [
+            (t.client, t.target, t.adjusted) for t in ref.tests
+        ]
+        assert res.n_adjustments == ref.n_adjustments
+        for field in ("phi", "goal"):
+            np.testing.assert_allclose(
+                [getattr(t, field) for t in res.tests], [getattr(t, field) for t in ref.tests],
+                rtol=1e-9, atol=1e-12,
+            )
+        np.testing.assert_allclose(res.state.goals, ref.state.goals, rtol=1e-9, atol=1e-12)
+        scale = max(np.abs(w).max() for w in ref.working.values())
+        np.testing.assert_allclose(res.gradient, ref.gradient, rtol=1e-9, atol=1e-9 * scale)
+        if res.n_adjustments == 0:
+            plain = np.mean(np.stack([grads[cid] for cid in range(len(order))]), axis=0)
+            np.testing.assert_array_equal(res.gradient, plain)
+
+        K = len(order)
+        assert _count_conflicts(res.gram, np.eye(K), goals0) == dspace_conflicts(grads, grads, goals0)
+        assert _count_conflicts(res.gram, res.coefficients, goals0) == dspace_conflicts(
+            ref.working, grads, goals0
+        )
+
+
 class TestBuildOrder:
     def test_loss_ascending_with_id_ties(self):
-        stats = make_stats([np.ones(3)] * 4, losses=[0.5, 0.2, 0.5, 0.1])
-        order = build_order(stats, {}, alpha=1.0, policy="loss_ascending")
+        order = build_order({0: 0.5, 1: 0.2, 2: 0.5, 3: 0.1}, policy="loss_ascending")
         assert order.order == (3, 1, 0, 2)
 
     def test_reversed(self):
-        stats = make_stats([np.ones(3)] * 3, losses=[0.3, 0.1, 0.2])
-        order = build_order(stats, {}, alpha=1.0, policy="reversed")
+        order = build_order({0: 0.3, 1: 0.1, 2: 0.2}, policy="reversed")
         assert order.order == (0, 2, 1)
 
     def test_random_seeded_reproducible(self):
-        stats = make_stats([np.ones(3)] * 5, losses=[0.1, 0.2, 0.3, 0.4, 0.5])
-        o1 = build_order(stats, {}, 1.0, "random", make_rng(3))
-        o2 = build_order(stats, {}, 1.0, "random", make_rng(3))
+        losses = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4, 4: 0.5}
+        o1 = build_order(losses, "random", make_rng(3))
+        o2 = build_order(losses, "random", make_rng(3))
         assert o1.order == o2.order
 
     def test_permutation_invariant_validation(self):
@@ -249,7 +359,7 @@ class TestServerRound:
         g_global = (params0 - params) / cfg.eta
         res = diminish_conflicts_arrays(
             {st.client_id: st.update_grad for st in stats},
-            build_order(stats, lam, cfg.alpha).order,
+            build_order(lagrangian_losses(stats, lam, cfg.alpha)).order,
             cfg.beta,
             SimilarityState(4, cfg.delta),
         )
@@ -295,6 +405,42 @@ class TestServerRound:
             outs.append(p)
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[0], outs[2])
+
+    def test_duplicate_clients_survive_many_rounds(self):
+        """Identical clients drive their goal to exactly 1; later cosines of
+        1 - 1 ulp must not ask for the singular rotation."""
+        cfg = AggregationConfig(beta=1.0, delta=0.01, gamma=0.0, eta=0.1, alpha=0.05)
+        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
+        for seed in range(5):
+            rng = make_rng(29, seed)
+            state = SimilarityState(3, cfg.delta)
+            for t in range(12):
+                g = rng.normal(size=200)
+                grads = [g, float(rng.uniform(0.5, 2.0)) * g, rng.normal(size=200)]
+                _, _, state, _ = server_round(np.zeros(200), lam, make_stats(grads), cfg, state, round_index=t)
+            assert state.goals[0, 1] == state.goals[1, 0] >= 1.0 - 1e-9
+            assert np.abs(state.goals).max() <= 1.0
+
+    def test_conflict_counts_skip_rounding_ties(self):
+        g = np.array([[1.0, 0.0], [0.6, 0.8]])  # cos = 0.6
+        gram = g @ g.T
+        near = np.array([[0.0, 0.6 + 1e-12], [0.6 + 1e-12, 0.0]])
+        assert _count_conflicts(gram, np.eye(2), near) == 0
+        assert _count_conflicts(gram, np.eye(2), near + 1e-6) == 2
+        assert _count_conflicts(np.zeros((2, 2)), np.eye(2), near + 0.5) == 0  # zero norms
+
+    def test_lagrangian_losses_once_per_round(self, monkeypatch):
+        calls = []
+        original = aggregation.lagrangian_losses
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(aggregation, "lagrangian_losses", counting)
+        _, _, _, rec = run_round([np.ones(3), -np.ones(3)], beta=1.0, losses=[0.4, 0.2])
+        assert len(calls) == 1
+        assert rec.order == (1, 0)
 
     def test_round_record_schema(self):
         _, _, _, rec = run_round([np.ones(3), -np.ones(3)], beta=1.0, losses=[0.4, 0.2])
