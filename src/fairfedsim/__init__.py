@@ -27,7 +27,7 @@ from .fairness import (
     eo_violation,
 )
 from .harness import ExperimentConfig, RunRecord, paired_ttest, run
-from .model import MlpParams, MlpSpec, Sample, forward, loss_and_grad, prob_and_grad
+from .model import MlpParams, MlpSpec, forward, loss_and_grad, prob_and_grad
 from .numeric import cosine, dot, make_rng, vec64
 from .oracles import (
     Theorem2Instance,

@@ -73,8 +73,6 @@ class AggregationConfig:
     eta: float = 0.05            # server step on the parameters
     alpha: float = 0.05          # fairness tolerance inside h(w)
     order_policy: str = "loss_ascending"
-    spare_high_loss: bool = False  # alternate beta reading: worst clients keep raw gradients
-    weighted_mean: bool = False    # sample-size weights on the beta=0 averaging path
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -230,12 +228,10 @@ class DiminishResult:
     coefficients: np.ndarray
 
 
-def selected_count(n_clients: int, beta: float, spare_high_loss: bool = False) -> int:
-    """How many clients at the front of the order the sweep adjusts:
-    ceil(beta * K), or, with ``spare_high_loss`` (an alternate reading of
-    beta), all but the ceil(beta * K) at the back, which keep raw gradients."""
-    count = math.ceil(beta * n_clients)
-    return n_clients - count if spare_high_loss else count
+def selected_count(n_clients: int, beta: float) -> int:
+    """How many clients at the front of the order the sweep adjusts,
+    ceil(beta * K); the rest keep their raw gradients."""
+    return math.ceil(beta * n_clients)
 
 
 def diminish_conflicts_arrays(
@@ -243,8 +239,6 @@ def diminish_conflicts_arrays(
     order: Sequence[int],
     beta: float,
     state: SimilarityState,
-    *,
-    spare_high_loss: bool = False,
 ) -> DiminishResult:
     """The conflict-mitigation sweep on raw gradient arrays, in Gram space.
 
@@ -266,7 +260,7 @@ def diminish_conflicts_arrays(
     goals = out_state.goals
     tests: list[PairTest] = []
     n_adjustments = 0
-    for k in order[: selected_count(K, beta, spare_high_loss)]:
+    for k in order[: selected_count(K, beta)]:
         a = coefficients[k]  # a view: adjustments land in the matrix
         u = gram[k].copy()   # u[i] = w_k . g_i
         norm_w = root_diag[k]
@@ -307,9 +301,7 @@ def diminish_conflicts(
     lengths = {g.shape for g in grads.values()}
     if len(lengths) != 1:
         raise ValueError("client gradients disagree on length")
-    return diminish_conflicts_arrays(
-        grads, list(order.order), config.beta, state, spare_high_loss=config.spare_high_loss
-    )
+    return diminish_conflicts_arrays(grads, list(order.order), config.beta, state)
 
 
 @dataclass
@@ -384,23 +376,16 @@ def server_round(
     result = diminish_conflicts(stats, order, config, state)
 
     raw = {st.client_id: st.update_grad for st in stats}
-    if config.weighted_mean and config.beta == 0.0:
-        weights = np.array([st.n_samples for st in sorted(stats, key=lambda s: s.client_id)], dtype=np.float64)
-        stack = np.stack([raw[cid] for cid in sorted(raw)])
-        raw_mean = (weights[:, None] * stack).sum(axis=0) / weights.sum()
-        g_global = raw_mean
+    target_norm = norm(mean_rows([raw[cid] for cid in sorted(raw)]))
+    curated_norm = norm(result.gradient)
+    if curated_norm == 0.0:
+        if target_norm > 0.0:
+            raise DegenerateCancellationError(
+                "curated gradient cancelled to zero while the raw mean did not"
+            )
+        g_global = result.gradient
     else:
-        raw_mean = mean_rows([raw[cid] for cid in sorted(raw)])
-        target_norm = norm(raw_mean)
-        curated_norm = norm(result.gradient)
-        if curated_norm == 0.0:
-            if target_norm > 0.0:
-                raise DegenerateCancellationError(
-                    "curated gradient cancelled to zero while the raw mean did not"
-                )
-            g_global = result.gradient
-        else:
-            g_global = result.gradient * (target_norm / curated_norm)
+        g_global = result.gradient * (target_norm / curated_norm)
 
     check_finite(g_global, "global gradient")
     new_params = params - config.eta * g_global

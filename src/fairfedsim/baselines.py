@@ -3,24 +3,25 @@
 One federated engine drives everything, so the spec'd reductions hold
 bitwise: fedavg is the engine with beta=0, gamma=0, alpha=1; fedavg_f is
 beta=0 with per-client multipliers updated from local statistics; cenfair
-is a single-shard federation over the pooled data; indfair runs one
-single-shard federation per client and evaluates the uniform mixture of
-the resulting models; the mfairfl variants only change the projection
-order policy.
+is a single-shard federation over the pooled data with the federated
+step budget (rounds x local epochs); indfair runs one single-shard
+federation per client and evaluates the uniform mixture of the resulting
+models; the mfairfl variants only change the projection order policy.
+Every regime averages the client update gradients 1/K.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import client as client_mod
 from . import fairness, model
 from .aggregation import AggregationConfig, RoundRecord, SimilarityState, server_round, update_lambda
-from .client import LOCAL_EPOCHS, ClientStatistics
+from .client import ClientStatistics
 from .data import Dataset, Shard, pool_shards
 from .fairness import GroupKey
 from .model import MlpParams, MlpSpec
@@ -50,11 +51,7 @@ class TrainConfig:
     beta: float = 0.6
     delta: float = 0.01
     constraint: str = "dp"
-    client_mode: str = LOCAL_EPOCHS
     seed: int = 1
-    weighted_mean: bool = False
-    spare_high_loss: bool = False
-    cenfair_total_epochs: Optional[int] = None
 
     def aggregation(self, order_policy: str = "loss_ascending") -> AggregationConfig:
         return AggregationConfig(
@@ -64,8 +61,6 @@ class TrainConfig:
             eta=self.eta,
             alpha=self.alpha,
             order_policy=order_policy,
-            spare_high_loss=self.spare_high_loss,
-            weighted_mean=self.weighted_mean,
         )
 
 
@@ -115,7 +110,6 @@ def run_federated(
     cfg: TrainConfig,
     order_policy: str = "loss_ascending",
     local_multipliers: bool = False,
-    rounds_override: Optional[int] = None,
 ) -> TrainResult:
     """The communication loop shared by every federated regime.
 
@@ -140,9 +134,8 @@ def run_federated(
     agg = cfg.aggregation(order_policy)
     order_rng = make_rng(cfg.seed, 0x0D) if order_policy == "random" else None
 
-    n_rounds = cfg.rounds if rounds_override is None else rounds_override
     records: list[RoundRecord] = []
-    for t in range(1, n_rounds + 1):
+    for t in range(1, cfg.rounds + 1):
         params_t = MlpParams.unflatten(spec, flat)
         stats: list[ClientStatistics] = []
         for shard in shards:
@@ -153,7 +146,6 @@ def run_federated(
                     lam_k,
                     shard,
                     metric=cfg.constraint,
-                    mode=cfg.client_mode,
                     epochs=cfg.local_epochs,
                     lr=cfg.eta,
                 )
@@ -194,8 +186,8 @@ def run_mfairfl_variant(shards: Sequence[Shard], cfg: TrainConfig, order_policy:
 
 
 def run_fedavg(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    """Classic averaging: constraints fully disabled, sample-size weights
-    as configured (the conflict-mitigation path always averages 1/K)."""
+    """Classic averaging: constraints fully disabled, client update
+    gradients averaged 1/K (no sample-size weights)."""
     return run_federated(shards, replace(cfg, beta=0.0, gamma=0.0, alpha=1.0))
 
 
@@ -205,21 +197,13 @@ def run_fedavg_f(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
 
 
 def run_cenfair(dataset_or_shards, cfg: TrainConfig) -> TrainResult:
-    """Constrained training on the pooled data as a single-shard federation.
-
-    The default budget matches the federated one (rounds x local epochs
-    full-batch steps); ``cenfair_total_epochs`` switches to a fixed epoch
-    budget at the same epochs-per-round cadence.
-    """
+    """Constrained training on the pooled data as a single-shard federation,
+    with the federated budget of rounds x local epochs full-batch steps."""
     if isinstance(dataset_or_shards, Dataset):
         pooled = dataset_or_shards
     else:
         pooled = pool_shards(list(dataset_or_shards))
-    shard = Shard(client_id=0, data=pooled)
-    rounds = None
-    if cfg.cenfair_total_epochs is not None:
-        rounds = max(1, -(-cfg.cenfair_total_epochs // cfg.local_epochs))  # ceil division
-    return run_federated([shard], cfg, rounds_override=rounds)
+    return run_federated([Shard(client_id=0, data=pooled)], cfg)
 
 
 def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:

@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="preview shard counts")
     p_part.add_argument("--config")
-    p_part.add_argument("--dry-run", action="store_true", default=True)
     p_part.set_defaults(func=cmd_partition)
 
     p_cfg = sub.add_parser("config", help="configuration helpers")

@@ -1,10 +1,11 @@
 """Per-client local training under the Lagrangian objective.
 
 Each round a client receives the global parameters and the multipliers,
-optionally runs E full-batch descent steps on J(w, lambda) with lambda
-frozen, and reports a statistics vector: its loss, loss gradient, raw
-per-group fairness sums with gradients, and the update gradient the
-server aggregates. Clients only ever touch their own shard.
+runs E full-batch descent steps on J(w, lambda) with lambda frozen, and
+uploads its loss and raw per-group fairness sums (both at the received
+parameters) and the update gradient the server aggregates: the sum of
+the E step gradients, which for E = 1 is the Lagrangian gradient itself.
+Clients only ever touch their own shard.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .fairness import FairnessStatistics, GroupKey
 from .model import MlpParams
 from .numeric import check_finite
 
-SINGLE_STEP = "single_step"
-LOCAL_EPOCHS = "local_epochs"
-
 
 @dataclass
 class ClientStatistics:
@@ -30,20 +28,8 @@ class ClientStatistics:
 
     client_id: int
     loss: float
-    loss_grad: np.ndarray
     fairness: FairnessStatistics
     update_grad: np.ndarray
-    n_samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "loss": self.loss,
-            "n_samples": self.n_samples,
-            "loss_grad": self.loss_grad.tolist(),
-            "update_grad": self.update_grad.tolist(),
-            "fairness": self.fairness.to_json(),
-        }
 
 
 def _check_shard(shard: Shard) -> None:
@@ -62,17 +48,16 @@ def lagrangian_grad(
     lam: Mapping[GroupKey, float],
     shard: Shard,
     metric: str,
-) -> tuple[float, np.ndarray, FairnessStatistics, np.ndarray]:
-    """Loss, loss gradient, fairness statistics, and the full gradient of
+) -> tuple[float, FairnessStatistics, np.ndarray]:
+    """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
     Constraint keys without local support are skipped: an absent group
     contributes no gradient information on this shard.
     """
-    loss, loss_grad = model.loss_and_grad(params, shard)
+    loss, grad = model.loss_and_grad(params, shard.X, shard.y)
     stats = compute_fairness_statistics(params, shard, metric)
     usable = fairness.usable_keys(stats)
-    grad = loss_grad.copy()
     if usable:
         h_grads = fairness.constraint_grads(fairness.restrict(stats, usable))
         for key in usable:
@@ -80,7 +65,7 @@ def lagrangian_grad(
             if weight != 0.0:
                 grad += weight * h_grads[key]
     check_finite(grad, f"client {shard.client_id} update gradient")
-    return loss, loss_grad, stats, grad
+    return loss, stats, grad
 
 
 def compute_statistics(
@@ -88,48 +73,31 @@ def compute_statistics(
     lam: Mapping[GroupKey, float],
     shard: Shard,
     metric: str = "dp",
-    mode: str = LOCAL_EPOCHS,
     epochs: int = 20,
     lr: float = 0.05,
 ) -> ClientStatistics:
     """Assemble the round upload.
 
-    single_step: the update gradient is the Lagrangian gradient at the
-    received parameters. local_epochs: run ``epochs`` full-batch descent
-    steps on J with lambda frozen; the update gradient is the sum of the
-    per-step gradients (exactly the telescoped (w0 - wE)/lr), while loss
-    and fairness statistics are evaluated at the received parameters.
+    Runs ``epochs`` full-batch descent steps on J with lambda frozen; the
+    update gradient is the sum of the per-step gradients (exactly the
+    telescoped (w0 - wE)/lr), while loss and fairness statistics are
+    evaluated at the received parameters.
     """
     _check_shard(shard)
-    loss, loss_grad, stats, grad0 = lagrangian_grad(params, lam, shard, metric)
-
-    if mode == SINGLE_STEP:
-        update = grad0
-    elif mode == LOCAL_EPOCHS:
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if lr <= 0.0:
-            raise ValueError("lr must be positive")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if lr <= 0.0:
+        raise ValueError("lr must be positive")
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric)
+    update = grad
+    if epochs > 1:
         flat = params.flatten()
-        update = grad0.copy()
-        flat = flat - lr * grad0
         for _ in range(epochs - 1):
-            step_params = MlpParams.unflatten(params.spec, flat)
-            _, _, _, g = lagrangian_grad(step_params, lam, shard, metric)
-            update += g
-            flat = flat - lr * g
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+            flat = flat - lr * grad
+            _, _, grad = lagrangian_grad(MlpParams.unflatten(params.spec, flat), lam, shard, metric)
+            update = update + grad
     check_finite(update, f"client {shard.client_id} update gradient")
-    return ClientStatistics(
-        client_id=shard.client_id,
-        loss=loss,
-        loss_grad=loss_grad,
-        fairness=stats,
-        update_grad=update,
-        n_samples=len(shard),
-    )
+    return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)
 
 
 def local_accuracy(params: MlpParams, shard: Shard) -> float:

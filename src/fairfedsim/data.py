@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Sample
 from .numeric import make_rng
 
 logger = logging.getLogger(__name__)
@@ -141,13 +140,6 @@ class Dataset:
             self.group_names, self.feature_names, self.row_ids[idx], 0,
         )
 
-    def samples(self) -> list[Sample]:
-        return [Sample(self.X[i], tuple(int(c) for c in self.S[i]), int(self.y[i])) for i in range(len(self))]
-
-    def group_code(self, attr: str, value: str) -> int:
-        a = self.attr_names.index(attr)
-        return self.group_names[a].index(value)
-
 
 @dataclass
 class Shard:
@@ -181,14 +173,6 @@ class Shard:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    def manifest(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "n_samples": len(self),
-            "group_counts": self.group_counts,
-            "row_ids": self.data.row_ids.tolist(),
-        }
 
 
 def load_csv(path: str, schema: DatasetSchema, strict: bool = False) -> Dataset:

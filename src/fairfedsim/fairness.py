@@ -18,7 +18,6 @@ only at the point of use.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -110,23 +109,6 @@ class FairnessStatistics:
         for s in stats[1:]:
             out = out.merge(s)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "n_params": self.n_params,
-            "groups": [
-                {
-                    "key": k.to_str(),
-                    "attribute": k.attribute,
-                    "value": k.value,
-                    "label": k.label,
-                    "sum_f": g.sum_f,
-                    "count": g.count,
-                    "grad_sum": g.grad_sum.tolist(),
-                }
-                for k, g in sorted(self.groups.items(), key=lambda kv: kv[0].sort_key())
-            ],
-        }
 
 
 def compute_statistics_for_metric(
@@ -347,15 +329,6 @@ class FairnessReport:
             per_group=list(d.get("per_group", [])),
         )
 
-    def csv_row(self, attr_order: Sequence[str]) -> dict[str, str]:
-        row = {"acc": f"{self.accuracy:.6g}"}
-        for attr in attr_order:
-            row[f"dp_{attr}"] = f"{self.dp[attr]:.6g}"
-            row[f"eo_{attr}"] = f"{self.eo[attr]:.6g}"
-            row[f"ap_{attr}"] = f"{self.ap[attr]:.6g}"
-        row["cf"] = "-" if self.cf is None else f"{self.cf:.6g}"
-        return row
-
 
 def evaluate_predictions(
     probs: np.ndarray,
@@ -396,7 +369,3 @@ def evaluate_predictions(
     if per_client_accuracy is not None:
         cf = client_fairness_violation(per_client_accuracy)
     return FairnessReport(accuracy=accuracy, dp=dp, eo=eo, ap=ap, cf=cf, per_group=per_group)
-
-
-def report_to_json_str(report: FairnessReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True)

@@ -16,7 +16,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from .baselines import CLIENT_FAIRNESS_REGIMES, RegimeId, TrainConfig, TrainResu
 from .data import Dataset, DatasetSchema, PartitionSpec, Shard
 from .fairness import FairnessReport
 
+CLIENT_MODES = ("local_epochs", "single_step")  # single_step is local_epochs with E = 1
 BETA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 DELTA_GRID = (0.001, 0.01, 0.1)
 
@@ -72,9 +73,6 @@ class ExperimentConfig:
     out: str = "results"
     threads: int = 1
     reference_regime: str = "mfairfl"
-    weighted_mean: bool = False
-    spare_high_loss: bool = False
-    cenfair_total_epochs: Optional[int] = None
 
     def __post_init__(self):
         self.regimes = tuple(str(r) for r in self.regimes)
@@ -82,35 +80,19 @@ class ExperimentConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         for r in self.regimes:
             RegimeId(r)  # raises on unknown regime
+        if self.client_mode not in CLIENT_MODES:
+            raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
         if self.beta not in BETA_GRID and self.beta != 0.0:
             warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
         if self.delta not in DELTA_GRID and self.delta != 0.0:
             warnings.warn(f"delta={self.delta} is outside the default grid {DELTA_GRID}", stacklevel=2)
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["regimes"] = list(self.regimes)
-        d["seeds"] = list(self.seeds)
-        d["hidden_dims"] = list(self.hidden_dims)
-        for key in ("group_fractions", "pos_rate_by_group"):
-            if "synthetic" in d["dataset"] and key in d["dataset"]["synthetic"]:
-                d["dataset"]["synthetic"][key] = list(d["dataset"]["synthetic"][key])
-        d["partition"] = {
-            "attribute": self.partition["attribute"],
-            "fractions": {k: list(v) for k, v in self.partition["fractions"].items()},
-        }
-        return d
+        return asdict(self)  # json writes the tuples as lists
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        if "regimes" in kwargs:
-            kwargs["regimes"] = tuple(kwargs["regimes"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        return cls(**kwargs)
+        return cls(**d)  # an unknown key is a TypeError; __post_init__ makes the tuples
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -128,18 +110,14 @@ class ExperimentConfig:
         return TrainConfig(
             hidden_dims=self.hidden_dims,
             rounds=self.rounds,
-            local_epochs=self.local_epochs,
+            local_epochs=1 if self.client_mode == "single_step" else self.local_epochs,
             eta=self.eta,
             gamma=self.gamma,
             alpha=self.alpha,
             beta=self.beta,
             delta=self.delta,
             constraint=self.constraint,
-            client_mode=self.client_mode,
             seed=seed,
-            weighted_mean=self.weighted_mean,
-            spare_high_loss=self.spare_high_loss,
-            cenfair_total_epochs=self.cenfair_total_epochs,
         )
 
 
@@ -325,7 +303,11 @@ def _collect(records: Sequence[RunRecord]) -> dict[str, dict[str, list[float]]]:
 
 
 def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = "mfairfl") -> None:
-    """Aggregated CSV and pretty text table, byte-stable across reruns."""
+    """Aggregated CSV and pretty text table, byte-stable across reruns.
+
+    Each (regime, metric) cell's mean, std and paired t-test against the
+    reference are computed once; both files render from them.
+    """
     out_dir = Path(out_dir)
     table = _collect(records)
     metrics = _metric_columns(records)
@@ -333,26 +315,27 @@ def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = "
     ref = reference if reference in table else (regimes[0] if regimes else "")
     chash = records[0].config_hash if records else ""
 
-    csv_lines = ["regime,metric,mean,std,n,t_vs_ref,p_vs_ref,significant,config_hash,version"]
+    cells: dict[tuple[str, str], tuple[float, float, int, Optional[TTestResult]]] = {}
     for regime in regimes:
         for metric in metrics:
             values = table[regime].get(metric)
             if not values:
                 continue
-            mean = float(np.mean(values))
+            ref_vals = table.get(ref, {}).get(metric)
+            test = None
+            if regime != ref and ref_vals is not None and len(ref_vals) == len(values) >= 2:
+                test = paired_ttest(ref_vals, values)
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-            t_s = p_s = ""
-            sig = ""
-            if regime != ref and metric in table.get(ref, {}) and len(values) >= 2:
-                ref_vals = table[ref][metric]
-                if len(ref_vals) == len(values):
-                    res = paired_ttest(ref_vals, values)
-                    t_s = "inf" if math.isinf(res.t) else f"{res.t:.6g}"
-                    p_s = f"{res.p:.6g}"
-                    sig = "1" if res.significant else "0"
-            csv_lines.append(
-                f"{regime},{metric},{mean:.6g},{std:.6g},{len(values)},{t_s},{p_s},{sig},{chash},{__version__}"
-            )
+            cells[regime, metric] = (float(np.mean(values)), std, len(values), test)
+
+    csv_lines = ["regime,metric,mean,std,n,t_vs_ref,p_vs_ref,significant,config_hash,version"]
+    for (regime, metric), (mean, std, n, test) in cells.items():
+        t_s = p_s = sig = ""
+        if test is not None:
+            t_s = "inf" if math.isinf(test.t) else f"{test.t:.6g}"
+            p_s = f"{test.p:.6g}"
+            sig = "1" if test.significant else "0"
+        csv_lines.append(f"{regime},{metric},{mean:.6g},{std:.6g},{n},{t_s},{p_s},{sig},{chash},{__version__}")
     (out_dir / "results.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
     width = max([len(m) for m in metrics], default=8) + 2
@@ -361,24 +344,17 @@ def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = "
     lines.append(header)
     lines.append("-" * len(header))
     for regime in regimes:
-        cells = [regime.ljust(14)]
+        row = [regime.ljust(14)]
         for metric in metrics:
-            values = table[regime].get(metric)
-            if not values:
-                cells.append("-".ljust(width + 8))
+            if (regime, metric) not in cells:
+                row.append("-".ljust(width + 8))
                 continue
-            mean = float(np.mean(values))
-            if len(values) > 1:
-                std = float(np.std(values, ddof=1))
-                text = f"{mean:.3f}±{std:.3f}"
-            else:
-                text = f"{mean:.3f}"
-            if regime != ref and metric in table.get(ref, {}) and len(values) >= 2:
-                ref_vals = table[ref][metric]
-                if len(ref_vals) == len(values) and paired_ttest(ref_vals, values).significant:
-                    text += "*"
-            cells.append(text.ljust(width + 8))
-        lines.append("".join(cells))
+            mean, std, n, test = cells[regime, metric]
+            text = f"{mean:.3f}±{std:.3f}" if n > 1 else f"{mean:.3f}"
+            if test is not None and test.significant:
+                text += "*"
+            row.append(text.ljust(width + 8))
+        lines.append("".join(row))
     failures = [r for r in records if r.error is not None]
     if failures:
         lines.append("")

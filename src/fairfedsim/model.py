@@ -41,15 +41,6 @@ class MlpSpec:
         return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: features x, sensitive group codes s, binary label y."""
-
-    x: np.ndarray
-    s: tuple[int, ...]
-    y: int
-
-
 class MlpParams:
     """Per-layer weights (out, in) and biases (out,), flattenable to one vector."""
 
@@ -108,9 +99,6 @@ class MlpParams:
             pos += dims[i + 1]
         return cls(spec, weights, biases)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (branch form)."""
@@ -126,20 +114,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 _P_CLAMP = 1e-12
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a Shard/Dataset-like object (with .X and .y) or a list of Samples."""
-    if hasattr(batch, "X") and hasattr(batch, "y"):
-        X = np.asarray(batch.X, dtype=np.float64)
-        y = np.asarray(batch.y, dtype=np.float64)
-    else:
-        samples = list(batch)
-        if not samples:
-            raise ValueError("empty batch")
-        X = np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
-        y = np.array([float(s.y) for s in samples])
+def _rows(X) -> np.ndarray:
+    """X as a float64 batch of feature rows; an empty batch is an error."""
+    X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return X, y
+    return X
 
 
 def _forward_cache(params: MlpParams, X: np.ndarray):
@@ -203,9 +183,9 @@ def per_sample_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def loss_and_grad(params: MlpParams, batch) -> tuple[float, np.ndarray]:
-    """Mean BCE loss over the batch and its exact flat gradient."""
-    X, y = _batch_arrays(batch)
+def loss_and_grad(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean BCE loss over the batch (rows of X, labels y) and its exact flat gradient."""
+    X, y = _rows(X), np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     probs, _, acts = _forward_cache(params, X)
     loss = float(np.mean(per_sample_losses(probs, y)))
@@ -213,9 +193,9 @@ def loss_and_grad(params: MlpParams, batch) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def prob_and_grad(params: MlpParams, batch) -> tuple[float, np.ndarray]:
-    """Mean predicted probability over the batch and its exact flat gradient."""
-    X, _ = _batch_arrays(batch)
+def prob_and_grad(params: MlpParams, X: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean predicted probability over the rows of X and its exact flat gradient."""
+    X = _rows(X)
     n = X.shape[0]
     probs, _, acts = _forward_cache(params, X)
     grad = _backward(params, acts, probs * (1.0 - probs) / n)

@@ -18,10 +18,9 @@ the alignment, not the absolute dot product.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -255,8 +254,6 @@ def diminish_conflicts_dspace(
     order: Sequence[int],
     beta: float,
     state: SimilarityState,
-    *,
-    spare_high_loss: bool = False,
 ) -> DspaceSweep:
     """Reference for ``aggregation.diminish_conflicts_arrays``: the same
     sweep, with every cosine taken between D-length vectors and every
@@ -267,7 +264,7 @@ def diminish_conflicts_dspace(
     out_state = state.copy()
     tests: list[PairTest] = []
     n_adjustments = 0
-    for k in order[: selected_count(len(order), beta, spare_high_loss)]:
+    for k in order[: selected_count(len(order), beta)]:
         for i in order:
             if i == k:
                 continue
@@ -561,7 +558,3 @@ def conflicting_quadratic_problem(dim: int, rng: np.random.Generator) -> Quadrat
             continue
         return QuadraticTwoClientProblem(A1, A2, a, a.copy(), w0, goal)
     raise HypothesisGenerationError("could not place a goal above the initial cosine")
-
-
-def campaign_to_json_str(summary: CampaignSummary) -> str:
-    return json.dumps(summary.to_json(), sort_keys=True)

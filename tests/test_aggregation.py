@@ -136,7 +136,7 @@ def make_stats(grads, losses=None, n_params=None):
              GroupKey(0, "g1"): GroupStat(0.5, 2, np.zeros(n_params))},
             n_params,
         )
-        out.append(ClientStatistics(cid, loss, np.asarray(g, float), fs, np.asarray(g, float), 4))
+        out.append(ClientStatistics(cid, loss, fs, np.asarray(g, float)))
     return out
 
 
@@ -220,18 +220,16 @@ class TestDiminishConflicts:
         assert [(t.target, t.phi < t.goal, t.adjusted) for t in res.tests] == [(1, True, False), (2, True, False)]
         assert res.n_adjustments == 0
 
-    def test_spare_high_loss_keeps_the_worst_raw(self):
-        # K=25, beta=0.7: the 18 worst keep raw gradients, so 7 are swept
+    def test_unswept_clients_keep_raw_gradients(self):
+        # K=25, beta=0.7: the first ceil(17.5) = 18 of the order are swept
         rng = make_rng(28)
         stats = make_stats([rng.normal(size=6) for _ in range(25)])
         order = ProjectionOrder(tuple(int(i) for i in rng.permutation(25)))
         state = SimilarityState(25, delta=1.0, goals=np.full((25, 25), 0.99))
-        for spare, n_swept in ((True, 7), (False, 18)):
-            cfg = AggregationConfig(beta=0.7, spare_high_loss=spare)
-            res = diminish_conflicts(stats, order, cfg, state)
-            assert {t.client for t in res.tests} == set(order.order[:n_swept])
-            kept = list(order.order[n_swept:])
-            np.testing.assert_array_equal(res.coefficients[kept], np.eye(25)[kept])
+        res = diminish_conflicts(stats, order, AggregationConfig(beta=0.7), state)
+        assert {t.client for t in res.tests} == set(order.order[:18])
+        kept = list(order.order[18:])
+        np.testing.assert_array_equal(res.coefficients[kept], np.eye(25)[kept])
 
     def test_order_must_cover_the_state(self):
         grads = {0: np.ones(2), 1: -np.ones(2)}
@@ -274,17 +272,17 @@ def sweep_inputs(draw):
     # arithmetic (the reverse pair, a duplicated target) are ties that
     # rounding decides either way
     delta = draw(st.floats(1e-6, 1.0))
-    return grads, order, beta, SimilarityState(K, delta, goals), draw(st.booleans())
+    return grads, order, beta, SimilarityState(K, delta, goals)
 
 
 class TestGramSweepMatchesDspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(sweep_inputs())
     def test_same_tests_goals_and_mean(self, inputs):
-        grads, order, beta, state, spare = inputs
+        grads, order, beta, state = inputs
         goals0 = state.goals.copy()
-        res = diminish_conflicts_arrays(grads, order, beta, state, spare_high_loss=spare)
-        ref = diminish_conflicts_dspace(grads, order, beta, state, spare_high_loss=spare)
+        res = diminish_conflicts_arrays(grads, order, beta, state)
+        ref = diminish_conflicts_dspace(grads, order, beta, state)
         np.testing.assert_array_equal(state.goals, goals0)  # the input state is left alone
 
         assert [(t.client, t.target, t.adjusted) for t in res.tests] == [

@@ -122,12 +122,6 @@ class TestBehavior:
         ]
         np.testing.assert_allclose(probs, np.mean(member, axis=0), rtol=1e-12)
 
-    def test_cenfair_budget_override(self):
-        shards = make_shards(n=150, seed=11)
-        cfg = quick_cfg(rounds=3, local_epochs=4, cenfair_total_epochs=8)
-        result = run_cenfair(shards, cfg)
-        assert len(result.rounds) == 2  # ceil(8 / 4)
-
     def test_trace_records_cover_rounds(self):
         shards = make_shards(n=150, seed=12)
         cfg = quick_cfg(rounds=3)

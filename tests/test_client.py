@@ -1,14 +1,12 @@
-"""Client-side statistics: modes, telescoping, isolation, accuracy."""
+"""Client-side statistics: one step, telescoping, isolation, accuracy."""
 
 import numpy as np
 import pytest
 
-from fairfedsim import fairness
-from fairfedsim.client import LOCAL_EPOCHS, SINGLE_STEP, compute_statistics, lagrangian_grad, local_accuracy
-from fairfedsim.data import Dataset, Shard, synthetic_dataset
-from fairfedsim.fairness import GroupKey
+from fairfedsim import client, fairness, model
+from fairfedsim.client import compute_statistics, lagrangian_grad, local_accuracy
+from fairfedsim.data import Shard, synthetic_dataset
 from fairfedsim.model import MlpParams, MlpSpec
-from fairfedsim.numeric import make_rng
 from fairfedsim.oracles import finite_diff
 
 from conftest import min_preactivation, rel_err
@@ -35,18 +33,26 @@ def test_zero_lambda_single_step_equals_loss_grad():
     shard = small_shard()
     params = init_params(shard)
     lam = zero_multipliers(shard, params)
-    st = compute_statistics(params, lam, shard, mode=SINGLE_STEP)
-    np.testing.assert_array_equal(st.update_grad, st.loss_grad)
+    st = compute_statistics(params, lam, shard, epochs=1)
+    np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 
 
-def test_one_epoch_equals_single_step_bitwise():
+def test_one_epoch_is_one_lagrangian_step(monkeypatch):
     shard = small_shard(1)
     params = init_params(shard)
     lam = {k: 0.3 for k in zero_multipliers(shard, params)}
-    a = compute_statistics(params, lam, shard, mode=SINGLE_STEP)
-    b = compute_statistics(params, lam, shard, mode=LOCAL_EPOCHS, epochs=1, lr=0.1)
-    np.testing.assert_array_equal(a.update_grad, b.update_grad)
-    assert a.loss == b.loss
+    loss, stats, grad = lagrangian_grad(params, lam, shard, "dp")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lagrangian_grad(*args)
+
+    monkeypatch.setattr(client, "lagrangian_grad", counted)
+    st = compute_statistics(params, lam, shard, epochs=1, lr=0.1)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(st.update_grad, grad)
+    assert st.loss == loss
 
 
 def test_telescoping_identity_exact():
@@ -54,13 +60,13 @@ def test_telescoping_identity_exact():
     params = init_params(shard, seed=8)
     lam = {k: 0.2 for k in zero_multipliers(shard, params)}
     epochs, lr = 5, 0.05
-    st = compute_statistics(params, lam, shard, mode=LOCAL_EPOCHS, epochs=epochs, lr=lr)
+    st = compute_statistics(params, lam, shard, epochs=epochs, lr=lr)
 
     # per-step gradients at their own iterates, accumulated exactly
     flat = params.flatten()
     acc = np.zeros_like(flat)
     for _ in range(epochs):
-        _, _, _, g = lagrangian_grad(MlpParams.unflatten(params.spec, flat), lam, shard, "dp")
+        _, _, g = lagrangian_grad(MlpParams.unflatten(params.spec, flat), lam, shard, "dp")
         acc += g
         flat = flat - lr * g
     np.testing.assert_array_equal(st.update_grad, acc)
@@ -72,10 +78,9 @@ def test_statistics_evaluated_at_received_params():
     shard = small_shard(3)
     params = init_params(shard, seed=9)
     lam = {k: 0.1 for k in zero_multipliers(shard, params)}
-    a = compute_statistics(params, lam, shard, mode=SINGLE_STEP)
-    b = compute_statistics(params, lam, shard, mode=LOCAL_EPOCHS, epochs=7, lr=0.05)
+    a = compute_statistics(params, lam, shard, epochs=1)
+    b = compute_statistics(params, lam, shard, epochs=7, lr=0.05)
     assert a.loss == b.loss
-    np.testing.assert_array_equal(a.loss_grad, b.loss_grad)
     for key in a.fairness.keys():
         assert a.fairness.groups[key].sum_f == b.fairness.groups[key].sum_f
 
@@ -97,13 +102,11 @@ def test_update_grad_matches_lagrangian_finite_differences():
         if any(abs(v) < 1e-4 for v in h0.values()):
             continue
         lam = {k: 0.5 for k in usable}
-        st = compute_statistics(params, lam, shard, mode=SINGLE_STEP)
-
-        from fairfedsim import model as model_mod
+        st = compute_statistics(params, lam, shard, epochs=1)
 
         def J(w):
             p = MlpParams.unflatten(params.spec, w)
-            loss, _ = model_mod.loss_and_grad(p, shard)
+            loss, _ = model.loss_and_grad(p, shard.X, shard.y)
             s = fairness.compute_statistics_for_metric(
                 p, shard.X, shard.y, shard.S, shard.data.group_names, "dp"
             )
@@ -120,10 +123,10 @@ def test_clients_isolated_and_deterministic():
     shard_b = small_shard(5, client_id=1)
     params = init_params(shard_a, seed=10)
     lam = zero_multipliers(shard_a, params)
-    before = compute_statistics(params, lam, shard_a, mode=LOCAL_EPOCHS, epochs=3, lr=0.1)
+    before = compute_statistics(params, lam, shard_a, epochs=3, lr=0.1)
     # mutating another client's shard must not change this client's upload
     shard_b.data.X[:] = 999.0
-    after = compute_statistics(params, lam, shard_a, mode=LOCAL_EPOCHS, epochs=3, lr=0.1)
+    after = compute_statistics(params, lam, shard_a, epochs=3, lr=0.1)
     np.testing.assert_array_equal(before.update_grad, after.update_grad)
     assert before.loss == after.loss
 
@@ -154,14 +157,3 @@ def test_local_accuracy_perfect_and_tie_rule():
     acc = local_accuracy(strong, shard)
     assert acc > 0.6
 
-
-def test_statistics_serialize_to_json():
-    shard = small_shard(7)
-    params = init_params(shard)
-    lam = zero_multipliers(shard, params)
-    st = compute_statistics(params, lam, shard, mode=SINGLE_STEP)
-    d = st.to_json()
-    assert d["client_id"] == shard.client_id
-    assert d["n_samples"] == len(shard)
-    assert len(d["update_grad"]) == params.spec.n_params
-    assert any(g["count"] > 0 for g in d["fairness"]["groups"])

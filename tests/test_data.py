@@ -281,10 +281,3 @@ class TestSynthetic:
         g1 = ds.y[ds.S[:, 0] == 1].mean()
         np.testing.assert_allclose(g0, 0.7, atol=0.02)
         np.testing.assert_allclose(g1, 0.3, atol=0.02)
-
-    def test_samples_view(self):
-        ds = synthetic_dataset(10, seed=17, input_dim=3)
-        samples = ds.samples()
-        assert len(samples) == 10
-        np.testing.assert_array_equal(samples[0].x, ds.X[0])
-        assert samples[0].y == ds.y[0]

@@ -18,6 +18,7 @@ from fairfedsim.fairness import (
     eo_violation,
     evaluate_predictions,
 )
+from fairfedsim.harness import RunRecord, write_report
 from fairfedsim.model import MlpParams, MlpSpec
 from fairfedsim.numeric import make_rng
 from fairfedsim.oracles import finite_diff
@@ -280,16 +281,20 @@ class TestReport:
         assert set(rep.scores()) == {"acc", "dp[sex]", "eo[sex]", "ap[sex]", "cf"}
         again = FairnessReport.from_json(rep.to_json())
         assert again.scores() == rep.scores()
-        row = rep.csv_row(("sex",))
-        assert set(row) == {"acc", "dp_sex", "eo_sex", "ap_sex", "cf"}
 
-    def test_cf_none_renders_dash(self):
+    def test_cf_none_renders_dash(self, tmp_path):
         probs = np.array([0.9, 0.2, 0.7, 0.3])
         y = np.array([1, 0, 1, 0])
         S = np.array([[0], [0], [1], [1]])
         rep = evaluate_predictions(probs, y, S, ("g",), (("a", "b"),))
         assert rep.cf is None
-        assert rep.csv_row(("g",))["cf"] == "-"
+        with_cf = evaluate_predictions(probs, y, S, ("g",), (("a", "b"),), per_client_accuracy=[0.5, 1.0])
+        records = [RunRecord("h", "fedavg", 1, with_cf), RunRecord("h", "indfair", 1, rep)]
+        write_report(records, tmp_path, reference="fedavg")
+        table = (tmp_path / "results.txt").read_text().splitlines()
+        assert table[1].split()[-1] == "cf"
+        assert table[4].split()[0] == "indfair" and table[4].split()[-1] == "-"
+        assert "indfair,cf," not in (tmp_path / "results.csv").read_text()
 
     def test_scores_in_unit_interval(self):
         rng = make_rng(15)

@@ -93,6 +93,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(ExperimentConfig(), regimes=("nope",))
 
+    def test_unknown_client_mode_rejected(self):
+        with pytest.raises(ValueError, match="client mode"):
+            replace(ExperimentConfig(), client_mode="two_step")
+
+    def test_removed_key_rejected(self):
+        d = ExperimentConfig().to_json()
+        d["weighted_mean"] = False
+        with pytest.raises(TypeError, match="weighted_mean"):
+            ExperimentConfig.from_json(d)
+
+    def test_single_step_trains_as_one_local_epoch(self):
+        single = replace(ExperimentConfig(), client_mode="single_step", local_epochs=20, rounds=3)
+        one = replace(ExperimentConfig(), local_epochs=1, rounds=3)
+        assert single.train_config(1) == one.train_config(1)
+        a = run_cell(single, "mfairfl", 1, None)
+        b = run_cell(one, "mfairfl", 1, None)
+        assert a.error is None and a.report.to_json() == b.report.to_json()
+
 
 class TestRun:
     def test_single_cell(self, tmp_path):
@@ -179,7 +197,7 @@ class TestCli:
         cfg = tiny_config(tmp_path / "h")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_json()))
-        assert cli_main(["partition", "--config", str(path), "--dry-run"]) == 0
+        assert cli_main(["partition", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "client" in out and "g0" in out
 

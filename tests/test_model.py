@@ -9,7 +9,6 @@ import pytest
 from fairfedsim.model import (
     MlpParams,
     MlpSpec,
-    Sample,
     forward,
     loss_and_grad,
     per_sample_losses,
@@ -24,10 +23,9 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_mlp.json").read_te
 
 
 def random_batch(rng, n, input_dim):
-    return [
-        Sample(rng.normal(size=input_dim), (0,), int(rng.integers(0, 2)))
-        for _ in range(n)
-    ]
+    """Feature rows X and 0/1 labels y, drawn one row and its label at a time."""
+    rows = [(rng.normal(size=input_dim), int(rng.integers(0, 2))) for _ in range(n)]
+    return np.stack([x for x, _ in rows]), np.array([y for _, y in rows])
 
 
 from conftest import min_preactivation, rel_err
@@ -105,18 +103,14 @@ class TestLossAndGradients:
     def test_loss_matches_golden(self):
         spec = MlpSpec(**GOLDEN["spec"])
         params = MlpParams.init(spec, seed=GOLDEN["seed"])
-        batch = [
-            Sample(np.array(x), (0,), int(y))
-            for x, y in zip(GOLDEN["batch_X"], GOLDEN["batch_y"])
-        ]
-        loss, grad = loss_and_grad(params, batch)
+        loss, grad = loss_and_grad(params, np.array(GOLDEN["batch_X"]), np.array(GOLDEN["batch_y"]))
         np.testing.assert_allclose(loss, GOLDEN["batch_loss"], rtol=1e-12)
         np.testing.assert_allclose(grad, GOLDEN["batch_loss_grad"], rtol=1e-10, atol=1e-15)
 
     def test_zero_params_single_positive_sample(self):
         spec = MlpSpec(3, (4,))
         params = MlpParams.zeros(spec)
-        loss, _ = loss_and_grad(params, [Sample(np.ones(3), (0,), 1)])
+        loss, _ = loss_and_grad(params, np.ones((1, 3)), np.array([1]))
         np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
     def test_perfect_fit_has_tiny_loss_and_grad(self):
@@ -125,37 +119,36 @@ class TestLossAndGradients:
         params = MlpParams.zeros(spec)
         params.weights[0][0, 0] = 1.0
         params.weights[1][0, 0] = 50.0
-        batch = [Sample(np.array([5.0]), (0,), 1)]
-        loss, grad = loss_and_grad(params, batch)
+        loss, grad = loss_and_grad(params, np.array([[5.0]]), np.array([1]))
         assert loss < 1e-10
         assert np.linalg.norm(grad) < 1e-10
 
     def test_empty_batch_rejected(self):
         params = MlpParams.zeros(MlpSpec(2, (2,)))
         with pytest.raises(ValueError, match="empty batch"):
-            loss_and_grad(params, [])
+            loss_and_grad(params, np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError, match="empty batch"):
-            prob_and_grad(params, [])
+            prob_and_grad(params, np.empty((0, 2)))
 
     def test_mean_prob_half_for_zero_params(self):
         params = MlpParams.zeros(MlpSpec(2, (3,)))
-        p, _ = prob_and_grad(params, [Sample(np.ones(2), (0,), 0)])
+        p, _ = prob_and_grad(params, np.ones((1, 2)))
         assert p == 0.5
 
     def test_mean_prob_duplicate_invariance(self):
         spec = MlpSpec(3, (4, 4))
         params = MlpParams.init(spec, seed=5)
-        s = Sample(np.array([0.3, -0.2, 1.4]), (0,), 1)
-        p1, _ = prob_and_grad(params, [s])
-        p2, _ = prob_and_grad(params, [s, s])
+        x = np.array([0.3, -0.2, 1.4])
+        p1, _ = prob_and_grad(params, x[None, :])
+        p2, _ = prob_and_grad(params, np.stack([x, x]))
         np.testing.assert_allclose(p1, p2, rtol=1e-15)
 
     def test_determinism_bitwise(self):
         spec = MlpSpec(5, (6, 6))
         params = MlpParams.init(spec, seed=21)
-        batch = random_batch(make_rng(21, 1), 8, 5)
-        l1, g1 = loss_and_grad(params, batch)
-        l2, g2 = loss_and_grad(params, batch)
+        X, y = random_batch(make_rng(21, 1), 8, 5)
+        l1, g1 = loss_and_grad(params, X, y)
+        l2, g2 = loss_and_grad(params, X, y)
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
 
@@ -164,9 +157,9 @@ class TestLossAndGradients:
         for trial in range(20):
             spec = MlpSpec(4, (5, 5))
             params = MlpParams.init(spec, seed=trial)
-            batch = random_batch(rng, 6, 4)
-            loss, _ = loss_and_grad(params, batch)
-            p, _ = prob_and_grad(params, batch)
+            X, y = random_batch(rng, 6, 4)
+            loss, _ = loss_and_grad(params, X, y)
+            p, _ = prob_and_grad(params, X)
             assert loss >= 0.0
             assert 0.0 < p < 1.0
 
@@ -186,20 +179,20 @@ class TestFiniteDifferenceAgreement:
             input_dim = int(rng.integers(2, 10))
             spec = MlpSpec(input_dim, (6, 5))
             params = MlpParams.init(spec, seed=100 + trial)
-            batch = random_batch(rng, int(rng.integers(3, 10)), input_dim)
-            if min_preactivation(params, np.stack([s.x for s in batch])) < 1e-4:
+            X, y = random_batch(rng, int(rng.integers(3, 10)), input_dim)
+            if min_preactivation(params, X) < 1e-4:
                 continue
             trial += 1
             flat0 = params.flatten()
 
-            _, g_loss = loss_and_grad(params, batch)
+            _, g_loss = loss_and_grad(params, X, y)
             self._check(
-                lambda w: loss_and_grad(MlpParams.unflatten(spec, w), batch)[0],
+                lambda w: loss_and_grad(MlpParams.unflatten(spec, w), X, y)[0],
                 g_loss, flat0, spec, 1e-4,
             )
-            _, g_prob = prob_and_grad(params, batch)
+            _, g_prob = prob_and_grad(params, X)
             self._check(
-                lambda w: prob_and_grad(MlpParams.unflatten(spec, w), batch)[0],
+                lambda w: prob_and_grad(MlpParams.unflatten(spec, w), X)[0],
                 g_prob, flat0, spec, 1e-4,
             )
         assert failures == 0
