@@ -1,5 +1,6 @@
 """Dev-only calibration sweep for the acceptance experiment defaults."""
 
+import argparse
 import itertools
 import time
 from dataclasses import replace
@@ -59,6 +60,10 @@ def criteria(s):
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(
+        description="Run the calibration sweep: each (gamma, alpha) setting trains six regimes "
+        "over two seeds (minutes per setting) and prints criteria c8-c11.",
+    ).parse_args()
     grid = itertools.product(
         (5.0, 10.0),          # gamma
         (0.01, 0.02),         # alpha

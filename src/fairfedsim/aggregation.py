@@ -35,6 +35,13 @@ sqrt(1 - goal^2); two clients with identical gradients drive their goal to
 exactly 1, and a later cosine of 1 - 1 ulp would otherwise ask for a
 singular rotation. Near -1 any cosine already meets the goal.
 
+Anti-parallel pairs: a cosine within ``GOAL_SATURATION_EPS`` of -1 is not
+adjusted either. A working gradient anti-parallel to its target has no
+component perpendicular to it, so there is no plane to rotate in: the
+adjustment would return the zero vector and drop the client from the
+curated mean. The pair's goal is still EMA-updated, and the conflict
+counts of a ``RoundRecord`` still count it.
+
 Tie tolerance: the conflict counts of a ``RoundRecord`` count a pair only
 when its cosine is below goal - ``CONFLICT_TIE_TOL`` (1e-9), because each
 adjusted working gradient ends exactly on its last goal and rounding would
@@ -57,7 +64,7 @@ from .numeric import check_finite, cosine, mean_rows, norm  # noqa: F401
 
 ORDER_POLICIES = ("loss_ascending", "random", "reversed")
 
-GOAL_SATURATION_EPS = 1e-9  # |goal| >= 1 - eps counts as met (module docstring)
+GOAL_SATURATION_EPS = 1e-9  # saturated goals, anti-parallel pairs (module docstring)
 CONFLICT_TIE_TOL = 1e-9     # conflict counts need cos < goal - tol (RoundRecord)
 
 
@@ -152,8 +159,9 @@ def adjust_gradient(g_k: np.ndarray, g_j: np.ndarray, phi: float, goal: float) -
 
 
 def is_conflict(phi: float, goal: float) -> bool:
-    """The sweep's test: phi < goal, with saturated goals counting as met."""
-    return phi < goal and abs(goal) < 1.0 - GOAL_SATURATION_EPS
+    """The sweep's test: phi < goal, with saturated goals counting as met
+    and anti-parallel pairs left alone (module docstring)."""
+    return -1.0 + GOAL_SATURATION_EPS < phi < goal and abs(goal) < 1.0 - GOAL_SATURATION_EPS
 
 
 @dataclass

@@ -6,12 +6,16 @@ uploads its loss and raw per-group fairness sums (both at the received
 parameters) and the update gradient the server aggregates: the sum of
 the E step gradients, which for E = 1 is the Lagrangian gradient itself.
 Clients only ever touch their own shard.
+
+A step runs one forward pass over the shard and 1 + #keys backward passes:
+one for the loss over every row, and one per supported constraint key over
+the rows of that key's group (or group-and-label cell) only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -37,9 +41,11 @@ def _check_shard(shard: Shard) -> None:
         raise ValueError(f"client {shard.client_id}: empty shard")
 
 
-def compute_fairness_statistics(params: MlpParams, shard: Shard, metric: str) -> FairnessStatistics:
+def compute_fairness_statistics(
+    params: MlpParams, shard: Shard, metric: str, outputs: Optional[tuple] = None
+) -> FairnessStatistics:
     return fairness.compute_statistics_for_metric(
-        params, shard.X, shard.y, shard.S, shard.data.group_names, metric
+        params, shard.X, shard.y, shard.S, shard.data.group_names, metric, outputs
     )
 
 
@@ -53,10 +59,15 @@ def lagrangian_grad(
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
     Constraint keys without local support are skipped: an absent group
-    contributes no gradient information on this shard.
+    contributes no gradient information on this shard. One forward pass
+    serves the loss and the fairness statistics; the loss gradient is
+    computed exactly as ``model.loss_and_grad`` computes it.
     """
-    loss, grad = model.loss_and_grad(params, shard.X, shard.y)
-    stats = compute_fairness_statistics(params, shard, metric)
+    outputs = model.batch_outputs(params, shard.X, shard.y)
+    probs, losses, weighted_grad = outputs
+    loss = float(np.mean(losses))
+    grad = weighted_grad((probs - shard.y) / probs.shape[0])
+    stats = compute_fairness_statistics(params, shard, metric, outputs)
     usable = fairness.usable_keys(stats)
     if usable:
         h_grads = fairness.constraint_grads(fairness.restrict(stats, usable))

@@ -118,17 +118,23 @@ def compute_statistics_for_metric(
     S: np.ndarray,
     group_names: Sequence[Sequence[str]],
     metric: str,
+    outputs: Optional[tuple] = None,
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
     ``S`` holds integer group codes, one column per sensitive attribute;
     ``group_names[a][code]`` names them. Groups absent from the block keep
     count 0 so statistics from different clients merge on aligned keys.
+    ``outputs`` is ``model.batch_outputs(params, X, y)`` when the caller
+    already ran that forward pass. Each group's gradient sum backpropagates
+    the group's own rows only.
     """
     if metric not in CONSTRAINT_METRICS:
         raise ValueError(f"unknown constraint metric {metric!r}")
     y = np.asarray(y)
-    probs, losses, weighted_grad = model.batch_outputs(params, X, y)
+    if outputs is None:
+        outputs = model.batch_outputs(params, X, y)
+    probs, losses, weighted_grad = outputs
     # d(surrogate_i)/d(logit_i): probability surrogate for dp/eo, loss for ap
     if metric == "ap":
         f_vals = losses
@@ -146,11 +152,12 @@ def compute_statistics_for_metric(
             for lab in labels:
                 mask = in_group if lab is None else in_group & (y == lab)
                 key = GroupKey(a, str(name), lab)
-                if mask.any():
+                rows = np.flatnonzero(mask)
+                if rows.size:
                     groups[key] = GroupStat(
-                        float(f_vals[mask].sum()),
-                        int(mask.sum()),
-                        weighted_grad(np.where(mask, dlogit, 0.0)),
+                        float(f_vals[rows].sum()),
+                        int(rows.size),
+                        weighted_grad(dlogit, rows),
                     )
                 else:
                     groups[key] = GroupStat(0.0, 0, np.zeros(n_params))
@@ -193,9 +200,12 @@ def constraint_grads(stats: FairnessStatistics) -> dict[GroupKey, np.ndarray]:
 
 
 def usable_keys(stats: FairnessStatistics) -> list[GroupKey]:
-    """Keys whose group and family both have support in this data block."""
-    totals = {fam: stats.total(fam) for fam in stats.families()}
-    return [k for k in stats.keys() if stats.groups[k].count > 0 and totals[k.family].count > 0]
+    """Keys whose group and family both have support in this data block.
+
+    Counts are nonnegative, so a group with support gives its family
+    support too: the family totals need not be formed.
+    """
+    return [k for k in stats.keys() if stats.groups[k].count > 0]
 
 
 def restrict(stats: FairnessStatistics, keys: Iterable[GroupKey]) -> FairnessStatistics:

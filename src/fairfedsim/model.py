@@ -10,7 +10,7 @@ float64 vector in canonical layer-major, row-major order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,15 +203,22 @@ def prob_and_grad(params: MlpParams, X: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):
-    """One forward pass exposing the pieces the fairness statistics need.
+    """One forward pass exposing the pieces a local step needs.
 
-    Returns (probs, losses, weighted_grad) where weighted_grad(dlogit)
-    reuses the cached activations for any per-sample logit weighting.
+    Returns (probs, losses, weighted_grad) where weighted_grad(dlogit, rows)
+    reuses the cached activations for any per-sample logit weighting: the
+    flat gradient of sum_i dlogit[i] * logit_i. Given an integer index
+    ``rows``, only those samples are backpropagated, which equals the full
+    pass with dlogit zeroed outside ``rows`` up to summation order; with
+    ``rows=None`` every sample is.
     """
     probs, _, acts = _forward_cache(params, np.asarray(X, dtype=np.float64))
     losses = per_sample_losses(probs, np.asarray(y, dtype=np.float64))
 
-    def weighted_grad(dlogit: np.ndarray) -> np.ndarray:
-        return _backward(params, acts, np.asarray(dlogit, dtype=np.float64))
+    def weighted_grad(dlogit: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        dlogit = np.asarray(dlogit, dtype=np.float64)
+        if rows is None:
+            return _backward(params, acts, dlogit)
+        return _backward(params, [a[rows] for a in acts], dlogit[rows])
 
     return probs, losses, weighted_grad

@@ -220,6 +220,26 @@ class TestDiminishConflicts:
         assert [(t.target, t.phi < t.goal, t.adjusted) for t in res.tests] == [(1, True, False), (2, True, False)]
         assert res.n_adjustments == 0
 
+    @pytest.mark.parametrize("sweep", [diminish_conflicts_arrays, diminish_conflicts_dspace])
+    def test_anti_parallel_pairs_are_not_adjusted(self, sweep):
+        """At phi = -1 there is no plane to rotate in: adjusting would zero
+        the working gradient and drop the client from the mean."""
+        grads = {0: np.array([1.0, 0.0, 0.0]), 1: np.array([-2.0, 0.0, 0.0])}
+        state = SimilarityState(2, delta=0.5, goals=np.full((2, 2), 0.3))
+        res = sweep(grads, [0, 1], beta=1.0, state=state)
+        assert [(t.client, t.target, t.phi, t.adjusted) for t in res.tests] == [
+            (0, 1, -1.0, False), (1, 0, -1.0, False)
+        ]
+        assert res.n_adjustments == 0
+        np.testing.assert_array_equal(res.gradient, [-0.5, 0.0, 0.0])
+
+    def test_anti_parallel_pairs_still_count_as_conflicts(self):
+        state = SimilarityState(2, delta=0.5, goals=np.full((2, 2), 0.3))
+        _, _, _, record = run_round([np.array([1.0, 0.0, 0.0]), np.array([-2.0, 0.0, 0.0])], state=state)
+        assert record.n_adjustments == 0
+        assert record.conflicts_pre == record.conflicts_post == 2
+        assert record.g_global_norm == 0.5
+
     def test_unswept_clients_keep_raw_gradients(self):
         # K=25, beta=0.7: the first ceil(17.5) = 18 of the order are swept
         rng = make_rng(28)

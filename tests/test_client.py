@@ -55,6 +55,24 @@ def test_one_epoch_is_one_lagrangian_step(monkeypatch):
     assert st.loss == loss
 
 
+def test_one_forward_pass_per_step(monkeypatch):
+    shard = small_shard(3)
+    params = init_params(shard)
+    forwards = []
+
+    def counted(*args):
+        forwards.append(args)
+        return forward_cache(*args)
+
+    forward_cache = model._forward_cache
+    monkeypatch.setattr(model, "_forward_cache", counted)
+    for metric in ("dp", "eo", "ap"):
+        lam = {k: 0.3 for k in zero_multipliers(shard, params, metric)}
+        forwards.clear()
+        lagrangian_grad(params, lam, shard, metric)
+        assert len(forwards) == 1
+
+
 def test_telescoping_identity_exact():
     shard = small_shard(2)
     params = init_params(shard, seed=8)

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairfedsim import model
 from fairfedsim.model import (
     MlpParams,
     MlpSpec,
+    batch_outputs,
     forward,
     loss_and_grad,
     per_sample_losses,
@@ -210,3 +212,30 @@ def test_predict_proba_batch_matches_single():
     probs = predict_proba(params, X)
     for i in range(6):
         np.testing.assert_allclose(probs[i], forward(params, X[i]), rtol=1e-15)
+
+
+class TestRowRestrictedBackward:
+    """weighted_grad(d, rows) backpropagates only the given rows."""
+
+    def setup_method(self):
+        rng = make_rng(12)
+        self.params = MlpParams.init(MlpSpec(5, (7, 6)), seed=4)
+        self.X, self.y = random_batch(rng, 40, 5)
+        self.dlogit = rng.normal(size=40)
+
+    @pytest.mark.parametrize("rows", [[17], list(range(40)), "random"])
+    def test_matches_dlogit_zeroed_outside_rows(self, rows):
+        if rows == "random":
+            rows = np.sort(make_rng(3).choice(40, size=13, replace=False))
+        rows = np.asarray(rows, dtype=np.int64)
+        mask = np.zeros(40, dtype=bool)
+        mask[rows] = True
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        np.testing.assert_allclose(
+            weighted_grad(self.dlogit, rows), weighted_grad(np.where(mask, self.dlogit, 0.0)), rtol=1e-12
+        )
+
+    def test_all_rows_default_is_the_full_backward_bitwise(self):
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        _, _, acts = model._forward_cache(self.params, self.X)
+        np.testing.assert_array_equal(weighted_grad(self.dlogit), model._backward(self.params, acts, self.dlogit))
