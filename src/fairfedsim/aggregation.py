@@ -57,7 +57,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .client import ClientStatistics
-from .fairness import FairnessStatistics, GroupKey, constraint_values, restrict, usable_keys
+from .fairness import FairnessStatistics, GroupKey, constraint_values
 # cosine is not called here; bench/tracer.py counts calls through
 # aggregation.cosine, so the name stays
 from .numeric import check_finite, cosine, mean_rows, norm  # noqa: F401
@@ -182,12 +182,8 @@ def lagrangian_losses(
     """l_k = L(D_k, w) + sum_s lambda_s h_s(w) from each client's own stats."""
     out = {}
     for st in stats:
-        usable = usable_keys(st.fairness)
-        penalty = 0.0
-        if usable:
-            h = constraint_values(restrict(st.fairness, usable), alpha)
-            penalty = sum(float(lam.get(k, 0.0)) * h[k] for k in usable)
-        out[st.client_id] = st.loss + penalty
+        h = constraint_values(st.fairness, alpha)
+        out[st.client_id] = st.loss + sum(float(lam.get(k, 0.0)) * v for k, v in h.items())
     return out
 
 
@@ -374,9 +370,9 @@ def server_round(
     if not stats:
         raise ValueError("no client statistics")
     merged = FairnessStatistics.merge_all([st.fairness for st in stats])
-    # domain cells with no support anywhere in the population carry no
+    # domain cells with no members anywhere in the population carry no
     # constraint; the supported key set is a data property, constant in t
-    h_global = constraint_values(restrict(merged, usable_keys(merged)), config.alpha)
+    h_global = constraint_values(merged, config.alpha)
     new_lam = update_lambda(lam, h_global, config.gamma)
 
     losses = lagrangian_losses(stats, lam, config.alpha)

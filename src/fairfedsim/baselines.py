@@ -157,16 +157,9 @@ def run_federated(
                 rng=order_rng, round_index=t,
             )
             for st in stats:
-                usable = fairness.usable_keys(st.fairness)
-                if usable:
-                    h_k = fairness.constraint_values(
-                        fairness.restrict(st.fairness, usable), cfg.alpha
-                    )
-                    lam_k = lam_local[st.client_id]
-                    stepped = update_lambda(
-                        {k: lam_k[k] for k in usable}, h_k, cfg.gamma
-                    )
-                    lam_k.update(stepped)
+                h_k = fairness.constraint_values(st.fairness, cfg.alpha)
+                lam_k = lam_local[st.client_id]
+                lam_k.update(update_lambda({k: lam_k[k] for k in h_k}, h_k, cfg.gamma))
         else:
             flat, lam_global, state, record = server_round(
                 flat, lam_global, stats, agg, state, rng=order_rng, round_index=t

@@ -26,8 +26,6 @@ def cmd_run(args) -> int:
         overrides["seeds"] = tuple(int(s) for s in _parse_list(args.seeds))
     if args.out:
         overrides["out"] = args.out
-    if args.threads:
-        overrides["threads"] = args.threads
     if overrides:
         config = replace(config, **overrides)
     records = harness.run(config)
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--regimes", help="comma-separated regime list override")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
     p_run.add_argument("--out", help="output directory override")
-    p_run.add_argument("--threads", type=int, help="worker pool size")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the theorem oracle campaigns")

@@ -2,14 +2,15 @@
 
 Each round a client receives the global parameters and the multipliers,
 runs E full-batch descent steps on J(w, lambda) with lambda frozen, and
-uploads its loss and raw per-group fairness sums (both at the received
-parameters) and the update gradient the server aggregates: the sum of
-the E step gradients, which for E = 1 is the Lagrangian gradient itself.
-Clients only ever touch their own shard.
+uploads its loss and per-group fairness sums and counts (scalars, both
+at the received parameters) and the update gradient the server
+aggregates: the sum of the E step gradients, which for E = 1 is the
+Lagrangian gradient itself. Clients only ever touch their own shard.
 
 A step runs one forward pass over the shard and 1 + #keys backward passes:
-one for the loss over every row, and one per supported constraint key over
-the rows of that key's group (or group-and-label cell) only.
+one for the loss over every row, and one per constraint key with members,
+whatever its multiplier, over the rows of that key's group (or
+group-and-label cell) only. These constraint gradients stay in the step.
 """
 
 from __future__ import annotations
@@ -58,23 +59,21 @@ def lagrangian_grad(
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
-    Constraint keys without local support are skipped: an absent group
-    contributes no gradient information on this shard. One forward pass
-    serves the loss and the fairness statistics; the loss gradient is
-    computed exactly as ``model.loss_and_grad`` computes it.
+    Constraint keys whose group has no members on this shard carry no
+    gradient there and are skipped. One forward pass serves the loss, the
+    fairness statistics and the constraint gradient sums; the loss
+    gradient is computed exactly as ``model.loss_and_grad`` computes it.
     """
     outputs = model.batch_outputs(params, shard.X, shard.y)
     probs, losses, weighted_grad = outputs
     loss = float(np.mean(losses))
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
     stats = compute_fairness_statistics(params, shard, metric, outputs)
-    usable = fairness.usable_keys(stats)
-    if usable:
-        h_grads = fairness.constraint_grads(fairness.restrict(stats, usable))
-        for key in usable:
-            weight = float(lam.get(key, 0.0))
-            if weight != 0.0:
-                grad += weight * h_grads[key]
+    grad_sums = fairness.group_grad_sums(outputs, shard.y, shard.S, shard.data.group_names, metric)
+    for key, h_grad in fairness.constraint_grads(stats, grad_sums).items():
+        weight = float(lam.get(key, 0.0))
+        if weight != 0.0:
+            grad += weight * h_grad
     check_finite(grad, f"client {shard.client_id} update gradient")
     return loss, stats, grad
 

@@ -5,22 +5,26 @@ Two distinct surfaces live here and must not be conflated:
 * evaluation metrics over hard {0,1} predictions (``dp_violation``,
   ``eo_violation``, ``ap_violation``, ``client_fairness_violation``), used
   for reporting only;
-* differentiable constraint state (``FairnessStatistics``) built from soft
-  surrogates (predicted probability for DP, the same conditioned on the
-  label for EO, per-sample loss for AP), whose values ``h`` and gradients
-  drive the Lagrangian training.
+* differentiable constraint state built from soft surrogates (predicted
+  probability for DP, the same conditioned on the label for EO, per-sample
+  loss for AP), whose values ``h`` and subgradients drive the Lagrangian
+  training.
 
-Statistics carry raw per-group sums, counts and gradient sums; totals are
-derived by summing group entries in sorted key order so the population
-aggregate equals the sum of its groups bitwise, and normalization happens
-only at the point of use.
+Statistics are two scalars per group key, the sum of the surrogate over
+the group's rows and the member count; that is all a client uploads.
+Totals are derived by summing group entries in sorted key order so the
+population aggregate equals the sum of its groups bitwise, and
+normalization happens only at the point of use. Gradients are formed in
+the client's local step (``group_grad_sums``, then ``constraint_grads``).
+A key whose group has no members in a block carries no constraint there:
+``constraint_values`` and ``constraint_grads`` cover ``usable_keys`` only.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,19 +60,17 @@ class GroupKey:
 
 @dataclass
 class GroupStat:
-    """Raw per-group accumulators: sum of f, member count, sum of grad f."""
+    """Raw per-group accumulators: sum of f and member count."""
 
     sum_f: float
     count: int
-    grad_sum: np.ndarray
 
 
 class FairnessStatistics:
     """Per-group surrogate sums with derived per-family totals."""
 
-    def __init__(self, groups: Mapping[GroupKey, GroupStat], n_params: int):
+    def __init__(self, groups: Mapping[GroupKey, GroupStat]):
         self.groups = dict(groups)
-        self.n_params = n_params
 
     def keys(self) -> list[GroupKey]:
         return sorted(self.groups, key=GroupKey.sort_key)
@@ -78,28 +80,22 @@ class FairnessStatistics:
 
     def total(self, family: tuple[int, Optional[int]]) -> GroupStat:
         """Family total as the exact sum of its group entries."""
-        total = GroupStat(0.0, 0, np.zeros(self.n_params))
+        total = GroupStat(0.0, 0)
         for key in self.keys():
             if key.family == family:
-                g = self.groups[key]
-                total.sum_f += g.sum_f
-                total.count += g.count
-                total.grad_sum = total.grad_sum + g.grad_sum
+                total.sum_f += self.groups[key].sum_f
+                total.count += self.groups[key].count
         return total
 
     def merge(self, other: "FairnessStatistics") -> "FairnessStatistics":
-        if other.n_params != self.n_params:
-            raise ValueError("cannot merge statistics of different parameter counts")
-        merged = {k: GroupStat(g.sum_f, g.count, g.grad_sum.copy()) for k, g in self.groups.items()}
+        merged = {k: GroupStat(g.sum_f, g.count) for k, g in self.groups.items()}
         for key, g in other.groups.items():
             if key in merged:
-                m = merged[key]
-                m.sum_f += g.sum_f
-                m.count += g.count
-                m.grad_sum = m.grad_sum + g.grad_sum
+                merged[key].sum_f += g.sum_f
+                merged[key].count += g.count
             else:
-                merged[key] = GroupStat(g.sum_f, g.count, g.grad_sum.copy())
-        return FairnessStatistics(merged, self.n_params)
+                merged[key] = GroupStat(g.sum_f, g.count)
+        return FairnessStatistics(merged)
 
     @staticmethod
     def merge_all(stats: Sequence["FairnessStatistics"]) -> "FairnessStatistics":
@@ -109,6 +105,28 @@ class FairnessStatistics:
         for s in stats[1:]:
             out = out.merge(s)
         return out
+
+
+def _key_rows(
+    y: np.ndarray, S: np.ndarray, group_names: Sequence[Sequence[str]], metric: str
+) -> dict[GroupKey, np.ndarray]:
+    """Row indices of every key's group (or group-and-label cell for EO),
+    empty groups included.
+
+    ``S`` holds integer group codes, one column per sensitive attribute;
+    ``group_names[a][code]`` names them.
+    """
+    if metric not in CONSTRAINT_METRICS:
+        raise ValueError(f"unknown constraint metric {metric!r}")
+    labels = (0, 1) if metric == "eo" else (None,)
+    rows: dict[GroupKey, np.ndarray] = {}
+    for a in range(S.shape[1]):
+        for code, name in enumerate(group_names[a]):
+            in_group = S[:, a] == code
+            for lab in labels:
+                mask = in_group if lab is None else in_group & (y == lab)
+                rows[GroupKey(a, str(name), lab)] = np.flatnonzero(mask)
+    return rows
 
 
 def compute_statistics_for_metric(
@@ -122,94 +140,84 @@ def compute_statistics_for_metric(
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
-    ``S`` holds integer group codes, one column per sensitive attribute;
-    ``group_names[a][code]`` names them. Groups absent from the block keep
-    count 0 so statistics from different clients merge on aligned keys.
-    ``outputs`` is ``model.batch_outputs(params, X, y)`` when the caller
-    already ran that forward pass. Each group's gradient sum backpropagates
-    the group's own rows only.
+    Groups absent from the block keep count 0 so statistics from different
+    clients merge on aligned keys. ``outputs`` is
+    ``model.batch_outputs(params, X, y)`` when the caller already ran that
+    forward pass. No backward pass is run.
     """
-    if metric not in CONSTRAINT_METRICS:
-        raise ValueError(f"unknown constraint metric {metric!r}")
     y = np.asarray(y)
     if outputs is None:
         outputs = model.batch_outputs(params, X, y)
-    probs, losses, weighted_grad = outputs
-    # d(surrogate_i)/d(logit_i): probability surrogate for dp/eo, loss for ap
-    if metric == "ap":
-        f_vals = losses
-        dlogit = probs - y
-    else:
-        f_vals = probs
-        dlogit = probs * (1.0 - probs)
-
-    groups: dict[GroupKey, GroupStat] = {}
-    n_params = params.spec.n_params
-    for a in range(S.shape[1]):
-        for code, name in enumerate(group_names[a]):
-            in_group = S[:, a] == code
-            labels = (None,) if metric != "eo" else (0, 1)
-            for lab in labels:
-                mask = in_group if lab is None else in_group & (y == lab)
-                key = GroupKey(a, str(name), lab)
-                rows = np.flatnonzero(mask)
-                if rows.size:
-                    groups[key] = GroupStat(
-                        float(f_vals[rows].sum()),
-                        int(rows.size),
-                        weighted_grad(dlogit, rows),
-                    )
-                else:
-                    groups[key] = GroupStat(0.0, 0, np.zeros(n_params))
-    return FairnessStatistics(groups, n_params)
+    probs, losses, _ = outputs
+    f_vals = losses if metric == "ap" else probs  # the surrogate f
+    return FairnessStatistics(
+        {
+            key: GroupStat(float(f_vals[rows].sum()), int(rows.size))
+            for key, rows in _key_rows(y, S, group_names, metric).items()
+        }
+    )
 
 
-def constraint_values(stats: FairnessStatistics, alpha: float) -> dict[GroupKey, float]:
-    """h_s = |F(D)/n - F(D^s)/n_s| - alpha for every group key."""
-    out: dict[GroupKey, float] = {}
-    totals = {fam: stats.total(fam) for fam in stats.families()}
-    for key in stats.keys():
-        g = stats.groups[key]
-        t = totals[key.family]
-        if g.count == 0 or t.count == 0:
-            raise ValueError(f"zero count for group {key.to_str()}")
-        gap = t.sum_f / t.count - g.sum_f / g.count
-        out[key] = abs(gap) - alpha
-    return out
+def group_grad_sums(
+    outputs: tuple, y: np.ndarray, S: np.ndarray, group_names: Sequence[Sequence[str]], metric: str
+) -> dict[GroupKey, np.ndarray]:
+    """Gradient of the sum of f over the rows of every key whose group has
+    members: one backward pass per key, over that key's rows only.
 
-
-def constraint_grads(stats: FairnessStatistics) -> dict[GroupKey, np.ndarray]:
-    """Subgradient of each h_s: sign(gap) * (grad F(D) - grad F(D^s)).
-
-    sign(0) is taken as 0 (subgradient at the kink of the absolute value).
+    ``outputs`` is ``model.batch_outputs(params, X, y)``.
     """
-    out: dict[GroupKey, np.ndarray] = {}
-    totals = {fam: stats.total(fam) for fam in stats.families()}
-    for key in stats.keys():
-        g = stats.groups[key]
-        t = totals[key.family]
-        if g.count == 0 or t.count == 0:
-            raise ValueError(f"zero count for group {key.to_str()}")
-        gap = t.sum_f / t.count - g.sum_f / g.count
-        if gap == 0.0:
-            out[key] = np.zeros(stats.n_params)
-        else:
-            sign = 1.0 if gap > 0 else -1.0
-            out[key] = sign * (t.grad_sum / t.count - g.grad_sum / g.count)
-    return out
+    probs, _, weighted_grad = outputs
+    y = np.asarray(y)
+    dlogit = probs - y if metric == "ap" else probs * (1.0 - probs)  # df/dlogit
+    rows = _key_rows(y, S, group_names, metric)
+    return {key: weighted_grad(dlogit, r) for key, r in rows.items() if r.size}
 
 
 def usable_keys(stats: FairnessStatistics) -> list[GroupKey]:
-    """Keys whose group and family both have support in this data block.
+    """Keys whose group has members in this data block.
 
-    Counts are nonnegative, so a group with support gives its family
-    support too: the family totals need not be formed.
+    Counts are nonnegative, so a group with members gives its family
+    members too: every gap of these keys is defined.
     """
     return [k for k in stats.keys() if stats.groups[k].count > 0]
 
 
-def restrict(stats: FairnessStatistics, keys: Iterable[GroupKey]) -> FairnessStatistics:
-    return FairnessStatistics({k: stats.groups[k] for k in keys}, stats.n_params)
+def _gaps(stats: FairnessStatistics) -> Iterator[tuple[GroupKey, float, int, int]]:
+    """(key, F(D)/n - F(D^s)/n_s, n_s, n) for every usable key."""
+    totals = {fam: stats.total(fam) for fam in stats.families()}
+    for key in usable_keys(stats):
+        g, t = stats.groups[key], totals[key.family]
+        yield key, t.sum_f / t.count - g.sum_f / g.count, g.count, t.count
+
+
+def constraint_values(stats: FairnessStatistics, alpha: float) -> dict[GroupKey, float]:
+    """h_s = |F(D)/n - F(D^s)/n_s| - alpha for every usable key."""
+    return {key: abs(gap) - alpha for key, gap, _, _ in _gaps(stats)}
+
+
+def constraint_grads(
+    stats: FairnessStatistics, grad_sums: Mapping[GroupKey, np.ndarray]
+) -> dict[GroupKey, np.ndarray]:
+    """Subgradient of each h_s, sign(gap) * (grad F(D)/n - grad F(D^s)/n_s),
+    for every usable key.
+
+    ``grad_sums`` maps each usable key to the sum of grad f over its rows
+    (``group_grad_sums``); a family's gradient total is the sum of its
+    keys' entries in sorted key order. sign(0) is taken as 0 (subgradient
+    at the kink of the absolute value).
+    """
+    gaps = list(_gaps(stats))
+    family_grads: dict = {}
+    for key, *_ in gaps:
+        family_grads[key.family] = family_grads.get(key.family, 0.0) + grad_sums[key]
+    out: dict[GroupKey, np.ndarray] = {}
+    for key, gap, n_group, n_family in gaps:
+        if gap == 0.0:
+            out[key] = np.zeros_like(grad_sums[key])
+        else:
+            sign = 1.0 if gap > 0 else -1.0
+            out[key] = sign * (family_grads[key.family] / n_family - grad_sums[key] / n_group)
+    return out
 
 
 # ---------------------------------------------------------------------------

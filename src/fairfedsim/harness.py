@@ -3,18 +3,19 @@
 A run is a grid of (regime, seed) cells. Each cell builds its data
 deterministically from the seed, trains, and evaluates one FairnessReport.
 Outputs: ``results.csv`` and ``results.txt`` (aggregated, byte-stable
-across reruns), ``records.json`` (per-cell reports and provenance),
-``trace/<regime>-<seed>.jsonl`` (per-round records), and ``meta.json``
-(timestamps and wall times, kept out of the deterministic files).
+across reruns), ``records.json`` (per-cell reports and provenance, a failed cell's
+traceback), ``trace/<regime>-<seed>.jsonl`` (per-round records), and
+``meta.json`` (timestamps and wall times, kept out of the deterministic
+files).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
 import time
+import traceback
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -71,7 +72,7 @@ class ExperimentConfig:
     client_mode: str = "local_epochs"
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     out: str = "results"
-    threads: int = 1
+    threads: int = 1  # cells run one after another in this process
     reference_regime: str = "mfairfl"
 
     def __post_init__(self):
@@ -82,6 +83,8 @@ class ExperimentConfig:
             RegimeId(r)  # raises on unknown regime
         if self.client_mode not in CLIENT_MODES:
             raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
+        if self.threads != 1:
+            raise ValueError(f"threads={self.threads}: cells run sequentially, threads must be 1")
         if self.beta not in BETA_GRID and self.beta != 0.0:
             warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
         if self.delta not in DELTA_GRID and self.delta != 0.0:
@@ -100,8 +103,8 @@ class ExperimentConfig:
             return cls.from_json(json.load(fh))
 
     def config_hash(self) -> str:
-        """Stable digest of the experiment content (execution details like
-        the output directory and worker count do not change results)."""
+        """Stable digest of the experiment content (the output directory and
+        the ``threads`` field do not change results)."""
         content = {k: v for k, v in self.to_json().items() if k not in ("out", "threads")}
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -173,6 +176,7 @@ class RunRecord:
     trace_path: str = ""
     wall_time: float = 0.0
     error: Optional[str] = None
+    traceback: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -182,13 +186,15 @@ class RunRecord:
             "report": None if self.report is None else self.report.to_json(),
             "trace_path": self.trace_path,
             "error": self.error,
+            "traceback": self.traceback,
             "version": __version__,
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "RunRecord":
         report = None if d.get("report") is None else FairnessReport.from_json(d["report"])
-        return cls(d["config_hash"], d["regime"], d["seed"], report, d.get("trace_path", ""), 0.0, d.get("error"))
+        return cls(d["config_hash"], d["regime"], d["seed"], report, d.get("trace_path", ""),
+                   error=d.get("error"), traceback=d.get("traceback"))
 
 
 def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional[Path]) -> RunRecord:
@@ -209,19 +215,15 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
             trace_path = str(trace_file)
         return RunRecord(chash, regime, seed, report, trace_path, time.perf_counter() - started)
     except Exception as exc:  # cell failures are recorded, the grid continues
-        return RunRecord(chash, regime, seed, None, "", time.perf_counter() - started, error=f"{type(exc).__name__}: {exc}")
+        return RunRecord(chash, regime, seed, None, "", time.perf_counter() - started,
+                         error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[RunRecord]:
     """Execute the full (regime, seed) grid; one record per cell."""
     out_path = Path(out_dir if out_dir is not None else config.out)
     out_path.mkdir(parents=True, exist_ok=True)
-    cells = [(regime, seed) for regime in config.regimes for seed in config.seeds]
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(lambda c: run_cell(config, c[0], c[1], out_path), cells))
-    else:
-        records = [run_cell(config, regime, seed, out_path) for regime, seed in cells]
+    records = [run_cell(config, regime, seed, out_path) for regime in config.regimes for seed in config.seeds]
 
     with open(out_path / "records.json", "w", encoding="utf-8") as fh:
         json.dump([r.to_json() for r in records], fh, indent=2, sort_keys=True)

@@ -125,17 +125,12 @@ class TestAdjustGradient:
             adjust_gradient(np.ones(2), np.array([1.0, 0.0]), 0.0, 1.0)
 
 
-def make_stats(grads, losses=None, n_params=None):
+def make_stats(grads, losses=None):
     """ClientStatistics stubs carrying only what aggregation reads."""
-    n_params = n_params if n_params is not None else len(grads[0])
     out = []
     for cid, g in enumerate(grads):
         loss = losses[cid] if losses is not None else float(cid)
-        fs = FairnessStatistics(
-            {GroupKey(0, "g0"): GroupStat(0.5, 2, np.zeros(n_params)),
-             GroupKey(0, "g1"): GroupStat(0.5, 2, np.zeros(n_params))},
-            n_params,
-        )
+        fs = FairnessStatistics({GroupKey(0, "g0"): GroupStat(0.5, 2), GroupKey(0, "g1"): GroupStat(0.5, 2)})
         out.append(ClientStatistics(cid, loss, fs, np.asarray(g, float)))
     return out
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairfedsim import fairness
+from fairfedsim import model
 from fairfedsim.fairness import (
     FairnessReport,
     FairnessStatistics,
@@ -17,7 +19,10 @@ from fairfedsim.fairness import (
     dp_violation,
     eo_violation,
     evaluate_predictions,
+    group_grad_sums,
 )
+from fairfedsim.client import compute_statistics
+from fairfedsim.data import Shard, synthetic_dataset
 from fairfedsim.harness import RunRecord, write_report
 from fairfedsim.model import MlpParams, MlpSpec
 from fairfedsim.numeric import make_rng
@@ -132,12 +137,12 @@ class TestClientFairness:
             client_fairness_violation([])
 
 
-def two_group_stats(total_mean, group_means, counts, n_params=3):
+def two_group_stats(total_mean, group_means, counts):
     """Statistics with prescribed per-group means (one attribute, no label)."""
     groups = {}
     for g, (mean, count) in enumerate(zip(group_means, counts)):
-        groups[GroupKey(0, f"g{g}")] = GroupStat(mean * count, count, np.zeros(n_params))
-    return FairnessStatistics(groups, n_params)
+        groups[GroupKey(0, f"g{g}")] = GroupStat(mean * count, count)
+    return FairnessStatistics(groups)
 
 
 class TestConstraintValues:
@@ -167,10 +172,13 @@ class TestConstraintValues:
             h = constraint_values(stats, alpha=1.0)
             assert all(v <= 0.0 for v in h.values())
 
-    def test_zero_count_rejected(self):
-        stats = two_group_stats(0.5, [0.5, 0.5], [10, 0])
-        with pytest.raises(ValueError, match="zero count"):
-            constraint_values(stats, 0.05)
+    def test_zero_count_key_carries_no_constraint(self):
+        stats = two_group_stats(0.5, [0.5, 0.3], [10, 0])
+        with_members = GroupKey(0, "g0")
+        assert list(constraint_values(stats, 0.05)) == [with_members]
+        grads = constraint_grads(stats, {with_members: np.ones(3)})
+        assert list(grads) == [with_members]
+        np.testing.assert_array_equal(grads[with_members], np.zeros(3))
 
 
 def build_instance(seed, metric, input_dim=4, n=12):
@@ -189,25 +197,24 @@ def build_instance(seed, metric, input_dim=4, n=12):
 class TestConstraintGrads:
     def test_zero_gap_gives_zero_vector(self):
         stats = two_group_stats(0.5, [0.5, 0.5], [10, 10])
-        grads = constraint_grads(stats)
+        grads = constraint_grads(stats, {k: np.arange(3.0) for k in stats.keys()})
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_sign_flip(self):
         up = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        for key, stat in up.groups.items():
-            stat.grad_sum = np.arange(3.0) * stat.count * (1 if key.value == "g0" else -1)
+        grad_sums = {
+            key: np.arange(3.0) * stat.count * (1 if key.value == "g0" else -1)
+            for key, stat in up.groups.items()
+        }
         down = FairnessStatistics(
             {
-                key: GroupStat(
-                    (1.0 - stat.sum_f / stat.count) * stat.count, stat.count, stat.grad_sum.copy()
-                )
+                key: GroupStat((1.0 - stat.sum_f / stat.count) * stat.count, stat.count)
                 for key, stat in up.groups.items()
-            },
-            3,
+            }
         )
-        g_up = constraint_grads(up)
-        g_down = constraint_grads(down)
+        g_up = constraint_grads(up, grad_sums)
+        g_down = constraint_grads(down, grad_sums)
         key = GroupKey(0, "g0")
         np.testing.assert_allclose(g_up[key], -g_down[key])
 
@@ -222,19 +229,19 @@ class TestConstraintGrads:
             if min_preactivation(params, X) < 1e-4:
                 continue  # ReLU kink within the FD step
             stats = compute_statistics_for_metric(params, X, y, S, (("g0", "g1"),), metric)
-            usable = fairness.usable_keys(stats)
-            stats_u = fairness.restrict(stats, usable)
-            h0 = constraint_values(stats_u, alpha=0.0)
+            h0 = constraint_values(stats, alpha=0.0)
             if any(abs(v) < 1e-4 for v in h0.values()):
                 continue  # |gap| kink neighborhood: subgradient vs FD undefined
-            grads = constraint_grads(stats_u)
+            outputs = model.batch_outputs(params, X, y)
+            grads = constraint_grads(stats, group_grad_sums(outputs, y, S, (("g0", "g1"),), metric))
+            assert list(grads) == list(h0)
             flat0 = params.flatten()
             ok_instance = True
-            for key in usable:
+            for key in h0:
                 def h_of(w, key=key):
                     p = MlpParams.unflatten(spec, w)
                     s = compute_statistics_for_metric(p, X, y, S, (("g0", "g1"),), metric)
-                    return constraint_values(fairness.restrict(s, usable), 0.0)[key]
+                    return constraint_values(s, 0.0)[key]
 
                 fd = finite_diff(h_of, flat0, step=1e-5)
                 denom = max(np.linalg.norm(fd), np.linalg.norm(grads[key]), 1e-30)
@@ -256,10 +263,6 @@ class TestAggregationIdentity:
             group_sum = sum(stats.groups[k].sum_f for k in stats.keys())
             assert total.sum_f == group_sum
             assert total.count == X.shape[0]
-            grad_sum = np.zeros(spec.n_params)
-            for k in stats.keys():
-                grad_sum = grad_sum + stats.groups[k].grad_sum
-            np.testing.assert_array_equal(total.grad_sum, grad_sum)
 
     def test_merge_adds_counts_and_sums(self):
         a = two_group_stats(0.5, [0.4, 0.6], [4, 6])
@@ -269,6 +272,73 @@ class TestAggregationIdentity:
         np.testing.assert_allclose(
             merged.groups[GroupKey(0, "g0")].sum_f, 0.4 * 4 + 0.2 * 6
         )
+
+
+@st.composite
+def split_blocks(draw):
+    """A random block, its rows split into 1-6 contiguous parts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    metric = draw(st.sampled_from(("dp", "eo", "ap")))
+    n = draw(st.integers(1, 40))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=0, max_size=5)))
+    rng = make_rng(seed)
+    spec = MlpSpec(3, (4,))
+    params = MlpParams.init(spec, seed=seed % 1000)
+    X = rng.normal(size=(n, 3))
+    y = rng.integers(0, 2, size=n)
+    S = rng.integers(0, 3, size=(n, 1))
+    bounds = [0, *cuts, n]
+    parts = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return params, X, y, S, metric, parts
+
+
+class TestMerge:
+    NAMES = (("a", "b", "c"),)
+
+    def stats_of(self, params, X, y, S, metric, rows):
+        return compute_statistics_for_metric(params, X[rows], y[rows], S[rows], self.NAMES, metric)
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_blocks())
+    def test_merge_all_of_parts_is_the_pooled_block(self, block):
+        params, X, y, S, metric, parts = block
+        pooled = self.stats_of(params, X, y, S, metric, np.arange(len(y)))
+        stats = [self.stats_of(params, X, y, S, metric, rows) for rows in parts]
+        left = FairnessStatistics.merge_all(stats)  # ((s1 + s2) + s3) + ...
+        right = stats[-1]  # s1 + (s2 + (s3 + ...))
+        for part in reversed(stats[:-1]):
+            right = part.merge(right)
+        assert left.keys() == right.keys() == pooled.keys()
+        for key in pooled.keys():
+            assert left.groups[key].count == right.groups[key].count == pooled.groups[key].count
+            np.testing.assert_allclose(left.groups[key].sum_f, pooled.groups[key].sum_f, rtol=1e-12)
+            np.testing.assert_allclose(right.groups[key].sum_f, pooled.groups[key].sum_f, rtol=1e-12)
+            np.testing.assert_allclose(right.groups[key].sum_f, left.groups[key].sum_f, rtol=1e-12)
+
+
+class TestStatisticsAreScalars:
+    @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+    def test_no_backward_pass(self, monkeypatch, metric):
+        calls = []
+        backward = model._backward
+
+        def counted(*args):
+            calls.append(args)
+            return backward(*args)
+
+        monkeypatch.setattr(model, "_backward", counted)
+        spec, params, X, y, S = build_instance(3, metric)
+        compute_statistics_for_metric(params, X, y, S, (("g0", "g1"),), metric)
+        assert calls == []
+
+    def test_upload_fields_are_python_scalars(self):
+        shard = Shard(client_id=0, data=synthetic_dataset(30, seed=2, input_dim=4))
+        params = MlpParams.init(MlpSpec(4, (5,)), seed=3)
+        upload = compute_statistics(params, {}, shard, metric="eo", epochs=2)
+        assert upload.fairness.groups
+        for stat in upload.fairness.groups.values():
+            for name, value in vars(stat).items():
+                assert type(value) in (int, float), (name, type(value))
 
 
 class TestReport:

@@ -157,12 +157,23 @@ class TestRun:
         assert len(records) == 2
         assert all(r.report is not None for r in records)
 
-    def test_threads_match_sequential(self, tmp_path):
-        cfg_seq = tiny_config(tmp_path / "f", threads=1)
-        cfg_par = tiny_config(tmp_path / "g", threads=4)
-        seq = {(r.regime, r.seed): r.report.to_json() for r in run(cfg_seq)}
-        par = {(r.regime, r.seed): r.report.to_json() for r in run(cfg_par)}
-        assert seq == par
+    def test_failed_cell_keeps_its_traceback(self, tmp_path):
+        out = tmp_path / "f"
+        cfg = tiny_config(out, regimes=("mfairfl",), seeds=(1,))
+        cfg.partition["fractions"] = {"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}
+        (record,) = run(cfg)
+        assert record.error == "ValueError: client 2: empty shard"
+        assert record.traceback.startswith("Traceback (most recent call last):")
+        assert "in _check_shard" in record.traceback
+        assert record.traceback.rstrip().endswith(record.error)
+        (reloaded,) = load_records(str(out))
+        assert (reloaded.error, reloaded.traceback) == (record.error, record.traceback)
+        failed = [line for line in (out / "results.txt").read_text().splitlines() if "empty shard" in line]
+        assert failed == ["  mfairfl-1: ValueError: client 2: empty shard"]
+
+    def test_threads_other_than_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="threads"):
+            tiny_config(tmp_path / "g", threads=2)
 
 
 class TestBuildData:
