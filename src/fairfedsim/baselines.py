@@ -13,6 +13,7 @@ Every regime averages the client update gradients 1/K.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -91,10 +92,18 @@ class TrainedModel:
 
 @dataclass
 class TrainResult:
+    """A trained model with its per-round records. ``client_s`` and
+    ``server_s`` are the wall seconds spent in the client phase (every
+    client's local steps) and the server phase (aggregation and dual step)
+    summed over rounds; they vary run to run, so no byte-stable output
+    holds them."""
+
     model: TrainedModel
     rounds: list[RoundRecord]
     multipliers: dict
     constraint_keys: list[GroupKey] = field(default_factory=list)
+    client_s: float = 0.0
+    server_s: float = 0.0
 
 
 def _global_constraint_keys(shards: Sequence[Shard], params: MlpParams, metric: str) -> list[GroupKey]:
@@ -135,7 +144,9 @@ def run_federated(
     order_rng = make_rng(cfg.seed, 0x0D) if order_policy == "random" else None
 
     records: list[RoundRecord] = []
+    client_s = server_s = 0.0
     for t in range(1, cfg.rounds + 1):
+        started = time.perf_counter()
         params_t = MlpParams.unflatten(spec, flat)
         stats: list[ClientStatistics] = []
         for shard in shards:
@@ -150,6 +161,8 @@ def run_federated(
                     lr=cfg.eta,
                 )
             )
+        served = time.perf_counter()
+        client_s += served - started
         if local_multipliers:
             # plain averaging server: no global dual step, lambda stays per client
             flat, _, state, record = server_round(
@@ -164,10 +177,11 @@ def run_federated(
             flat, lam_global, state, record = server_round(
                 flat, lam_global, stats, agg, state, rng=order_rng, round_index=t
             )
+        server_s += time.perf_counter() - served
         records.append(record)
 
     multipliers = lam_local if local_multipliers else lam_global
-    return TrainResult(TrainedModel(spec, [flat]), records, multipliers, keys)
+    return TrainResult(TrainedModel(spec, [flat]), records, multipliers, keys, client_s, server_s)
 
 
 def run_mfairfl(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
@@ -208,7 +222,10 @@ def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     spec = results[0].model.spec
     mixture = TrainedModel(spec, [r.model.params_list[0] for r in results])
     all_rounds = [rec for r in results for rec in r.rounds]
-    return TrainResult(mixture, all_rounds, {s.client_id: r.multipliers for s, r in zip(shards, results)})
+    return TrainResult(
+        mixture, all_rounds, {s.client_id: r.multipliers for s, r in zip(shards, results)},
+        client_s=sum(r.client_s for r in results), server_s=sum(r.server_s for r in results),
+    )
 
 
 def train(regime: RegimeId | str, shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:

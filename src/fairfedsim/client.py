@@ -10,13 +10,20 @@ Lagrangian gradient itself. Clients only ever touch their own shard.
 A step runs one forward pass over the shard and 1 + #keys backward passes:
 one for the loss over every row, and one per constraint key with members,
 whatever its multiplier, over the rows of that key's group (or
-group-and-label cell) only. These constraint gradients stay in the step.
+group-and-label cell) only. The per-key passes are kept although a zero
+multiplier leaves their result unread, because the benchmark pins
+``model.backward_per_step == 1 + #keys``. The constraint gradients
+(``fairness.constraint_grads``) are formed, and added to the loss gradient,
+only when some key with members has a nonzero multiplier; otherwise the
+step's gradient is the loss gradient bit for bit. The shard's key rows are
+built once per round and shared by all E steps. These gradients stay in the
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -42,11 +49,13 @@ def _check_shard(shard: Shard) -> None:
         raise ValueError(f"client {shard.client_id}: empty shard")
 
 
-def compute_fairness_statistics(
-    params: MlpParams, shard: Shard, metric: str, outputs: Optional[tuple] = None
-) -> FairnessStatistics:
+def shard_key_rows(shard: Shard, metric: str) -> dict[GroupKey, np.ndarray]:
+    return fairness.key_rows(shard.y, shard.S, shard.data.group_names, metric)
+
+
+def compute_fairness_statistics(params: MlpParams, shard: Shard, metric: str) -> FairnessStatistics:
     return fairness.compute_statistics_for_metric(
-        params, shard.X, shard.y, shard.S, shard.data.group_names, metric, outputs
+        params, shard.X, shard.y, shard_key_rows(shard, metric), metric
     )
 
 
@@ -55,25 +64,28 @@ def lagrangian_grad(
     lam: Mapping[GroupKey, float],
     shard: Shard,
     metric: str,
+    rows: Mapping[GroupKey, np.ndarray],
 ) -> tuple[float, FairnessStatistics, np.ndarray]:
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
-    Constraint keys whose group has no members on this shard carry no
-    gradient there and are skipped. One forward pass serves the loss, the
-    fairness statistics and the constraint gradient sums; the loss
-    gradient is computed exactly as ``model.loss_and_grad`` computes it.
+    ``rows`` is ``shard_key_rows(shard, metric)``. Constraint keys whose
+    group has no members on this shard carry no gradient there and are
+    skipped. One forward pass serves the loss, the fairness statistics and
+    the constraint gradient sums; the loss gradient is computed exactly as
+    ``model.loss_and_grad`` computes it.
     """
     outputs = model.batch_outputs(params, shard.X, shard.y)
     probs, losses, weighted_grad = outputs
     loss = float(np.mean(losses))
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
-    stats = compute_fairness_statistics(params, shard, metric, outputs)
-    grad_sums = fairness.group_grad_sums(outputs, shard.y, shard.S, shard.data.group_names, metric)
-    for key, h_grad in fairness.constraint_grads(stats, grad_sums).items():
-        weight = float(lam.get(key, 0.0))
-        if weight != 0.0:
-            grad += weight * h_grad
+    stats = fairness.compute_statistics_for_metric(params, shard.X, shard.y, rows, metric, outputs)
+    grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, metric)
+    if any(float(lam.get(key, 0.0)) != 0.0 for key in grad_sums):
+        for key, h_grad in fairness.constraint_grads(stats, grad_sums).items():
+            weight = float(lam.get(key, 0.0))
+            if weight != 0.0:
+                grad += weight * h_grad
     check_finite(grad, f"client {shard.client_id} update gradient")
     return loss, stats, grad
 
@@ -98,14 +110,14 @@ def compute_statistics(
         raise ValueError("epochs must be >= 1")
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    loss, stats, grad = lagrangian_grad(params, lam, shard, metric)
+    rows = shard_key_rows(shard, metric)
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows)
     update = grad
-    if epochs > 1:
-        flat = params.flatten()
-        for _ in range(epochs - 1):
-            flat = flat - lr * grad
-            _, _, grad = lagrangian_grad(MlpParams.unflatten(params.spec, flat), lam, shard, metric)
-            update = update + grad
+    flat = params.flat
+    for _ in range(epochs - 1):
+        flat = flat - lr * grad
+        _, _, grad = lagrangian_grad(MlpParams(params.spec, flat), lam, shard, metric, rows)
+        update = update + grad
     check_finite(update, f"client {shard.client_id} update gradient")
     return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)
 

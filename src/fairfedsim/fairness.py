@@ -107,17 +107,20 @@ class FairnessStatistics:
         return out
 
 
-def _key_rows(
+def key_rows(
     y: np.ndarray, S: np.ndarray, group_names: Sequence[Sequence[str]], metric: str
 ) -> dict[GroupKey, np.ndarray]:
     """Row indices of every key's group (or group-and-label cell for EO),
     empty groups included.
 
     ``S`` holds integer group codes, one column per sensitive attribute;
-    ``group_names[a][code]`` names them.
+    ``group_names[a][code]`` names them. A block's rows depend only on its
+    labels and groups, so a client builds them once per round and hands
+    them to every local step.
     """
     if metric not in CONSTRAINT_METRICS:
         raise ValueError(f"unknown constraint metric {metric!r}")
+    y = np.asarray(y)
     labels = (0, 1) if metric == "eo" else (None,)
     rows: dict[GroupKey, np.ndarray] = {}
     for a in range(S.shape[1]):
@@ -133,43 +136,37 @@ def compute_statistics_for_metric(
     params: MlpParams,
     X: np.ndarray,
     y: np.ndarray,
-    S: np.ndarray,
-    group_names: Sequence[Sequence[str]],
+    rows: Mapping[GroupKey, np.ndarray],
     metric: str,
     outputs: Optional[tuple] = None,
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
-    Groups absent from the block keep count 0 so statistics from different
-    clients merge on aligned keys. ``outputs`` is
-    ``model.batch_outputs(params, X, y)`` when the caller already ran that
-    forward pass. No backward pass is run.
+    ``rows`` is ``key_rows`` of the block for ``metric``. Groups absent
+    from the block keep count 0 so statistics from different clients merge
+    on aligned keys. ``outputs`` is ``model.batch_outputs(params, X, y)``
+    when the caller already ran that forward pass. No backward pass is run.
     """
-    y = np.asarray(y)
     if outputs is None:
         outputs = model.batch_outputs(params, X, y)
     probs, losses, _ = outputs
     f_vals = losses if metric == "ap" else probs  # the surrogate f
     return FairnessStatistics(
-        {
-            key: GroupStat(float(f_vals[rows].sum()), int(rows.size))
-            for key, rows in _key_rows(y, S, group_names, metric).items()
-        }
+        {key: GroupStat(float(f_vals[r].sum()), int(r.size)) for key, r in rows.items()}
     )
 
 
 def group_grad_sums(
-    outputs: tuple, y: np.ndarray, S: np.ndarray, group_names: Sequence[Sequence[str]], metric: str
+    outputs: tuple, y: np.ndarray, rows: Mapping[GroupKey, np.ndarray], metric: str
 ) -> dict[GroupKey, np.ndarray]:
     """Gradient of the sum of f over the rows of every key whose group has
     members: one backward pass per key, over that key's rows only.
 
-    ``outputs`` is ``model.batch_outputs(params, X, y)``.
+    ``outputs`` is ``model.batch_outputs(params, X, y)`` and ``rows`` is
+    ``key_rows`` of the block for ``metric``.
     """
     probs, _, weighted_grad = outputs
-    y = np.asarray(y)
     dlogit = probs - y if metric == "ap" else probs * (1.0 - probs)  # df/dlogit
-    rows = _key_rows(y, S, group_names, metric)
     return {key: weighted_grad(dlogit, r) for key, r in rows.items() if r.size}
 
 

@@ -5,8 +5,8 @@ deterministically from the seed, trains, and evaluates one FairnessReport.
 Outputs: ``results.csv`` and ``results.txt`` (aggregated, byte-stable
 across reruns), ``records.json`` (per-cell reports and provenance, a failed cell's
 traceback), ``trace/<regime>-<seed>.jsonl`` (per-round records), and
-``meta.json`` (timestamps and wall times, kept out of the deterministic
-files).
+``meta.json`` (timestamps, each cell's wall time and its client-phase and
+server-phase seconds, kept out of the deterministic files).
 """
 
 from __future__ import annotations
@@ -177,6 +177,7 @@ class RunRecord:
     wall_time: float = 0.0
     error: Optional[str] = None
     traceback: Optional[str] = None
+    phase_times: Optional[dict] = None  # {"client_s", "server_s"}; meta.json only
 
     def to_json(self) -> dict:
         return {
@@ -213,7 +214,8 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
                 for rec in result.rounds:
                     fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
             trace_path = str(trace_file)
-        return RunRecord(chash, regime, seed, report, trace_path, time.perf_counter() - started)
+        return RunRecord(chash, regime, seed, report, trace_path, time.perf_counter() - started,
+                         phase_times={"client_s": result.client_s, "server_s": result.server_s})
     except Exception as exc:  # cell failures are recorded, the grid continues
         return RunRecord(chash, regime, seed, None, "", time.perf_counter() - started,
                          error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
@@ -234,6 +236,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[RunReco
         "config_hash": config.config_hash(),
         "config": config.to_json(),
         "wall_times": {f"{r.regime}-{r.seed}": r.wall_time for r in records},
+        "phase_times": {f"{r.regime}-{r.seed}": r.phase_times for r in records if r.phase_times},
         "completed": sum(1 for r in records if r.error is None),
         "failed": sum(1 for r in records if r.error is not None),
     }

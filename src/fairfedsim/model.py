@@ -3,14 +3,21 @@
 One sigmoid output unit, binary cross-entropy loss, and exact analytic
 gradients for the loss, the mean predicted probability, and arbitrary
 per-sample-weighted sums of either quantity (the building blocks for the
-differentiable fairness surrogates). Parameters flatten to a single
-float64 vector in canonical layer-major, row-major order.
+differentiable fairness surrogates).
+
+Parameters live in one float64 vector, layer by layer: each layer's
+(out, in) weight matrix row-major, then its (out,) biases. The offsets are
+computed once per ``MlpSpec`` (``MlpSpec.layout``); ``MlpParams.weights``
+and ``biases`` are views into the vector, so ``unflatten`` and ``flatten``
+each make one copy, and a backward pass writes every layer's gradient
+straight into its slice of one new vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -35,69 +42,63 @@ class MlpSpec:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, 1)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per layer (weight start, bias start, bias end, fan_in) in the flat
+        vector: each layer's (out, in) weights row-major, then its biases."""
+        dims = self.layer_dims
+        out, pos = [], 0
+        for i in range(len(dims) - 1):
+            b_start = pos + dims[i + 1] * dims[i]
+            out.append((pos, b_start, b_start + dims[i + 1], dims[i]))
+            pos = b_start + dims[i + 1]
+        return tuple(out)
+
     @property
     def n_params(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
+        return self.layout[-1][2]
+
+
+def _views(spec: MlpSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (out, in) weight and (out,) bias views into ``flat``."""
+    weights = [flat[w:b].reshape(e - b, fan_in) for w, b, e, fan_in in spec.layout]
+    biases = [flat[b:e] for _, b, e, _ in spec.layout]
+    return weights, biases
 
 
 class MlpParams:
-    """Per-layer weights (out, in) and biases (out,), flattenable to one vector."""
+    """One float64 vector ``flat`` in the spec's layout; ``weights`` (out, in)
+    and ``biases`` (out,) are views into it, so writes go through."""
 
-    def __init__(self, spec: MlpSpec, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        dims = spec.layer_dims
-        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-            raise ValueError("wrong number of layers")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-                raise ValueError(f"layer {i} shape mismatch: {w.shape}, {b.shape}")
+    def __init__(self, spec: MlpSpec, flat: np.ndarray):
+        """Wrap ``flat`` without copying it."""
+        if flat.dtype != np.float64 or flat.shape != (spec.n_params,):
+            raise ValueError(f"expected {spec.n_params} float64 parameters, got {flat.dtype} {flat.shape}")
         self.spec = spec
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.flat = flat
+        self.weights, self.biases = _views(spec, flat)
 
     @classmethod
     def init(cls, spec: MlpSpec, seed: int) -> "MlpParams":
         """Uniform(-sqrt(6/(fan_in+fan_out)), +...) weights, zero biases."""
         rng = make_rng(seed)
-        dims = spec.layer_dims
-        weights, biases = [], []
-        for i in range(len(dims) - 1):
-            fan_in, fan_out = dims[i], dims[i + 1]
+        params = cls.zeros(spec)
+        for w in params.weights:
+            fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(spec, weights, biases)
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return params
 
     @classmethod
     def zeros(cls, spec: MlpSpec) -> "MlpParams":
-        dims = spec.layer_dims
-        return cls(
-            spec,
-            [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)],
-            [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)],
-        )
+        return cls(spec, np.zeros(spec.n_params))
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     @classmethod
     def unflatten(cls, spec: MlpSpec, flat: np.ndarray) -> "MlpParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (spec.n_params,):
-            raise ValueError(f"expected {spec.n_params} parameters, got {flat.shape}")
-        dims = spec.layer_dims
-        weights, biases, pos = [], [], 0
-        for i in range(len(dims) - 1):
-            n_w = dims[i + 1] * dims[i]
-            weights.append(flat[pos:pos + n_w].reshape(dims[i + 1], dims[i]).copy())
-            pos += n_w
-            biases.append(flat[pos:pos + dims[i + 1]].copy())
-            pos += dims[i + 1]
-        return cls(spec, weights, biases)
+        return cls(spec, np.array(flat, dtype=np.float64))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -144,20 +145,14 @@ def _forward_cache(params: MlpParams, X: np.ndarray):
 
 def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> np.ndarray:
     """Flat gradient of sum_i dlogit[i] * logit_i with respect to the parameters."""
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    flat = np.empty(params.spec.n_params)
+    grads_w, grads_b = _views(params.spec, flat)
     delta = dlogit[:, None]  # (n, 1)
     for li in range(len(params.weights) - 1, -1, -1):
-        a_prev = acts[li]
-        grads_w[li] = delta.T @ a_prev
-        grads_b[li] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[li], out=grads_w[li])
+        np.add.reduce(delta, axis=0, out=grads_b[li])
         if li > 0:
             delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    flat = np.concatenate(parts)
     check_finite(flat, "gradient")
     return flat
 

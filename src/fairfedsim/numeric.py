@@ -38,7 +38,7 @@ def vec64(data: Iterable[float] | np.ndarray) -> np.ndarray:
 
 def check_finite(v: np.ndarray | float, context: str = "value") -> None:
     """Raise NonFiniteError if ``v`` contains NaN or infinity."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError(f"non-finite {context}")
 
 

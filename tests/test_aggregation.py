@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairfedsim import aggregation
@@ -462,3 +462,66 @@ class TestServerRound:
             "round", "client_losses", "lagrangian_losses", "lambda", "order",
             "adjustments", "conflicts_pre", "conflicts_post", "g_global_norm",
         }
+
+
+class TestProperties:
+    """Invariants of the adjustment, the sweep and the rescaling, on drawn inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 8),
+        scales=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        goal=st.floats(-0.99, 0.99),
+    )
+    def test_adjusted_cosine_equals_the_goal(self, seed, dim, scales, goal):
+        rng = make_rng(seed)
+        g_k, g_j = scales[0] * rng.normal(size=dim), scales[1] * rng.normal(size=dim)
+        phi = cosine(g_k, g_j)
+        assume(abs(phi) < 0.999)  # a near-(anti)parallel pair has almost no plane to rotate in
+        out = adjust_gradient(g_k, g_j, phi, goal)
+        assert math.isclose(cosine(out, g_j), goal, rel_tol=1e-9, abs_tol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 8),
+        dim=st.integers(1, 6),
+        beta=st.floats(0.0, 1.0),
+        delta=st.floats(0.0, 1.0),
+        saturate=st.booleans(),
+    )
+    def test_goals_stay_symmetric_within_unit_interval(self, seed, K, dim, beta, delta, saturate):
+        rng = make_rng(seed)
+        grads = {i: rng.normal(size=dim) for i in range(K)}
+        if K > 2:
+            grads[K - 1] = 2.0 * grads[0]  # a duplicated direction drives its goal towards 1
+        upper = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
+        if saturate:
+            upper = np.sign(upper) * (np.abs(upper) > 0.5)  # goals of exactly +-1 and 0
+        state = SimilarityState(K, delta, upper + upper.T)
+        order = [int(i) for i in rng.permutation(K)]
+        goals = state.goals
+        for _ in range(3):  # goals feed the next round's sweep
+            goals = diminish_conflicts_arrays(grads, order, beta, SimilarityState(K, delta, goals)).state.goals
+            np.testing.assert_array_equal(goals, goals.T)
+            assert np.abs(goals).max() <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 8),
+        dim=st.integers(2, 8),
+        beta=st.floats(0.0, 1.0),
+        goal=st.floats(-0.9, 0.9),
+    )
+    def test_rescaling_keeps_the_raw_mean_norm(self, seed, K, dim, beta, goal):
+        rng = make_rng(seed)
+        grads = [rng.normal(size=dim) * rng.uniform(0.1, 10.0) for _ in range(K)]
+        cfg = AggregationConfig(beta=beta, delta=0.5, gamma=0.0, eta=1.0, alpha=0.05)
+        state = SimilarityState(K, cfg.delta, np.full((K, K), goal))
+        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
+        params, _, _, rec = server_round(np.zeros(dim), lam, make_stats(grads), cfg, state)
+        raw_norm = norm(np.mean(np.stack(grads), axis=0))
+        np.testing.assert_allclose(norm(-params), raw_norm, rtol=1e-12)
+        assert rec.g_global_norm == norm(-params)

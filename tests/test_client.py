@@ -23,9 +23,7 @@ def init_params(shard, seed=5):
 
 
 def zero_multipliers(shard, params, metric="dp"):
-    stats = fairness.compute_statistics_for_metric(
-        params, shard.X, shard.y, shard.S, shard.data.group_names, metric
-    )
+    stats = client.compute_fairness_statistics(params, shard, metric)
     return {k: 0.0 for k in fairness.usable_keys(stats)}
 
 
@@ -41,7 +39,7 @@ def test_one_epoch_is_one_lagrangian_step(monkeypatch):
     shard = small_shard(1)
     params = init_params(shard)
     lam = {k: 0.3 for k in zero_multipliers(shard, params)}
-    loss, stats, grad = lagrangian_grad(params, lam, shard, "dp")
+    loss, stats, grad = lagrangian_grad(params, lam, shard, "dp", client.shard_key_rows(shard, "dp"))
     calls = []
 
     def counted(*args):
@@ -69,7 +67,7 @@ def test_one_forward_pass_per_step(monkeypatch):
     for metric in ("dp", "eo", "ap"):
         lam = {k: 0.3 for k in zero_multipliers(shard, params, metric)}
         forwards.clear()
-        lagrangian_grad(params, lam, shard, metric)
+        lagrangian_grad(params, lam, shard, metric, client.shard_key_rows(shard, metric))
         assert len(forwards) == 1
 
 
@@ -84,7 +82,9 @@ def test_telescoping_identity_exact():
     flat = params.flatten()
     acc = np.zeros_like(flat)
     for _ in range(epochs):
-        _, _, g = lagrangian_grad(MlpParams.unflatten(params.spec, flat), lam, shard, "dp")
+        _, _, g = lagrangian_grad(
+            MlpParams.unflatten(params.spec, flat), lam, shard, "dp", client.shard_key_rows(shard, "dp")
+        )
         acc += g
         flat = flat - lr * g
     np.testing.assert_array_equal(st.update_grad, acc)
@@ -112,9 +112,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         params = init_params(shard, seed=40 + seed)
         if min_preactivation(params, shard.X) < 1e-4:
             continue
-        stats = fairness.compute_statistics_for_metric(
-            params, shard.X, shard.y, shard.S, shard.data.group_names, "dp"
-        )
+        stats = client.compute_fairness_statistics(params, shard, "dp")
         h0 = fairness.constraint_values(stats, 0.0)
         if any(abs(v) < 1e-4 for v in h0.values()):
             continue
@@ -124,9 +122,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         def J(w):
             p = MlpParams.unflatten(params.spec, w)
             loss, _ = model.loss_and_grad(p, shard.X, shard.y)
-            s = fairness.compute_statistics_for_metric(
-                p, shard.X, shard.y, shard.S, shard.data.group_names, "dp"
-            )
+            s = client.compute_fairness_statistics(p, shard, "dp")
             h = fairness.constraint_values(s, 0.0)
             return loss + sum(lam[k] * h[k] for k in lam)
 
@@ -174,3 +170,51 @@ def test_local_accuracy_perfect_and_tie_rule():
     acc = local_accuracy(strong, shard)
     assert acc > 0.6
 
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's args."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_zero_multipliers_form_no_constraint_gradient(monkeypatch, metric):
+    shard = small_shard(7)
+    params = init_params(shard)
+    rows = client.shard_key_rows(shard, metric)
+    calls = counting(monkeypatch, fairness, "constraint_grads")
+    lam = zero_multipliers(shard, params, metric)
+    _, _, grad = lagrangian_grad(params, lam, shard, metric, rows)
+    assert calls == []
+    np.testing.assert_array_equal(grad, model.loss_and_grad(params, shard.X, shard.y)[1])
+    lagrangian_grad(params, {k: 0.3 for k in lam}, shard, metric, rows)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_zero_multipliers_keep_one_backward_pass_per_key(monkeypatch, metric):
+    shard = small_shard(8)
+    params = init_params(shard)
+    lam = zero_multipliers(shard, params, metric)
+    rows = client.shard_key_rows(shard, metric)
+    calls = counting(monkeypatch, model, "_backward")
+    lagrangian_grad(params, lam, shard, metric, rows)
+    assert len(calls) == 1 + sum(1 for r in rows.values() if r.size) == 1 + len(lam)
+
+
+def test_key_rows_built_once_per_round(monkeypatch):
+    shard = small_shard(9)
+    params = init_params(shard)
+    lam = {k: 0.2 for k in zero_multipliers(shard, params, "eo")}
+    calls = counting(monkeypatch, fairness, "key_rows")
+    steps = counting(monkeypatch, client, "lagrangian_grad")
+    compute_statistics(params, lam, shard, metric="eo", epochs=5)
+    assert len(steps) == 5
+    assert len(calls) == 1

@@ -149,6 +149,21 @@ class TestRun:
         assert records[0].error is not None
         assert "missing from data" in records[0].error
 
+    def test_phase_times_in_meta_only(self, tmp_path):
+        out = tmp_path / "p"
+        records = run(tiny_config(out, regimes=("mfairfl", "fedavg_f", "indfair"), seeds=(1,)))
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta["phase_times"]) == set(meta["wall_times"]) == {"mfairfl-1", "fedavg_f-1", "indfair-1"}
+        for cell, phases in meta["phase_times"].items():
+            assert set(phases) == {"client_s", "server_s"}
+            assert phases["client_s"] > 0.0 and phases["server_s"] > 0.0
+            assert phases["client_s"] + phases["server_s"] <= meta["wall_times"][cell]
+        assert all(r.phase_times == meta["phase_times"][f"{r.regime}-{r.seed}"] for r in records)
+        # the byte-stable outputs do not carry them
+        assert "client_s" not in (out / "records.json").read_text()
+        for trace in (out / "trace").iterdir():
+            assert "client_s" not in trace.read_text()
+
     def test_records_reload(self, tmp_path):
         out = tmp_path / "e"
         cfg = tiny_config(out, regimes=("fedavg",), seeds=(1, 2))

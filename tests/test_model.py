@@ -55,6 +55,28 @@ class TestSpecAndParams:
             again = MlpParams.unflatten(spec, flat).flatten()
             np.testing.assert_array_equal(flat, again)
 
+    def test_weights_and_biases_are_views_of_one_vector(self):
+        spec = MlpSpec(3, (4, 5))
+        flat = make_rng(2).normal(size=spec.n_params)
+        params = MlpParams.unflatten(spec, flat)
+        assert not np.shares_memory(params.flat, flat)  # unflatten copies once
+        for part in params.weights + params.biases:
+            assert np.shares_memory(part, params.flat)
+        params.biases[1][2] = 7.0
+        params.weights[2][0, 4] = -3.0
+        assert params.flat[3 * 4 + 4 + 5 * 4 + 2] == 7.0
+        assert params.flat[-2] == -3.0
+        out = params.flatten()
+        assert not np.shares_memory(out, params.flat)  # flatten copies once
+        np.testing.assert_array_equal(MlpParams.unflatten(spec, out).flatten(), out)
+
+    def test_layers_in_order_weights_row_major_then_biases(self):
+        params = MlpParams.unflatten(MlpSpec(2, (3,)), np.arange(13.0))
+        np.testing.assert_array_equal(params.weights[0], [[0, 1], [2, 3], [4, 5]])
+        np.testing.assert_array_equal(params.biases[0], [6, 7, 8])
+        np.testing.assert_array_equal(params.weights[1], [[9, 10, 11]])
+        np.testing.assert_array_equal(params.biases[1], [12])
+
     def test_unflatten_wrong_length(self):
         spec = MlpSpec(3, (4,))
         with pytest.raises(ValueError):
@@ -239,3 +261,25 @@ class TestRowRestrictedBackward:
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
         _, _, acts = model._forward_cache(self.params, self.X)
         np.testing.assert_array_equal(weighted_grad(self.dlogit), model._backward(self.params, acts, self.dlogit))
+
+
+def test_backward_equals_per_layer_concatenate_bitwise():
+    """The backward pass writes each layer's gradient into its slice of one
+    vector; the result equals concatenating per-layer products bit for bit."""
+    rng = make_rng(31)
+    for spec in (MlpSpec(5, (7, 6)), MlpSpec(3, (32, 32, 32, 32)), MlpSpec(1, (1,))):
+        params = MlpParams.init(spec, seed=6)
+        X, _ = random_batch(rng, 23, spec.input_dim)
+        dlogit = rng.normal(size=23)
+        _, _, acts = model._forward_cache(params, X)
+
+        grads_w, grads_b = [None] * len(params.weights), [None] * len(params.biases)
+        delta = dlogit[:, None]
+        for li in range(len(params.weights) - 1, -1, -1):
+            grads_w[li] = delta.T @ acts[li]
+            grads_b[li] = delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
+        reference = np.concatenate([p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)])
+
+        np.testing.assert_array_equal(model._backward(params, acts, dlogit), reference)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairfedsim.numeric import NonFiniteError, cosine, dot, make_rng, mean_rows, norm, vec64
+from fairfedsim.numeric import NonFiniteError, check_finite, cosine, dot, make_rng, mean_rows, norm, vec64
 
 
 def test_dot_hand_values():
@@ -87,3 +87,22 @@ def test_mean_rows():
     np.testing.assert_array_equal(out, [2.0, 3.0])
     with pytest.raises(ValueError):
         mean_rows([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_rejects_nan_and_infinities(bad):
+    with pytest.raises(NonFiniteError, match="non-finite probe"):
+        check_finite(bad, "probe")
+    with pytest.raises(NonFiniteError, match="non-finite probe"):
+        check_finite(np.float64(bad), "probe")
+    with pytest.raises(NonFiniteError, match="non-finite probe"):
+        check_finite(np.array([1.0, bad, 2.0]), "probe")
+    with pytest.raises(NonFiniteError, match="non-finite probe"):
+        check_finite(np.full((2, 3), bad), "probe")
+
+
+def test_check_finite_accepts_finite_values():
+    check_finite(0.0)
+    check_finite(-1e308)
+    check_finite(np.zeros(0))
+    check_finite(np.array([[1.0, -2.0], [3.0, 1e-320]]))
