@@ -29,10 +29,10 @@ state = SimilarityState(3, delta=0.25)
 result = diminish_conflicts_arrays(grads, order, beta=1.0, state=state)
 
 print(f"\nadjustments performed: {result.n_adjustments}")
-for t in result.tests:
-    mark = "adjusted" if t.adjusted else "kept"
-    print(f"  client {t.client} vs target {t.target}: cos {t.phi:+.3f} "
-          f"goal {t.goal:+.3f} -> {mark}")
+tests = result.tests  # one array entry per pair test, in sweep order
+for k, i, phi, goal, adjusted in zip(tests.client, tests.target, tests.phi, tests.goal, tests.adjusted):
+    mark = "adjusted" if adjusted else "kept"
+    print(f"  client {k} vs target {i}: cos {phi:+.3f} goal {goal:+.3f} -> {mark}")
 
 print("\ncurated mean:", np.round(result.gradient, 4))
 print("plain mean:  ", np.round(np.mean(np.stack(list(grads.values())), axis=0), 4))

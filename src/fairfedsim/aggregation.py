@@ -18,16 +18,41 @@ loses the component
 
 along the raw target g_j.
 
-The sweep runs in Gram space. Every working gradient stays in the span of
-the K raw gradients (the rows of R), w_k = a_k . R, so one K x K Gram
-matrix G = R R^T holds every inner product the sweep needs. Each selected
-client keeps its coefficient vector a_k and u = G a_k, the inner products
-of w_k with every raw gradient; a pair test reads
-phi = u[i] / (||w_k|| sqrt(G_ii)) with ||w_k||^2 = a_k . u, and an
-adjustment changes one coefficient and updates u by one row of G. Only the
-final mean is formed in D space. A round costs O(K^2 D) for G plus
-O(ceil(beta K) K^2) for the sweep, against O(ceil(beta K) K D) for the
-same sweep on D-length vectors (kept as ``oracles.diminish_conflicts_dspace``).
+Coordinates. Every working gradient stays in the span of the K raw
+gradients (the rows of R), so the sweep never touches a D-length vector.
+The K x K Gram matrix G = R R^T is factored once a round by pivoted
+Cholesky (LAPACK ``dpstrf``) into C (K x rank) with C C^T = G: row i of C
+holds the coordinates of raw gradient i in an orthonormal basis of
+span(R), where inner products and norms are those of D space. Each
+working gradient is an explicit coordinate row, an adjustment
+w_k -= c g_j is w_k -= c C[j], and every norm and cosine is read from
+these rows, so each cosine is as accurate as one taken in D space.
+Updating the inner products u = G a_k of a coefficient row a_k instead
+would square the rounding error (cosines off by 2.6e-8 relative on a
+D = 3 input). The D-space mean is formed once, as the plain mean minus the
+sum of the adjustments c g_j over K, so a round without adjustments
+returns the plain mean bit for bit.
+
+Wavefront order. Let q be the position of the adjusted client k_q and t
+that of the target k_t in the order. In sequence the sweep runs the pairs
+(q, t) client by client and target by target. Here pair (q, t) runs at
+step tau = 2q + t, and all pairs of one step run as one vector operation.
+That gives the sequential results exactly, because
+  * pair (q, t) reads and writes only the goal of {k_q, k_t} and working
+    gradient k_q (its target is a raw gradient);
+  * the only other pair on that goal is (t, q): for t < q it runs at
+    2t + q < tau, before (q, t), and for t > q after it, as in sequence;
+  * the client's previous test, (q, t - 1), runs at tau - 1 (or (q, t - 2)
+    at tau - 2 when t - 1 = q);
+  * the pairs of one step have distinct clients, so no two share a
+    working gradient or a goal entry.
+Tests are reported in sequential order (``PairTests``).
+
+Cost: O(K^2 D) for G, O(K^3) for its factor, and at most
+2 ceil(beta K) + K - 3 steps of O(K rank) work each (217 at K = 100,
+beta = 0.6) in place of ceil(beta K) (K - 1) scalar tests (5,940). The
+sequential sweep on D-length vectors, O(ceil(beta K) K D), is kept as the
+reference ``oracles.diminish_conflicts_dspace``.
 
 Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
 met, so its pair test never adjusts. Near +1 the adjustment divides by
@@ -46,6 +71,13 @@ Tie tolerance: the conflict counts of a ``RoundRecord`` count a pair only
 when its cosine is below goal - ``CONFLICT_TIE_TOL`` (1e-9), because each
 adjusted working gradient ends exactly on its last goal and rounding would
 otherwise decide those pairs. The sweep's own test stays phi < goal.
+
+Rounding ties at delta near 0: with delta = 0 (allowed) or within rounding
+of 0, a goal written by a test is the cosine it observed, so a later test
+whose cosine equals it in exact arithmetic (the reverse pair of two
+still-raw gradients, or a duplicated target) is a tie, and whether it
+adjusts is decided by rounding. This sweep and the D-space reference may
+decide such a tie differently.
 """
 
 from __future__ import annotations
@@ -55,6 +87,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from .client import ClientStatistics
 from .fairness import FairnessStatistics, GroupKey, constraint_values
@@ -114,10 +147,11 @@ class SimilarityState:
         return float(self.goals[i, j])
 
 
-def ema_update(state: SimilarityState, i: int, j: int, phi: float) -> SimilarityState:
+def ema_update(state: SimilarityState, i, j, phi) -> SimilarityState:
     """One EMA step on the (i, j) goal, written symmetrically into ``state``
-    (returned for chaining)."""
-    if abs(phi) > 1.0:
+    (returned for chaining). ``i``, ``j`` and ``phi`` may be equal-length
+    arrays of distinct pairs, which step every pair at once."""
+    if (np.abs(phi) > 1.0).any():
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
     goals = state.goals
     new = state.delta * goals[i, j] + (1.0 - state.delta) * phi
@@ -140,15 +174,16 @@ def update_lambda(
     return {k: max(0.0, lam[k] + gamma * h[k]) for k in lam}
 
 
-def adjustment_coefficient(norm_k: float, norm_j: float, phi: float, goal: float) -> float:
+def adjustment_coefficient(norm_k, norm_j, phi, goal):
     """The c for which cos(g_k - c * g_j, g_j) == goal, given ||g_k||,
-    ||g_j|| and phi = cos(g_k, g_j); see the module docstring."""
-    if norm_k == 0.0 or norm_j == 0.0:
+    ||g_j|| and phi = cos(g_k, g_j); see the module docstring. Takes
+    scalars or equal-length arrays (one pair per entry)."""
+    if not np.logical_and(norm_k, norm_j).all():
         raise ValueError("cannot adjust zero-norm gradients")
-    if abs(goal) >= 1.0:
+    if (np.abs(goal) >= 1.0).any():
         raise ValueError("similarity goal of +-1 makes the adjustment singular")
-    root_goal = math.sqrt(1.0 - goal * goal)
-    return norm_k * (phi * root_goal - goal * math.sqrt(max(0.0, 1.0 - phi * phi))) / (norm_j * root_goal)
+    root_goal = np.sqrt(1.0 - goal * goal)
+    return norm_k * (phi * root_goal - goal * np.sqrt(np.maximum(0.0, 1.0 - phi * phi))) / (norm_j * root_goal)
 
 
 def adjust_gradient(g_k: np.ndarray, g_j: np.ndarray, phi: float, goal: float) -> np.ndarray:
@@ -158,10 +193,11 @@ def adjust_gradient(g_k: np.ndarray, g_j: np.ndarray, phi: float, goal: float) -
     return out
 
 
-def is_conflict(phi: float, goal: float) -> bool:
+def is_conflict(phi, goal):
     """The sweep's test: phi < goal, with saturated goals counting as met
-    and anti-parallel pairs left alone (module docstring)."""
-    return -1.0 + GOAL_SATURATION_EPS < phi < goal and abs(goal) < 1.0 - GOAL_SATURATION_EPS
+    and anti-parallel pairs left alone (module docstring). Takes scalars
+    or equal-length arrays."""
+    return (phi > -1.0 + GOAL_SATURATION_EPS) & (phi < goal) & (np.abs(goal) < 1.0 - GOAL_SATURATION_EPS)
 
 
 @dataclass
@@ -208,28 +244,47 @@ def build_order(
 
 
 @dataclass
-class PairTest:
-    """One conflict test inside the sweep (diagnostics and oracles)."""
+class PairTests:
+    """The conflict tests of one sweep, one entry per test, in sweep order:
+    client by client in the order, each against its targets in the order."""
 
-    client: int
-    target: int
-    phi: float
-    goal: float
-    adjusted: bool
+    client: np.ndarray
+    target: np.ndarray
+    phi: np.ndarray
+    goal: np.ndarray
+    adjusted: np.ndarray
+
+    def __post_init__(self):
+        self.client = np.asarray(self.client, dtype=np.int64)
+        self.target = np.asarray(self.target, dtype=np.int64)
+        self.phi = np.asarray(self.phi, dtype=np.float64)
+        self.goal = np.asarray(self.goal, dtype=np.float64)
+        self.adjusted = np.asarray(self.adjusted, dtype=bool)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "PairTests":
+        """From (client, target, phi, goal, adjusted) tuples in sweep order."""
+        return cls(*(list(zip(*rows)) or [()] * 5))
+
+    def __len__(self) -> int:
+        return len(self.client)
 
 
 @dataclass
 class DiminishResult:
-    """The curated mean and the goals after the sweep. With R the raw
-    gradients as rows in client id order, ``gram`` is R R^T and working
-    gradient k is ``coefficients[k] @ R``."""
+    """The curated mean, the plain mean of the raw gradients and the goals
+    after the sweep. With R the raw gradients as rows in client id order,
+    ``coords`` holds their coordinates (``coords @ coords.T`` equals R R^T)
+    and ``working`` the curated working gradients' coordinates in the same
+    basis."""
 
     gradient: np.ndarray
+    plain_mean: np.ndarray
     state: SimilarityState
     n_adjustments: int
-    tests: list[PairTest]
-    gram: np.ndarray
-    coefficients: np.ndarray
+    tests: PairTests
+    coords: np.ndarray
+    working: np.ndarray
 
 
 def selected_count(n_clients: int, beta: float) -> int:
@@ -238,13 +293,48 @@ def selected_count(n_clients: int, beta: float) -> int:
     return math.ceil(beta * n_clients)
 
 
+def _coordinates(raw: np.ndarray) -> np.ndarray:
+    """C (K x rank) with C C^T = R R^T: the pivoted Cholesky factor of the
+    Gram matrix, rows back in the order of R. ``dpstrf`` stops at a pivot
+    below K * eps * max_i ||r_i||^2, which sets the rank; a zero row of R
+    gets a zero row of C."""
+    gram = raw @ raw.T
+    check_finite(gram, "Gram matrix")
+    factor, piv, rank, info = dpstrf(gram, lower=1)
+    if info < 0:
+        raise ValueError(f"dpstrf rejected argument {-info}")
+    coords = np.empty((len(raw), rank))
+    coords[piv - 1] = np.tril(factor)[:, :rank]
+    return coords
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ki,ki->k", m, m))
+
+
+def _wavefront(order: np.ndarray, n_selected: int, testable: np.ndarray):
+    """Every pair test (q, t) of the sweep, with q the position of the
+    adjusted client and t that of the target, grouped into steps
+    tau = 2q + t. Returns the clients, the targets and each test's index
+    in sweep order, all in step order, and the start of every step."""
+    K = len(order)
+    q, t = np.divmod(np.arange(n_selected * K), K)
+    seq = np.flatnonzero((q != t) & testable[order[q]] & testable[order[t]])
+    q, t = q[seq], t[seq]
+    by_step = np.argsort(2 * q + t, kind="stable")
+    tau = (2 * q + t)[by_step]
+    starts = np.flatnonzero(np.diff(tau, prepend=-1))
+    return order[q[by_step]], order[t[by_step]], seq[by_step], np.append(starts, len(tau))
+
+
 def diminish_conflicts_arrays(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
     beta: float,
     state: SimilarityState,
 ) -> DiminishResult:
-    """The conflict-mitigation sweep on raw gradient arrays, in Gram space.
+    """The conflict-mitigation sweep on raw gradient arrays, on orthonormal
+    coordinates and in wavefront order (module docstring).
 
     The first ``selected_count`` clients of the order have their working
     copies tested against every raw gradient in order (skipping self); a test
@@ -256,41 +346,57 @@ def diminish_conflicts_arrays(
     if sorted(order) != list(range(state.n_clients)):
         raise ValueError("order must be a permutation of the state's client ids")
     raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
-    gram = raw @ raw.T
-    check_finite(gram, "Gram matrix")
-    root_diag = np.sqrt(np.diag(gram)).tolist()
-    coefficients = np.eye(K)
+    coords = _coordinates(raw)
+    raw_norm = _row_norms(coords)
+    working = coords.copy()
+    norm_w = raw_norm.copy()
     out_state = state.copy()
     goals = out_state.goals
-    tests: list[PairTest] = []
-    n_adjustments = 0
-    for k in order[: selected_count(K, beta)]:
-        a = coefficients[k]  # a view: adjustments land in the matrix
-        u = gram[k].copy()   # u[i] = w_k . g_i
-        norm_w = root_diag[k]
-        for i in order:
-            if i == k:
-                continue
-            # a zero-norm side has no direction: nothing to test or observe
-            if norm_w == 0.0 or root_diag[i] == 0.0:
-                continue
-            phi = min(1.0, max(-1.0, float(u[i]) / (norm_w * root_diag[i])))
-            goal = float(goals[k, i])
-            conflict = is_conflict(phi, goal)
-            if conflict:
-                c = adjustment_coefficient(norm_w, root_diag[i], phi, goal)
-                a[i] -= c
-                u -= c * gram[i]
-                norm_w = math.sqrt(max(0.0, float(a @ u)))
-                n_adjustments += 1
-            ema_update(out_state, k, i, phi)
-            tests.append(PairTest(k, i, phi, goal, conflict))
-    gradient = mean_rows(raw)
+    # a zero-norm side has no direction: nothing to test or observe
+    clients, targets, seq, starts = _wavefront(
+        np.asarray(order, dtype=np.int64), selected_count(K, beta), raw_norm > 0.0
+    )
+    tested = np.ones(len(seq), dtype=bool)
+    phis, seen = np.zeros(len(seq)), np.zeros(len(seq))
+    adjusted = np.zeros(len(seq), dtype=bool)
+    moves = []  # (clients, targets, c) of the steps that adjusted
+    vanished = False  # whether some working gradient was driven to zero norm
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        step = slice(lo, hi)
+        k, i = clients[step], targets[step]
+        norm_k = norm_w[k]
+        if vanished and not norm_k.all():  # a vanished working gradient tests no more
+            tested[step] = norm_k > 0.0
+            step = lo + np.flatnonzero(norm_k)
+            k, i, norm_k = clients[step], targets[step], norm_w[clients[step]]
+        w, g, norm_i = working[k], coords[i], raw_norm[i]
+        phi = np.minimum(np.maximum(np.einsum("ki,ki->k", w, g) / (norm_k * norm_i), -1.0), 1.0)
+        goal = goals[k, i]
+        conflict = is_conflict(phi, goal)
+        if conflict.any():
+            # phi = goal = 0 gives c = 0: the pairs without a conflict keep w
+            c = adjustment_coefficient(norm_k, norm_i, np.where(conflict, phi, 0.0), np.where(conflict, goal, 0.0))
+            moved = w - c[:, None] * g
+            working[k] = moved
+            norm_w[k] = moved_norm = _row_norms(moved)
+            vanished = vanished or 0.0 in moved_norm
+            moves.append((k, i, c))
+        ema_update(out_state, k, i, phi)
+        phis[step], seen[step], adjusted[step] = phi, goal, conflict
+    n_adjustments = int(np.count_nonzero(adjusted))
+    in_order = np.argsort(seq)
+    in_order = in_order[tested[in_order]]
+    tests = PairTests(clients[in_order], targets[in_order], phis[in_order], seen[in_order], adjusted[in_order])
+    plain_mean = mean_rows(raw)
+    gradient = plain_mean
     if n_adjustments:
-        # add the adjustments alone, so an unadjusted round is the plain mean bit for bit
-        gradient = gradient + ((coefficients - np.eye(K)).sum(axis=0) / K) @ raw
+        # take the adjustments off alone, so an unadjusted round is the plain mean bit for bit
+        shifts = np.zeros((K, K))  # shifts[k, i]: the multiple of g_i taken off w_k
+        kc, ic, c = (np.concatenate(m) for m in zip(*moves))
+        shifts[kc, ic] = c
+        gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
-    return DiminishResult(gradient, out_state, n_adjustments, tests, gram, coefficients)
+    return DiminishResult(gradient, plain_mean, out_state, n_adjustments, tests, coords, working)
 
 
 def diminish_conflicts(
@@ -344,13 +450,12 @@ class RoundRecord:
         }
 
 
-def _count_conflicts(gram: np.ndarray, coefficients: np.ndarray, goals: np.ndarray) -> int:
+def _count_conflicts(working: np.ndarray, coords: np.ndarray, goals: np.ndarray) -> int:
     """Pairs (k, i), k != i, with cos(w_k, g_i) < goals[k, i] - CONFLICT_TIE_TOL,
-    where w_k = coefficients[k] @ R and gram = R R^T; a zero-norm side is
-    no conflict."""
-    dots = coefficients @ gram
-    root_w = np.sqrt(np.maximum(np.einsum("ki,ki->k", coefficients, dots), 0.0))
-    scale = np.outer(root_w, np.sqrt(np.diag(gram)))
+    where row k of ``working`` and row i of ``coords`` are the coordinates
+    of w_k and g_i in one basis; a zero-norm side is no conflict."""
+    dots = working @ coords.T
+    scale = np.outer(_row_norms(working), _row_norms(coords))
     tested = scale > 0.0
     np.fill_diagonal(tested, False)
     cos = np.clip(np.divide(dots, scale, out=np.zeros_like(dots), where=tested), -1.0, 1.0)
@@ -379,8 +484,7 @@ def server_round(
     order = build_order(losses, config.order_policy, rng)
     result = diminish_conflicts(stats, order, config, state)
 
-    raw = {st.client_id: st.update_grad for st in stats}
-    target_norm = norm(mean_rows([raw[cid] for cid in sorted(raw)]))
+    target_norm = norm(result.plain_mean)
     curated_norm = norm(result.gradient)
     if curated_norm == 0.0:
         if target_norm > 0.0:
@@ -401,8 +505,8 @@ def server_round(
         multipliers={k.to_str(): v for k, v in new_lam.items()},
         order=order.order,
         n_adjustments=result.n_adjustments,
-        conflicts_pre=_count_conflicts(result.gram, np.eye(len(stats)), state.goals),
-        conflicts_post=_count_conflicts(result.gram, result.coefficients, state.goals),
+        conflicts_pre=_count_conflicts(result.coords, result.coords, state.goals),
+        conflicts_post=_count_conflicts(result.working, result.coords, state.goals),
         g_global_norm=norm(g_global),
     )
     return new_params, new_lam, result.state, record

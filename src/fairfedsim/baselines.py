@@ -106,12 +106,14 @@ class TrainResult:
     server_s: float = 0.0
 
 
-def _global_constraint_keys(shards: Sequence[Shard], params: MlpParams, metric: str) -> list[GroupKey]:
-    """Constraint keys with support in the merged training population."""
-    merged = fairness.FairnessStatistics.merge_all(
-        [client_mod.compute_fairness_statistics(params, s, metric) for s in shards]
-    )
-    return fairness.usable_keys(merged)
+def _global_constraint_keys(shards: Sequence[Shard], metric: str) -> list[GroupKey]:
+    """Constraint keys with members in the pooled training population, in
+    sorted key order; a key's members depend on the labels and groups only."""
+    counts: dict[GroupKey, int] = {}
+    for s in shards:
+        for key, rows in client_mod.shard_key_rows(s, metric).items():
+            counts[key] = counts.get(key, 0) + rows.size
+    return sorted((k for k, n in counts.items() if n > 0), key=GroupKey.sort_key)
 
 
 def run_federated(
@@ -133,7 +135,7 @@ def run_federated(
     params = MlpParams.init(spec, cfg.seed)
     flat = params.flatten()
 
-    keys = _global_constraint_keys(shards, params, cfg.constraint)
+    keys = _global_constraint_keys(shards, cfg.constraint)
     lam_global: dict[GroupKey, float] = {k: 0.0 for k in keys}
     lam_local: dict[int, dict[GroupKey, float]] = {
         s.client_id: {k: 0.0 for k in keys} for s in shards

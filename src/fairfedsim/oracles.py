@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .aggregation import (
-    PairTest,
+    PairTests,
     SimilarityState,
     adjust_gradient,
     diminish_conflicts_arrays,
@@ -245,7 +245,7 @@ class DspaceSweep:
     gradient: np.ndarray
     state: SimilarityState
     n_adjustments: int
-    tests: list[PairTest]
+    tests: PairTests
     working: dict[int, np.ndarray]
 
 
@@ -262,7 +262,7 @@ def diminish_conflicts_dspace(
     mean."""
     working = {cid: np.array(grads[cid], dtype=np.float64, copy=True) for cid in order}
     out_state = state.copy()
-    tests: list[PairTest] = []
+    tests = []  # (client, target, phi, goal, adjusted) per test
     n_adjustments = 0
     for k in order[: selected_count(len(order), beta)]:
         for i in order:
@@ -277,9 +277,9 @@ def diminish_conflicts_dspace(
                 working[k] = adjust_gradient(working[k], grads[i], phi, goal)
                 n_adjustments += 1
             ema_update(out_state, k, i, phi)
-            tests.append(PairTest(k, i, phi, goal, conflict))
+            tests.append((k, i, phi, goal, conflict))
     gradient = mean_rows([working[cid] for cid in sorted(working)])
-    return DspaceSweep(gradient, out_state, n_adjustments, tests, working)
+    return DspaceSweep(gradient, out_state, n_adjustments, PairTests.from_rows(tests), working)
 
 
 def theorem2_check(instance: Theorem2Instance, rtol: float = 1e-9) -> BoundReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairfedsim import aggregation
+from fairfedsim import aggregation, oracles
 from fairfedsim.aggregation import (
     CONFLICT_TIE_TOL,
     AggregationConfig,
@@ -16,6 +16,7 @@ from fairfedsim.aggregation import (
     SimilarityState,
     _count_conflicts,
     adjust_gradient,
+    adjustment_coefficient,
     build_order,
     diminish_conflicts,
     diminish_conflicts_arrays,
@@ -90,6 +91,23 @@ class TestEmaUpdate:
                 assert -1.0 <= state.goals[0, 1] <= 1.0
 
 
+    def test_arrays_step_every_pair_like_scalar_calls(self):
+        rng = make_rng(30)
+        upper = np.triu(rng.uniform(-1, 1, size=(5, 5)), 1)
+        by_array = SimilarityState(5, 0.3, upper + upper.T)
+        by_scalar = by_array.copy()
+        i, j = np.array([0, 1, 4]), np.array([2, 3, 1])
+        phi = rng.uniform(-1, 1, size=3)
+        assert ema_update(by_array, i, j, phi) is by_array
+        for a, b, p in zip(i.tolist(), j.tolist(), phi.tolist()):
+            ema_update(by_scalar, a, b, p)
+        np.testing.assert_array_equal(by_array.goals, by_scalar.goals)
+
+    def test_out_of_range_phi_in_an_array_rejected(self):
+        with pytest.raises(ValueError):
+            ema_update(SimilarityState(3, 0.5), np.array([0, 1]), np.array([1, 2]), np.array([0.2, -1.5]))
+
+
 class TestAdjustGradient:
     def test_boundary_noop(self):
         g_k = np.array([1.0, 2.0])
@@ -124,6 +142,21 @@ class TestAdjustGradient:
         with pytest.raises(ValueError, match="singular"):
             adjust_gradient(np.ones(2), np.array([1.0, 0.0]), 0.0, 1.0)
 
+    def test_coefficient_arrays_match_scalar_calls(self):
+        rng = make_rng(31)
+        norm_k, norm_j = rng.uniform(0.1, 5.0, size=(2, 40))
+        phi, goal = rng.uniform(-0.99, 0.99, size=(2, 40))
+        c = adjustment_coefficient(norm_k, norm_j, phi, goal)
+        scalar = [adjustment_coefficient(*v) for v in zip(norm_k.tolist(), norm_j.tolist(), phi.tolist(), goal.tolist())]
+        np.testing.assert_array_equal(c, scalar)
+
+    def test_coefficient_arrays_rejected_on_any_bad_entry(self):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="zero-norm"):
+            adjustment_coefficient(ones, np.array([1.0, 0.0, 1.0]), 0.1 * ones, 0.5 * ones)
+        with pytest.raises(ValueError, match="singular"):
+            adjustment_coefficient(ones, ones, 0.1 * ones, np.array([0.5, -1.0, 0.5]))
+
 
 def make_stats(grads, losses=None):
     """ClientStatistics stubs carrying only what aggregation reads."""
@@ -144,6 +177,7 @@ class TestDiminishConflicts:
         np.testing.assert_array_equal(res.gradient, np.mean(np.stack([grads[i] for i in range(4)]), axis=0))
         assert res.n_adjustments == 0
         np.testing.assert_array_equal(res.state.goals, state.goals)
+        np.testing.assert_array_equal(res.plain_mean, res.gradient)
 
     def test_single_client_passthrough(self):
         grads = {0: np.array([1.0, -2.0])}
@@ -201,7 +235,7 @@ class TestDiminishConflicts:
         grads = {i: rng.normal(size=4) for i in range(5)}
         state = SimilarityState(5, delta=1.0, goals=np.full((5, 5), 0.99))
         res = diminish_conflicts_arrays(grads, list(range(5)), beta=0.5, state=state)
-        adjusted_clients = {t.client for t in res.tests}
+        adjusted_clients = set(res.tests.client.tolist())
         assert adjusted_clients == set(range(math.ceil(0.5 * 5)))
 
 
@@ -212,7 +246,10 @@ class TestDiminishConflicts:
         goals = np.array([[0.0, 1.0, -1.0 + 1e-12], [1.0, 0.0, 0.0], [-1.0 + 1e-12, 0.0, 0.0]])
         state = SimilarityState(3, delta=1.0, goals=goals)
         res = diminish_conflicts_arrays(grads, [0, 1, 2], beta=0.3, state=state)
-        assert [(t.target, t.phi < t.goal, t.adjusted) for t in res.tests] == [(1, True, False), (2, True, False)]
+        tests = res.tests
+        assert list(zip(tests.target.tolist(), (tests.phi < tests.goal).tolist(), tests.adjusted.tolist())) == [
+            (1, True, False), (2, True, False)
+        ]
         assert res.n_adjustments == 0
 
     @pytest.mark.parametrize("sweep", [diminish_conflicts_arrays, diminish_conflicts_dspace])
@@ -222,7 +259,8 @@ class TestDiminishConflicts:
         grads = {0: np.array([1.0, 0.0, 0.0]), 1: np.array([-2.0, 0.0, 0.0])}
         state = SimilarityState(2, delta=0.5, goals=np.full((2, 2), 0.3))
         res = sweep(grads, [0, 1], beta=1.0, state=state)
-        assert [(t.client, t.target, t.phi, t.adjusted) for t in res.tests] == [
+        tests = res.tests
+        assert list(zip(tests.client.tolist(), tests.target.tolist(), tests.phi.tolist(), tests.adjusted.tolist())) == [
             (0, 1, -1.0, False), (1, 0, -1.0, False)
         ]
         assert res.n_adjustments == 0
@@ -242,9 +280,9 @@ class TestDiminishConflicts:
         order = ProjectionOrder(tuple(int(i) for i in rng.permutation(25)))
         state = SimilarityState(25, delta=1.0, goals=np.full((25, 25), 0.99))
         res = diminish_conflicts(stats, order, AggregationConfig(beta=0.7), state)
-        assert {t.client for t in res.tests} == set(order.order[:18])
+        assert set(res.tests.client.tolist()) == set(order.order[:18])
         kept = list(order.order[18:])
-        np.testing.assert_array_equal(res.coefficients[kept], np.eye(25)[kept])
+        np.testing.assert_array_equal(res.working[kept], res.coords[kept])
 
     def test_order_must_cover_the_state(self):
         grads = {0: np.ones(2), 1: -np.ones(2)}
@@ -300,13 +338,13 @@ class TestGramSweepMatchesDspaceOracle:
         ref = diminish_conflicts_dspace(grads, order, beta, state)
         np.testing.assert_array_equal(state.goals, goals0)  # the input state is left alone
 
-        assert [(t.client, t.target, t.adjusted) for t in res.tests] == [
-            (t.client, t.target, t.adjusted) for t in ref.tests
-        ]
+        assert list(zip(res.tests.client.tolist(), res.tests.target.tolist(), res.tests.adjusted.tolist())) == list(
+            zip(ref.tests.client.tolist(), ref.tests.target.tolist(), ref.tests.adjusted.tolist())
+        )
         assert res.n_adjustments == ref.n_adjustments
         for field in ("phi", "goal"):
             np.testing.assert_allclose(
-                [getattr(t, field) for t in res.tests], [getattr(t, field) for t in ref.tests],
+                getattr(res.tests, field), getattr(ref.tests, field),
                 rtol=1e-9, atol=1e-12,
             )
         np.testing.assert_allclose(res.state.goals, ref.state.goals, rtol=1e-9, atol=1e-12)
@@ -316,11 +354,113 @@ class TestGramSweepMatchesDspaceOracle:
             plain = np.mean(np.stack([grads[cid] for cid in range(len(order))]), axis=0)
             np.testing.assert_array_equal(res.gradient, plain)
 
-        K = len(order)
-        assert _count_conflicts(res.gram, np.eye(K), goals0) == dspace_conflicts(grads, grads, goals0)
-        assert _count_conflicts(res.gram, res.coefficients, goals0) == dspace_conflicts(
+        assert _count_conflicts(res.coords, res.coords, goals0) == dspace_conflicts(grads, grads, goals0)
+        assert _count_conflicts(res.working, res.coords, goals0) == dspace_conflicts(
             ref.working, grads, goals0
         )
+
+
+def drawn_sweep_input(K, D, seed, multipliers, zero_draws, beta, delta):
+    """The input ``sweep_inputs`` builds from these draws: the rng seed, the
+    multiplier of each duplicated row and the number of zeroed-row draws."""
+    rng = make_rng(seed)
+    R = rng.normal(size=(K, D)) * np.exp(rng.normal(size=(K, 1)))
+    for m in multipliers:
+        src, dst = rng.integers(K, size=2)
+        R[dst] = R[src] * m
+    for _ in range(zero_draws):
+        R[rng.integers(K)] = 0.0
+    goals = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
+    goals[np.triu(rng.random((K, K)) < 0.05, 1)] = 1.0 - 1e-12
+    goals = goals + goals.T
+    grads = {cid: R[cid] for cid in range(K)}
+    order = [int(i) for i in rng.permutation(K)]
+    return grads, order, beta, SimilarityState(K, delta, goals)
+
+
+def assert_sweep_matches_oracle(grads, order, beta, state):
+    """The property test's comparison, with its tolerances."""
+    res = diminish_conflicts_arrays(grads, order, beta, state)
+    ref = diminish_conflicts_dspace(grads, order, beta, state)
+    for field in ("client", "target", "adjusted"):
+        np.testing.assert_array_equal(getattr(res.tests, field), getattr(ref.tests, field))
+    assert res.n_adjustments == ref.n_adjustments
+    for field in ("phi", "goal"):
+        np.testing.assert_allclose(getattr(res.tests, field), getattr(ref.tests, field), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(res.state.goals, ref.state.goals, rtol=1e-9, atol=1e-12)
+    scale = max(np.abs(w).max() for w in ref.working.values())
+    np.testing.assert_allclose(res.gradient, ref.gradient, rtol=1e-9, atol=1e-9 * scale)
+    goals0 = state.goals
+    assert _count_conflicts(res.coords, res.coords, goals0) == dspace_conflicts(grads, grads, goals0)
+    assert _count_conflicts(res.working, res.coords, goals0) == dspace_conflicts(ref.working, grads, goals0)
+    return res, ref
+
+
+class TestSweepMatchesOracleOnKnownInputs:
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            # --hypothesis-seed=5 of the property test: the Gram-space sweep
+            # this one replaced was off by 2.6e-8 relative in four goals
+            (17, 3, 3, [], 3, 1.0, 1.0),
+            # an exact duplicate row; the Gram-space sweep was off by 1.9e-8
+            (15, 3, 383, [1.0], 0, 1.0, 0.5),
+        ],
+        ids=["hypothesis-seed-5", "duplicated-row"],
+    )
+    def test_inputs_that_failed_the_gram_sweep(self, draws):
+        res, _ = assert_sweep_matches_oracle(*drawn_sweep_input(*draws))
+        assert res.n_adjustments > 0
+
+    @staticmethod
+    def random_input(K, beta, zero_at=(), seed=32):
+        rng = make_rng(seed, K)
+        R = rng.normal(size=(K, 4))
+        order = [int(i) for i in rng.permutation(K)]
+        for pos in zero_at:
+            R[order[pos]] = 0.0
+        upper = np.triu(rng.uniform(-0.9, 0.9, size=(K, K)), 1)
+        return {cid: R[cid] for cid in range(K)}, order, beta, SimilarityState(K, 0.3, upper + upper.T)
+
+    @pytest.mark.parametrize(
+        "K, beta, zero_at",
+        [(1, 1.0, ()), (2, 1.0, ()), (2, 0.5, ()), (7, 0.0, ()), (7, 1.0, ()), (9, 0.6, ()),
+         (8, 1.0, (3,)), (8, 0.5, (1, 6)), (5, 1.0, range(5))],
+        ids=["K1", "K2", "K2-one-swept", "beta0", "beta1", "beta0.6", "zero-row-mid-order",
+             "zero-rows-swept-and-not", "all-rows-zero"],
+    )
+    def test_wavefront_edge_cases(self, K, beta, zero_at):
+        grads, order, beta, state = self.random_input(K, beta, zero_at)
+        res, _ = assert_sweep_matches_oracle(grads, order, beta, state)
+        zero = {order[pos] for pos in zero_at}
+        assert not zero & (set(res.tests.client.tolist()) | set(res.tests.target.tolist()))
+        if len(zero) == K:
+            assert len(res.tests) == 0
+            np.testing.assert_array_equal(res.gradient, np.zeros(4))
+
+    def test_working_gradient_driven_to_zero_norm(self, monkeypatch):
+        """Once a working gradient vanishes, its later tests are skipped."""
+        def always(phi, goal):
+            return np.greater(phi, -1.0 + aggregation.GOAL_SATURATION_EPS)
+
+        monkeypatch.setattr(aggregation, "is_conflict", always)
+        monkeypatch.setattr(oracles, "is_conflict", always)
+        grads = {0: np.array([2.0, 0.0, 0.0]), 1: np.array([1.0, 0.0, 0.0]), 2: np.array([0.0, 1.0, 0.0])}
+        state = SimilarityState(3, 0.5, np.full((3, 3), 0.5))
+        res, ref = assert_sweep_matches_oracle(grads, [0, 1, 2], 1.0, state)
+        # clients 0 and 1 vanish at their first test and test nothing else
+        assert list(zip(res.tests.client.tolist(), res.tests.target.tolist())) == [(0, 1), (1, 0), (2, 0), (2, 1)]
+        np.testing.assert_array_equal(ref.working[0], np.zeros(3))
+        np.testing.assert_array_equal(res.working[[0, 1]], 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 30), D=st.integers(1, 5), beta=st.floats(0.0, 1.0))
+    def test_every_swept_client_tests_every_other_client(self, seed, K, D, beta):
+        rng = make_rng(seed)
+        grads = {cid: rng.normal(size=D) + 0.1 for cid in range(K)}  # no zero row
+        order = [int(i) for i in rng.permutation(K)]
+        res = diminish_conflicts_arrays(grads, order, beta, SimilarityState(K, 0.5))
+        assert len(res.tests) == math.ceil(beta * K) * (K - 1)
 
 
 class TestBuildOrder:
@@ -436,11 +576,10 @@ class TestServerRound:
 
     def test_conflict_counts_skip_rounding_ties(self):
         g = np.array([[1.0, 0.0], [0.6, 0.8]])  # cos = 0.6
-        gram = g @ g.T
         near = np.array([[0.0, 0.6 + 1e-12], [0.6 + 1e-12, 0.0]])
-        assert _count_conflicts(gram, np.eye(2), near) == 0
-        assert _count_conflicts(gram, np.eye(2), near + 1e-6) == 2
-        assert _count_conflicts(np.zeros((2, 2)), np.eye(2), near + 0.5) == 0  # zero norms
+        assert _count_conflicts(g, g, near) == 0
+        assert _count_conflicts(g, g, near + 1e-6) == 2
+        assert _count_conflicts(np.zeros((2, 2)), np.zeros((2, 2)), near + 0.5) == 0  # zero norms
 
     def test_lagrangian_losses_once_per_round(self, monkeypatch):
         calls = []

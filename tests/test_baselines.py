@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairfedsim import fairness
+from fairfedsim import client, fairness, model
 from fairfedsim.baselines import (
+    _global_constraint_keys,
     RegimeId,
     TrainConfig,
     run_cenfair,
@@ -127,3 +128,30 @@ class TestBehavior:
         cfg = quick_cfg(rounds=3)
         result = run_mfairfl(shards, cfg)
         assert [r.round_index for r in result.rounds] == [1, 2, 3]
+
+
+class TestConstraintKeys:
+    @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+    def test_keys_of_the_merged_statistics_without_a_forward_pass(self, metric, monkeypatch):
+        ds = synthetic_dataset(300, seed=13, input_dim=4, group_fractions=(0.7, 0.3))
+        # client 1 holds only group g0, so some of its keys have no members
+        shards = partition(ds, PartitionSpec("group", {"g0": (0.5, 0.3, 0.2), "g1": (0.6, 0.0, 0.4)}), seed=13)
+        params = MlpParams.init(model.MlpSpec(4, (8,)), 1)
+        merged = fairness.FairnessStatistics.merge_all(
+            [client.compute_fairness_statistics(params, s, metric) for s in shards]
+        )
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass")
+
+        monkeypatch.setattr(model, "batch_outputs", no_forward)
+        assert _global_constraint_keys(shards, metric) == fairness.usable_keys(merged)
+
+    def test_key_without_members_anywhere_is_left_out(self):
+        ds = synthetic_dataset(200, seed=14, input_dim=4)
+        shards = partition(ds, SPEC, seed=14)
+        # every shard labelled 1: the EO keys conditioned on y = 0 have no members
+        for s in shards:
+            s.data.y[:] = 1
+        keys = _global_constraint_keys(shards, "eo")
+        assert keys and all(k.label == 1 for k in keys)
