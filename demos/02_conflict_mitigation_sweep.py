@@ -10,7 +10,7 @@ to plain averaging.
 
 import numpy as np
 
-from fairfedsim.aggregation import SimilarityState, diminish_conflicts_arrays
+from fairfedsim.aggregation import SimilarityState, diminish_conflicts
 from fairfedsim.numeric import cosine
 
 grads = {
@@ -26,7 +26,7 @@ for i in range(3):
         print(f"  cos(g{i}, g{j}) = {cosine(grads[i], grads[j]):+.3f}")
 
 state = SimilarityState(3, delta=0.25)
-result = diminish_conflicts_arrays(grads, order, beta=1.0, state=state)
+result = diminish_conflicts(grads, order, beta=1.0, state=state)
 
 print(f"\nadjustments performed: {result.n_adjustments}")
 tests = result.tests  # one array entry per pair test, in sweep order
@@ -38,6 +38,6 @@ print("\ncurated mean:", np.round(result.gradient, 4))
 print("plain mean:  ", np.round(np.mean(np.stack(list(grads.values())), axis=0), 4))
 print("updated goals:\n", np.round(result.state.goals, 3))
 
-flat = diminish_conflicts_arrays(grads, order, beta=0.0, state=SimilarityState(3, 0.25))
+flat = diminish_conflicts(grads, order, beta=0.0, state=SimilarityState(3, 0.25))
 print("\nbeta = 0 output equals the plain mean:",
       np.array_equal(flat.gradient, np.mean(np.stack(list(grads.values())), axis=0)))

@@ -8,6 +8,15 @@ gradient whenever its cosine falls below the pairwise EMA similarity goal,
 (4) rescales the curated mean back to the magnitude of the plain mean,
 and (5) applies the global step.
 
+A round is set by the run's ``baselines.TrainConfig``, of which
+``server_round`` reads five fields: ``alpha`` (the fairness tolerance
+inside h), ``gamma`` (the dual step), ``order_policy`` (the projection
+order, checked in ``build_order``), ``beta`` (the fraction of the order
+that is swept) and ``eta`` (the server step). The goals' EMA decay,
+``delta``, travels with the goals in ``SimilarityState``.
+``diminish_conflicts(grads, order, beta, state)`` is the sweep's one
+entry point; it checks that the order is a permutation of the clients.
+
 The adjustment sets the cosine of (working, target) exactly to the goal:
 with phi the observed cosine and goal the target, the working gradient g_k
 loses the component
@@ -84,7 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
@@ -95,6 +104,9 @@ from .fairness import FairnessStatistics, GroupKey, constraint_values
 # aggregation.cosine, so the name stays
 from .numeric import check_finite, cosine, mean_rows, norm  # noqa: F401
 
+if TYPE_CHECKING:  # baselines imports this module
+    from .baselines import TrainConfig
+
 ORDER_POLICIES = ("loss_ascending", "random", "reversed")
 
 GOAL_SATURATION_EPS = 1e-9  # saturated goals, anti-parallel pairs (module docstring)
@@ -103,26 +115,6 @@ CONFLICT_TIE_TOL = 1e-9     # conflict counts need cos < goal - tol (RoundRecord
 
 class DegenerateCancellationError(ArithmeticError):
     """The curated gradient vanished while the plain mean did not."""
-
-
-@dataclass
-class AggregationConfig:
-    beta: float = 0.6            # fraction of clients whose gradients get adjusted
-    delta: float = 0.01          # EMA decay of the similarity goals
-    gamma: float = 0.5           # dual-ascent step on the multipliers
-    eta: float = 0.05            # server step on the parameters
-    alpha: float = 0.05          # fairness tolerance inside h(w)
-    order_policy: str = "loss_ascending"
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if self.gamma < 0.0 or self.eta <= 0.0:
-            raise ValueError("gamma must be >= 0 and eta > 0")
-        if self.order_policy not in ORDER_POLICIES:
-            raise ValueError(f"unknown order policy {self.order_policy!r}")
 
 
 class SimilarityState:
@@ -200,18 +192,6 @@ def is_conflict(phi, goal):
     return (phi > -1.0 + GOAL_SATURATION_EPS) & (phi < goal) & (np.abs(goal) < 1.0 - GOAL_SATURATION_EPS)
 
 
-@dataclass
-class ProjectionOrder:
-    """Client ids in target order; position in this list is the theorem's k."""
-
-    order: tuple[int, ...]
-    policy: str = "loss_ascending"
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of the client ids")
-
-
 def lagrangian_losses(
     stats: Sequence[ClientStatistics], lam: Mapping[GroupKey, float], alpha: float
 ) -> dict[int, float]:
@@ -227,20 +207,21 @@ def build_order(
     losses: Mapping[int, float],
     policy: str = "loss_ascending",
     rng: Optional[np.random.Generator] = None,
-) -> ProjectionOrder:
-    """Clients by ascending Lagrangian loss (ties broken by client id), or
-    its seeded-random and reversed variants."""
+) -> tuple[int, ...]:
+    """Client ids in target order (position in it is the theorem's k):
+    by ascending Lagrangian loss, ties broken by client id, or its
+    seeded-random and reversed variants."""
     if policy not in ORDER_POLICIES:
         raise ValueError(f"unknown order policy {policy!r}")
     ascending = tuple(cid for cid, _ in sorted(losses.items(), key=lambda kv: (kv[1], kv[0])))
     if policy == "loss_ascending":
-        return ProjectionOrder(ascending, policy)
+        return ascending
     if policy == "reversed":
-        return ProjectionOrder(tuple(reversed(ascending)), policy)
+        return tuple(reversed(ascending))
     if rng is None:
         raise ValueError("random order policy needs a generator")
     perm = rng.permutation(len(ascending))
-    return ProjectionOrder(tuple(int(ascending[i]) for i in perm), policy)
+    return tuple(int(ascending[i]) for i in perm)
 
 
 @dataclass
@@ -327,14 +308,16 @@ def _wavefront(order: np.ndarray, n_selected: int, testable: np.ndarray):
     return order[q[by_step]], order[t[by_step]], seq[by_step], np.append(starts, len(tau))
 
 
-def diminish_conflicts_arrays(
+def diminish_conflicts(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
     beta: float,
     state: SimilarityState,
 ) -> DiminishResult:
-    """The conflict-mitigation sweep on raw gradient arrays, on orthonormal
-    coordinates and in wavefront order (module docstring).
+    """The conflict-mitigation sweep, on orthonormal coordinates and in
+    wavefront order (module docstring). ``grads`` maps the client ids
+    0..K-1 to equal-length gradients, and ``order`` is a permutation of
+    them (``build_order``).
 
     The first ``selected_count`` clients of the order have their working
     copies tested against every raw gradient in order (skipping self); a test
@@ -399,21 +382,6 @@ def diminish_conflicts_arrays(
     return DiminishResult(gradient, plain_mean, out_state, n_adjustments, tests, coords, working)
 
 
-def diminish_conflicts(
-    stats: Sequence[ClientStatistics],
-    order: ProjectionOrder,
-    config: AggregationConfig,
-    state: SimilarityState,
-) -> DiminishResult:
-    if len(stats) < 1:
-        raise ValueError("need at least one client")
-    grads = {st.client_id: st.update_grad for st in stats}
-    lengths = {g.shape for g in grads.values()}
-    if len(lengths) != 1:
-        raise ValueError("client gradients disagree on length")
-    return diminish_conflicts_arrays(grads, list(order.order), config.beta, state)
-
-
 @dataclass
 class RoundRecord:
     """Per-round trace entry (serialized as one JSON line).
@@ -466,12 +434,15 @@ def server_round(
     params: np.ndarray,
     lam: Mapping[GroupKey, float],
     stats: Sequence[ClientStatistics],
-    config: AggregationConfig,
+    config: TrainConfig,
     state: SimilarityState,
     rng: Optional[np.random.Generator] = None,
     round_index: int = 0,
 ) -> tuple[np.ndarray, dict[GroupKey, float], SimilarityState, RoundRecord]:
-    """One full aggregation round; see the module docstring for the steps."""
+    """One full aggregation round; see the module docstring for the steps.
+    Reads ``config.alpha``, ``gamma``, ``order_policy``, ``beta`` and
+    ``eta``; the goals' EMA decay is ``state.delta``. ``rng`` drives the
+    random order policy only."""
     if not stats:
         raise ValueError("no client statistics")
     merged = FairnessStatistics.merge_all([st.fairness for st in stats])
@@ -482,7 +453,7 @@ def server_round(
 
     losses = lagrangian_losses(stats, lam, config.alpha)
     order = build_order(losses, config.order_policy, rng)
-    result = diminish_conflicts(stats, order, config, state)
+    result = diminish_conflicts({st.client_id: st.update_grad for st in stats}, order, config.beta, state)
 
     target_norm = norm(result.plain_mean)
     curated_norm = norm(result.gradient)
@@ -503,7 +474,7 @@ def server_round(
         client_losses={st.client_id: st.loss for st in stats},
         lagrangian_losses=losses,
         multipliers={k.to_str(): v for k, v in new_lam.items()},
-        order=order.order,
+        order=order,
         n_adjustments=result.n_adjustments,
         conflicts_pre=_count_conflicts(result.coords, result.coords, state.goals),
         conflicts_post=_count_conflicts(result.working, result.coords, state.goals),

@@ -6,8 +6,10 @@ beta=0 with per-client multipliers updated from local statistics; cenfair
 is a single-shard federation over the pooled data with the federated
 step budget (rounds x local epochs); indfair runs one single-shard
 federation per client and evaluates the uniform mixture of the resulting
-models; the mfairfl variants only change the projection order policy.
-Every regime averages the client update gradients 1/K.
+models; the mfairfl variants only change the projection order:
+``train`` runs them as ``replace(cfg, order_policy="random")`` and
+``replace(cfg, order_policy="reversed")``. Every regime averages the
+client update gradients 1/K.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from . import client as client_mod
 from . import fairness, model
-from .aggregation import AggregationConfig, RoundRecord, SimilarityState, server_round, update_lambda
+from .aggregation import RoundRecord, SimilarityState, server_round, update_lambda
 from .client import ClientStatistics
-from .data import Dataset, Shard, pool_shards
+from .data import Shard, pool_shards
 from .fairness import GroupKey
 from .model import MlpParams, MlpSpec
 from .numeric import make_rng
@@ -41,28 +43,30 @@ class RegimeId(str, enum.Enum):
 
 @dataclass
 class TrainConfig:
-    """Everything one training run needs, independent of the dataset."""
+    """Everything one training run needs, independent of the dataset.
+    ``aggregation.server_round`` reads alpha, gamma, order_policy, beta and
+    eta from it; the out-of-range checks on beta, delta, gamma and eta run
+    here, when the config is built."""
 
     hidden_dims: tuple[int, ...] = (32, 32, 32, 32)
     rounds: int = 10
     local_epochs: int = 20
-    eta: float = 0.05
-    gamma: float = 0.5
-    alpha: float = 0.05
-    beta: float = 0.6
-    delta: float = 0.01
+    eta: float = 0.05            # local and server step on the parameters
+    gamma: float = 0.5           # dual-ascent step on the multipliers
+    alpha: float = 0.05          # fairness tolerance inside h(w)
+    beta: float = 0.6            # fraction of clients whose gradients get adjusted
+    delta: float = 0.01          # EMA decay of the similarity goals
     constraint: str = "dp"
     seed: int = 1
+    order_policy: str = "loss_ascending"  # one of aggregation.ORDER_POLICIES
 
-    def aggregation(self, order_policy: str = "loss_ascending") -> AggregationConfig:
-        return AggregationConfig(
-            beta=self.beta,
-            delta=self.delta,
-            gamma=self.gamma,
-            eta=self.eta,
-            alpha=self.alpha,
-            order_policy=order_policy,
-        )
+    def __post_init__(self):
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        if not 0.0 <= self.delta <= 1.0:
+            raise ValueError("delta must lie in [0, 1]")
+        if self.gamma < 0.0 or self.eta <= 0.0:
+            raise ValueError("gamma must be >= 0 and eta > 0")
 
 
 @dataclass
@@ -119,7 +123,6 @@ def _global_constraint_keys(shards: Sequence[Shard], metric: str) -> list[GroupK
 def run_federated(
     shards: Sequence[Shard],
     cfg: TrainConfig,
-    order_policy: str = "loss_ascending",
     local_multipliers: bool = False,
 ) -> TrainResult:
     """The communication loop shared by every federated regime.
@@ -142,8 +145,7 @@ def run_federated(
     }
     K = len(shards)
     state = SimilarityState(K, cfg.delta)
-    agg = cfg.aggregation(order_policy)
-    order_rng = make_rng(cfg.seed, 0x0D) if order_policy == "random" else None
+    order_rng = make_rng(cfg.seed, 0x0D) if cfg.order_policy == "random" else None
 
     records: list[RoundRecord] = []
     client_s = server_s = 0.0
@@ -168,7 +170,7 @@ def run_federated(
         if local_multipliers:
             # plain averaging server: no global dual step, lambda stays per client
             flat, _, state, record = server_round(
-                flat, {k: 0.0 for k in keys}, stats, replace(agg, gamma=0.0), state,
+                flat, {k: 0.0 for k in keys}, stats, replace(cfg, gamma=0.0), state,
                 rng=order_rng, round_index=t,
             )
             for st in stats:
@@ -177,7 +179,7 @@ def run_federated(
                 lam_k.update(update_lambda({k: lam_k[k] for k in h_k}, h_k, cfg.gamma))
         else:
             flat, lam_global, state, record = server_round(
-                flat, lam_global, stats, agg, state, rng=order_rng, round_index=t
+                flat, lam_global, stats, cfg, state, rng=order_rng, round_index=t
             )
         server_s += time.perf_counter() - served
         records.append(record)
@@ -187,11 +189,7 @@ def run_federated(
 
 
 def run_mfairfl(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    return run_federated(shards, cfg, order_policy="loss_ascending")
-
-
-def run_mfairfl_variant(shards: Sequence[Shard], cfg: TrainConfig, order_policy: str) -> TrainResult:
-    return run_federated(shards, cfg, order_policy=order_policy)
+    return run_federated(shards, cfg)
 
 
 def run_fedavg(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
@@ -205,14 +203,10 @@ def run_fedavg_f(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     return run_federated(shards, replace(cfg, beta=0.0), local_multipliers=True)
 
 
-def run_cenfair(dataset_or_shards, cfg: TrainConfig) -> TrainResult:
+def run_cenfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     """Constrained training on the pooled data as a single-shard federation,
     with the federated budget of rounds x local epochs full-batch steps."""
-    if isinstance(dataset_or_shards, Dataset):
-        pooled = dataset_or_shards
-    else:
-        pooled = pool_shards(list(dataset_or_shards))
-    return run_federated([Shard(client_id=0, data=pooled)], cfg)
+    return run_federated([Shard(client_id=0, data=pool_shards(shards))], cfg)
 
 
 def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
@@ -243,9 +237,9 @@ def train(regime: RegimeId | str, shards: Sequence[Shard], cfg: TrainConfig) -> 
     if regime is RegimeId.MFAIRFL:
         return run_mfairfl(shards, cfg)
     if regime is RegimeId.MFAIRFL_RND:
-        return run_mfairfl_variant(shards, cfg, "random")
+        return run_mfairfl(shards, replace(cfg, order_policy="random"))
     if regime is RegimeId.MFAIRFL_REV:
-        return run_mfairfl_variant(shards, cfg, "reversed")
+        return run_mfairfl(shards, replace(cfg, order_policy="reversed"))
     raise ValueError(f"unhandled regime {regime}")
 
 

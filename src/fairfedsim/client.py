@@ -53,12 +53,6 @@ def shard_key_rows(shard: Shard, metric: str) -> dict[GroupKey, np.ndarray]:
     return fairness.key_rows(shard.y, shard.S, shard.data.group_names, metric)
 
 
-def compute_fairness_statistics(params: MlpParams, shard: Shard, metric: str) -> FairnessStatistics:
-    return fairness.compute_statistics_for_metric(
-        params, shard.X, shard.y, shard_key_rows(shard, metric), metric
-    )
-
-
 def lagrangian_grad(
     params: MlpParams,
     lam: Mapping[GroupKey, float],
@@ -79,7 +73,7 @@ def lagrangian_grad(
     probs, losses, weighted_grad = outputs
     loss = float(np.mean(losses))
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
-    stats = fairness.compute_statistics_for_metric(params, shard.X, shard.y, rows, metric, outputs)
+    stats = fairness.compute_statistics_for_metric(outputs, rows, metric)
     grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, metric)
     if any(float(lam.get(key, 0.0)) != 0.0 for key in grad_sums):
         for key, h_grad in fairness.constraint_grads(stats, grad_sums).items():

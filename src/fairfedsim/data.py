@@ -19,7 +19,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -147,17 +147,17 @@ class Shard:
 
     client_id: int
     data: Dataset
-    group_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.group_counts:
-            counts: dict[str, dict[str, int]] = {}
-            for a, attr in enumerate(self.data.attr_names):
-                counts[attr] = {
-                    name: int((self.data.S[:, a] == code).sum())
-                    for code, name in enumerate(self.data.group_names[a])
-                }
-            self.group_counts = counts
+    @property
+    def group_counts(self) -> dict[str, dict[str, int]]:
+        """Members per group name, per sensitive attribute."""
+        return {
+            attr: {
+                name: int((self.data.S[:, a] == code).sum())
+                for code, name in enumerate(self.data.group_names[a])
+            }
+            for a, attr in enumerate(self.data.attr_names)
+        }
 
     @property
     def X(self) -> np.ndarray:

@@ -29,7 +29,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import model
-from .model import MlpParams
 
 logger = logging.getLogger(__name__)
 
@@ -133,22 +132,15 @@ def key_rows(
 
 
 def compute_statistics_for_metric(
-    params: MlpParams,
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: Mapping[GroupKey, np.ndarray],
-    metric: str,
-    outputs: Optional[tuple] = None,
+    outputs: tuple, rows: Mapping[GroupKey, np.ndarray], metric: str
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
-    ``rows`` is ``key_rows`` of the block for ``metric``. Groups absent
-    from the block keep count 0 so statistics from different clients merge
-    on aligned keys. ``outputs`` is ``model.batch_outputs(params, X, y)``
-    when the caller already ran that forward pass. No backward pass is run.
+    ``outputs`` is ``model.batch_outputs(params, X, y)`` of the block, the
+    forward pass of the step, and ``rows`` is ``key_rows`` of the block for
+    ``metric``. Groups absent from the block keep count 0 so statistics
+    from different clients merge on aligned keys. No backward pass is run.
     """
-    if outputs is None:
-        outputs = model.batch_outputs(params, X, y)
     probs, losses, _ = outputs
     f_vals = losses if metric == "ap" else probs  # the surrogate f
     return FairnessStatistics(

@@ -85,6 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
         if self.threads != 1:
             raise ValueError(f"threads={self.threads}: cells run sequentially, threads must be 1")
+        self.train_config(seed=0)  # raises on an out-of-range beta, delta, gamma or eta
         if self.beta not in BETA_GRID and self.beta != 0.0:
             warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
         if self.delta not in DELTA_GRID and self.delta != 0.0:

@@ -28,7 +28,7 @@ from .aggregation import (
     PairTests,
     SimilarityState,
     adjust_gradient,
-    diminish_conflicts_arrays,
+    diminish_conflicts,
     ema_update,
     is_conflict,
     selected_count,
@@ -195,14 +195,14 @@ def run_projection_sweep(gradients: Sequence[np.ndarray], goal: float, order: Se
     K = len(gradients)
     state = SimilarityState(K, delta=1.0, goals=np.full((K, K), goal))
     grads = {i: np.asarray(g, dtype=np.float64) for i, g in enumerate(gradients)}
-    return diminish_conflicts_arrays(grads, list(order), 1.0, state)
+    return diminish_conflicts(grads, list(order), 1.0, state)
 
 
 def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float, order: Sequence[int]):
     """The |cos| range the hypothesis quantifies over: every tested
     (working, target) cosine plus every pairwise working-gradient cosine
-    after each adjustment. Returns (eps_lo, eps_hi, all_tests_conflicted,
-    mean_gradient); eps_lo > eps_hi signals an empty band."""
+    after each adjustment. Returns (eps_lo, eps_hi, all_tests_conflicted);
+    eps_lo > eps_hi signals an empty band."""
     K = len(gradients)
     W = np.stack([np.asarray(g, dtype=np.float64) for g in gradients]).copy()
     lo, hi = np.inf, -np.inf
@@ -234,7 +234,7 @@ def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float, order: S
                 snapshot()
             else:
                 all_conflicted = False
-    return lo, hi, all_conflicted, W.mean(axis=0)
+    return lo, hi, all_conflicted
 
 
 @dataclass
@@ -255,7 +255,7 @@ def diminish_conflicts_dspace(
     beta: float,
     state: SimilarityState,
 ) -> DspaceSweep:
-    """Reference for ``aggregation.diminish_conflicts_arrays``: the same
+    """Reference for ``aggregation.diminish_conflicts``: the same
     sweep, with every cosine taken between D-length vectors and every
     adjustment applied to a D-length working copy. The two agree to
     rounding (rtol 1e-9 in the tests) on the tests made, the goals and the
@@ -285,9 +285,7 @@ def diminish_conflicts_dspace(
 def theorem2_check(instance: Theorem2Instance, rtol: float = 1e-9) -> BoundReport:
     """Run the sweep, measure conflicts against raw gradients, compare."""
     result = run_projection_sweep(instance.gradients, instance.goal, instance.order)
-    lo, hi, all_conflicted, _ = _observed_cosine_band(
-        instance.gradients, instance.goal, instance.order
-    )
+    lo, hi, all_conflicted = _observed_cosine_band(instance.gradients, instance.goal, instance.order)
     hypothesis = all_conflicted and lo <= hi and (
         instance.eps1 - 1e-12 <= lo and hi <= instance.eps2 + 1e-12
     )
@@ -344,7 +342,7 @@ def generate_theorem2_instance(
             continue
         norms = rng.uniform(0.5, 2.0, size=K)
         grads = [norms[i] * dirs[i] for i in range(K)]
-        lo, hi, all_conflicted, _ = _observed_cosine_band(grads, goal, range(K))
+        lo, hi, all_conflicted = _observed_cosine_band(grads, goal, range(K))
         if lo > hi or not all_conflicted:
             continue
         eps1 = lo

@@ -10,21 +10,19 @@ from hypothesis import strategies as st
 from fairfedsim import aggregation, oracles
 from fairfedsim.aggregation import (
     CONFLICT_TIE_TOL,
-    AggregationConfig,
     DegenerateCancellationError,
-    ProjectionOrder,
     SimilarityState,
     _count_conflicts,
     adjust_gradient,
     adjustment_coefficient,
     build_order,
     diminish_conflicts,
-    diminish_conflicts_arrays,
     ema_update,
     lagrangian_losses,
     server_round,
     update_lambda,
 )
+from fairfedsim.baselines import TrainConfig
 from fairfedsim.client import ClientStatistics
 from fairfedsim.fairness import FairnessStatistics, GroupKey, GroupStat
 from fairfedsim.numeric import cosine, make_rng, norm
@@ -168,20 +166,50 @@ def make_stats(grads, losses=None):
     return out
 
 
+@st.composite
+def sweep_inputs(draw):
+    """Gaussian gradients with some zero and some duplicated (possibly
+    rescaled) rows, a symmetric goal matrix in (-1, 1) with a few
+    saturated entries, a random order, beta and delta."""
+    K = draw(st.integers(1, 20))
+    D = draw(st.integers(3, 30))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    R = rng.normal(size=(K, D)) * np.exp(rng.normal(size=(K, 1)))
+    for _ in range(draw(st.integers(0, K // 3))):
+        src, dst = rng.integers(K, size=2)
+        R[dst] = R[src] * draw(st.sampled_from([1.0, 0.5, 3.0]))
+    for _ in range(draw(st.integers(0, K // 4))):
+        R[rng.integers(K)] = 0.0
+    goals = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
+    goals[np.triu(rng.random((K, K)) < 0.05, 1)] = 1.0 - 1e-12
+    goals = goals + goals.T
+    grads = {cid: R[cid] for cid in range(K)}
+    order = [int(i) for i in rng.permutation(K)]
+    beta = draw(st.floats(0.0, 1.0))
+    # delta < 1e-6 is left out: a goal written by a test is then the cosine
+    # it observed, and later tests whose cosine is the same in exact
+    # arithmetic (the reverse pair, a duplicated target) are ties that
+    # rounding decides either way
+    delta = draw(st.floats(1e-6, 1.0))
+    return grads, order, beta, SimilarityState(K, delta, goals)
+
+
 class TestDiminishConflicts:
-    def test_beta_zero_is_plain_mean_exactly(self):
-        rng = make_rng(22)
-        grads = {i: rng.normal(size=6) for i in range(4)}
-        state = SimilarityState(4, delta=0.5)
-        res = diminish_conflicts_arrays(grads, [2, 0, 3, 1], beta=0.0, state=state)
-        np.testing.assert_array_equal(res.gradient, np.mean(np.stack([grads[i] for i in range(4)]), axis=0))
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs())
+    def test_beta_zero_is_plain_mean_exactly(self, inputs):
+        grads, order, _, state = inputs
+        res = diminish_conflicts(grads, order, beta=0.0, state=state)
+        plain = np.mean(np.stack([grads[i] for i in range(len(order))]), axis=0)
+        np.testing.assert_array_equal(res.gradient, plain)
+        np.testing.assert_array_equal(res.plain_mean, res.gradient)
+        assert len(res.tests) == 0
         assert res.n_adjustments == 0
         np.testing.assert_array_equal(res.state.goals, state.goals)
-        np.testing.assert_array_equal(res.plain_mean, res.gradient)
 
     def test_single_client_passthrough(self):
         grads = {0: np.array([1.0, -2.0])}
-        res = diminish_conflicts_arrays(grads, [0], beta=1.0, state=SimilarityState(1, 0.5))
+        res = diminish_conflicts(grads, [0], beta=1.0, state=SimilarityState(1, 0.5))
         np.testing.assert_array_equal(res.gradient, grads[0])
 
     def test_matches_straight_line_reimplementation(self):
@@ -224,7 +252,7 @@ class TestDiminishConflicts:
         expected = np.mean(np.stack([working[i] for i in range(3)]), axis=0)
 
         state = SimilarityState(3, delta, goals0.copy())
-        res = diminish_conflicts_arrays(grads, order, beta, state)
+        res = diminish_conflicts(grads, order, beta, state)
         np.testing.assert_allclose(res.gradient, expected, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(res.state.goals, goals, rtol=1e-12, atol=1e-15)
         assert res.n_adjustments == n_adj
@@ -234,7 +262,7 @@ class TestDiminishConflicts:
         rng = make_rng(23)
         grads = {i: rng.normal(size=4) for i in range(5)}
         state = SimilarityState(5, delta=1.0, goals=np.full((5, 5), 0.99))
-        res = diminish_conflicts_arrays(grads, list(range(5)), beta=0.5, state=state)
+        res = diminish_conflicts(grads, list(range(5)), beta=0.5, state=state)
         adjusted_clients = set(res.tests.client.tolist())
         assert adjusted_clients == set(range(math.ceil(0.5 * 5)))
 
@@ -245,14 +273,14 @@ class TestDiminishConflicts:
         grads = {0: v, 1: v + 1e-6 * np.array([0.3, -0.1, 0.2]), 2: -v}
         goals = np.array([[0.0, 1.0, -1.0 + 1e-12], [1.0, 0.0, 0.0], [-1.0 + 1e-12, 0.0, 0.0]])
         state = SimilarityState(3, delta=1.0, goals=goals)
-        res = diminish_conflicts_arrays(grads, [0, 1, 2], beta=0.3, state=state)
+        res = diminish_conflicts(grads, [0, 1, 2], beta=0.3, state=state)
         tests = res.tests
         assert list(zip(tests.target.tolist(), (tests.phi < tests.goal).tolist(), tests.adjusted.tolist())) == [
             (1, True, False), (2, True, False)
         ]
         assert res.n_adjustments == 0
 
-    @pytest.mark.parametrize("sweep", [diminish_conflicts_arrays, diminish_conflicts_dspace])
+    @pytest.mark.parametrize("sweep", [diminish_conflicts, diminish_conflicts_dspace])
     def test_anti_parallel_pairs_are_not_adjusted(self, sweep):
         """At phi = -1 there is no plane to rotate in: adjusting would zero
         the working gradient and drop the client from the mean."""
@@ -276,18 +304,20 @@ class TestDiminishConflicts:
     def test_unswept_clients_keep_raw_gradients(self):
         # K=25, beta=0.7: the first ceil(17.5) = 18 of the order are swept
         rng = make_rng(28)
-        stats = make_stats([rng.normal(size=6) for _ in range(25)])
-        order = ProjectionOrder(tuple(int(i) for i in rng.permutation(25)))
+        grads = {cid: rng.normal(size=6) for cid in range(25)}
+        order = [int(i) for i in rng.permutation(25)]
         state = SimilarityState(25, delta=1.0, goals=np.full((25, 25), 0.99))
-        res = diminish_conflicts(stats, order, AggregationConfig(beta=0.7), state)
-        assert set(res.tests.client.tolist()) == set(order.order[:18])
-        kept = list(order.order[18:])
+        res = diminish_conflicts(grads, order, 0.7, state)
+        assert set(res.tests.client.tolist()) == set(order[:18])
+        kept = order[18:]
         np.testing.assert_array_equal(res.working[kept], res.coords[kept])
 
     def test_order_must_cover_the_state(self):
         grads = {0: np.ones(2), 1: -np.ones(2)}
         with pytest.raises(ValueError, match="permutation"):
-            diminish_conflicts_arrays(grads, [0, 1], beta=1.0, state=SimilarityState(3, 0.5))
+            diminish_conflicts(grads, [0, 1], beta=1.0, state=SimilarityState(3, 0.5))
+        with pytest.raises(ValueError, match="permutation"):
+            diminish_conflicts(grads, [0, 0], beta=1.0, state=SimilarityState(2, 0.5))
 
 
 def dspace_conflicts(lefts, raws, goals):
@@ -300,41 +330,13 @@ def dspace_conflicts(lefts, raws, goals):
     return count
 
 
-@st.composite
-def sweep_inputs(draw):
-    """Gaussian gradients with some zero and some duplicated (possibly
-    rescaled) rows, a symmetric goal matrix in (-1, 1) with a few
-    saturated entries, a random order, beta and delta."""
-    K = draw(st.integers(1, 20))
-    D = draw(st.integers(3, 30))
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    R = rng.normal(size=(K, D)) * np.exp(rng.normal(size=(K, 1)))
-    for _ in range(draw(st.integers(0, K // 3))):
-        src, dst = rng.integers(K, size=2)
-        R[dst] = R[src] * draw(st.sampled_from([1.0, 0.5, 3.0]))
-    for _ in range(draw(st.integers(0, K // 4))):
-        R[rng.integers(K)] = 0.0
-    goals = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
-    goals[np.triu(rng.random((K, K)) < 0.05, 1)] = 1.0 - 1e-12
-    goals = goals + goals.T
-    grads = {cid: R[cid] for cid in range(K)}
-    order = [int(i) for i in rng.permutation(K)]
-    beta = draw(st.floats(0.0, 1.0))
-    # delta < 1e-6 is left out: a goal written by a test is then the cosine
-    # it observed, and later tests whose cosine is the same in exact
-    # arithmetic (the reverse pair, a duplicated target) are ties that
-    # rounding decides either way
-    delta = draw(st.floats(1e-6, 1.0))
-    return grads, order, beta, SimilarityState(K, delta, goals)
-
-
 class TestGramSweepMatchesDspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(sweep_inputs())
     def test_same_tests_goals_and_mean(self, inputs):
         grads, order, beta, state = inputs
         goals0 = state.goals.copy()
-        res = diminish_conflicts_arrays(grads, order, beta, state)
+        res = diminish_conflicts(grads, order, beta, state)
         ref = diminish_conflicts_dspace(grads, order, beta, state)
         np.testing.assert_array_equal(state.goals, goals0)  # the input state is left alone
 
@@ -380,7 +382,7 @@ def drawn_sweep_input(K, D, seed, multipliers, zero_draws, beta, delta):
 
 def assert_sweep_matches_oracle(grads, order, beta, state):
     """The property test's comparison, with its tolerances."""
-    res = diminish_conflicts_arrays(grads, order, beta, state)
+    res = diminish_conflicts(grads, order, beta, state)
     ref = diminish_conflicts_dspace(grads, order, beta, state)
     for field in ("client", "target", "adjusted"):
         np.testing.assert_array_equal(getattr(res.tests, field), getattr(ref.tests, field))
@@ -459,34 +461,34 @@ class TestSweepMatchesOracleOnKnownInputs:
         rng = make_rng(seed)
         grads = {cid: rng.normal(size=D) + 0.1 for cid in range(K)}  # no zero row
         order = [int(i) for i in rng.permutation(K)]
-        res = diminish_conflicts_arrays(grads, order, beta, SimilarityState(K, 0.5))
+        res = diminish_conflicts(grads, order, beta, SimilarityState(K, 0.5))
         assert len(res.tests) == math.ceil(beta * K) * (K - 1)
 
 
 class TestBuildOrder:
     def test_loss_ascending_with_id_ties(self):
         order = build_order({0: 0.5, 1: 0.2, 2: 0.5, 3: 0.1}, policy="loss_ascending")
-        assert order.order == (3, 1, 0, 2)
+        assert order == (3, 1, 0, 2)
 
     def test_reversed(self):
         order = build_order({0: 0.3, 1: 0.1, 2: 0.2}, policy="reversed")
-        assert order.order == (0, 2, 1)
+        assert order == (0, 2, 1)
 
     def test_random_seeded_reproducible(self):
         losses = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4, 4: 0.5}
         o1 = build_order(losses, "random", make_rng(3))
         o2 = build_order(losses, "random", make_rng(3))
-        assert o1.order == o2.order
+        assert o1 == o2
 
-    def test_permutation_invariant_validation(self):
-        with pytest.raises(ValueError):
-            ProjectionOrder((0, 0, 1))
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="order policy"):
+            build_order({0: 0.1, 1: 0.2}, "sideways")
 
 
 def run_round(grads, beta=1.0, losses=None, eta=0.1, state=None, lam=None, gamma=0.5):
     stats = make_stats(grads, losses)
     K = len(grads)
-    cfg = AggregationConfig(beta=beta, delta=0.5, gamma=gamma, eta=eta, alpha=0.05)
+    cfg = TrainConfig(beta=beta, delta=0.5, gamma=gamma, eta=eta, alpha=0.05)
     state = state if state is not None else SimilarityState(K, cfg.delta)
     lam = lam if lam is not None else {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
     params = np.zeros(len(grads[0]))
@@ -504,15 +506,15 @@ class TestServerRound:
         rng = make_rng(24)
         grads = [rng.normal(size=5) for _ in range(4)]
         stats = make_stats(grads)
-        cfg = AggregationConfig(beta=1.0, delta=0.2, gamma=0.0, eta=1.0, alpha=0.05)
+        cfg = TrainConfig(beta=1.0, delta=0.2, gamma=0.0, eta=1.0, alpha=0.05)
         state = SimilarityState(4, cfg.delta)
         lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         params0 = np.zeros(5)
         params, _, _, rec = server_round(params0, lam, stats, cfg, state)
         g_global = (params0 - params) / cfg.eta
-        res = diminish_conflicts_arrays(
+        res = diminish_conflicts(
             {st.client_id: st.update_grad for st in stats},
-            build_order(lagrangian_losses(stats, lam, cfg.alpha)).order,
+            build_order(lagrangian_losses(stats, lam, cfg.alpha)),
             cfg.beta,
             SimilarityState(4, cfg.delta),
         )
@@ -523,7 +525,7 @@ class TestServerRound:
     def test_lambda_updated_from_merged_h(self):
         stats = make_stats([np.ones(2)] * 2)
         # per-client F(D)=0.5 on both groups -> merged gap 0, h = -alpha
-        cfg = AggregationConfig(beta=0.0, delta=0.5, gamma=0.2, eta=0.1, alpha=0.05)
+        cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.2, eta=0.1, alpha=0.05)
         lam = {GroupKey(0, "g0"): 0.3, GroupKey(0, "g1"): 0.0}
         _, lam2, _, _ = server_round(np.zeros(2), lam, stats, cfg, SimilarityState(2, 0.5))
         np.testing.assert_allclose(lam2[GroupKey(0, "g0")], 0.3 + 0.2 * (-0.05))
@@ -551,7 +553,7 @@ class TestServerRound:
         lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         outs = []
         for policy in ("loss_ascending", "reversed", "random"):
-            cfg = AggregationConfig(beta=0.0, delta=0.5, gamma=0.0, eta=0.1, alpha=0.05, order_policy=policy)
+            cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.0, eta=0.1, alpha=0.05, order_policy=policy)
             p, _, _, _ = server_round(
                 np.zeros(4), lam, stats, cfg, SimilarityState(4, 0.5), rng=make_rng(0)
             )
@@ -562,7 +564,7 @@ class TestServerRound:
     def test_duplicate_clients_survive_many_rounds(self):
         """Identical clients drive their goal to exactly 1; later cosines of
         1 - 1 ulp must not ask for the singular rotation."""
-        cfg = AggregationConfig(beta=1.0, delta=0.01, gamma=0.0, eta=0.1, alpha=0.05)
+        cfg = TrainConfig(beta=1.0, delta=0.01, gamma=0.0, eta=0.1, alpha=0.05)
         lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         for seed in range(5):
             rng = make_rng(29, seed)
@@ -642,7 +644,7 @@ class TestProperties:
         order = [int(i) for i in rng.permutation(K)]
         goals = state.goals
         for _ in range(3):  # goals feed the next round's sweep
-            goals = diminish_conflicts_arrays(grads, order, beta, SimilarityState(K, delta, goals)).state.goals
+            goals = diminish_conflicts(grads, order, beta, SimilarityState(K, delta, goals)).state.goals
             np.testing.assert_array_equal(goals, goals.T)
             assert np.abs(goals).max() <= 1.0
 
@@ -657,7 +659,7 @@ class TestProperties:
     def test_rescaling_keeps_the_raw_mean_norm(self, seed, K, dim, beta, goal):
         rng = make_rng(seed)
         grads = [rng.normal(size=dim) * rng.uniform(0.1, 10.0) for _ in range(K)]
-        cfg = AggregationConfig(beta=beta, delta=0.5, gamma=0.0, eta=1.0, alpha=0.05)
+        cfg = TrainConfig(beta=beta, delta=0.5, gamma=0.0, eta=1.0, alpha=0.05)
         state = SimilarityState(K, cfg.delta, np.full((K, K), goal))
         lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         params, _, _, rec = server_round(np.zeros(dim), lam, make_stats(grads), cfg, state)

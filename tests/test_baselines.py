@@ -16,7 +16,6 @@ from fairfedsim.baselines import (
     run_federated,
     run_indfair,
     run_mfairfl,
-    run_mfairfl_variant,
     train,
 )
 from fairfedsim.data import PartitionSpec, Shard, partition, pool_shards, synthetic_dataset
@@ -71,14 +70,14 @@ class TestReductions:
         shard = Shard(client_id=0, data=ds)
         cfg = quick_cfg()
         a = run_mfairfl([shard], cfg)
-        b = run_mfairfl_variant([shard], cfg, "reversed")
+        b = run_mfairfl([shard], replace(cfg, order_policy="reversed"))
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_random_order_reproducible(self):
         shards = make_shards(seed=6)
         cfg = quick_cfg()
-        a = run_mfairfl_variant(shards, cfg, "random")
-        b = run_mfairfl_variant(shards, cfg, "random")
+        a = run_mfairfl(shards, replace(cfg, order_policy="random"))
+        b = run_mfairfl(shards, replace(cfg, order_policy="random"))
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_train_dispatch_covers_every_regime(self):
@@ -138,7 +137,12 @@ class TestConstraintKeys:
         shards = partition(ds, PartitionSpec("group", {"g0": (0.5, 0.3, 0.2), "g1": (0.6, 0.0, 0.4)}), seed=13)
         params = MlpParams.init(model.MlpSpec(4, (8,)), 1)
         merged = fairness.FairnessStatistics.merge_all(
-            [client.compute_fairness_statistics(params, s, metric) for s in shards]
+            [
+                fairness.compute_statistics_for_metric(
+                    model.batch_outputs(params, s.X, s.y), client.shard_key_rows(s, metric), metric
+                )
+                for s in shards
+            ]
         )
 
         def no_forward(*args, **kwargs):

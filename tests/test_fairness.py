@@ -230,7 +230,7 @@ class TestConstraintGrads:
             if min_preactivation(params, X) < 1e-4:
                 continue  # ReLU kink within the FD step
             rows = key_rows(y, S, (("g0", "g1"),), metric)
-            stats = compute_statistics_for_metric(params, X, y, rows, metric)
+            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), rows, metric)
             h0 = constraint_values(stats, alpha=0.0)
             if any(abs(v) < 1e-4 for v in h0.values()):
                 continue  # |gap| kink neighborhood: subgradient vs FD undefined
@@ -242,7 +242,7 @@ class TestConstraintGrads:
             for key in h0:
                 def h_of(w, key=key):
                     p = MlpParams.unflatten(spec, w)
-                    s = compute_statistics_for_metric(p, X, y, rows, metric)
+                    s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
                     return constraint_values(s, 0.0)[key]
 
                 fd = finite_diff(h_of, flat0, step=1e-5)
@@ -260,7 +260,7 @@ class TestAggregationIdentity:
         rng = make_rng(14)
         for seed in range(5):
             spec, params, X, y, S = build_instance(seed + 50, "dp")
-            stats = compute_statistics_for_metric(params, X, y, key_rows(y, S, (("g0", "g1"),), "dp"), "dp")
+            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), key_rows(y, S, (("g0", "g1"),), "dp"), "dp")
             total = stats.total((0, None))
             group_sum = sum(stats.groups[k].sum_f for k in stats.keys())
             assert total.sum_f == group_sum
@@ -299,7 +299,7 @@ class TestMerge:
 
     def stats_of(self, params, X, y, S, metric, rows):
         return compute_statistics_for_metric(
-            params, X[rows], y[rows], key_rows(y[rows], S[rows], self.NAMES, metric), metric
+            model.batch_outputs(params, X[rows], y[rows]), key_rows(y[rows], S[rows], self.NAMES, metric), metric
         )
 
     @settings(max_examples=200, deadline=None)
@@ -332,7 +332,7 @@ class TestStatisticsAreScalars:
 
         monkeypatch.setattr(model, "_backward", counted)
         spec, params, X, y, S = build_instance(3, metric)
-        compute_statistics_for_metric(params, X, y, key_rows(y, S, (("g0", "g1"),), metric), metric)
+        compute_statistics_for_metric(model.batch_outputs(params, X, y), key_rows(y, S, (("g0", "g1"),), metric), metric)
         assert calls == []
 
     def test_upload_fields_are_python_scalars(self):

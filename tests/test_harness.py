@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fairfedsim.baselines import TrainConfig
 from fairfedsim.cli import main as cli_main
 from fairfedsim.harness import (
     ExperimentConfig,
@@ -88,6 +89,17 @@ class TestConfig:
             replace(ExperimentConfig(), beta=0.37)
         with pytest.warns(UserWarning, match="delta"):
             replace(ExperimentConfig(), delta=0.5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("beta", -0.1), ("beta", 1.5), ("delta", -0.5), ("delta", 2.0), ("gamma", -1.0), ("eta", 0.0), ("eta", -0.05)],
+    )
+    def test_out_of_range_round_values_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+        for seeds in ((1, 2), ()):
+            with pytest.raises(ValueError, match=name):
+                replace(ExperimentConfig(), seeds=seeds, **{name: value})
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
