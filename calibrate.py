@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from fairfedsim.baselines import RegimeId, train
+from fairfedsim.baselines import train
 from fairfedsim.harness import ExperimentConfig, build_data, evaluate_run
 
 REGIMES = ("mfairfl", "fedavg", "fedavg_f", "indfair", "mfairfl_rnd", "mfairfl_rev")
@@ -24,7 +24,7 @@ def evaluate_setting(gamma, alpha, label_shift, group_shift, eta, beta, seeds=(1
         for seed in seeds:
             prepared = build_data(cfg, seed)
             result = train(regime, prepared.shards, cfg.train_config(seed))
-            rep = evaluate_run(result, RegimeId(regime), prepared)
+            rep = evaluate_run(result, regime, prepared)
             per_seed.append(rep)
         rows[regime] = per_seed
     return rows

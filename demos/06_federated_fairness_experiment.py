@@ -9,7 +9,7 @@ the single-seed narrative version.
 
 from dataclasses import replace
 
-from fairfedsim.baselines import RegimeId, train
+from fairfedsim.baselines import train
 from fairfedsim.harness import ExperimentConfig, build_data, evaluate_run
 
 config = replace(ExperimentConfig(), rounds=10, local_epochs=20)
@@ -23,7 +23,7 @@ print("shard positive rates:", [round(float(s.y.mean()), 2) for s in prepared.sh
 print(f"\n{'regime':>12} {'acc':>7} {'DP':>7} {'EO':>7} {'AP':>7} {'CF':>7}")
 for regime in ("fedavg", "fedavg_f", "mfairfl"):
     result = train(regime, prepared.shards, config.train_config(seed))
-    report = evaluate_run(result, RegimeId(regime), prepared)
+    report = evaluate_run(result, regime, prepared)
     cf = "-" if report.cf is None else f"{report.cf:7.3f}"
     print(f"{regime:>12} {report.accuracy:7.3f} {report.dp['group']:7.3f} "
           f"{report.eo['group']:7.3f} {report.ap['group']:7.3f} {cf}")

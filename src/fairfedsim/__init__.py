@@ -11,7 +11,7 @@ from .aggregation import (
     server_round,
     update_lambda,
 )
-from .baselines import RegimeId, TrainConfig, TrainResult, train
+from .baselines import REGIMES, TrainConfig, TrainResult, train
 from .client import ClientStatistics, compute_statistics, local_accuracy
 from .data import Dataset, DatasetSchema, PartitionSpec, Shard, load_csv, partition, split_train_test, synthetic_dataset
 from .fairness import (

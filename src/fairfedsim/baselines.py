@@ -1,20 +1,22 @@
 """Training regimes: the conflict-mitigating federation and its baselines.
 
+The training hyperparameters are declared and range-checked once, in
+``Hyperparameters``, which ``TrainConfig`` and ``harness.ExperimentConfig``
+extend; the regimes are declared once, in ``REGIMES`` (name -> runner).
+
 One federated engine drives everything, so the spec'd reductions hold
 bitwise: fedavg is the engine with beta=0, gamma=0, alpha=1; fedavg_f is
 beta=0 with per-client multipliers updated from local statistics; cenfair
 is a single-shard federation over the pooled data with the federated
 step budget (rounds x local epochs); indfair runs one single-shard
 federation per client and evaluates the uniform mixture of the resulting
-models; the mfairfl variants only change the projection order:
-``train`` runs them as ``replace(cfg, order_policy="random")`` and
-``replace(cfg, order_policy="reversed")``. Every regime averages the
-client update gradients 1/K.
+models; the mfairfl variants only change the projection order
+(``replace(cfg, order_policy="random")`` and ``"reversed"``). Every regime
+averages the client update gradients 1/K.
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import client as client_mod
 from . import fairness, model
-from .aggregation import RoundRecord, SimilarityState, server_round, update_lambda
+from .aggregation import ORDER_POLICIES, RoundRecord, SimilarityState, server_round, update_lambda
 from .client import ClientStatistics
 from .data import Shard, pool_shards
 from .fairness import GroupKey
@@ -31,22 +33,9 @@ from .model import MlpParams, MlpSpec
 from .numeric import make_rng
 
 
-class RegimeId(str, enum.Enum):
-    FEDAVG = "fedavg"
-    FEDAVG_F = "fedavg_f"
-    INDFAIR = "indfair"
-    CENFAIR = "cenfair"
-    MFAIRFL = "mfairfl"
-    MFAIRFL_RND = "mfairfl_rnd"
-    MFAIRFL_REV = "mfairfl_rev"
-
-
 @dataclass
-class TrainConfig:
-    """Everything one training run needs, independent of the dataset.
-    ``aggregation.server_round`` reads alpha, gamma, order_policy, beta and
-    eta from it; the out-of-range checks on beta, delta, gamma and eta run
-    here, when the config is built."""
+class Hyperparameters:
+    """The training hyperparameters, with every range check on them."""
 
     hidden_dims: tuple[int, ...] = (32, 32, 32, 32)
     rounds: int = 10
@@ -56,17 +45,35 @@ class TrainConfig:
     alpha: float = 0.05          # fairness tolerance inside h(w)
     beta: float = 0.6            # fraction of clients whose gradients get adjusted
     delta: float = 0.01          # EMA decay of the similarity goals
-    constraint: str = "dp"
-    seed: int = 1
-    order_policy: str = "loss_ascending"  # one of aggregation.ORDER_POLICIES
+    constraint: str = "dp"       # one of fairness.CONSTRAINT_METRICS
 
     def __post_init__(self):
+        self.hidden_dims = model.check_hidden_dims(self.hidden_dims)
+        if self.rounds < 1 or self.local_epochs < 1:
+            raise ValueError(f"rounds={self.rounds} and local_epochs={self.local_epochs} must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         if self.gamma < 0.0 or self.eta <= 0.0:
             raise ValueError("gamma must be >= 0 and eta > 0")
+        if self.constraint not in fairness.CONSTRAINT_METRICS:
+            raise ValueError(f"unknown constraint {self.constraint!r}; one of {fairness.CONSTRAINT_METRICS}")
+
+
+@dataclass
+class TrainConfig(Hyperparameters):
+    """Everything one training run needs, independent of the dataset.
+    ``aggregation.server_round`` reads alpha, gamma, order_policy, beta and
+    eta from it."""
+
+    seed: int = 1
+    order_policy: str = "loss_ascending"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.order_policy not in ORDER_POLICIES:
+            raise ValueError(f"unknown order policy {self.order_policy!r}; one of {ORDER_POLICIES}")
 
 
 @dataclass
@@ -146,6 +153,8 @@ def run_federated(
     K = len(shards)
     state = SimilarityState(K, cfg.delta)
     order_rng = make_rng(cfg.seed, 0x0D) if cfg.order_policy == "random" else None
+    # per-client multipliers: a plain averaging server, whose multipliers stay 0
+    server_cfg = replace(cfg, gamma=0.0) if local_multipliers else cfg
 
     records: list[RoundRecord] = []
     client_s = server_s = 0.0
@@ -167,29 +176,19 @@ def run_federated(
             )
         served = time.perf_counter()
         client_s += served - started
+        flat, lam_global, state, record = server_round(
+            flat, lam_global, stats, server_cfg, state, rng=order_rng, round_index=t
+        )
         if local_multipliers:
-            # plain averaging server: no global dual step, lambda stays per client
-            flat, _, state, record = server_round(
-                flat, {k: 0.0 for k in keys}, stats, replace(cfg, gamma=0.0), state,
-                rng=order_rng, round_index=t,
-            )
             for st in stats:
                 h_k = fairness.constraint_values(st.fairness, cfg.alpha)
                 lam_k = lam_local[st.client_id]
                 lam_k.update(update_lambda({k: lam_k[k] for k in h_k}, h_k, cfg.gamma))
-        else:
-            flat, lam_global, state, record = server_round(
-                flat, lam_global, stats, cfg, state, rng=order_rng, round_index=t
-            )
         server_s += time.perf_counter() - served
         records.append(record)
 
     multipliers = lam_local if local_multipliers else lam_global
     return TrainResult(TrainedModel(spec, [flat]), records, multipliers, keys, client_s, server_s)
-
-
-def run_mfairfl(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    return run_federated(shards, cfg)
 
 
 def run_fedavg(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
@@ -224,26 +223,21 @@ def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     )
 
 
-def train(regime: RegimeId | str, shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    regime = RegimeId(regime)
-    if regime is RegimeId.FEDAVG:
-        return run_fedavg(shards, cfg)
-    if regime is RegimeId.FEDAVG_F:
-        return run_fedavg_f(shards, cfg)
-    if regime is RegimeId.INDFAIR:
-        return run_indfair(shards, cfg)
-    if regime is RegimeId.CENFAIR:
-        return run_cenfair(shards, cfg)
-    if regime is RegimeId.MFAIRFL:
-        return run_mfairfl(shards, cfg)
-    if regime is RegimeId.MFAIRFL_RND:
-        return run_mfairfl(shards, replace(cfg, order_policy="random"))
-    if regime is RegimeId.MFAIRFL_REV:
-        return run_mfairfl(shards, replace(cfg, order_policy="reversed"))
-    raise ValueError(f"unhandled regime {regime}")
-
+REGIMES = {
+    "fedavg": run_fedavg,
+    "fedavg_f": run_fedavg_f,
+    "indfair": run_indfair,
+    "cenfair": run_cenfair,
+    "mfairfl": run_federated,
+    "mfairfl_rnd": lambda shards, cfg: run_federated(shards, replace(cfg, order_policy="random")),
+    "mfairfl_rev": lambda shards, cfg: run_federated(shards, replace(cfg, order_policy="reversed")),
+}
 
 # regimes whose global model serves every client, hence get a CF score
-CLIENT_FAIRNESS_REGIMES = frozenset(
-    {RegimeId.FEDAVG, RegimeId.FEDAVG_F, RegimeId.MFAIRFL, RegimeId.MFAIRFL_RND, RegimeId.MFAIRFL_REV}
-)
+CLIENT_FAIRNESS_REGIMES = frozenset({"fedavg", "fedavg_f", "mfairfl", "mfairfl_rnd", "mfairfl_rev"})
+
+
+def train(regime: str, shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; one of {tuple(REGIMES)}")
+    return REGIMES[regime](shards, cfg)

@@ -328,12 +328,12 @@ class PartitionSpec:
     def __post_init__(self):
         lengths = {len(f) for f in self.fractions.values()}
         if len(lengths) != 1:
-            raise ValueError("all fraction lists must have the same length (one entry per client)")
+            raise ValueError("all partition fraction lists must have the same length (one entry per client)")
         for value, fracs in self.fractions.items():
             if any(f < 0.0 or f > 1.0 for f in fracs):
-                raise ValueError(f"fractions for group {value!r} outside [0, 1]")
+                raise ValueError(f"partition fractions for group {value!r} outside [0, 1]")
             if abs(sum(fracs) - 1.0) > 1e-9:
-                raise ValueError(f"fractions for group {value!r} sum to {sum(fracs)}, expected 1")
+                raise ValueError(f"partition fractions for group {value!r} sum to {sum(fracs)}, expected 1")
 
     @property
     def n_clients(self) -> int:

@@ -7,6 +7,10 @@ across reruns), ``records.json`` (per-cell reports and provenance, a failed cell
 traceback), ``trace/<regime>-<seed>.jsonl`` (per-round records), and
 ``meta.json`` (timestamps, each cell's wall time and its client-phase and
 server-phase seconds, kept out of the deterministic files).
+
+``ExperimentConfig`` inherits the training hyperparameters and their checks
+from ``baselines.Hyperparameters`` and checks its own fields when it is
+built, so a config that no cell can run fails before the grid starts.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +32,7 @@ from . import __version__
 from . import client as client_mod
 from . import data as data_mod
 from . import fairness
-from .baselines import CLIENT_FAIRNESS_REGIMES, RegimeId, TrainConfig, TrainResult, train
+from .baselines import CLIENT_FAIRNESS_REGIMES, REGIMES, Hyperparameters, TrainConfig, TrainResult, train
 from .data import Dataset, DatasetSchema, PartitionSpec, Shard
 from .fairness import FairnessReport
 
@@ -41,7 +45,7 @@ LOW_HETEROGENEITY = {"g0": (0.3, 0.3, 0.2, 0.1, 0.1), "g1": (0.1, 0.2, 0.2, 0.2,
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Hyperparameters):
     dataset: dict = field(
         default_factory=lambda: {
             "synthetic": {
@@ -59,15 +63,6 @@ class ExperimentConfig:
         default_factory=lambda: {"attribute": "group", "fractions": dict(HIGH_HETEROGENEITY)}
     )
     regimes: tuple[str, ...] = ("mfairfl", "fedavg", "fedavg_f")
-    rounds: int = 10
-    local_epochs: int = 20
-    eta: float = 0.05
-    gamma: float = 0.5
-    alpha: float = 0.05
-    beta: float = 0.6
-    delta: float = 0.01
-    constraint: str = "dp"
-    hidden_dims: tuple[int, ...] = (32, 32, 32, 32)
     test_fraction: float = 0.2
     client_mode: str = "local_epochs"
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -76,16 +71,19 @@ class ExperimentConfig:
     reference_regime: str = "mfairfl"
 
     def __post_init__(self):
+        super().__post_init__()
         self.regimes = tuple(str(r) for r in self.regimes)
         self.seeds = tuple(int(s) for s in self.seeds)
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         for r in self.regimes:
-            RegimeId(r)  # raises on unknown regime
+            if r not in REGIMES:
+                raise ValueError(f"unknown regime {r!r}; one of {tuple(REGIMES)}")
+        PartitionSpec.from_json(self.partition)
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.client_mode not in CLIENT_MODES:
             raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
         if self.threads != 1:
             raise ValueError(f"threads={self.threads}: cells run sequentially, threads must be 1")
-        self.train_config(seed=0)  # raises on an out-of-range beta, delta, gamma or eta
         if self.beta not in BETA_GRID and self.beta != 0.0:
             warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
         if self.delta not in DELTA_GRID and self.delta != 0.0:
@@ -111,18 +109,10 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            hidden_dims=self.hidden_dims,
-            rounds=self.rounds,
-            local_epochs=1 if self.client_mode == "single_step" else self.local_epochs,
-            eta=self.eta,
-            gamma=self.gamma,
-            alpha=self.alpha,
-            beta=self.beta,
-            delta=self.delta,
-            constraint=self.constraint,
-            seed=seed,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(Hyperparameters)}
+        if self.client_mode == "single_step":
+            values["local_epochs"] = 1
+        return TrainConfig(**values, seed=seed)
 
 
 @dataclass
@@ -154,7 +144,7 @@ def build_data(config: ExperimentConfig, seed: int) -> PreparedData:
     return PreparedData(train_ds, test_ds, shards, test_shards)
 
 
-def evaluate_run(result: TrainResult, regime: RegimeId, prepared: PreparedData) -> FairnessReport:
+def evaluate_run(result: TrainResult, regime: str, prepared: PreparedData) -> FairnessReport:
     test = prepared.test
     probs = result.model.predict_proba(test.X)
     per_client_acc = None
@@ -205,7 +195,7 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
     try:
         prepared = build_data(config, seed)
         result = train(regime, prepared.shards, config.train_config(seed))
-        report = evaluate_run(result, RegimeId(regime), prepared)
+        report = evaluate_run(result, regime, prepared)
         trace_path = ""
         if out_dir is not None:
             trace_dir = out_dir / "trace"

@@ -24,6 +24,14 @@ import numpy as np
 from .numeric import check_finite, make_rng
 
 
+def check_hidden_dims(hidden_dims) -> tuple[int, ...]:
+    """The hidden layer widths as ints: at least one layer, each >= 1."""
+    dims = tuple(int(h) for h in hidden_dims)
+    if not dims or any(h < 1 for h in dims):
+        raise ValueError("hidden_dims must be nonempty with all dims >= 1")
+    return dims
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Network shape: ``input_dim`` features, ReLU hidden layers, one logit."""
@@ -34,9 +42,7 @@ class MlpSpec:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be nonempty with all dims >= 1")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", check_hidden_dims(self.hidden_dims))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

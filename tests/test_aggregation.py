@@ -483,6 +483,8 @@ class TestBuildOrder:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="order policy"):
             build_order({0: 0.1, 1: 0.2}, "sideways")
+        with pytest.raises(ValueError, match="order policy"):
+            TrainConfig(order_policy="sideways")
 
 
 def run_round(grads, beta=1.0, losses=None, eta=0.1, state=None, lam=None, gamma=0.5):

@@ -8,14 +8,13 @@ import pytest
 from fairfedsim import client, fairness, model
 from fairfedsim.baselines import (
     _global_constraint_keys,
-    RegimeId,
+    REGIMES,
     TrainConfig,
     run_cenfair,
     run_fedavg,
     run_fedavg_f,
     run_federated,
     run_indfair,
-    run_mfairfl,
     train,
 )
 from fairfedsim.data import PartitionSpec, Shard, partition, pool_shards, synthetic_dataset
@@ -69,21 +68,21 @@ class TestReductions:
         ds = synthetic_dataset(100, seed=5, input_dim=4)
         shard = Shard(client_id=0, data=ds)
         cfg = quick_cfg()
-        a = run_mfairfl([shard], cfg)
-        b = run_mfairfl([shard], replace(cfg, order_policy="reversed"))
+        a = run_federated([shard], cfg)
+        b = run_federated([shard], replace(cfg, order_policy="reversed"))
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_random_order_reproducible(self):
         shards = make_shards(seed=6)
         cfg = quick_cfg()
-        a = run_mfairfl(shards, replace(cfg, order_policy="random"))
-        b = run_mfairfl(shards, replace(cfg, order_policy="random"))
+        a = run_federated(shards, replace(cfg, order_policy="random"))
+        b = run_federated(shards, replace(cfg, order_policy="random"))
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_train_dispatch_covers_every_regime(self):
         shards = make_shards(n=200, seed=7)
         cfg = quick_cfg(rounds=2, local_epochs=2)
-        for regime in RegimeId:
+        for regime in REGIMES:
             result = train(regime, shards, cfg)
             assert result.model.params_list
             for p in result.model.params_list:
@@ -106,7 +105,7 @@ class TestBehavior:
         ds = synthetic_dataset(400, seed=9, input_dim=4, group_shift=1.5)
         shards = partition(ds, SPEC, seed=9)
         cfg = quick_cfg(rounds=6, local_epochs=10, alpha=0.01, gamma=1.0, eta=0.1)
-        result = run_mfairfl(shards, cfg)
+        result = run_federated(shards, cfg)
         assert any(v > 0.0 for v in result.multipliers.values())
 
     def test_indfair_returns_mixture(self):
@@ -125,7 +124,7 @@ class TestBehavior:
     def test_trace_records_cover_rounds(self):
         shards = make_shards(n=150, seed=12)
         cfg = quick_cfg(rounds=3)
-        result = run_mfairfl(shards, cfg)
+        result = run_federated(shards, cfg)
         assert [r.round_index for r in result.rounds] == [1, 2, 3]
 
 

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,11 +92,16 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("beta", -0.1), ("beta", 1.5), ("delta", -0.5), ("delta", 2.0), ("gamma", -1.0), ("eta", 0.0), ("eta", -0.05)],
+        [("beta", -0.1), ("beta", 1.5), ("delta", -0.5), ("delta", 2.0), ("gamma", -1.0), ("eta", 0.0), ("eta", -0.05),
+         ("constraint", "xx"), ("local_epochs", 0), ("rounds", 0), ("hidden_dims", ()), ("hidden_dims", (8, 0)),
+         # ExperimentConfig only
+         ("partition", {"attribute": "group", "fractions": {"g0": (0.5, 0.4), "g1": (0.5, 0.5)}}),
+         ("test_fraction", 1.5)],
     )
     def test_out_of_range_round_values_rejected_at_construction(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            TrainConfig(**{name: value})
+        if name in {f.name for f in fields(TrainConfig)}:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
         for seeds in ((1, 2), ()):
             with pytest.raises(ValueError, match=name):
                 replace(ExperimentConfig(), seeds=seeds, **{name: value})
