@@ -18,6 +18,7 @@ from .fairness import (
     FairnessReport,
     FairnessStatistics,
     GroupKey,
+    KeyTable,
     ap_violation,
     client_fairness_violation,
     constraint_grads,
@@ -26,8 +27,8 @@ from .fairness import (
     eo_violation,
 )
 from .harness import ExperimentConfig, RunRecord, paired_ttest, run
-from .model import MlpParams, MlpSpec, forward, loss_and_grad, prob_and_grad
-from .numeric import cosine, dot, make_rng, vec64
+from .model import MlpParams, MlpSpec, loss_and_grad
+from .numeric import cosine, make_rng
 from .oracles import (
     Theorem2Instance,
     c2_bisection,

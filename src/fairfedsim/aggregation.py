@@ -8,6 +8,13 @@ gradient whenever its cosine falls below the pairwise EMA similarity goal,
 (4) rescales the curated mean back to the magnitude of the plain mean,
 and (5) applies the global step.
 
+The multipliers are an (n_keys,) vector and every client's fairness
+statistics an (n_keys, 2) array, both aligned to the run's
+``fairness.KeyTable``, built once per run from its shards. The server
+reads the table's family indices to form h and its key names to log the
+multipliers. A key without members in a block has h = 0 there, so the dual
+step leaves its multiplier as it is.
+
 A round is set by the run's ``baselines.TrainConfig``, of which
 ``server_round`` reads five fields: ``alpha`` (the fairness tolerance
 inside h), ``gamma`` (the dual step), ``order_policy`` (the projection
@@ -99,7 +106,7 @@ import numpy as np
 from scipy.linalg.lapack import dpstrf
 
 from .client import ClientStatistics
-from .fairness import FairnessStatistics, GroupKey, constraint_values
+from .fairness import FairnessStatistics, KeyTable, constraint_values
 # cosine is not called here; bench/tracer.py counts calls through
 # aggregation.cosine, so the name stays
 from .numeric import check_finite, cosine, mean_rows, norm  # noqa: F401
@@ -152,18 +159,16 @@ def ema_update(state: SimilarityState, i, j, phi) -> SimilarityState:
     return state
 
 
-def update_lambda(
-    lam: Mapping[GroupKey, float], h: Mapping[GroupKey, float], gamma: float
-) -> dict[GroupKey, float]:
-    """Projected dual ascent: lambda' = max(0, lambda + gamma * h) per key.
+def update_lambda(lam: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
+    """Projected dual ascent: lambda' = max(0, lambda + gamma * h) per key,
+    on arrays aligned to the run's key table (one vector, or one row per
+    client). A key with h = 0 keeps its multiplier.
 
     The projection is not in the paper's update rule but inequality
     multipliers must stay nonnegative for the relaxation to lower-bound
     the constrained problem.
     """
-    if set(lam) != set(h):
-        raise ValueError("multiplier and constraint key sets differ")
-    return {k: max(0.0, lam[k] + gamma * h[k]) for k in lam}
+    return np.maximum(0.0, lam + gamma * h)
 
 
 def adjustment_coefficient(norm_k, norm_j, phi, goal):
@@ -193,13 +198,15 @@ def is_conflict(phi, goal):
 
 
 def lagrangian_losses(
-    stats: Sequence[ClientStatistics], lam: Mapping[GroupKey, float], alpha: float
+    stats: Sequence[ClientStatistics], lam: np.ndarray, families: np.ndarray, alpha: float
 ) -> dict[int, float]:
-    """l_k = L(D_k, w) + sum_s lambda_s h_s(w) from each client's own stats."""
+    """l_k = L(D_k, w) + sum_s lambda_s h_s(w) from each client's own
+    stats, summed in key order over the keys with members on the client."""
     out = {}
     for st in stats:
-        h = constraint_values(st.fairness, alpha)
-        out[st.client_id] = st.loss + sum(float(lam.get(k, 0.0)) * v for k, v in h.items())
+        members = st.fairness.groups[:, 1] > 0
+        h = constraint_values(st.fairness, families, alpha)
+        out[st.client_id] = st.loss + sum((lam[members] * h[members]).tolist())
     return out
 
 
@@ -432,26 +439,26 @@ def _count_conflicts(working: np.ndarray, coords: np.ndarray, goals: np.ndarray)
 
 def server_round(
     params: np.ndarray,
-    lam: Mapping[GroupKey, float],
+    lam: np.ndarray,
     stats: Sequence[ClientStatistics],
+    table: KeyTable,
     config: TrainConfig,
     state: SimilarityState,
     rng: Optional[np.random.Generator] = None,
     round_index: int = 0,
-) -> tuple[np.ndarray, dict[GroupKey, float], SimilarityState, RoundRecord]:
+) -> tuple[np.ndarray, np.ndarray, SimilarityState, RoundRecord]:
     """One full aggregation round; see the module docstring for the steps.
-    Reads ``config.alpha``, ``gamma``, ``order_policy``, ``beta`` and
-    ``eta``; the goals' EMA decay is ``state.delta``. ``rng`` drives the
-    random order policy only."""
+    ``lam`` and the statistics are aligned to ``table``. Reads
+    ``config.alpha``, ``gamma``, ``order_policy``, ``beta`` and ``eta``;
+    the goals' EMA decay is ``state.delta``. ``rng`` drives the random
+    order policy only."""
     if not stats:
         raise ValueError("no client statistics")
     merged = FairnessStatistics.merge_all([st.fairness for st in stats])
-    # domain cells with no members anywhere in the population carry no
-    # constraint; the supported key set is a data property, constant in t
-    h_global = constraint_values(merged, config.alpha)
+    h_global = constraint_values(merged, table.families, config.alpha)
     new_lam = update_lambda(lam, h_global, config.gamma)
 
-    losses = lagrangian_losses(stats, lam, config.alpha)
+    losses = lagrangian_losses(stats, lam, table.families, config.alpha)
     order = build_order(losses, config.order_policy, rng)
     result = diminish_conflicts({st.client_id: st.update_grad for st in stats}, order, config.beta, state)
 
@@ -473,7 +480,7 @@ def server_round(
         round_index=round_index,
         client_losses={st.client_id: st.loss for st in stats},
         lagrangian_losses=losses,
-        multipliers={k.to_str(): v for k, v in new_lam.items()},
+        multipliers=dict(zip(table.names(), new_lam.tolist())),
         order=order,
         n_adjustments=result.n_adjustments,
         conflicts_pre=_count_conflicts(result.coords, result.coords, state.goals),

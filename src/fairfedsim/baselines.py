@@ -13,12 +13,18 @@ federation per client and evaluates the uniform mixture of the resulting
 models; the mfairfl variants only change the projection order
 (``replace(cfg, order_policy="random")`` and ``"reversed"``). Every regime
 averages the client update gradients 1/K.
+
+``run_federated`` decides the run's constraint keys once, as a
+``fairness.KeyTable`` over its shards, and keeps the multipliers as arrays
+aligned to it: an (n_keys,) global vector and, for fedavg_f, a (K, n_keys)
+array with one row per client, in shard order. ``TrainResult`` and the
+round records name the multipliers by the keys' ``to_str``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +34,7 @@ from . import fairness, model
 from .aggregation import ORDER_POLICIES, RoundRecord, SimilarityState, server_round, update_lambda
 from .client import ClientStatistics
 from .data import Shard, pool_shards
-from .fairness import GroupKey
+from .fairness import KeyTable
 from .model import MlpParams, MlpSpec
 from .numeric import make_rng
 
@@ -112,19 +118,8 @@ class TrainResult:
     model: TrainedModel
     rounds: list[RoundRecord]
     multipliers: dict
-    constraint_keys: list[GroupKey] = field(default_factory=list)
     client_s: float = 0.0
     server_s: float = 0.0
-
-
-def _global_constraint_keys(shards: Sequence[Shard], metric: str) -> list[GroupKey]:
-    """Constraint keys with members in the pooled training population, in
-    sorted key order; a key's members depend on the labels and groups only."""
-    counts: dict[GroupKey, int] = {}
-    for s in shards:
-        for key, rows in client_mod.shard_key_rows(s, metric).items():
-            counts[key] = counts.get(key, 0) + rows.size
-    return sorted((k for k, n in counts.items() if n > 0), key=GroupKey.sort_key)
 
 
 def run_federated(
@@ -136,7 +131,9 @@ def run_federated(
 
     ``local_multipliers`` switches the dual update from one global vector
     (server-side, merged statistics) to per-client vectors updated from
-    each client's own statistics (the fair-local-training baseline).
+    each client's own statistics (the fair-local-training baseline). The
+    final multipliers are returned by key name: one dict, or one per
+    client id.
     """
     if not shards:
         raise ValueError("need at least one shard")
@@ -145,12 +142,10 @@ def run_federated(
     params = MlpParams.init(spec, cfg.seed)
     flat = params.flatten()
 
-    keys = _global_constraint_keys(shards, cfg.constraint)
-    lam_global: dict[GroupKey, float] = {k: 0.0 for k in keys}
-    lam_local: dict[int, dict[GroupKey, float]] = {
-        s.client_id: {k: 0.0 for k in keys} for s in shards
-    }
+    table = KeyTable.build([(s.y, s.S) for s in shards], shards[0].data.group_names, cfg.constraint)
     K = len(shards)
+    lam_global = np.zeros(len(table.keys))
+    lam_local = np.zeros((K, len(table.keys)))
     state = SimilarityState(K, cfg.delta)
     order_rng = make_rng(cfg.seed, 0x0D) if cfg.order_policy == "random" else None
     # per-client multipliers: a plain averaging server, whose multipliers stay 0
@@ -161,34 +156,36 @@ def run_federated(
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         params_t = MlpParams.unflatten(spec, flat)
-        stats: list[ClientStatistics] = []
-        for shard in shards:
-            lam_k = lam_local[shard.client_id] if local_multipliers else lam_global
-            stats.append(
-                client_mod.compute_statistics(
-                    params_t,
-                    lam_k,
-                    shard,
-                    metric=cfg.constraint,
-                    epochs=cfg.local_epochs,
-                    lr=cfg.eta,
-                )
+        stats: list[ClientStatistics] = [
+            client_mod.compute_statistics(
+                params_t,
+                lam_local[i] if local_multipliers else lam_global,
+                shard,
+                table.rows[i],
+                table.families,
+                metric=cfg.constraint,
+                epochs=cfg.local_epochs,
+                lr=cfg.eta,
             )
+            for i, shard in enumerate(shards)
+        ]
         served = time.perf_counter()
         client_s += served - started
         flat, lam_global, state, record = server_round(
-            flat, lam_global, stats, server_cfg, state, rng=order_rng, round_index=t
+            flat, lam_global, stats, table, server_cfg, state, rng=order_rng, round_index=t
         )
         if local_multipliers:
-            for st in stats:
-                h_k = fairness.constraint_values(st.fairness, cfg.alpha)
-                lam_k = lam_local[st.client_id]
-                lam_k.update(update_lambda({k: lam_k[k] for k in h_k}, h_k, cfg.gamma))
+            h = np.stack([fairness.constraint_values(st.fairness, table.families, cfg.alpha) for st in stats])
+            lam_local = update_lambda(lam_local, h, cfg.gamma)
         server_s += time.perf_counter() - served
         records.append(record)
 
-    multipliers = lam_local if local_multipliers else lam_global
-    return TrainResult(TrainedModel(spec, [flat]), records, multipliers, keys, client_s, server_s)
+    names = table.names()
+    if local_multipliers:
+        multipliers = {s.client_id: dict(zip(names, row)) for s, row in zip(shards, lam_local.tolist())}
+    else:
+        multipliers = dict(zip(names, lam_global.tolist()))
+    return TrainResult(TrainedModel(spec, [flat]), records, multipliers, client_s, server_s)
 
 
 def run_fedavg(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:

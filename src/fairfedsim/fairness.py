@@ -10,21 +10,26 @@ Two distinct surfaces live here and must not be conflated:
   loss for AP), whose values ``h`` and subgradients drive the Lagrangian
   training.
 
-Statistics are two scalars per group key, the sum of the surrogate over
-the group's rows and the member count; that is all a client uploads.
-Totals are derived by summing group entries in sorted key order so the
+Constraint keys are decided once per training run, by ``KeyTable.build``
+over the run's shards: the groups (or group-and-label cells for EO) with
+members in the pooled training data, in ``GroupKey.sort_key`` order. Every
+per-key quantity is an array aligned to that table. A block's statistics
+are an (n_keys, 2) array, per key the sum of the surrogate over the key's
+rows and the member count; that is all a client uploads. The constraint
+values h and the multipliers are (n_keys,) vectors. Family totals add the
+family's keys in key order from 0.0 (``np.bincount`` with weights), so the
 population aggregate equals the sum of its groups bitwise, and
-normalization happens only at the point of use. Gradients are formed in
-the client's local step (``group_grad_sums``, then ``constraint_grads``).
-A key whose group has no members in a block carries no constraint there:
-``constraint_values`` and ``constraint_grads`` cover ``usable_keys`` only.
+normalization happens only at the point of use. A key without members in
+a block carries no constraint there: its h is 0 and ``constraint_grads``
+leaves it out. Gradients are formed in the client's local step
+(``group_grad_sums``, then ``constraint_grads``).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,155 +62,143 @@ class GroupKey:
         return s if self.label is None else f"{s}|y={self.label}"
 
 
-@dataclass
-class GroupStat:
-    """Raw per-group accumulators: sum of f and member count."""
+@dataclass(frozen=True, eq=False)
+class KeyTable:
+    """The run's constraint keys, decided once from its blocks (shards).
 
-    sum_f: float
-    count: int
+    ``keys`` are the keys with members in the pooled blocks, in
+    ``GroupKey.sort_key`` order; ``families[j]`` numbers key j's family
+    (the keys that share a population total) in key order; ``rows[i][j]``
+    holds block i's row indices of key j, empty where the block has none.
+    """
+
+    keys: tuple[GroupKey, ...]
+    families: np.ndarray
+    rows: tuple[tuple[np.ndarray, ...], ...]
+
+    @classmethod
+    def build(
+        cls, blocks: Sequence[tuple[np.ndarray, np.ndarray]], group_names: Sequence[Sequence[str]], metric: str
+    ) -> "KeyTable":
+        """From the ``(y, S)`` of every block. ``S`` holds integer group
+        codes, one column per sensitive attribute; ``group_names[a][code]``
+        names them. A key's members depend only on labels and groups."""
+        if metric not in CONSTRAINT_METRICS:
+            raise ValueError(f"unknown constraint metric {metric!r}")
+
+        def members(y, S, a, code, lab):
+            in_group = S[:, a] == code
+            return np.flatnonzero(in_group if lab is None else in_group & (np.asarray(y) == lab))
+
+        labels = (0, 1) if metric == "eo" else (None,)
+        found = {
+            GroupKey(a, str(name), lab): [members(y, S, a, code, lab) for y, S in blocks]
+            for a, names in enumerate(group_names)
+            for code, name in enumerate(names)
+            for lab in labels
+        }
+        keys = sorted((k for k, rows in found.items() if any(r.size for r in rows)), key=GroupKey.sort_key)
+        numbers: dict = {}
+        families = np.array([numbers.setdefault(k.family, len(numbers)) for k in keys], dtype=np.int64)
+        rows = tuple(tuple(found[k][i] for k in keys) for i in range(len(blocks)))
+        return cls(tuple(keys), families, rows)
+
+    def names(self) -> list[str]:
+        return [k.to_str() for k in self.keys]
 
 
 class FairnessStatistics:
-    """Per-group surrogate sums with derived per-family totals."""
+    """One block's statistics aligned to the run's ``KeyTable``: row j of
+    ``groups`` holds the sum of f over key j's rows and their count."""
 
-    def __init__(self, groups: Mapping[GroupKey, GroupStat]):
-        self.groups = dict(groups)
-
-    def keys(self) -> list[GroupKey]:
-        return sorted(self.groups, key=GroupKey.sort_key)
-
-    def families(self) -> list[tuple[int, Optional[int]]]:
-        return sorted({k.family for k in self.groups}, key=lambda f: (f[0], -1 if f[1] is None else f[1]))
-
-    def total(self, family: tuple[int, Optional[int]]) -> GroupStat:
-        """Family total as the exact sum of its group entries."""
-        total = GroupStat(0.0, 0)
-        for key in self.keys():
-            if key.family == family:
-                total.sum_f += self.groups[key].sum_f
-                total.count += self.groups[key].count
-        return total
-
-    def merge(self, other: "FairnessStatistics") -> "FairnessStatistics":
-        merged = {k: GroupStat(g.sum_f, g.count) for k, g in self.groups.items()}
-        for key, g in other.groups.items():
-            if key in merged:
-                merged[key].sum_f += g.sum_f
-                merged[key].count += g.count
-            else:
-                merged[key] = GroupStat(g.sum_f, g.count)
-        return FairnessStatistics(merged)
+    def __init__(self, groups):
+        self.groups = np.asarray(groups, dtype=np.float64).reshape(-1, 2)
 
     @staticmethod
     def merge_all(stats: Sequence["FairnessStatistics"]) -> "FairnessStatistics":
+        """Key-wise sums, adding the blocks in the given (client) order."""
         if not stats:
             raise ValueError("nothing to merge")
-        out = stats[0]
+        total = stats[0].groups
         for s in stats[1:]:
-            out = out.merge(s)
-        return out
-
-
-def key_rows(
-    y: np.ndarray, S: np.ndarray, group_names: Sequence[Sequence[str]], metric: str
-) -> dict[GroupKey, np.ndarray]:
-    """Row indices of every key's group (or group-and-label cell for EO),
-    empty groups included.
-
-    ``S`` holds integer group codes, one column per sensitive attribute;
-    ``group_names[a][code]`` names them. A block's rows depend only on its
-    labels and groups, so a client builds them once per round and hands
-    them to every local step.
-    """
-    if metric not in CONSTRAINT_METRICS:
-        raise ValueError(f"unknown constraint metric {metric!r}")
-    y = np.asarray(y)
-    labels = (0, 1) if metric == "eo" else (None,)
-    rows: dict[GroupKey, np.ndarray] = {}
-    for a in range(S.shape[1]):
-        for code, name in enumerate(group_names[a]):
-            in_group = S[:, a] == code
-            for lab in labels:
-                mask = in_group if lab is None else in_group & (y == lab)
-                rows[GroupKey(a, str(name), lab)] = np.flatnonzero(mask)
-    return rows
+            total = total + s.groups
+        return FairnessStatistics(total)
 
 
 def compute_statistics_for_metric(
-    outputs: tuple, rows: Mapping[GroupKey, np.ndarray], metric: str
+    outputs: tuple, rows: Sequence[np.ndarray], metric: str
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
     ``outputs`` is ``model.batch_outputs(params, X, y)`` of the block, the
-    forward pass of the step, and ``rows`` is ``key_rows`` of the block for
-    ``metric``. Groups absent from the block keep count 0 so statistics
-    from different clients merge on aligned keys. No backward pass is run.
+    forward pass of the step, and ``rows`` is the block's row list of the
+    run's ``KeyTable``. Keys absent from the block keep count 0 so
+    statistics from different clients merge on aligned keys. No backward
+    pass is run.
     """
     probs, losses, _ = outputs
     f_vals = losses if metric == "ap" else probs  # the surrogate f
-    return FairnessStatistics(
-        {key: GroupStat(float(f_vals[r].sum()), int(r.size)) for key, r in rows.items()}
-    )
+    return FairnessStatistics([(f_vals[r].sum(), r.size) for r in rows])
 
 
 def group_grad_sums(
-    outputs: tuple, y: np.ndarray, rows: Mapping[GroupKey, np.ndarray], metric: str
-) -> dict[GroupKey, np.ndarray]:
-    """Gradient of the sum of f over the rows of every key whose group has
-    members: one backward pass per key, over that key's rows only.
+    outputs: tuple, y: np.ndarray, rows: Sequence[np.ndarray], metric: str
+) -> dict[int, np.ndarray]:
+    """Gradient of the sum of f over the rows of every key with members,
+    by key index: one backward pass per key, over that key's rows only.
 
     ``outputs`` is ``model.batch_outputs(params, X, y)`` and ``rows`` is
-    ``key_rows`` of the block for ``metric``.
+    the block's row list of the run's ``KeyTable``.
     """
     probs, _, weighted_grad = outputs
     dlogit = probs - y if metric == "ap" else probs * (1.0 - probs)  # df/dlogit
-    return {key: weighted_grad(dlogit, r) for key, r in rows.items() if r.size}
+    return {j: weighted_grad(dlogit, r) for j, r in enumerate(rows) if r.size}
 
 
-def usable_keys(stats: FairnessStatistics) -> list[GroupKey]:
-    """Keys whose group has members in this data block.
-
-    Counts are nonnegative, so a group with members gives its family
-    members too: every gap of these keys is defined.
-    """
-    return [k for k in stats.keys() if stats.groups[k].count > 0]
-
-
-def _gaps(stats: FairnessStatistics) -> Iterator[tuple[GroupKey, float, int, int]]:
-    """(key, F(D)/n - F(D^s)/n_s, n_s, n) for every usable key."""
-    totals = {fam: stats.total(fam) for fam in stats.families()}
-    for key in usable_keys(stats):
-        g, t = stats.groups[key], totals[key.family]
-        yield key, t.sum_f / t.count - g.sum_f / g.count, g.count, t.count
+def _gaps(stats: FairnessStatistics, families: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per key, F(D)/n - F(D^s)/n_s (0 where the key has no members), n_s
+    and n. Counts are nonnegative, so a key with members gives its family
+    members too: every gap of such a key is defined."""
+    sum_f, count = stats.groups.T
+    family_f = np.bincount(families, weights=sum_f)[families]
+    family_n = np.bincount(families, weights=count)[families]
+    members = count > 0
+    gap = np.zeros_like(sum_f)
+    gap[members] = family_f[members] / family_n[members] - sum_f[members] / count[members]
+    return gap, count, family_n
 
 
-def constraint_values(stats: FairnessStatistics, alpha: float) -> dict[GroupKey, float]:
-    """h_s = |F(D)/n - F(D^s)/n_s| - alpha for every usable key."""
-    return {key: abs(gap) - alpha for key, gap, _, _ in _gaps(stats)}
+def constraint_values(stats: FairnessStatistics, families: np.ndarray, alpha: float) -> np.ndarray:
+    """h_s = |F(D)/n - F(D^s)/n_s| - alpha for every key with members in
+    the block, 0 for the others. ``families`` is the run's
+    ``KeyTable.families``."""
+    gap, count, _ = _gaps(stats, families)
+    return np.where(count > 0, np.abs(gap) - alpha, 0.0)
 
 
 def constraint_grads(
-    stats: FairnessStatistics, grad_sums: Mapping[GroupKey, np.ndarray]
-) -> dict[GroupKey, np.ndarray]:
+    stats: FairnessStatistics, families: np.ndarray, grad_sums: Mapping[int, np.ndarray]
+) -> dict[int, np.ndarray]:
     """Subgradient of each h_s, sign(gap) * (grad F(D)/n - grad F(D^s)/n_s),
-    for every usable key.
+    by key index, for every key with members in the block.
 
-    ``grad_sums`` maps each usable key to the sum of grad f over its rows
+    ``grad_sums`` maps each such key to the sum of grad f over its rows
     (``group_grad_sums``); a family's gradient total is the sum of its
-    keys' entries in sorted key order. sign(0) is taken as 0 (subgradient
-    at the kink of the absolute value).
+    keys' entries in key order. sign(0) is taken as 0 (subgradient at the
+    kink of the absolute value).
     """
-    gaps = list(_gaps(stats))
+    gap, n_group, n_family = _gaps(stats, families)
+    members = np.flatnonzero(n_group).tolist()
     family_grads: dict = {}
-    for key, *_ in gaps:
-        family_grads[key.family] = family_grads.get(key.family, 0.0) + grad_sums[key]
-    out: dict[GroupKey, np.ndarray] = {}
-    for key, gap, n_group, n_family in gaps:
-        if gap == 0.0:
-            out[key] = np.zeros_like(grad_sums[key])
+    for j in members:
+        family_grads[families[j]] = family_grads.get(families[j], 0.0) + grad_sums[j]
+    out: dict[int, np.ndarray] = {}
+    for j in members:
+        if gap[j] == 0.0:
+            out[j] = np.zeros_like(grad_sums[j])
         else:
-            sign = 1.0 if gap > 0 else -1.0
-            out[key] = sign * (family_grads[key.family] / n_family - grad_sums[key] / n_group)
+            sign = 1.0 if gap[j] > 0 else -1.0
+            out[j] = sign * (family_grads[families[j]] / n_family[j] - grad_sums[j] / n_group[j])
     return out
 
 

@@ -41,7 +41,6 @@ BETA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 DELTA_GRID = (0.001, 0.01, 0.1)
 
 HIGH_HETEROGENEITY = {"g0": (0.5, 0.1, 0.1, 0.2, 0.1), "g1": (0.1, 0.4, 0.3, 0.1, 0.1)}
-LOW_HETEROGENEITY = {"g0": (0.3, 0.3, 0.2, 0.1, 0.1), "g1": (0.1, 0.2, 0.2, 0.2, 0.3)}
 
 
 @dataclass
@@ -213,7 +212,10 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[RunRecord]:
-    """Execute the full (regime, seed) grid; one record per cell."""
+    """Execute the full (regime, seed) grid; one record per cell. An empty
+    grid (no seeds or no regimes) is refused before any file is written."""
+    if not config.seeds or not config.regimes:
+        raise ValueError(f"empty grid: regimes={config.regimes}, seeds={config.seeds}")
     out_path = Path(out_dir if out_dir is not None else config.out)
     out_path.mkdir(parents=True, exist_ok=True)
     records = [run_cell(config, regime, seed, out_path) for regime in config.regimes for seed in config.seeds]

@@ -1,9 +1,9 @@
 """Feed-forward ReLU classifier with manual backpropagation.
 
 One sigmoid output unit, binary cross-entropy loss, and exact analytic
-gradients for the loss, the mean predicted probability, and arbitrary
-per-sample-weighted sums of either quantity (the building blocks for the
-differentiable fairness surrogates).
+gradients for the loss and for any per-sample weighting of the logits
+(``batch_outputs``' ``weighted_grad``), the building block for the
+differentiable fairness surrogates.
 
 Parameters live in one float64 vector, layer by layer: each layer's
 (out, in) weight matrix row-major, then its (out,) biases. The offsets are
@@ -163,15 +163,6 @@ def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> 
     return flat
 
 
-def forward(params: MlpParams, x: np.ndarray) -> float:
-    """Predicted probability for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.spec.input_dim,):
-        raise ValueError(f"feature shape {x.shape} does not match input_dim {params.spec.input_dim}")
-    p, _, _ = _forward_cache(params, x[None, :])
-    return float(p[0])
-
-
 def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
     p, _, _ = _forward_cache(params, np.asarray(X, dtype=np.float64))
     return p
@@ -192,15 +183,6 @@ def loss_and_grad(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[floa
     loss = float(np.mean(per_sample_losses(probs, y)))
     grad = _backward(params, acts, (probs - y) / n)
     return loss, grad
-
-
-def prob_and_grad(params: MlpParams, X: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean predicted probability over the rows of X and its exact flat gradient."""
-    X = _rows(X)
-    n = X.shape[0]
-    probs, _, acts = _forward_cache(params, X)
-    grad = _backward(params, acts, probs * (1.0 - probs) / n)
-    return float(np.mean(probs)), grad
 
 
 def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):

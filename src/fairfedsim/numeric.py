@@ -8,7 +8,7 @@ of silently poisoning later rounds.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,15 +27,6 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, stream)])))
 
 
-def vec64(data: Iterable[float] | np.ndarray) -> np.ndarray:
-    """Build a finite 1-D float64 vector, copying the input."""
-    v = np.array(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    check_finite(v, "vec64 input")
-    return v
-
-
 def check_finite(v: np.ndarray | float, context: str = "value") -> None:
     """Raise NonFiniteError if ``v`` contains NaN or infinity."""
     if not np.isfinite(v).all():
@@ -45,14 +36,6 @@ def check_finite(v: np.ndarray | float, context: str = "value") -> None:
 def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard inner product of two equal-length vectors."""
-    _check_same_length(a, b)
-    out = float(np.dot(a, b))
-    check_finite(out, "dot product")
-    return out
 
 
 def norm(v: np.ndarray) -> float:

@@ -24,30 +24,23 @@ from fairfedsim.aggregation import (
 )
 from fairfedsim.baselines import TrainConfig
 from fairfedsim.client import ClientStatistics
-from fairfedsim.fairness import FairnessStatistics, GroupKey, GroupStat
+from fairfedsim.fairness import FairnessStatistics, GroupKey, KeyTable
 from fairfedsim.numeric import cosine, make_rng, norm
 from fairfedsim.oracles import diminish_conflicts_dspace
 
 
 class TestUpdateLambda:
     def test_zero_h_no_change(self):
-        lam = {GroupKey(0, "a"): 0.3}
-        out = update_lambda(lam, {GroupKey(0, "a"): 0.0}, gamma=0.5)
-        assert out[GroupKey(0, "a")] == 0.3
+        out = update_lambda(np.array([0.3, 0.0]), np.zeros(2), gamma=0.5)
+        np.testing.assert_array_equal(out, [0.3, 0.0])
 
     def test_hand_value(self):
-        key = GroupKey(0, "a")
-        out = update_lambda({key: 0.1}, {key: 0.2}, gamma=0.05)
-        np.testing.assert_allclose(out[key], 0.11)
+        out = update_lambda(np.array([0.1]), np.array([0.2]), gamma=0.05)
+        np.testing.assert_allclose(out, [0.11])
 
     def test_projection_clamps_at_zero(self):
-        key = GroupKey(0, "a")
-        out = update_lambda({key: 0.01}, {key: -0.5}, gamma=0.05)
-        assert out[key] == 0.0
-
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="key sets"):
-            update_lambda({GroupKey(0, "a"): 0.0}, {GroupKey(0, "b"): 0.0}, 0.1)
+        out = update_lambda(np.array([0.01]), np.array([-0.5]), gamma=0.05)
+        assert out[0] == 0.0
 
 
 class TestEmaUpdate:
@@ -156,12 +149,17 @@ class TestAdjustGradient:
             adjustment_coefficient(ones, ones, 0.1 * ones, np.array([0.5, -1.0, 0.5]))
 
 
+# two keys of one family; the server reads no rows
+TABLE = KeyTable((GroupKey(0, "g0"), GroupKey(0, "g1")), np.zeros(2, dtype=np.int64), ())
+ZERO_LAM = np.zeros(2)
+
+
 def make_stats(grads, losses=None):
     """ClientStatistics stubs carrying only what aggregation reads."""
     out = []
     for cid, g in enumerate(grads):
         loss = losses[cid] if losses is not None else float(cid)
-        fs = FairnessStatistics({GroupKey(0, "g0"): GroupStat(0.5, 2), GroupKey(0, "g1"): GroupStat(0.5, 2)})
+        fs = FairnessStatistics([(0.5, 2), (0.5, 2)])
         out.append(ClientStatistics(cid, loss, fs, np.asarray(g, float)))
     return out
 
@@ -492,9 +490,9 @@ def run_round(grads, beta=1.0, losses=None, eta=0.1, state=None, lam=None, gamma
     K = len(grads)
     cfg = TrainConfig(beta=beta, delta=0.5, gamma=gamma, eta=eta, alpha=0.05)
     state = state if state is not None else SimilarityState(K, cfg.delta)
-    lam = lam if lam is not None else {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
+    lam = lam if lam is not None else ZERO_LAM
     params = np.zeros(len(grads[0]))
-    return server_round(params, lam, stats, cfg, state)
+    return server_round(params, lam, stats, TABLE, cfg, state)
 
 
 class TestServerRound:
@@ -510,13 +508,12 @@ class TestServerRound:
         stats = make_stats(grads)
         cfg = TrainConfig(beta=1.0, delta=0.2, gamma=0.0, eta=1.0, alpha=0.05)
         state = SimilarityState(4, cfg.delta)
-        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         params0 = np.zeros(5)
-        params, _, _, rec = server_round(params0, lam, stats, cfg, state)
+        params, _, _, rec = server_round(params0, ZERO_LAM, stats, TABLE, cfg, state)
         g_global = (params0 - params) / cfg.eta
         res = diminish_conflicts(
             {st.client_id: st.update_grad for st in stats},
-            build_order(lagrangian_losses(stats, lam, cfg.alpha)),
+            build_order(lagrangian_losses(stats, ZERO_LAM, TABLE.families, cfg.alpha)),
             cfg.beta,
             SimilarityState(4, cfg.delta),
         )
@@ -528,10 +525,11 @@ class TestServerRound:
         stats = make_stats([np.ones(2)] * 2)
         # per-client F(D)=0.5 on both groups -> merged gap 0, h = -alpha
         cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.2, eta=0.1, alpha=0.05)
-        lam = {GroupKey(0, "g0"): 0.3, GroupKey(0, "g1"): 0.0}
-        _, lam2, _, _ = server_round(np.zeros(2), lam, stats, cfg, SimilarityState(2, 0.5))
-        np.testing.assert_allclose(lam2[GroupKey(0, "g0")], 0.3 + 0.2 * (-0.05))
-        assert lam2[GroupKey(0, "g1")] == 0.0  # clamped at zero
+        lam = np.array([0.3, 0.0])
+        _, lam2, _, rec = server_round(np.zeros(2), lam, stats, TABLE, cfg, SimilarityState(2, 0.5))
+        np.testing.assert_allclose(lam2[0], 0.3 + 0.2 * (-0.05))
+        assert lam2[1] == 0.0  # clamped at zero
+        assert rec.multipliers == {"s0=g0": lam2[0], "s0=g1": 0.0}
 
     def test_degenerate_cancellation_detected(self):
         # two exactly opposed clients, beta=0: plain mean is zero, fine
@@ -552,12 +550,11 @@ class TestServerRound:
         rng = make_rng(26)
         grads = [rng.normal(size=4) for _ in range(4)]
         stats = make_stats(grads)
-        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         outs = []
         for policy in ("loss_ascending", "reversed", "random"):
             cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.0, eta=0.1, alpha=0.05, order_policy=policy)
             p, _, _, _ = server_round(
-                np.zeros(4), lam, stats, cfg, SimilarityState(4, 0.5), rng=make_rng(0)
+                np.zeros(4), ZERO_LAM, stats, TABLE, cfg, SimilarityState(4, 0.5), rng=make_rng(0)
             )
             outs.append(p)
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -567,14 +564,15 @@ class TestServerRound:
         """Identical clients drive their goal to exactly 1; later cosines of
         1 - 1 ulp must not ask for the singular rotation."""
         cfg = TrainConfig(beta=1.0, delta=0.01, gamma=0.0, eta=0.1, alpha=0.05)
-        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
         for seed in range(5):
             rng = make_rng(29, seed)
             state = SimilarityState(3, cfg.delta)
             for t in range(12):
                 g = rng.normal(size=200)
                 grads = [g, float(rng.uniform(0.5, 2.0)) * g, rng.normal(size=200)]
-                _, _, state, _ = server_round(np.zeros(200), lam, make_stats(grads), cfg, state, round_index=t)
+                _, _, state, _ = server_round(
+                    np.zeros(200), ZERO_LAM, make_stats(grads), TABLE, cfg, state, round_index=t
+                )
             assert state.goals[0, 1] == state.goals[1, 0] >= 1.0 - 1e-9
             assert np.abs(state.goals).max() <= 1.0
 
@@ -597,6 +595,12 @@ class TestServerRound:
         _, _, _, rec = run_round([np.ones(3), -np.ones(3)], beta=1.0, losses=[0.4, 0.2])
         assert len(calls) == 1
         assert rec.order == (1, 0)
+
+    def test_lagrangian_losses_sum_over_keys_with_members(self):
+        fs = FairnessStatistics([(1.2, 3), (0.0, 0)])  # key 1 has no members on the client
+        stats = [ClientStatistics(0, 0.7, fs, np.ones(2))]
+        losses = lagrangian_losses(stats, np.array([0.5, 0.9]), TABLE.families, 0.05)
+        assert losses == {0: 0.7 + 0.5 * -0.05}  # h = -alpha on key 0: no gap
 
     def test_round_record_schema(self):
         _, _, _, rec = run_round([np.ones(3), -np.ones(3)], beta=1.0, losses=[0.4, 0.2])
@@ -663,8 +667,7 @@ class TestProperties:
         grads = [rng.normal(size=dim) * rng.uniform(0.1, 10.0) for _ in range(K)]
         cfg = TrainConfig(beta=beta, delta=0.5, gamma=0.0, eta=1.0, alpha=0.05)
         state = SimilarityState(K, cfg.delta, np.full((K, K), goal))
-        lam = {GroupKey(0, "g0"): 0.0, GroupKey(0, "g1"): 0.0}
-        params, _, _, rec = server_round(np.zeros(dim), lam, make_stats(grads), cfg, state)
+        params, _, _, rec = server_round(np.zeros(dim), ZERO_LAM, make_stats(grads), TABLE, cfg, state)
         raw_norm = norm(np.mean(np.stack(grads), axis=0))
         np.testing.assert_allclose(norm(-params), raw_norm, rtol=1e-12)
         assert rec.g_global_norm == norm(-params)

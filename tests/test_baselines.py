@@ -7,7 +7,6 @@ import pytest
 
 from fairfedsim import client, fairness, model
 from fairfedsim.baselines import (
-    _global_constraint_keys,
     REGIMES,
     TrainConfig,
     run_cenfair,
@@ -134,21 +133,26 @@ class TestConstraintKeys:
         ds = synthetic_dataset(300, seed=13, input_dim=4, group_fractions=(0.7, 0.3))
         # client 1 holds only group g0, so some of its keys have no members
         shards = partition(ds, PartitionSpec("group", {"g0": (0.5, 0.3, 0.2), "g1": (0.6, 0.0, 0.4)}), seed=13)
-        params = MlpParams.init(model.MlpSpec(4, (8,)), 1)
-        merged = fairness.FairnessStatistics.merge_all(
-            [
-                fairness.compute_statistics_for_metric(
-                    model.batch_outputs(params, s.X, s.y), client.shard_key_rows(s, metric), metric
-                )
-                for s in shards
-            ]
-        )
 
         def no_forward(*args, **kwargs):
             raise AssertionError("forward pass")
 
-        monkeypatch.setattr(model, "batch_outputs", no_forward)
-        assert _global_constraint_keys(shards, metric) == fairness.usable_keys(merged)
+        with monkeypatch.context() as patched:
+            patched.setattr(model, "batch_outputs", no_forward)
+            table = fairness.KeyTable.build([(s.y, s.S) for s in shards], ds.group_names, metric)
+        params = MlpParams.init(model.MlpSpec(4, (8,)), 1)
+        merged = fairness.FairnessStatistics.merge_all(
+            [
+                fairness.compute_statistics_for_metric(model.batch_outputs(params, s.X, s.y), rows, metric)
+                for s, rows in zip(shards, table.rows)
+            ]
+        )
+        assert any(r.size == 0 for r in table.rows[1])
+        pooled = pool_shards(shards)
+        pooled_table = fairness.KeyTable.build([(pooled.y, pooled.S)], ds.group_names, metric)
+        assert table.keys == pooled_table.keys
+        np.testing.assert_array_equal(merged.groups[:, 1], [r.size for r in pooled_table.rows[0]])
+        assert (merged.groups[:, 1] > 0).all()
 
     def test_key_without_members_anywhere_is_left_out(self):
         ds = synthetic_dataset(200, seed=14, input_dim=4)
@@ -156,5 +160,38 @@ class TestConstraintKeys:
         # every shard labelled 1: the EO keys conditioned on y = 0 have no members
         for s in shards:
             s.data.y[:] = 1
-        keys = _global_constraint_keys(shards, "eo")
+        keys = fairness.KeyTable.build([(s.y, s.S) for s in shards], ds.group_names, "eo").keys
         assert keys and all(k.label == 1 for k in keys)
+        result = run_federated(shards, quick_cfg(rounds=1, local_epochs=1, constraint="eo"))
+        assert list(result.multipliers) == list(result.rounds[0].multipliers) == [k.to_str() for k in keys]
+
+    def test_key_rows_built_once_per_run(self, monkeypatch):
+        shards = make_shards(n=150, seed=15)
+        built = []
+        build = fairness.KeyTable.build.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(fairness.KeyTable, "build", classmethod(counted))
+        steps = []
+        step = client.lagrangian_grad
+        monkeypatch.setattr(client, "lagrangian_grad", lambda *args: steps.append(1) or step(*args))
+        cfg = quick_cfg(rounds=3, local_epochs=2, constraint="eo")
+        run_federated(shards, cfg)
+        assert len(steps) == cfg.rounds * cfg.local_epochs * len(shards)
+        assert len(built) == 1
+
+    def test_fedavg_f_key_without_members_on_a_client_keeps_its_multiplier(self):
+        ds = synthetic_dataset(
+            300, seed=16, input_dim=4, group_fractions=(0.4, 0.3, 0.3), pos_rate_by_group=(0.8, 0.5, 0.2)
+        )
+        # client 1 holds no member of g2
+        spec = PartitionSpec("group", {"g0": (0.5, 0.5), "g1": (0.5, 0.5), "g2": (1.0, 0.0)})
+        shards = partition(ds, spec, seed=16)
+        assert not (shards[1].S[:, 0] == 2).any()
+        result = run_fedavg_f(shards, quick_cfg(rounds=3, local_epochs=2, alpha=0.0, gamma=1.0))
+        lam = result.multipliers
+        assert lam[1]["s0=g2"] == 0.0  # its start value
+        assert lam[0]["s0=g2"] > 0.0 and any(v > 0.0 for v in lam[1].values())

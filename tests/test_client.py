@@ -22,30 +22,42 @@ def init_params(shard, seed=5):
     return MlpParams.init(spec, seed=seed)
 
 
+def shard_keys(shard, metric="dp"):
+    """The shard's rows of its own key table, and the table's family indices."""
+    table = fairness.KeyTable.build([(shard.y, shard.S)], shard.data.group_names, metric)
+    return table.rows[0], table.families
+
+
 def shard_statistics(params, shard, metric):
     """The fairness statistics of the shard at ``params``, from one forward pass."""
     outputs = model.batch_outputs(params, shard.X, shard.y)
-    return fairness.compute_statistics_for_metric(outputs, client.shard_key_rows(shard, metric), metric)
+    return fairness.compute_statistics_for_metric(outputs, shard_keys(shard, metric)[0], metric)
 
 
-def zero_multipliers(shard, params, metric="dp"):
-    stats = shard_statistics(params, shard, metric)
-    return {k: 0.0 for k in fairness.usable_keys(stats)}
+def upload(params, lam, shard, metric="dp", **kwargs):
+    """``compute_statistics`` with the multiplier ``lam`` on every key of the shard."""
+    rows, families = shard_keys(shard, metric)
+    return compute_statistics(params, np.full(len(rows), lam), shard, rows, families, metric=metric, **kwargs)
+
+
+def step(params, lam, shard, metric="dp"):
+    """``lagrangian_grad`` with the multiplier ``lam`` on every key of the shard."""
+    rows, families = shard_keys(shard, metric)
+    weights = [(j, lam) for j in range(len(rows))] if lam else []
+    return lagrangian_grad(params, weights, shard, metric, rows, families)
 
 
 def test_zero_lambda_single_step_equals_loss_grad():
     shard = small_shard()
     params = init_params(shard)
-    lam = zero_multipliers(shard, params)
-    st = compute_statistics(params, lam, shard, epochs=1)
+    st = upload(params, 0.0, shard, epochs=1)
     np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 
 
 def test_one_epoch_is_one_lagrangian_step(monkeypatch):
     shard = small_shard(1)
     params = init_params(shard)
-    lam = {k: 0.3 for k in zero_multipliers(shard, params)}
-    loss, stats, grad = lagrangian_grad(params, lam, shard, "dp", client.shard_key_rows(shard, "dp"))
+    loss, stats, grad = step(params, 0.3, shard)
     calls = []
 
     def counted(*args):
@@ -53,7 +65,7 @@ def test_one_epoch_is_one_lagrangian_step(monkeypatch):
         return lagrangian_grad(*args)
 
     monkeypatch.setattr(client, "lagrangian_grad", counted)
-    st = compute_statistics(params, lam, shard, epochs=1, lr=0.1)
+    st = upload(params, 0.3, shard, epochs=1, lr=0.1)
     assert len(calls) == 1
     np.testing.assert_array_equal(st.update_grad, grad)
     assert st.loss == loss
@@ -71,26 +83,22 @@ def test_one_forward_pass_per_step(monkeypatch):
     forward_cache = model._forward_cache
     monkeypatch.setattr(model, "_forward_cache", counted)
     for metric in ("dp", "eo", "ap"):
-        lam = {k: 0.3 for k in zero_multipliers(shard, params, metric)}
         forwards.clear()
-        lagrangian_grad(params, lam, shard, metric, client.shard_key_rows(shard, metric))
+        step(params, 0.3, shard, metric)
         assert len(forwards) == 1
 
 
 def test_telescoping_identity_exact():
     shard = small_shard(2)
     params = init_params(shard, seed=8)
-    lam = {k: 0.2 for k in zero_multipliers(shard, params)}
     epochs, lr = 5, 0.05
-    st = compute_statistics(params, lam, shard, epochs=epochs, lr=lr)
+    st = upload(params, 0.2, shard, epochs=epochs, lr=lr)
 
     # per-step gradients at their own iterates, accumulated exactly
     flat = params.flatten()
     acc = np.zeros_like(flat)
     for _ in range(epochs):
-        _, _, g = lagrangian_grad(
-            MlpParams.unflatten(params.spec, flat), lam, shard, "dp", client.shard_key_rows(shard, "dp")
-        )
+        _, _, g = step(MlpParams.unflatten(params.spec, flat), 0.2, shard)
         acc += g
         flat = flat - lr * g
     np.testing.assert_array_equal(st.update_grad, acc)
@@ -101,12 +109,10 @@ def test_telescoping_identity_exact():
 def test_statistics_evaluated_at_received_params():
     shard = small_shard(3)
     params = init_params(shard, seed=9)
-    lam = {k: 0.1 for k in zero_multipliers(shard, params)}
-    a = compute_statistics(params, lam, shard, epochs=1)
-    b = compute_statistics(params, lam, shard, epochs=7, lr=0.05)
+    a = upload(params, 0.1, shard, epochs=1)
+    b = upload(params, 0.1, shard, epochs=7, lr=0.05)
     assert a.loss == b.loss
-    for key in a.fairness.keys():
-        assert a.fairness.groups[key].sum_f == b.fairness.groups[key].sum_f
+    np.testing.assert_array_equal(a.fairness.groups, b.fairness.groups)
 
 
 def test_update_grad_matches_lagrangian_finite_differences():
@@ -118,19 +124,17 @@ def test_update_grad_matches_lagrangian_finite_differences():
         params = init_params(shard, seed=40 + seed)
         if min_preactivation(params, shard.X) < 1e-4:
             continue
-        stats = shard_statistics(params, shard, "dp")
-        h0 = fairness.constraint_values(stats, 0.0)
-        if any(abs(v) < 1e-4 for v in h0.values()):
+        _, families = shard_keys(shard)
+        h0 = fairness.constraint_values(shard_statistics(params, shard, "dp"), families, 0.0)
+        if any(abs(v) < 1e-4 for v in h0):
             continue
-        lam = {k: 0.5 for k in h0}
-        st = compute_statistics(params, lam, shard, epochs=1)
+        st = upload(params, 0.5, shard, epochs=1)
 
         def J(w):
             p = MlpParams.unflatten(params.spec, w)
             loss, _ = model.loss_and_grad(p, shard.X, shard.y)
-            s = shard_statistics(p, shard, "dp")
-            h = fairness.constraint_values(s, 0.0)
-            return loss + sum(lam[k] * h[k] for k in lam)
+            h = fairness.constraint_values(shard_statistics(p, shard, "dp"), families, 0.0)
+            return loss + sum(0.5 * h)
 
         fd = finite_diff(J, params.flatten(), step=1e-5)
         assert rel_err(st.update_grad, fd) <= 1e-4
@@ -141,11 +145,10 @@ def test_clients_isolated_and_deterministic():
     shard_a = small_shard(4, client_id=0)
     shard_b = small_shard(5, client_id=1)
     params = init_params(shard_a, seed=10)
-    lam = zero_multipliers(shard_a, params)
-    before = compute_statistics(params, lam, shard_a, epochs=3, lr=0.1)
+    before = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     # mutating another client's shard must not change this client's upload
     shard_b.data.X[:] = 999.0
-    after = compute_statistics(params, lam, shard_a, epochs=3, lr=0.1)
+    after = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     np.testing.assert_array_equal(before.update_grad, after.update_grad)
     assert before.loss == after.loss
 
@@ -155,7 +158,7 @@ def test_empty_shard_rejected():
     empty = Shard(client_id=0, data=ds.take(np.array([], dtype=np.int64)))
     params = MlpParams.zeros(MlpSpec(4, (3,)))
     with pytest.raises(ValueError, match="empty shard"):
-        compute_statistics(params, {}, empty)
+        compute_statistics(params, np.zeros(0), empty, (), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="empty shard"):
         local_accuracy(params, empty)
 
@@ -194,33 +197,32 @@ def counting(monkeypatch, owner, name):
 def test_zero_multipliers_form_no_constraint_gradient(monkeypatch, metric):
     shard = small_shard(7)
     params = init_params(shard)
-    rows = client.shard_key_rows(shard, metric)
     calls = counting(monkeypatch, fairness, "constraint_grads")
-    lam = zero_multipliers(shard, params, metric)
-    _, _, grad = lagrangian_grad(params, lam, shard, metric, rows)
+    grad = upload(params, 0.0, shard, metric, epochs=1).update_grad
     assert calls == []
     np.testing.assert_array_equal(grad, model.loss_and_grad(params, shard.X, shard.y)[1])
-    lagrangian_grad(params, {k: 0.3 for k in lam}, shard, metric, rows)
+    upload(params, 0.3, shard, metric, epochs=1)
     assert len(calls) == 1
+
+
+def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeypatch):
+    shard = small_shard(7)
+    params = init_params(shard)
+    table = fairness.KeyTable.build(
+        [(shard.y, shard.S), (np.array([0]), np.array([[2]]))], (("g0", "g1", "g2"),), "dp"
+    )
+    calls = counting(monkeypatch, fairness, "constraint_grads")
+    lam = np.array([0.0, 0.0, 0.7])  # only on s0=g2, which has no members on this shard
+    st = compute_statistics(params, lam, shard, table.rows[0], table.families, epochs=1)
+    assert calls == []
+    np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 
 
 @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
 def test_zero_multipliers_keep_one_backward_pass_per_key(monkeypatch, metric):
     shard = small_shard(8)
     params = init_params(shard)
-    lam = zero_multipliers(shard, params, metric)
-    rows = client.shard_key_rows(shard, metric)
+    rows, _ = shard_keys(shard, metric)
     calls = counting(monkeypatch, model, "_backward")
-    lagrangian_grad(params, lam, shard, metric, rows)
-    assert len(calls) == 1 + sum(1 for r in rows.values() if r.size) == 1 + len(lam)
-
-
-def test_key_rows_built_once_per_round(monkeypatch):
-    shard = small_shard(9)
-    params = init_params(shard)
-    lam = {k: 0.2 for k in zero_multipliers(shard, params, "eo")}
-    calls = counting(monkeypatch, fairness, "key_rows")
-    steps = counting(monkeypatch, client, "lagrangian_grad")
-    compute_statistics(params, lam, shard, metric="eo", epochs=5)
-    assert len(steps) == 5
-    assert len(calls) == 1
+    step(params, 0.0, shard, metric)
+    assert len(calls) == 1 + sum(1 for r in rows if r.size) == 1 + len(rows)

@@ -1,5 +1,7 @@
 """Fairness metrics, differentiable constraints, and the report schema."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from fairfedsim.fairness import (
     FairnessReport,
     FairnessStatistics,
     GroupKey,
-    GroupStat,
+    KeyTable,
+    _gaps,
     ap_violation,
     client_fairness_violation,
     compute_statistics_for_metric,
@@ -20,7 +23,6 @@ from fairfedsim.fairness import (
     eo_violation,
     evaluate_predictions,
     group_grad_sums,
-    key_rows,
 )
 from fairfedsim.client import compute_statistics
 from fairfedsim.data import Shard, synthetic_dataset
@@ -138,48 +140,52 @@ class TestClientFairness:
             client_fairness_violation([])
 
 
+FAMILY = np.zeros(2, dtype=np.int64)  # two keys of one family: s0=g0, s0=g1
+NAMES = (("g0", "g1"),)
+
+
 def two_group_stats(total_mean, group_means, counts):
     """Statistics with prescribed per-group means (one attribute, no label)."""
-    groups = {}
-    for g, (mean, count) in enumerate(zip(group_means, counts)):
-        groups[GroupKey(0, f"g{g}")] = GroupStat(mean * count, count)
-    return FairnessStatistics(groups)
+    return FairnessStatistics([(mean * count, count) for mean, count in zip(group_means, counts)])
+
+
+def block_table(y, S, metric):
+    """The key table of a single block."""
+    return KeyTable.build([(y, S)], NAMES, metric)
 
 
 class TestConstraintValues:
     def test_no_gap_gives_minus_alpha(self):
         stats = two_group_stats(0.5, [0.5, 0.5], [10, 10])
-        h = constraint_values(stats, alpha=0.05)
-        for v in h.values():
-            np.testing.assert_allclose(v, -0.05)
+        h = constraint_values(stats, FAMILY, alpha=0.05)
+        np.testing.assert_allclose(h, [-0.05, -0.05])
 
     def test_hand_value(self):
         # F(D) = 0.6, F(D^s) = 0.4 for group 0 via complementary group 0.8
         stats = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        h = constraint_values(stats, alpha=0.05)
-        np.testing.assert_allclose(h[GroupKey(0, "g0")], 0.15)
-        np.testing.assert_allclose(h[GroupKey(0, "g1")], 0.15)
+        h = constraint_values(stats, FAMILY, alpha=0.05)
+        np.testing.assert_allclose(h, [0.15, 0.15])
 
     def test_alpha_zero_gives_raw_gap(self):
         stats = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        h = constraint_values(stats, alpha=0.0)
-        np.testing.assert_allclose(h[GroupKey(0, "g0")], 0.2)
+        h = constraint_values(stats, FAMILY, alpha=0.0)
+        np.testing.assert_allclose(h[0], 0.2)
 
     def test_alpha_one_never_positive(self):
         rng = make_rng(13)
         for _ in range(50):
             means = rng.uniform(0, 1, size=2)
             stats = two_group_stats(means.mean(), means, [7, 13])
-            h = constraint_values(stats, alpha=1.0)
-            assert all(v <= 0.0 for v in h.values())
+            h = constraint_values(stats, FAMILY, alpha=1.0)
+            assert (h <= 0.0).all()
 
     def test_zero_count_key_carries_no_constraint(self):
         stats = two_group_stats(0.5, [0.5, 0.3], [10, 0])
-        with_members = GroupKey(0, "g0")
-        assert list(constraint_values(stats, 0.05)) == [with_members]
-        grads = constraint_grads(stats, {with_members: np.ones(3)})
-        assert list(grads) == [with_members]
-        np.testing.assert_array_equal(grads[with_members], np.zeros(3))
+        h = constraint_values(stats, FAMILY, 0.05)
+        assert h[1] == 0.0 and h[0] == -0.05
+        grads = constraint_grads(stats, FAMILY, {0: np.ones(3)})
+        assert list(grads) == [0]
+        np.testing.assert_array_equal(grads[0], np.zeros(3))
 
 
 def build_instance(seed, metric, input_dim=4, n=12):
@@ -198,26 +204,18 @@ def build_instance(seed, metric, input_dim=4, n=12):
 class TestConstraintGrads:
     def test_zero_gap_gives_zero_vector(self):
         stats = two_group_stats(0.5, [0.5, 0.5], [10, 10])
-        grads = constraint_grads(stats, {k: np.arange(3.0) for k in stats.keys()})
+        grads = constraint_grads(stats, FAMILY, {j: np.arange(3.0) for j in range(2)})
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_sign_flip(self):
         up = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        grad_sums = {
-            key: np.arange(3.0) * stat.count * (1 if key.value == "g0" else -1)
-            for key, stat in up.groups.items()
-        }
-        down = FairnessStatistics(
-            {
-                key: GroupStat((1.0 - stat.sum_f / stat.count) * stat.count, stat.count)
-                for key, stat in up.groups.items()
-            }
-        )
-        g_up = constraint_grads(up, grad_sums)
-        g_down = constraint_grads(down, grad_sums)
-        key = GroupKey(0, "g0")
-        np.testing.assert_allclose(g_up[key], -g_down[key])
+        sum_f, count = up.groups.T
+        grad_sums = {j: np.arange(3.0) * count[j] * (1 if j == 0 else -1) for j in range(2)}
+        down = FairnessStatistics(np.column_stack([(1.0 - sum_f / count) * count, count]))
+        g_up = constraint_grads(up, FAMILY, grad_sums)
+        g_down = constraint_grads(down, FAMILY, grad_sums)
+        np.testing.assert_allclose(g_up[0], -g_down[0])
 
     @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
     def test_matches_finite_differences(self, metric):
@@ -229,25 +227,26 @@ class TestConstraintGrads:
             spec, params, X, y, S = build_instance(seed, metric)
             if min_preactivation(params, X) < 1e-4:
                 continue  # ReLU kink within the FD step
-            rows = key_rows(y, S, (("g0", "g1"),), metric)
+            table = block_table(y, S, metric)
+            rows, families = table.rows[0], table.families
             stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), rows, metric)
-            h0 = constraint_values(stats, alpha=0.0)
-            if any(abs(v) < 1e-4 for v in h0.values()):
+            h0 = constraint_values(stats, families, alpha=0.0)
+            if any(abs(v) < 1e-4 for v in h0):
                 continue  # |gap| kink neighborhood: subgradient vs FD undefined
             outputs = model.batch_outputs(params, X, y)
-            grads = constraint_grads(stats, group_grad_sums(outputs, y, rows, metric))
-            assert list(grads) == list(h0)
+            grads = constraint_grads(stats, families, group_grad_sums(outputs, y, rows, metric))
+            assert list(grads) == list(range(len(table.keys)))
             flat0 = params.flatten()
             ok_instance = True
-            for key in h0:
-                def h_of(w, key=key):
+            for j in grads:
+                def h_of(w, j=j):
                     p = MlpParams.unflatten(spec, w)
                     s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
-                    return constraint_values(s, 0.0)[key]
+                    return constraint_values(s, families, 0.0)[j]
 
                 fd = finite_diff(h_of, flat0, step=1e-5)
-                denom = max(np.linalg.norm(fd), np.linalg.norm(grads[key]), 1e-30)
-                if np.linalg.norm(fd - grads[key]) / denom > 1e-4:
+                denom = max(np.linalg.norm(fd), np.linalg.norm(grads[j]), 1e-30)
+                if np.linalg.norm(fd - grads[j]) / denom > 1e-4:
                     ok_instance = False
             if ok_instance:
                 checked += 1
@@ -257,23 +256,53 @@ class TestConstraintGrads:
 
 class TestAggregationIdentity:
     def test_totals_equal_sum_of_groups_exactly(self):
-        rng = make_rng(14)
-        for seed in range(5):
-            spec, params, X, y, S = build_instance(seed + 50, "dp")
-            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), key_rows(y, S, (("g0", "g1"),), "dp"), "dp")
-            total = stats.total((0, None))
-            group_sum = sum(stats.groups[k].sum_f for k in stats.keys())
-            assert total.sum_f == group_sum
-            assert total.count == X.shape[0]
+        for seed, metric in itertools.product(range(5), ("dp", "eo")):
+            spec, params, X, y, S = build_instance(seed + 50, metric)
+            table = block_table(y, S, metric)
+            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), table.rows[0], metric)
+            gap, n_group, n_family = _gaps(stats, table.families)
+            sum_f, count = stats.groups.T.tolist()
+            for j, fam in enumerate(table.families):
+                # the family total adds its groups in key order
+                keys = [i for i, other in enumerate(table.families) if other == fam]
+                total_f, total_n = sum(sum_f[i] for i in keys), sum(count[i] for i in keys)
+                assert n_family[j] == total_n == (X.shape[0] if metric == "dp" else (y == table.keys[j].label).sum())
+                assert gap[j] == total_f / total_n - sum_f[j] / n_group[j]
 
     def test_merge_adds_counts_and_sums(self):
         a = two_group_stats(0.5, [0.4, 0.6], [4, 6])
         b = two_group_stats(0.5, [0.2, 0.8], [6, 4])
-        merged = a.merge(b)
-        assert merged.groups[GroupKey(0, "g0")].count == 10
-        np.testing.assert_allclose(
-            merged.groups[GroupKey(0, "g0")].sum_f, 0.4 * 4 + 0.2 * 6
-        )
+        merged = FairnessStatistics.merge_all([a, b])
+        assert merged.groups[0, 1] == 10
+        np.testing.assert_allclose(merged.groups[0, 0], 0.4 * 4 + 0.2 * 6)
+
+
+class TestKeyTable:
+    def test_keys_sorted_with_families_and_rows_per_block(self):
+        y = np.array([1, 0, 1, 1, 0])
+        S = np.array([[1], [0], [0], [1], [1]])
+        names = (("b", "a"),)  # code 0 is "b": key order follows the names, not the codes
+        table = KeyTable.build([(y[:2], S[:2]), (y[2:], S[2:])], names, "eo")
+        assert [k.to_str() for k in table.keys] == table.names() == [
+            "s0=a|y=0", "s0=b|y=0", "s0=a|y=1", "s0=b|y=1"
+        ]
+        np.testing.assert_array_equal(table.families, [0, 0, 1, 1])
+        assert [[r.tolist() for r in block] for block in table.rows] == [
+            [[], [1], [0], []],
+            [[2], [], [1], [0]],
+        ]
+
+    def test_key_without_members_anywhere_is_left_out(self):
+        y = np.ones(6, dtype=np.int64)  # no y = 0 rows: those EO keys have no members
+        S = np.array([[0], [1], [0], [0], [1], [1]])
+        names = (("g0", "g1", "g2"),)  # g2 has no members either
+        table = KeyTable.build([(y[:3], S[:3]), (y[3:], S[3:])], names, "eo")
+        assert table.keys == (GroupKey(0, "g0", 1), GroupKey(0, "g1", 1))
+        np.testing.assert_array_equal(table.families, [0, 0])
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="metric"):
+            KeyTable.build([], NAMES, "xx")
 
 
 @st.composite
@@ -297,27 +326,28 @@ def split_blocks(draw):
 class TestMerge:
     NAMES = (("a", "b", "c"),)
 
-    def stats_of(self, params, X, y, S, metric, rows):
-        return compute_statistics_for_metric(
-            model.batch_outputs(params, X[rows], y[rows]), key_rows(y[rows], S[rows], self.NAMES, metric), metric
-        )
-
     @settings(max_examples=200, deadline=None)
     @given(split_blocks())
     def test_merge_all_of_parts_is_the_pooled_block(self, block):
         params, X, y, S, metric, parts = block
-        pooled = self.stats_of(params, X, y, S, metric, np.arange(len(y)))
-        stats = [self.stats_of(params, X, y, S, metric, rows) for rows in parts]
-        left = FairnessStatistics.merge_all(stats)  # ((s1 + s2) + s3) + ...
-        right = stats[-1]  # s1 + (s2 + (s3 + ...))
+        pooled_table = KeyTable.build([(y, S)], self.NAMES, metric)
+        table = KeyTable.build([(y[r], S[r]) for r in parts], self.NAMES, metric)
+        assert table.keys == pooled_table.keys
+        np.testing.assert_array_equal(table.families, pooled_table.families)
+        pooled = compute_statistics_for_metric(model.batch_outputs(params, X, y), pooled_table.rows[0], metric)
+        stats = [
+            compute_statistics_for_metric(model.batch_outputs(params, X[r], y[r]), part_rows, metric)
+            for r, part_rows in zip(parts, table.rows)
+        ]
+        left = FairnessStatistics.merge_all(stats).groups  # ((s1 + s2) + s3) + ...
+        right = stats[-1].groups  # s1 + (s2 + (s3 + ...))
         for part in reversed(stats[:-1]):
-            right = part.merge(right)
-        assert left.keys() == right.keys() == pooled.keys()
-        for key in pooled.keys():
-            assert left.groups[key].count == right.groups[key].count == pooled.groups[key].count
-            np.testing.assert_allclose(left.groups[key].sum_f, pooled.groups[key].sum_f, rtol=1e-12)
-            np.testing.assert_allclose(right.groups[key].sum_f, pooled.groups[key].sum_f, rtol=1e-12)
-            np.testing.assert_allclose(right.groups[key].sum_f, left.groups[key].sum_f, rtol=1e-12)
+            right = part.groups + right
+        # counts agree exactly; a part's sum adds its rows in its own order
+        np.testing.assert_array_equal(left[:, 1], pooled.groups[:, 1])
+        np.testing.assert_array_equal(right[:, 1], pooled.groups[:, 1])
+        np.testing.assert_allclose(left[:, 0], pooled.groups[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(right[:, 0], left[:, 0], rtol=1e-12)
 
 
 class TestStatisticsAreScalars:
@@ -332,17 +362,17 @@ class TestStatisticsAreScalars:
 
         monkeypatch.setattr(model, "_backward", counted)
         spec, params, X, y, S = build_instance(3, metric)
-        compute_statistics_for_metric(model.batch_outputs(params, X, y), key_rows(y, S, (("g0", "g1"),), metric), metric)
+        compute_statistics_for_metric(model.batch_outputs(params, X, y), block_table(y, S, metric).rows[0], metric)
         assert calls == []
 
-    def test_upload_fields_are_python_scalars(self):
+    def test_upload_is_one_row_per_key(self):
         shard = Shard(client_id=0, data=synthetic_dataset(30, seed=2, input_dim=4))
         params = MlpParams.init(MlpSpec(4, (5,)), seed=3)
-        upload = compute_statistics(params, {}, shard, metric="eo", epochs=2)
-        assert upload.fairness.groups
-        for stat in upload.fairness.groups.values():
-            for name, value in vars(stat).items():
-                assert type(value) in (int, float), (name, type(value))
+        table = KeyTable.build([(shard.y, shard.S)], shard.data.group_names, "eo")
+        lam = np.zeros(len(table.keys))
+        upload = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="eo", epochs=2)
+        assert upload.fairness.groups.shape == (len(table.keys), 2) == (4, 2)
+        np.testing.assert_array_equal(upload.fairness.groups[:, 1], [r.size for r in table.rows[0]])
 
 
 class TestReport:

@@ -166,6 +166,14 @@ class TestRun:
         assert records[0].error is not None
         assert "missing from data" in records[0].error
 
+    @pytest.mark.parametrize("empty", ["seeds", "regimes"])
+    def test_empty_grid_refused_before_any_file(self, tmp_path, empty):
+        out = tmp_path / "e"
+        cfg = replace(tiny_config(out), **{empty: ()})  # allowed at construction
+        with pytest.raises(ValueError, match="empty grid"):
+            run(cfg)
+        assert not out.exists()
+
     def test_phase_times_in_meta_only(self, tmp_path):
         out = tmp_path / "p"
         records = run(tiny_config(out, regimes=("mfairfl", "fedavg_f", "indfair"), seeds=(1,)))

@@ -11,11 +11,9 @@ from fairfedsim.model import (
     MlpParams,
     MlpSpec,
     batch_outputs,
-    forward,
     loss_and_grad,
     per_sample_losses,
     predict_proba,
-    prob_and_grad,
     sigmoid,
 )
 from fairfedsim.numeric import make_rng
@@ -93,28 +91,35 @@ class TestSpecAndParams:
             assert np.all(b == 0.0)
 
 
+def mean_prob_and_grad(params, X):
+    """Mean predicted probability over the rows of X and its gradient,
+    d/dlogit of the mean being p(1 - p)/n per row."""
+    probs, _, weighted_grad = batch_outputs(params, X, np.zeros(len(X)))
+    return float(np.mean(probs)), weighted_grad(probs * (1.0 - probs) / len(X))
+
+
 class TestForward:
     def test_zero_params_give_half(self):
         spec = MlpSpec(4, (5, 5))
         params = MlpParams.zeros(spec)
-        assert forward(params, np.ones(4)) == 0.5
+        assert predict_proba(params, np.ones((1, 4)))[0] == 0.5
 
     def test_forward_matches_golden(self):
         spec = MlpSpec(**GOLDEN["spec"])
         params = MlpParams.init(spec, seed=GOLDEN["seed"])
-        p = forward(params, np.array(GOLDEN["forward_input"]))
-        np.testing.assert_allclose(p, GOLDEN["forward_prob"], rtol=1e-12)
+        p = predict_proba(params, np.array([GOLDEN["forward_input"]]))
+        np.testing.assert_allclose(p, [GOLDEN["forward_prob"]], rtol=1e-12)
 
     def test_forward_dimension_mismatch(self):
         params = MlpParams.zeros(MlpSpec(4, (5,)))
         with pytest.raises(ValueError):
-            forward(params, np.ones(3))
+            predict_proba(params, np.ones((1, 3)))
 
     def test_forward_deterministic(self):
         spec = MlpSpec(6, (8, 8))
         params = MlpParams.init(spec, seed=11)
-        x = make_rng(4).normal(size=6)
-        assert forward(params, x) == forward(params, x)
+        X = make_rng(4).normal(size=(1, 6))
+        assert predict_proba(params, X)[0] == predict_proba(params, X)[0]
 
     def test_sigmoid_stable_extremes(self):
         z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
@@ -151,20 +156,18 @@ class TestLossAndGradients:
         params = MlpParams.zeros(MlpSpec(2, (2,)))
         with pytest.raises(ValueError, match="empty batch"):
             loss_and_grad(params, np.empty((0, 2)), np.empty(0))
-        with pytest.raises(ValueError, match="empty batch"):
-            prob_and_grad(params, np.empty((0, 2)))
 
     def test_mean_prob_half_for_zero_params(self):
         params = MlpParams.zeros(MlpSpec(2, (3,)))
-        p, _ = prob_and_grad(params, np.ones((1, 2)))
+        p, _ = mean_prob_and_grad(params, np.ones((1, 2)))
         assert p == 0.5
 
     def test_mean_prob_duplicate_invariance(self):
         spec = MlpSpec(3, (4, 4))
         params = MlpParams.init(spec, seed=5)
         x = np.array([0.3, -0.2, 1.4])
-        p1, _ = prob_and_grad(params, x[None, :])
-        p2, _ = prob_and_grad(params, np.stack([x, x]))
+        p1, _ = mean_prob_and_grad(params, x[None, :])
+        p2, _ = mean_prob_and_grad(params, np.stack([x, x]))
         np.testing.assert_allclose(p1, p2, rtol=1e-15)
 
     def test_determinism_bitwise(self):
@@ -183,7 +186,7 @@ class TestLossAndGradients:
             params = MlpParams.init(spec, seed=trial)
             X, y = random_batch(rng, 6, 4)
             loss, _ = loss_and_grad(params, X, y)
-            p, _ = prob_and_grad(params, X)
+            p, _ = mean_prob_and_grad(params, X)
             assert loss >= 0.0
             assert 0.0 < p < 1.0
 
@@ -214,9 +217,9 @@ class TestFiniteDifferenceAgreement:
                 lambda w: loss_and_grad(MlpParams.unflatten(spec, w), X, y)[0],
                 g_loss, flat0, spec, 1e-4,
             )
-            _, g_prob = prob_and_grad(params, X)
+            _, g_prob = mean_prob_and_grad(params, X)
             self._check(
-                lambda w: prob_and_grad(MlpParams.unflatten(spec, w), X)[0],
+                lambda w: mean_prob_and_grad(MlpParams.unflatten(spec, w), X)[0],
                 g_prob, flat0, spec, 1e-4,
             )
         assert failures == 0
@@ -233,7 +236,7 @@ def test_predict_proba_batch_matches_single():
     X = make_rng(8).normal(size=(6, 4))
     probs = predict_proba(params, X)
     for i in range(6):
-        np.testing.assert_allclose(probs[i], forward(params, X[i]), rtol=1e-15)
+        np.testing.assert_allclose(probs[i], predict_proba(params, X[i:i + 1])[0], rtol=1e-15)
 
 
 class TestRowRestrictedBackward:

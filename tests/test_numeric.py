@@ -3,31 +3,24 @@
 import numpy as np
 import pytest
 
-from fairfedsim.numeric import NonFiniteError, check_finite, cosine, dot, make_rng, mean_rows, norm, vec64
+from fairfedsim.numeric import NonFiniteError, check_finite, cosine, make_rng, mean_rows, norm
 
 
-def test_dot_hand_values():
-    assert dot(vec64([1, 0]), vec64([0, 1])) == 0.0
-    assert dot(vec64([1, 2]), vec64([3, 4])) == 11.0
-    v = vec64([3, 4])
-    assert dot(v, v) == 25.0
-
-
-def test_dot_length_mismatch():
+def test_cosine_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        dot(vec64([1, 2]), vec64([1, 2, 3]))
+        cosine(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_cosine_hand_values():
-    v = vec64([2.0, -1.0, 0.5])
+    v = np.array([2.0, -1.0, 0.5])
     assert cosine(v, v) == 1.0
-    assert cosine(vec64([1, 0]), vec64([0, 1])) == 0.0
-    np.testing.assert_allclose(cosine(vec64([1, 0]), vec64([1, 1])), 1 / np.sqrt(2), rtol=1e-15)
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    np.testing.assert_allclose(cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])), 1 / np.sqrt(2), rtol=1e-15)
 
 
 def test_cosine_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
-        cosine(vec64([0, 0]), vec64([1, 1]))
+        cosine(np.zeros(2), np.ones(2))
 
 
 def test_cosine_clamped_to_unit_interval():
@@ -53,19 +46,14 @@ def test_cauchy_schwarz():
     for _ in range(300):
         a = rng.normal(size=8)
         b = rng.normal(size=8)
-        assert abs(dot(a, b)) <= norm(a) * norm(b) * (1 + 1e-12)
+        assert abs(float(a @ b)) <= norm(a) * norm(b) * (1 + 1e-12)
 
 
 def test_nan_rejected():
     with pytest.raises(NonFiniteError):
-        vec64([1.0, np.nan])
-    with pytest.raises(NonFiniteError):
-        vec64([np.inf, 0.0])
-
-
-def test_vec64_requires_1d():
-    with pytest.raises(ValueError, match="1-D"):
-        vec64(np.zeros((2, 2)))
+        cosine(np.array([1.0, np.nan]), np.ones(2))
+    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+        cosine(np.array([np.inf, 0.0]), np.ones(2))
 
 
 def test_rng_determinism_and_stream_independence():
