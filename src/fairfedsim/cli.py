@@ -17,6 +17,13 @@ def _parse_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {}
@@ -131,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the theorem oracle campaigns")
-    p_verify.add_argument("--instances", type=int, default=1000)
+    p_verify.add_argument("--instances", type=_positive_int, default=1000)
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--out", default="verify-out")
     p_verify.set_defaults(func=cmd_verify)

@@ -214,20 +214,20 @@ def _as_int_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _max_group_gap(values: np.ndarray, groups: np.ndarray) -> float:
+    """Max over the groups present of |mean of the group's values - mean
+    of all values|."""
+    overall = float(values.mean())
+    return max((abs(float(values[groups == g].mean()) - overall) for g in np.unique(groups)), default=0.0)
+
+
 def dp_violation(preds, groups) -> float:
     """Max over groups of |P(pred=1 | group) - P(pred=1)|."""
     preds = _as_int_array(preds, "predictions").astype(np.float64)
     groups = _as_int_array(groups, "groups")
     if preds.shape != groups.shape:
         raise ValueError("predictions and groups must have equal length")
-    overall = float(preds.mean())
-    worst = 0.0
-    for g in np.unique(groups):
-        mask = groups == g
-        if not mask.any():
-            raise ValueError(f"empty group {g!r}")
-        worst = max(worst, abs(float(preds[mask].mean()) - overall))
-    return worst
+    return _max_group_gap(preds, groups)
 
 
 def eo_violation(preds, labels, groups) -> float:
@@ -246,13 +246,9 @@ def eo_violation(preds, labels, groups) -> float:
         in_label = labels == lab
         if not in_label.any():
             raise ValueError(f"no samples with label {lab}; conditional rate undefined")
-        pooled = float(preds[in_label].mean())
-        for g in np.unique(groups):
-            cell = in_label & (groups == g)
-            if not cell.any():
-                logger.warning("eo_violation: empty cell (group=%r, y=%d) skipped", g, lab)
-                continue
-            worst = max(worst, abs(float(preds[cell].mean()) - pooled))
+        for g in np.setdiff1d(groups, groups[in_label]):
+            logger.warning("eo_violation: empty cell (group=%r, y=%d) skipped", g, lab)
+        worst = max(worst, _max_group_gap(preds[in_label], groups[in_label]))
     return worst
 
 
@@ -264,14 +260,7 @@ def ap_violation(losses, groups) -> float:
     groups = _as_int_array(groups, "groups")
     if losses.shape != groups.shape:
         raise ValueError("losses and groups must have equal length")
-    overall = float(losses.mean())
-    worst = 0.0
-    for g in np.unique(groups):
-        mask = groups == g
-        if not mask.any():
-            raise ValueError(f"empty group {g!r}")
-        worst = max(worst, abs(float(losses[mask].mean()) - overall))
-    return worst
+    return _max_group_gap(losses, groups)
 
 
 def client_fairness_violation(per_client_accuracy: Sequence[float]) -> float:

@@ -46,11 +46,13 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1].
 
     The clamp matters: rounding can push |cos| a hair above 1 and a later
-    sqrt(1 - cos^2) would go NaN. Zero-norm inputs are rejected.
+    sqrt(1 - cos^2) would go NaN. Zero-norm inputs are rejected, and so
+    are inputs with a NaN or an infinite entry, before any division.
     """
     _check_same_length(a, b)
     na = norm(a)
     nb = norm(b)
+    check_finite([na, nb], "cosine input")
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine of zero-norm vector is undefined")
     c = float(np.dot(a, b) / (na * nb))

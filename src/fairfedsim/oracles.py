@@ -4,11 +4,16 @@
   gradient in the package.
 * ``c2_bisection``: solves the adjustment coefficient by bisection, cross
   checking the closed form used in the aggregation sweep.
+* ``diminish_conflicts_dspace``: the D-space reference for
+  ``aggregation.diminish_conflicts``, the same sweep on D-length working
+  copies.
 * ``theorem2_*``: the conflict upper bound after a full projection sweep,
-  checked empirically on generated always-conflicting gradient sets.
+  checked empirically on generated always-conflicting gradient sets. The
+  cosine band of the hypothesis is read from ``diminish_conflicts_dspace``.
 * ``theorem3_descent_check``: monotone descent of a two-client smooth
   quadratic objective under the step-size condition, with a negative
-  control at a deliberately oversized step.
+  control at a deliberately oversized step. Its adjustment is
+  ``aggregation.adjustment_coefficient``.
 
 The bound check measures the conflict magnitude max(0, -(g_global . g_k)):
 the closed form is exactly zero for the last projection target, which is
@@ -19,7 +24,7 @@ the alignment, not the absolute dot product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +33,7 @@ from .aggregation import (
     PairTests,
     SimilarityState,
     adjust_gradient,
+    adjustment_coefficient,
     diminish_conflicts,
     ema_update,
     is_conflict,
@@ -53,8 +59,9 @@ def finite_diff(fn: Callable[[np.ndarray], float], params: np.ndarray, step: flo
     return grad
 
 
-def c2_bisection(g_k: np.ndarray, g_j: np.ndarray, goal: float, tol: float = 1e-12) -> float:
-    """The coefficient c with cos(g_k + c * g_j, g_j) == goal, by bisection.
+def c2_bisection(g_k: np.ndarray, g_j: np.ndarray, goal: float) -> float:
+    """The coefficient c with cos(g_k + c * g_j, g_j) == goal, by bisection
+    to 1e-12 relative.
 
     The cosine is strictly monotone in c unless g_k and g_j are parallel,
     in which case every c gives cosine +-1 and the goal is unreachable.
@@ -83,7 +90,7 @@ def c2_bisection(g_k: np.ndarray, g_j: np.ndarray, goal: float, tol: float = 1e-
         raise ValueError("no sign change in bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
             break
         if f(mid) < 0.0:
             lo = mid
@@ -118,17 +125,15 @@ def theorem2_bound_formula(K: int, max_norm: float, eps1: float, eps2: float, go
 
 @dataclass
 class Theorem2Instance:
-    """A gradient set plus the cosine band and goal of the hypothesis."""
+    """A gradient set plus the cosine band and goal of the hypothesis; the
+    sweep runs in index order."""
 
     gradients: list[np.ndarray]
     goal: float
     eps1: float
     eps2: float
-    order: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.order:
-            self.order = tuple(range(len(self.gradients)))
         if not (0.0 < self.eps1 < self.goal <= self.eps2 <= 1.0):
             raise ValueError(
                 f"hypothesis violated: need 0 < eps1 < goal <= eps2 <= 1, "
@@ -168,85 +173,52 @@ class BoundReport:
     all_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "n_adjustments": self.n_adjustments,
-            "all_ok": self.all_ok,
-            "entries": [
-                {
-                    "position": e.position,
-                    "client": e.client,
-                    "dot": e.dot,
-                    "conflict": e.conflict,
-                    "bound": e.bound,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ],
-        }
+        return asdict(self)
 
 
-def run_projection_sweep(gradients: Sequence[np.ndarray], goal: float, order: Sequence[int]):
-    """Full-adjustment sweep (beta = 1) with a frozen uniform goal.
+def _frozen_goals(K: int, goal: float) -> SimilarityState:
+    """Every goal at ``goal``; delta = 1 keeps the EMA from moving them."""
+    return SimilarityState(K, delta=1.0, goals=np.full((K, K), goal))
 
-    Freezing means goals initialized to the shared goal and delta = 1, so
-    the EMA never moves during a verification run.
-    """
+
+def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float):
+    """The |cos| range the hypothesis quantifies over, from the full sweep
+    (beta = 1) at frozen goals: every tested (working, target) cosine plus
+    every pairwise working-gradient cosine before the sweep and after each
+    adjustment. Returns (eps_lo, eps_hi, all_tests_conflicted); eps_lo >
+    eps_hi signals an empty band."""
     K = len(gradients)
-    state = SimilarityState(K, delta=1.0, goals=np.full((K, K), goal))
     grads = {i: np.asarray(g, dtype=np.float64) for i, g in enumerate(gradients)}
-    return diminish_conflicts(grads, list(order), 1.0, state)
-
-
-def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float, order: Sequence[int]):
-    """The |cos| range the hypothesis quantifies over: every tested
-    (working, target) cosine plus every pairwise working-gradient cosine
-    after each adjustment. Returns (eps_lo, eps_hi, all_tests_conflicted);
-    eps_lo > eps_hi signals an empty band."""
-    K = len(gradients)
-    W = np.stack([np.asarray(g, dtype=np.float64) for g in gradients]).copy()
-    lo, hi = np.inf, -np.inf
-    all_conflicted = True
+    sweep = diminish_conflicts_dspace(grads, range(K), 1.0, _frozen_goals(K, goal))
+    W = np.stack(list(grads.values()))
     iu = np.triu_indices(K, 1)
+    observed = [np.abs(sweep.tests.phi)]
 
-    def snapshot():
-        nonlocal lo, hi
+    def pairwise():
         norms = np.linalg.norm(W, axis=1)
-        if np.any(norms == 0.0):
-            return
-        C = np.abs(np.clip((W @ W.T) / np.outer(norms, norms), -1.0, 1.0))[iu]
-        if C.size:
-            lo = min(lo, float(C.min()))
-            hi = max(hi, float(C.max()))
+        if norms.all():
+            observed.append(np.abs(np.clip((W @ W.T) / np.outer(norms, norms), -1.0, 1.0))[iu])
 
-    snapshot()
-    for k in order:
-        for i in order:
-            if i == k:
-                continue
-            if norm(W[k]) == 0.0 or norm(gradients[i]) == 0.0:
-                continue
-            phi = cosine(W[k], gradients[i])
-            lo = min(lo, abs(phi))
-            hi = max(hi, abs(phi))
-            if phi < goal:
-                W[k] = adjust_gradient(W[k], gradients[i], phi, goal)
-                snapshot()
-            else:
-                all_conflicted = False
-    return lo, hi, all_conflicted
+    pairwise()
+    for k, w in sweep.moves:
+        W[k] = w
+        pairwise()
+    band = np.concatenate(observed)
+    return float(band.min(initial=np.inf)), float(band.max(initial=-np.inf)), bool(sweep.tests.adjusted.all())
 
 
 @dataclass
 class DspaceSweep:
     """What ``diminish_conflicts_dspace`` computed; ``working`` holds the
-    curated working gradients by client id."""
+    curated working gradients by client id, and ``moves`` the (client,
+    working gradient) after each adjustment, in sweep order."""
 
     gradient: np.ndarray
     state: SimilarityState
     n_adjustments: int
     tests: PairTests
     working: dict[int, np.ndarray]
+    moves: list[tuple[int, np.ndarray]]
 
 
 def diminish_conflicts_dspace(
@@ -263,7 +235,7 @@ def diminish_conflicts_dspace(
     working = {cid: np.array(grads[cid], dtype=np.float64, copy=True) for cid in order}
     out_state = state.copy()
     tests = []  # (client, target, phi, goal, adjusted) per test
-    n_adjustments = 0
+    moves = []
     for k in order[: selected_count(len(order), beta)]:
         for i in order:
             if i == k:
@@ -275,31 +247,30 @@ def diminish_conflicts_dspace(
             conflict = is_conflict(phi, goal)
             if conflict:
                 working[k] = adjust_gradient(working[k], grads[i], phi, goal)
-                n_adjustments += 1
+                moves.append((k, working[k]))
             ema_update(out_state, k, i, phi)
             tests.append((k, i, phi, goal, conflict))
     gradient = mean_rows([working[cid] for cid in sorted(working)])
-    return DspaceSweep(gradient, out_state, n_adjustments, PairTests.from_rows(tests), working)
+    return DspaceSweep(gradient, out_state, len(moves), PairTests.from_rows(tests), working, moves)
 
 
-def theorem2_check(instance: Theorem2Instance, rtol: float = 1e-9) -> BoundReport:
-    """Run the sweep, measure conflicts against raw gradients, compare."""
-    result = run_projection_sweep(instance.gradients, instance.goal, instance.order)
-    lo, hi, all_conflicted = _observed_cosine_band(instance.gradients, instance.goal, instance.order)
+def theorem2_check(instance: Theorem2Instance) -> BoundReport:
+    """Run the sweep (beta = 1, frozen goals), measure conflicts against
+    raw gradients, compare."""
+    K = instance.K
+    result = diminish_conflicts(dict(enumerate(instance.gradients)), list(range(K)), 1.0, _frozen_goals(K, instance.goal))
+    lo, hi, all_conflicted = _observed_cosine_band(instance.gradients, instance.goal)
     hypothesis = all_conflicted and lo <= hi and (
         instance.eps1 - 1e-12 <= lo and hi <= instance.eps2 + 1e-12
     )
     bounds = theorem2_bound(instance)
     entries = []
-    all_ok = True
-    for pos, cid in enumerate(instance.order, start=1):
-        d = float(np.dot(result.gradient, instance.gradients[cid]))
+    for cid, g in enumerate(instance.gradients):
+        d = float(np.dot(result.gradient, g))
         conflict = max(0.0, -d)
-        bound = float(bounds[pos - 1])
-        ok = conflict <= bound * (1.0 + rtol) + 1e-12
-        all_ok = all_ok and ok
-        entries.append(BoundEntry(pos, cid, d, conflict, bound, ok))
-    return BoundReport(entries, hypothesis, result.n_adjustments, all_ok)
+        bound = float(bounds[cid])
+        entries.append(BoundEntry(cid + 1, cid, d, conflict, bound, conflict <= bound * (1.0 + 1e-9) + 1e-12))
+    return BoundReport(entries, hypothesis, result.n_adjustments, all(e.ok for e in entries))
 
 
 class HypothesisGenerationError(RuntimeError):
@@ -311,8 +282,6 @@ def generate_theorem2_instance(
     dim: int,
     rng: np.random.Generator,
     max_retries: int = 100_000,
-    goal_cap: float = 0.95,
-    eps2_cap: float = 0.995,
 ) -> Theorem2Instance:
     """Rejection-sample a random-cone gradient set that conflicts at every
     sweep test.
@@ -320,10 +289,11 @@ def generate_theorem2_instance(
     Directions are drawn inside a random cone (axis plus scaled noise) so
     pairwise cosines stay positive and bounded away from zero, and the
     goal is placed just above the largest initial cosine so every pair
-    conflicts. An instance is accepted when the sweep conflicts at every
-    test and the observed cosine band gives 0 < eps1 < goal <= eps2 with
-    eps2 below the degenerate-parallel boundary (|cos| -> 1 is exactly
-    where the law-of-sines adjustment loses meaning).
+    conflicts (the goal is capped at 0.95). An instance is accepted when
+    the sweep conflicts at every test and the observed cosine band gives
+    0 < eps1 < goal <= eps2 with eps2 at most 0.995, away from the
+    degenerate-parallel boundary (|cos| -> 1 is exactly where the
+    law-of-sines adjustment loses meaning).
 
     K directions in fewer than K dimensions force near-parallel pairs and
     the degenerate regime, so dim >= K is required.
@@ -337,19 +307,19 @@ def generate_theorem2_instance(
         dirs = axis[None, :] + spread * rng.normal(size=(K, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         max_cos = max(float(dirs[i] @ dirs[j]) for i in range(K) for j in range(i + 1, K))
-        goal = min(goal_cap, max_cos + float(rng.uniform(0.02, 0.15)))
+        goal = min(0.95, max_cos + float(rng.uniform(0.02, 0.15)))
         if goal <= max_cos:
             continue
         norms = rng.uniform(0.5, 2.0, size=K)
         grads = [norms[i] * dirs[i] for i in range(K)]
-        lo, hi, all_conflicted = _observed_cosine_band(grads, goal, range(K))
+        lo, hi, all_conflicted = _observed_cosine_band(grads, goal)
         if lo > hi or not all_conflicted:
             continue
         eps1 = lo
         eps2 = max(hi, goal)
-        if eps1 <= 1e-9 or eps1 >= goal or eps2 > eps2_cap:
+        if eps1 <= 1e-9 or eps1 >= goal or eps2 > 0.995:
             continue
-        return Theorem2Instance(grads, goal, eps1, eps2, tuple(range(K)))
+        return Theorem2Instance(grads, goal, eps1, eps2)
     raise HypothesisGenerationError(f"no instance with K={K}, dim={dim} after {max_retries} tries")
 
 
@@ -366,37 +336,26 @@ class CampaignSummary:
         return self.n_bound_violations == 0 and self.n_monotonicity_violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "n_requested": self.n_requested,
-            "n_checked": self.n_checked,
-            "n_skipped": self.n_skipped,
-            "n_bound_violations": self.n_bound_violations,
-            "n_monotonicity_violations": self.n_monotonicity_violations,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
-def theorem2_campaign(
-    n_instances: int,
-    seed: int,
-    Ks: Sequence[int] = (3, 5, 8),
-    dims: Sequence[int] = (5, 50),
-    generation_retries: int = 2_000,
-) -> CampaignSummary:
+def theorem2_campaign(n_instances: int, seed: int) -> CampaignSummary:
     """Property campaign: generated instances must satisfy the bound and
     per-instance monotone decrease of the bound in the position index.
 
-    Requested dims below 2K are lifted to 2K: the generator needs room for
-    a non-degenerate always-conflicting cone, and K directions squeezed
-    into barely K dimensions sit at the parallel boundary it rejects.
+    Instance i has K = (3, 5, 8)[i % 3] clients in dim = (5, 50)[(i // 3) %
+    2] dimensions, each generated in at most 2,000 tries. Dims below 2K are
+    lifted to 2K: the generator needs room for a non-degenerate
+    always-conflicting cone, and K directions squeezed into barely K
+    dimensions sit at the parallel boundary it rejects.
     """
     rng = make_rng(seed, 0x72)
     checked = skipped = bound_bad = mono_bad = 0
     for idx in range(n_instances):
-        K = Ks[idx % len(Ks)]
-        dim = max(2 * K, dims[(idx // len(Ks)) % len(dims)])
+        K = (3, 5, 8)[idx % 3]
+        dim = max(2 * K, (5, 50)[(idx // 3) % 2])
         try:
-            inst = generate_theorem2_instance(K, dim, rng, max_retries=generation_retries)
+            inst = generate_theorem2_instance(K, dim, rng, max_retries=2_000)
         except HypothesisGenerationError:
             skipped += 1
             continue
@@ -449,9 +408,10 @@ def coefficient_bound(goal: float) -> float:
     return 1.0 / math.sqrt(1.0 - goal * goal)
 
 
-def compliant_eta(problem: QuadraticTwoClientProblem, margin: float = 0.9) -> float:
+def compliant_eta(problem: QuadraticTwoClientProblem) -> float:
+    """0.9 of the largest step the condition allows at ``coefficient_bound``."""
     c = coefficient_bound(problem.goal)
-    return margin * 2.0 / (problem.smoothness * (1.0 + c * c))
+    return 0.9 * 2.0 / (problem.smoothness * (1.0 + c * c))
 
 
 @dataclass
@@ -474,14 +434,14 @@ def theorem3_descent_check(
     problem: QuadraticTwoClientProblem,
     eta: float,
     rounds: int = 40,
-    tol: float = 1e-10,
 ) -> DescentTrace:
     """Iterate the symmetric two-client adjustment and track the objective.
 
-    On conflict (cosine below the goal) both gradients receive the
-    law-of-sines correction toward each other; the update applies the sum
-    of the adjusted gradients. Pass means no round increases J by more
-    than ``tol``.
+    On conflict (cosine below the goal) both gradients receive the sweep's
+    correction (``adjustment_coefficient``) toward each other; the update
+    applies the sum of the adjusted gradients. The traced coefficient is
+    the unit-norm one, -adjustment_coefficient(1, 1, phi, goal). Pass
+    means no round increases J by more than 1e-10.
     """
     w = problem.w0.copy()
     objectives = [problem.objective(w)]
@@ -492,17 +452,15 @@ def theorem3_descent_check(
         if n1 > 0.0 and n2 > 0.0:
             phi = cosine(g1, g2)
             if phi < problem.goal:
-                c = problem.goal * math.sqrt(max(0.0, 1.0 - phi * phi)) / math.sqrt(
-                    1.0 - problem.goal**2
-                ) - phi
-                coefficients.append(c)
-                g1_adj = g1 + c * (n1 / n2) * g2
-                g2_adj = g2 + c * (n2 / n1) * g1
-                g1, g2 = g1_adj, g2_adj
+                coefficients.append(float(-adjustment_coefficient(1.0, 1.0, phi, problem.goal)))
+                g1, g2 = (
+                    g1 - adjustment_coefficient(n1, n2, phi, problem.goal) * g2,
+                    g2 - adjustment_coefficient(n2, n1, phi, problem.goal) * g1,
+                )
         w = w - eta * (g1 + g2)
         objectives.append(problem.objective(w))
     increases = sum(
-        1 for a, b in zip(objectives, objectives[1:]) if b > a + tol
+        1 for a, b in zip(objectives, objectives[1:]) if b > a + 1e-10
     )
     return DescentTrace(objectives, coefficients, eta, increases, increases == 0)
 

@@ -105,6 +105,7 @@ class TestEqualizedOdds:
         groups = np.array([0, 0, 1, 1])
         out = eo_violation(preds, labels, groups)
         assert 0.0 <= out <= 1.0
+        assert "empty cell" in caplog.text and "y=0) skipped" in caplog.text
 
 
 class TestAccuracyParity:

@@ -260,6 +260,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "j" / "results.csv").exists()
 
+    def test_verify_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert cli_main(["verify", "--instances", "12", "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
+        assert (out / "bound_campaign.csv").is_file()
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["all_ok"] is True
+
+    @pytest.mark.parametrize("instances", ["0", "-5"])
+    def test_verify_refuses_fewer_than_one_instance(self, tmp_path, instances, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--instances", instances, "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "k"
         cfg = tiny_config(out, regimes=("fedavg",), seeds=(1, 2))

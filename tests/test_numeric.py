@@ -1,5 +1,7 @@
 """Vector arithmetic, cosine geometry, and RNG determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,11 @@ def test_cauchy_schwarz():
 def test_nan_rejected():
     with pytest.raises(NonFiniteError):
         cosine(np.array([1.0, np.nan]), np.ones(2))
-    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
-        cosine(np.array([np.inf, 0.0]), np.ones(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError):
+            cosine(np.array([np.inf, 0.0]), np.ones(2))
+    assert caught == []
 
 
 def test_rng_determinism_and_stream_independence():
