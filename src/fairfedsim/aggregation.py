@@ -50,9 +50,12 @@ sum of the adjustments c g_j over K, so a round without adjustments
 returns the plain mean bit for bit.
 
 Wavefront order. Let q be the position of the adjusted client k_q and t
-that of the target k_t in the order. In sequence the sweep runs the pairs
-(q, t) client by client and target by target. Here pair (q, t) runs at
-step tau = 2q + t, and all pairs of one step run as one vector operation.
+that of the target k_t in the order, with n = ceil(beta K) swept
+positions. In sequence the sweep runs the pairs (q, t) client by client
+and target by target. Here pair (q, t) runs at step tau = 2q + t, for
+tau = 0 .. 2n + K - 3, over the positions
+q = max(0, floor((tau - K + 2) / 2)) .. min(n - 1, floor(tau / 2)) with
+t = tau - 2q, and all pairs of one step run as one vector operation.
 That gives the sequential results exactly, because
   * pair (q, t) reads and writes only the goal of {k_q, k_t} and working
     gradient k_q (its target is a raw gradient);
@@ -62,13 +65,20 @@ That gives the sequential results exactly, because
     at tau - 2 when t - 1 = q);
   * the pairs of one step have distinct clients, so no two share a
     working gradient or a goal entry.
-Tests are reported in sequential order (``PairTests``).
+One mask picks a step's live pairs: q != t, and both the working
+gradient and the raw target of nonzero norm. It skips the diagonal, zero
+raw gradients and working gradients driven to zero, none of which has a
+direction to test; a step without a live pair is skipped whole. Every
+result is written into an n x K grid at [q, t], and the grid read
+row-major is the sequential order in which tests are reported
+(``PairTests``).
 
 Cost: O(K^2 D) for G, O(K^3) for its factor, and at most
-2 ceil(beta K) + K - 3 steps of O(K rank) work each (217 at K = 100,
-beta = 0.6) in place of ceil(beta K) (K - 1) scalar tests (5,940). The
-sequential sweep on D-length vectors, O(ceil(beta K) K D), is kept as the
-reference ``oracles.diminish_conflicts_dspace``.
+2 ceil(beta K) + K - 3 steps with a live pair (step 0 holds only the
+diagonal), of O(K rank) work each (217 at K = 100, beta = 0.6), in place
+of ceil(beta K) (K - 1) scalar tests (5,940). The sequential sweep on
+D-length vectors, O(ceil(beta K) K D), is kept as the reference
+``oracles.diminish_conflicts_dspace``.
 
 Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
 met, so its pair test never adjusts. Near +1 the adjustment divides by
@@ -141,9 +151,6 @@ class SimilarityState:
 
     def copy(self) -> "SimilarityState":
         return SimilarityState(self.n_clients, self.delta, self.goals.copy())
-
-    def get(self, i: int, j: int) -> float:
-        return float(self.goals[i, j])
 
 
 def ema_update(state: SimilarityState, i, j, phi) -> SimilarityState:
@@ -300,21 +307,6 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", m, m))
 
 
-def _wavefront(order: np.ndarray, n_selected: int, testable: np.ndarray):
-    """Every pair test (q, t) of the sweep, with q the position of the
-    adjusted client and t that of the target, grouped into steps
-    tau = 2q + t. Returns the clients, the targets and each test's index
-    in sweep order, all in step order, and the start of every step."""
-    K = len(order)
-    q, t = np.divmod(np.arange(n_selected * K), K)
-    seq = np.flatnonzero((q != t) & testable[order[q]] & testable[order[t]])
-    q, t = q[seq], t[seq]
-    by_step = np.argsort(2 * q + t, kind="stable")
-    tau = (2 * q + t)[by_step]
-    starts = np.flatnonzero(np.diff(tau, prepend=-1))
-    return order[q[by_step]], order[t[by_step]], seq[by_step], np.append(starts, len(tau))
-
-
 def diminish_conflicts(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
@@ -335,6 +327,8 @@ def diminish_conflicts(
     K = len(order)
     if sorted(order) != list(range(state.n_clients)):
         raise ValueError("order must be a permutation of the state's client ids")
+    order = np.asarray(order, dtype=np.int64)
+    n = selected_count(K, beta)
     raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
     coords = _coordinates(raw)
     raw_norm = _row_norms(coords)
@@ -342,24 +336,21 @@ def diminish_conflicts(
     norm_w = raw_norm.copy()
     out_state = state.copy()
     goals = out_state.goals
-    # a zero-norm side has no direction: nothing to test or observe
-    clients, targets, seq, starts = _wavefront(
-        np.asarray(order, dtype=np.int64), selected_count(K, beta), raw_norm > 0.0
-    )
-    tested = np.ones(len(seq), dtype=bool)
-    phis, seen = np.zeros(len(seq)), np.zeros(len(seq))
-    adjusted = np.zeros(len(seq), dtype=bool)
-    moves = []  # (clients, targets, c) of the steps that adjusted
-    vanished = False  # whether some working gradient was driven to zero norm
-    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        step = slice(lo, hi)
-        k, i = clients[step], targets[step]
-        norm_k = norm_w[k]
-        if vanished and not norm_k.all():  # a vanished working gradient tests no more
-            tested[step] = norm_k > 0.0
-            step = lo + np.flatnonzero(norm_k)
-            k, i, norm_k = clients[step], targets[step], norm_w[clients[step]]
-        w, g, norm_i = working[k], coords[i], raw_norm[i]
+    # the sweep's results, at [q, t]: q the position of the adjusted client, t that of the target
+    phis, seen, shift = np.zeros((n, K)), np.zeros((n, K)), np.zeros((n, K))
+    tested, adjusted = np.zeros((n, K), dtype=bool), np.zeros((n, K), dtype=bool)
+    for tau in range(2 * n + K - 2) if n else ():
+        q = np.arange(max(0, (tau - K + 2) // 2), min(n - 1, tau // 2) + 1)
+        t = tau - 2 * q
+        k, i = order[q], order[t]
+        norm_k, norm_i = norm_w[k], raw_norm[i]
+        # self, or a zero-norm side (no direction): nothing to test or observe
+        live = (q != t) & (norm_k > 0.0) & (norm_i > 0.0)
+        if not live.all():
+            if not live.any():
+                continue
+            q, t, k, i, norm_k, norm_i = q[live], t[live], k[live], i[live], norm_k[live], norm_i[live]
+        w, g = working[k], coords[i]
         phi = np.minimum(np.maximum(np.einsum("ki,ki->k", w, g) / (norm_k * norm_i), -1.0), 1.0)
         goal = goals[k, i]
         conflict = is_conflict(phi, goal)
@@ -368,22 +359,20 @@ def diminish_conflicts(
             c = adjustment_coefficient(norm_k, norm_i, np.where(conflict, phi, 0.0), np.where(conflict, goal, 0.0))
             moved = w - c[:, None] * g
             working[k] = moved
-            norm_w[k] = moved_norm = _row_norms(moved)
-            vanished = vanished or 0.0 in moved_norm
-            moves.append((k, i, c))
+            norm_w[k] = _row_norms(moved)
+            shift[q, t] = c
         ema_update(out_state, k, i, phi)
-        phis[step], seen[step], adjusted[step] = phi, goal, conflict
+        tested[q, t] = True
+        phis[q, t], seen[q, t], adjusted[q, t] = phi, goal, conflict
     n_adjustments = int(np.count_nonzero(adjusted))
-    in_order = np.argsort(seq)
-    in_order = in_order[tested[in_order]]
-    tests = PairTests(clients[in_order], targets[in_order], phis[in_order], seen[in_order], adjusted[in_order])
+    q, t = np.nonzero(tested)  # row-major: the sweep order
+    tests = PairTests(order[q], order[t], phis[q, t], seen[q, t], adjusted[q, t])
     plain_mean = mean_rows(raw)
     gradient = plain_mean
     if n_adjustments:
         # take the adjustments off alone, so an unadjusted round is the plain mean bit for bit
         shifts = np.zeros((K, K))  # shifts[k, i]: the multiple of g_i taken off w_k
-        kc, ic, c = (np.concatenate(m) for m in zip(*moves))
-        shifts[kc, ic] = c
+        shifts[np.ix_(order[:n], order)] = shift
         gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
     return DiminishResult(gradient, plain_mean, out_state, n_adjustments, tests, coords, working)

@@ -94,9 +94,10 @@ def compute_statistics(
     shard: Shard,
     rows: Sequence[np.ndarray],
     families: np.ndarray,
-    metric: str = "dp",
-    epochs: int = 20,
-    lr: float = 0.05,
+    *,
+    metric: str,
+    epochs: int,
+    lr: float,
 ) -> ClientStatistics:
     """Assemble the round upload.
 

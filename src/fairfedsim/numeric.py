@@ -48,14 +48,20 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     The clamp matters: rounding can push |cos| a hair above 1 and a later
     sqrt(1 - cos^2) would go NaN. Zero-norm inputs are rejected, and so
     are inputs with a NaN or an infinite entry, before any division.
+    Finite inputs whose norm or dot product overflows are each divided by
+    their largest |entry| first, which leaves their cosine as it is.
     """
     _check_same_length(a, b)
-    na = norm(a)
-    nb = norm(b)
-    check_finite([na, nb], "cosine input")
+    check_finite(a, "cosine input")
+    check_finite(b, "cosine input")
+    with np.errstate(over="ignore"):
+        na, nb, dot = norm(a), norm(b), np.dot(a, b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine of zero-norm vector is undefined")
-    c = float(np.dot(a, b) / (na * nb))
+    if not np.isfinite([na, nb, dot]).all():
+        a, b = a / np.abs(a).max(), b / np.abs(b).max()
+        na, nb, dot = norm(a), norm(b), np.dot(a, b)
+    c = float(dot / (na * nb))
     check_finite(c, "cosine")
     return min(1.0, max(-1.0, c))
 

@@ -243,7 +243,7 @@ def diminish_conflicts_dspace(
             if norm(working[k]) == 0.0 or norm(grads[i]) == 0.0:
                 continue
             phi = cosine(working[k], grads[i])
-            goal = out_state.get(k, i)
+            goal = out_state.goals[k, i]
             conflict = is_conflict(phi, goal)
             if conflict:
                 working[k] = adjust_gradient(working[k], grads[i], phi, goal)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairfedsim import client, fairness, model
+from fairfedsim.baselines import Hyperparameters
 from fairfedsim.client import compute_statistics, lagrangian_grad, local_accuracy
 from fairfedsim.data import Shard, synthetic_dataset
 from fairfedsim.model import MlpParams, MlpSpec
@@ -34,10 +35,11 @@ def shard_statistics(params, shard, metric):
     return fairness.compute_statistics_for_metric(outputs, shard_keys(shard, metric)[0], metric)
 
 
-def upload(params, lam, shard, metric="dp", **kwargs):
+def upload(params, lam, shard, metric="dp", *, epochs, lr=Hyperparameters.eta):
     """``compute_statistics`` with the multiplier ``lam`` on every key of the shard."""
     rows, families = shard_keys(shard, metric)
-    return compute_statistics(params, np.full(len(rows), lam), shard, rows, families, metric=metric, **kwargs)
+    lam = np.full(len(rows), lam)
+    return compute_statistics(params, lam, shard, rows, families, metric=metric, epochs=epochs, lr=lr)
 
 
 def step(params, lam, shard, metric="dp"):
@@ -158,7 +160,7 @@ def test_empty_shard_rejected():
     empty = Shard(client_id=0, data=ds.take(np.array([], dtype=np.int64)))
     params = MlpParams.zeros(MlpSpec(4, (3,)))
     with pytest.raises(ValueError, match="empty shard"):
-        compute_statistics(params, np.zeros(0), empty, (), np.zeros(0, dtype=np.int64))
+        compute_statistics(params, np.zeros(0), empty, (), np.zeros(0, dtype=np.int64), metric="dp", epochs=1, lr=0.05)
     with pytest.raises(ValueError, match="empty shard"):
         local_accuracy(params, empty)
 
@@ -213,7 +215,7 @@ def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeyp
     )
     calls = counting(monkeypatch, fairness, "constraint_grads")
     lam = np.array([0.0, 0.0, 0.7])  # only on s0=g2, which has no members on this shard
-    st = compute_statistics(params, lam, shard, table.rows[0], table.families, epochs=1)
+    st = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="dp", epochs=1, lr=0.05)
     assert calls == []
     np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 

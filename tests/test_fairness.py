@@ -371,7 +371,7 @@ class TestStatisticsAreScalars:
         params = MlpParams.init(MlpSpec(4, (5,)), seed=3)
         table = KeyTable.build([(shard.y, shard.S)], shard.data.group_names, "eo")
         lam = np.zeros(len(table.keys))
-        upload = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="eo", epochs=2)
+        upload = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="eo", epochs=2, lr=0.05)
         assert upload.fairness.groups.shape == (len(table.keys), 2) == (4, 2)
         np.testing.assert_array_equal(upload.fairness.groups[:, 1], [r.size for r in table.rows[0]])
 

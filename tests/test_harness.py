@@ -1,14 +1,18 @@
 """Experiment harness: config, determinism, t-tests, reports, CLI."""
 
+import csv
 import json
 import math
 from dataclasses import fields, replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairfedsim.baselines import TrainConfig
 from fairfedsim.cli import main as cli_main
+from fairfedsim.data import DatasetSchema
 from fairfedsim.harness import (
     ExperimentConfig,
     build_data,
@@ -210,6 +214,39 @@ class TestRun:
         assert (reloaded.error, reloaded.traceback) == (record.error, record.traceback)
         failed = [line for line in (out / "results.txt").read_text().splitlines() if "empty shard" in line]
         assert failed == ["  mfairfl-1: ValueError: client 2: empty shard"]
+
+    @pytest.mark.parametrize("schema_ref", ["compas", "schema.json"])
+    def test_csv_dataset(self, tmp_path, schema_ref):
+        """A {"schema", "csv"} dataset, by built-in schema name or .json path."""
+        text = resources.files("fairfedsim.schemas").joinpath("compas.json").read_text()
+        schema = DatasetSchema.from_json(json.loads(text))
+        if schema_ref.endswith(".json"):
+            schema_ref = str(tmp_path / schema_ref)
+            Path(schema_ref).write_text(text)
+        columns = schema.required_columns()
+        rows = []
+        for r in range(80):  # sex alternates, the label every two rows: 20 rows per (sex, label)
+            row = {col: str((r * (j + 3)) % 17) for j, col in enumerate(schema.numeric_features)}
+            row.update({col: f"v{(r + j) % 3}" for j, col in enumerate(schema.categorical_features)})
+            row.update({"sex": ("Female", "Male")[r % 2], schema.label: str(r // 2 % 2)})
+            rows.append(row)
+        path = tmp_path / "rows.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+        cfg = replace(
+            ExperimentConfig(),
+            dataset={"schema": schema_ref, "csv": str(path)},
+            partition={"attribute": "sex", "fractions": {"Female": (0.5, 0.5), "Male": (0.5, 0.5)}},
+            regimes=("fedavg", "mfairfl"),
+            seeds=(1,),
+            rounds=1,
+            local_epochs=1,
+            hidden_dims=(8, 8),
+            out=str(tmp_path / "o"),
+        )
+        assert [r.error for r in run(cfg)] == [None, None]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="threads"):

@@ -1,5 +1,7 @@
 """Vector arithmetic, cosine geometry, and RNG determinism."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -35,12 +37,18 @@ def test_cosine_clamped_to_unit_interval():
 
 def test_cosine_symmetry_and_scale_invariance():
     rng = np.random.default_rng(1)
-    for _ in range(300):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
+    # finite inputs whose norms, or dot product, overflow float64
+    overflowing = [
+        (np.array([1e200, 1e200]), np.array([1e200, 0.0])),
+        (np.array([1e154, 1e154]), np.array([1e154, 0.0])),
+    ]
+    drawn = ((rng.normal(size=6), rng.normal(size=6)) for _ in range(300))
+    for a, b in itertools.chain(drawn, overflowing):
         c = float(rng.uniform(0.01, 50.0))
         assert cosine(a, b) == cosine(b, a)
         np.testing.assert_allclose(cosine(c * a, b), cosine(a, b), atol=1e-14)
+    for a, b in overflowing:
+        np.testing.assert_allclose(cosine(a, b), math.sqrt(0.5), rtol=1e-15)
 
 
 def test_cauchy_schwarz():
