@@ -37,12 +37,19 @@ along the raw target g_j.
 Coordinates. Every working gradient stays in the span of the K raw
 gradients (the rows of R), so the sweep never touches a D-length vector.
 The K x K Gram matrix G = R R^T is factored once a round by pivoted
-Cholesky (LAPACK ``dpstrf``) into C (K x rank) with C C^T = G: row i of C
-holds the coordinates of raw gradient i in an orthonormal basis of
-span(R), where inner products and norms are those of D space. Each
-working gradient is an explicit coordinate row, an adjustment
-w_k -= c g_j is w_k -= c C[j], and every norm and cosine is read from
-these rows, so each cosine is as accurate as one taken in D space.
+Cholesky into C (K x rank) with C C^T = G: row i of C holds the
+coordinates of raw gradient i in an orthonormal basis of span(R), where
+inner products and norms are those of D space. The factor is numpy code
+that follows LAPACK's ``dpstf2`` (Higham 1990): each column pivots on the
+largest residual diagonal G[i, i] - sum_c C[i, c]^2 among the rows not
+yet pivoted (a tie goes to the row ``dpstf2``'s swaps put first), and
+the factor stops at a residual <= K 2^-53 max_i G[i, i], which sets the
+rank. Rows are never swapped, only marked as pivoted, so C comes out in
+the order of R; swapping rows of a K x K array each column cost three
+times as much at K = 100. Each working gradient is an explicit
+coordinate row, an adjustment w_k -= c g_j is w_k -= c C[j], and every
+norm and cosine is read from these rows, so each cosine is as accurate
+as one taken in D space.
 Updating the inner products u = G a_k of a coefficient row a_k instead
 would square the rounding error (cosines off by 2.6e-8 relative on a
 D = 3 input). The D-space mean is formed once, as the plain mean minus the
@@ -73,7 +80,8 @@ result is written into an n x K grid at [q, t], and the grid read
 row-major is the sequential order in which tests are reported
 (``PairTests``).
 
-Cost: O(K^2 D) for G, O(K^3) for its factor, and at most
+Cost: O(K^2 D) for G, O(K^2 rank) for its factor (about 0.7 ms at
+K = 100, one numpy step per column), and at most
 2 ceil(beta K) + K - 3 steps with a live pair (step 0 holds only the
 diagonal), of O(K rank) work each (217 at K = 100, beta = 0.6), in place
 of ceil(beta K) (K - 1) scalar tests (5,940). The sequential sweep on
@@ -113,7 +121,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .client import ClientStatistics
 from .fairness import FairnessStatistics, KeyTable, constraint_values
@@ -290,16 +297,39 @@ def selected_count(n_clients: int, beta: float) -> int:
 
 def _coordinates(raw: np.ndarray) -> np.ndarray:
     """C (K x rank) with C C^T = R R^T: the pivoted Cholesky factor of the
-    Gram matrix, rows back in the order of R. ``dpstrf`` stops at a pivot
-    below K * eps * max_i ||r_i||^2, which sets the rank; a zero row of R
-    gets a zero row of C."""
-    gram = raw @ raw.T
+    Gram matrix G, rows in the order of R, by the rule of LAPACK's
+    ``dpstf2`` (Higham 1990).
+
+    Column r takes as pivot the row p of largest residual
+    G[p, p] - sum_c C[p, c]^2 among the rows not yet pivoted, and is
+    (G[p] - C[:, :r] C[p, :r]) / sqrt(residual), zero on the pivoted rows.
+    The factor stops at a residual <= K 2^-53 max_i G[i, i] (2^-53 is
+    LAPACK's unit roundoff, half of numpy's eps), which sets the rank; a
+    zero row of R gets a zero row of C. The rows of G and C are never
+    swapped: ``perm`` holds the row order ``dpstf2``'s swaps would leave,
+    only so that a tie between residuals goes to the row it puts first.
+    """
+    gram = raw @ raw.T  # symmetric, so row p of G is its column p
     check_finite(gram, "Gram matrix")
-    factor, piv, rank, info = dpstrf(gram, lower=1)
-    if info < 0:
-        raise ValueError(f"dpstrf rejected argument {-info}")
-    coords = np.empty((len(raw), rank))
-    coords[piv - 1] = np.tril(factor)[:, :rank]
+    k = len(gram)
+    diag = gram.diagonal()
+    coords = np.zeros((k, k))
+    squares = np.zeros(k)
+    perm = np.arange(k)  # perm[:r] are the pivoted rows
+    stop = k * 2.0**-53 * diag.max(initial=0.0)
+    for r in range(k):
+        left = perm[r:]
+        residual = (diag - squares)[left]
+        j = int(residual.argmax())
+        if not residual[j] > stop:
+            return coords[:, :r]
+        p, root = left[j], math.sqrt(residual[j])
+        perm[r + j], perm[r] = perm[r], p
+        col = (gram[p] - coords[:, :r] @ coords[p, :r]) * (1.0 / root)
+        col[perm[:r]] = 0.0
+        col[p] = root
+        coords[:, r] = col
+        squares += col * col
     return coords
 
 

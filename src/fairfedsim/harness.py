@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import __version__
 from . import client as client_mod
@@ -254,6 +253,10 @@ class TTestResult:
 def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Two-sided paired Student t-test at the 95% level.
 
+    With n pairs, nu = n - 1 degrees of freedom and statistic t, the
+    p-value 2 P(T_nu > |t|) is the regularized incomplete beta function
+    I_x(nu/2, 1/2) at x = nu / (nu + t^2) (``_t_test_p``).
+
     Zero-variance differences cannot produce a t statistic: identical
     vectors report "degenerate: identical" (not significant); a nonzero
     constant shift is flagged significant by the constant-shift rule.
@@ -273,8 +276,63 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
             return TTestResult(0.0, 1.0, False, "degenerate: identical")
         return TTestResult(math.copysign(math.inf, mean), 0.0, True, "constant shift")
     t = mean / (sd / math.sqrt(d.size))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), d.size - 1))
+    p = _t_test_p(t, d.size - 1)
     return TTestResult(t, p, p < 0.05, "")
+
+
+def _t_test_p(t: float, df: int) -> float:
+    """Two-sided p-value of Student's t: I_x(df/2, 1/2), x = df / (df + t^2).
+
+    x and 1 - x are passed as logarithms, taken from s = |t| / sqrt(df)
+    without forming t^2 or 1 - x: t^2 overflows past |t| = 1e154, and
+    1 - x rounds to 0 for |t| near 0.
+    """
+    s = abs(t) / math.sqrt(df)
+    if s == 0.0:
+        return 1.0
+    if s > 1.0:  # x = 1 / (1 + s^2), 1 - x = 1 / (1 + 1/s^2)
+        log_1mx = -math.log1p(1.0 / s / s)
+        log_x = log_1mx - 2.0 * math.log(s)
+    else:
+        log_x = -math.log1p(s * s)
+        log_1mx = log_x + 2.0 * math.log(s)
+    return _incomplete_beta(df / 2.0, 0.5, log_x, log_1mx)
+
+
+def _incomplete_beta(a: float, b: float, log_x: float, log_1mx: float) -> float:
+    """Regularized incomplete beta I_x(a, b), from ln x and ln(1 - x).
+
+    The continued fraction of Numerical Recipes (section 6.4) converges
+    fast for x < (a + 1) / (a + b + 2); above that,
+    I_x(a, b) = 1 - I_{1-x}(b, a), whose x is below the other bound.
+    """
+    x = math.exp(log_x)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(b, a, log_1mx, log_x)
+    log_front = a * log_x + b * log_1mx - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return math.exp(log_front) * _beta_fraction(a, b, x) / a
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The incomplete beta continued fraction by Lentz's method, with its
+    denominators kept off 0 (Numerical Recipes' ``betacf``)."""
+    tiny = 1e-300
+
+    def off_zero(v: float) -> float:
+        return v if abs(v) > tiny else tiny
+
+    c, d = 1.0, 1.0 / off_zero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for coef in (even, odd):
+            d = 1.0 / off_zero(1.0 + coef * d)
+            c = off_zero(1.0 + coef / c)
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
 def _metric_columns(records: Sequence[RunRecord]) -> list[str]:

@@ -8,9 +8,14 @@ of silently poisoning later rounds.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+
+
+# the smallest norm whose square is a normal float64
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 class NonFiniteError(ArithmeticError):
@@ -46,20 +51,23 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1].
 
     The clamp matters: rounding can push |cos| a hair above 1 and a later
-    sqrt(1 - cos^2) would go NaN. Zero-norm inputs are rejected, and so
-    are inputs with a NaN or an infinite entry, before any division.
-    Finite inputs whose norm or dot product overflows are each divided by
-    their largest |entry| first, which leaves their cosine as it is.
+    sqrt(1 - cos^2) would go NaN. Zero vectors are rejected, and so are
+    inputs with a NaN or an infinite entry, before any division.
+    When a norm or the dot product overflows, or a norm is below
+    ``_TINY_NORM`` (its square, and the dot product's terms, are then
+    subnormal or 0 and have lost digits), each input is divided by its
+    largest |entry| first, which leaves the cosine as it is.
     """
     _check_same_length(a, b)
     check_finite(a, "cosine input")
     check_finite(b, "cosine input")
     with np.errstate(over="ignore"):
         na, nb, dot = norm(a), norm(b), np.dot(a, b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of zero-norm vector is undefined")
-    if not np.isfinite([na, nb, dot]).all():
-        a, b = a / np.abs(a).max(), b / np.abs(b).max()
+    if not (np.isfinite([na, nb, dot]).all() and min(na, nb) >= _TINY_NORM):
+        peak_a, peak_b = np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)
+        if peak_a == 0.0 or peak_b == 0.0:
+            raise ValueError("cosine of zero-norm vector is undefined")
+        a, b = a / peak_a, b / peak_b
         na, nb, dot = norm(a), norm(b), np.dot(a, b)
     c = float(dot / (na * nb))
     check_finite(c, "cosine")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpstrf
 
 from fairfedsim import aggregation, oracles
 from fairfedsim.aggregation import (
@@ -394,6 +395,69 @@ def assert_sweep_matches_oracle(grads, order, beta, state):
     assert _count_conflicts(res.coords, res.coords, goals0) == dspace_conflicts(grads, grads, goals0)
     assert _count_conflicts(res.working, res.coords, goals0) == dspace_conflicts(ref.working, grads, goals0)
     return res, ref
+
+
+def lapack_coordinates(raw):
+    """The factor of R R^T by LAPACK's ``dpstrf`` at its default stop,
+    rows put back in the order of R."""
+    factor, piv, rank, info = dpstrf(raw @ raw.T, lower=1)
+    assert info >= 0
+    coords = np.empty((len(raw), rank))
+    coords[piv - 1] = np.tril(factor)[:, :rank]
+    return coords
+
+
+@st.composite
+def factor_inputs(draw):
+    """K x D rows, each its own Gaussian draw, an exact copy or a multiple
+    of an earlier row's draw, or zero."""
+    K = draw(st.integers(1, 120))
+    D = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(("own", "copy", "multiple", "zero")), min_size=K, max_size=K))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    own = rng.normal(size=(K, D))
+    raw = np.zeros((K, D))
+    for i, kind in enumerate(kinds):
+        if kind == "own" or (i == 0 and kind != "zero"):
+            raw[i] = own[i]
+        elif kind != "zero":
+            multiple = 1.0 if kind == "copy" else rng.choice([-1.0, 0.5, -2.0, 1e-3, 1e3])
+            raw[i] = multiple * own[rng.integers(i)]
+    return raw
+
+
+class TestCoordinatesMatchLapack:
+    @settings(max_examples=200, deadline=None)
+    @given(factor_inputs())
+    def test_same_rank_and_factor_as_dpstrf(self, raw):
+        coords, ref = aggregation._coordinates(raw), lapack_coordinates(raw)
+        assert coords.shape == ref.shape
+        gram = raw @ raw.T
+        top = gram.diagonal().max()
+        # a row whose residual is at or below the stop, K 2^-53 top, is left
+        # out of the factor by design (dpstrf leaves it out too)
+        np.testing.assert_allclose(coords @ coords.T, gram, rtol=0, atol=(len(raw) * 2.0**-53 + 1e-14) * top)
+        # a row and its copy or negation tie in exact arithmetic, so rounding
+        # picks which is the pivot; the column is the same up to its sign
+        sign = np.where(np.einsum("kr,kr->r", coords, ref) < 0.0, -1.0, 1.0)
+        np.testing.assert_allclose(coords * sign, ref, rtol=0, atol=1e-13 * math.sqrt(top))
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 120])
+    def test_all_zero_input_has_rank_zero(self, K):
+        raw = np.zeros((K, 3))
+        assert aggregation._coordinates(raw).shape == lapack_coordinates(raw).shape == (K, 0)
+
+    @pytest.mark.parametrize("second, rank", [(2e-16, 1), (3e-16, 2)])
+    def test_rank_boundary_matches_dpstrf(self, second, rank):
+        # G = diag(1, second): the stop is 2 * 2^-53 = 2.2e-16; at numpy's
+        # eps (2^-52) both inputs would have rank 1
+        raw = np.diag([1.0, math.sqrt(second)])
+        assert aggregation._coordinates(raw).shape == lapack_coordinates(raw).shape == (2, rank)
+
+    def test_ties_go_to_the_row_dpstrf_puts_first(self):
+        # after pivot 2, rows 1 and 0 tie; dpstrf's swap has put row 1 first
+        raw = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.5]])
+        np.testing.assert_array_equal(aggregation._coordinates(raw), lapack_coordinates(raw))
 
 
 class TestSweepMatchesOracleOnKnownInputs:

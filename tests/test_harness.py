@@ -3,18 +3,21 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from fairfedsim.baselines import TrainConfig
 from fairfedsim.cli import main as cli_main
 from fairfedsim.data import DatasetSchema
 from fairfedsim.harness import (
     ExperimentConfig,
+    _t_test_p,
     build_data,
     load_records,
     paired_ttest,
@@ -75,6 +78,53 @@ class TestPairedTTest:
             paired_ttest([1.0], [2.0])
         with pytest.raises(ValueError):
             paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_p_value_matches_scipy_ttest_rel(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5, 10, 40):
+            a, b = rng.normal(size=n), rng.normal(0.3, 1.0, size=n)
+            res = paired_ttest(a, b)
+            ref = scipy_stats.ttest_rel(a, b)
+            np.testing.assert_allclose(res.t, ref.statistic, rtol=1e-12)
+            np.testing.assert_allclose(res.p, ref.pvalue, rtol=1e-9)
+
+
+# scipy's t.sf loses these at df = 1: it reads 3.1e-9 relative low at
+# t = 1e-8 and 0 at t = 1e200, where p = (2/pi) atan(1/t) = 6.4e-201
+SCIPY_LOSES = {(1, 1e-8), (1, 1e200)}
+
+
+class TestTTestPValue:
+    FIXED_T = (0.0, 1e-8, 50.0, 1e3, 1e200)
+
+    def test_matches_scipy(self):
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for df in range(1, 60):
+                rng = np.random.default_rng(df)
+                for t in [*rng.exponential(3.0, size=20), *self.FIXED_T]:
+                    if (df, t) in SCIPY_LOSES:
+                        continue
+                    got, want = _t_test_p(float(t), df), 2.0 * float(scipy_stats.t.sf(abs(t), df))
+                    assert f"{got:.6g}" == f"{want:.6g}", (df, t, got, want)
+                    if want >= 1e-300:
+                        assert abs(got - want) <= 1e-9 * want, (df, t, got, want)
+                    checked += 1
+        assert checked == 59 * 25 - len(SCIPY_LOSES)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-8, 0.3, 1.0, 7.0, 50.0, 1e3, 1e200])
+    def test_cauchy_closed_form_at_one_degree_of_freedom(self, t):
+        want = 2.0 / math.pi * math.atan2(1.0, t)
+        np.testing.assert_allclose(_t_test_p(t, 1), want, rtol=1e-13)
+        np.testing.assert_allclose(_t_test_p(-t, 1), want, rtol=1e-13)
+
+    def test_p_falls_from_one_as_t_grows(self):
+        ts = [0.0, 1e-8, 0.5, 1.0, 2.0, 5.0, 50.0, 1e3, 1e100]
+        for df in (1, 2, 7, 59, 1000):
+            ps = [_t_test_p(t, df) for t in ts]
+            assert ps[0] == 1.0
+            assert all(0.0 <= q <= p <= 1.0 and (q < p or q == 0.0) for p, q in zip(ps, ps[1:]))
 
 
 class TestConfig:

@@ -51,6 +51,20 @@ def test_cosine_symmetry_and_scale_invariance():
         np.testing.assert_allclose(cosine(a, b), math.sqrt(0.5), rtol=1e-15)
 
 
+@pytest.mark.parametrize("v", [1e-200, 1e-170, 1e-160, 5e-324])
+def test_cosine_of_inputs_whose_squares_underflow(v):
+    # the squares are 0 (1e-200, 1e-170, 5e-324) or subnormal with few
+    # digits left (1e-160: the unscaled quotient reads 0.70720)
+    a, b = np.array([v, v]), np.array([v, 0.0])
+    np.testing.assert_allclose(cosine(a, b), math.sqrt(0.5), rtol=1e-15)
+    assert cosine(a, b) == cosine(b, a)
+    np.testing.assert_allclose(cosine(np.array([1.0, 1.0]), b), math.sqrt(0.5), rtol=1e-15)
+    np.testing.assert_allclose(cosine(a, -a), -1.0, rtol=1e-15)
+    assert cosine(np.array([v, 0.0]), np.array([0.0, v])) == 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        cosine(np.zeros(2), b)
+
+
 def test_cauchy_schwarz():
     rng = np.random.default_rng(2)
     for _ in range(300):
