@@ -21,16 +21,16 @@ print("shard sizes:", [len(s) for s in prepared.shards])
 print("shard positive rates:", [round(float(s.y.mean()), 2) for s in prepared.shards])
 
 print(f"\n{'regime':>12} {'acc':>7} {'DP':>7} {'EO':>7} {'AP':>7} {'CF':>7}")
+results = {}
 for regime in ("fedavg", "fedavg_f", "mfairfl"):
-    result = train(regime, prepared.shards, config.train_config(seed))
+    result = results[regime] = train(regime, prepared.shards, config.train_config(seed))
     report = evaluate_run(result, regime, prepared)
     cf = "-" if report.cf is None else f"{report.cf:7.3f}"
     print(f"{regime:>12} {report.accuracy:7.3f} {report.dp['group']:7.3f} "
           f"{report.eo['group']:7.3f} {report.ap['group']:7.3f} {cf}")
 
 print("\nper-round trace of the constrained run (round, adjustments, lambda):")
-result = train("mfairfl", prepared.shards, config.train_config(seed))
-for rec in result.rounds:
+for rec in results["mfairfl"].rounds:
     lam = max(rec.to_json()["lambda"].values())
     print(f"  round {rec.round_index:2d}: adjustments {rec.n_adjustments}, "
           f"max lambda {lam:.3f}, |g| {rec.g_global_norm:.4f}")

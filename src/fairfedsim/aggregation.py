@@ -215,12 +215,12 @@ def lagrangian_losses(
     stats: Sequence[ClientStatistics], lam: np.ndarray, families: np.ndarray, alpha: float
 ) -> dict[int, float]:
     """l_k = L(D_k, w) + sum_s lambda_s h_s(w) from each client's own
-    stats, summed in key order over the keys with members on the client."""
+    stats, summed in key order; h is 0 on a key without members on the
+    client, so such a key adds nothing."""
     out = {}
     for st in stats:
-        members = st.fairness.groups[:, 1] > 0
         h = constraint_values(st.fairness, families, alpha)
-        out[st.client_id] = st.loss + sum((lam[members] * h[members]).tolist())
+        out[st.client_id] = st.loss + sum((lam * h).tolist())
     return out
 
 

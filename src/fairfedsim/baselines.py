@@ -23,6 +23,7 @@ round records name the multipliers by the keys' ``to_str``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -61,8 +62,10 @@ class Hyperparameters:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if self.gamma < 0.0 or self.eta <= 0.0:
-            raise ValueError("gamma must be >= 0 and eta > 0")
+        if not (0.0 < self.eta < math.inf and 0.0 <= self.gamma < math.inf and 0.0 <= self.alpha < math.inf):
+            raise ValueError(
+                f"eta={self.eta} must be finite and > 0, gamma={self.gamma} and alpha={self.alpha} finite and >= 0"
+            )
         if self.constraint not in fairness.CONSTRAINT_METRICS:
             raise ValueError(f"unknown constraint {self.constraint!r}; one of {fairness.CONSTRAINT_METRICS}")
 

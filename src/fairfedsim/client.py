@@ -13,23 +13,22 @@ the table's family indices, and reuses both for every round and step. Its
 multipliers are an (n_keys,) vector and its uploaded statistics an
 (n_keys, 2) array, both aligned to the table.
 
-A step runs one forward pass over the shard and 1 + #keys backward passes:
-one for the loss over every row, and one per constraint key with members
-on the shard, whatever its multiplier, over the rows of that key's group
-(or group-and-label cell) only. The per-key passes are kept although a
-zero multiplier leaves their result unread, because the benchmark pins
-``model.backward_per_step == 1 + #keys``. Whether any key with members has
-a nonzero multiplier is decided once per round, since the multipliers are
-frozen for the round: only then are the constraint gradients
-(``fairness.constraint_grads``) formed and added to the loss gradient;
-otherwise the step's gradient is the loss gradient bit for bit. These
-gradients stay in the step.
+A step runs one forward pass over the shard, then backpropagates the loss
+over every row and, for each constraint key with members on the shard,
+grad f over that key's rows (``fairness.group_grad_sums``), whatever its
+multiplier: the benchmark pins ``model.backward_per_step == 1 + #keys``.
+The multipliers are frozen for the round, so ``compute_statistics``
+decides once per round whether any key with members carries a positive
+one. Only then is sum_s lambda_s grad h_s formed, as one weighted sum of
+the per-key sums (``fairness.constraint_grads``), and added to the loss
+gradient, once; otherwise the step's gradient is the loss gradient bit
+for bit. These gradients stay in the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def _check_shard(shard: Shard) -> None:
 
 def lagrangian_grad(
     params: MlpParams,
-    weights: Sequence[tuple[int, float]],
+    lam: Optional[np.ndarray],
     shard: Shard,
     metric: str,
     rows: Sequence[np.ndarray],
@@ -67,12 +66,12 @@ def lagrangian_grad(
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
     ``rows`` is the shard's row list of the run's ``fairness.KeyTable`` and
-    ``families`` the table's family indices. ``weights`` holds
-    (key index, multiplier) for every nonzero multiplier on a key with
-    members on the shard, in key order; keys without members carry no
-    gradient here. One forward pass serves the loss, the fairness
-    statistics and the constraint gradient sums; the loss gradient is
-    computed exactly as ``model.loss_and_grad`` computes it.
+    ``families`` the table's family indices. ``lam`` is the (n_keys,)
+    multiplier vector, or None when no key with members on the shard has
+    a positive multiplier; then the gradient is the loss gradient. One
+    forward pass serves the loss, the fairness statistics and the
+    constraint gradient sums; the loss gradient is formed first, as in
+    ``model.loss_and_grad``, and the constraint sum is added to it once.
     """
     outputs = model.batch_outputs(params, shard.X, shard.y)
     probs, losses, weighted_grad = outputs
@@ -80,10 +79,8 @@ def lagrangian_grad(
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
     stats = fairness.compute_statistics_for_metric(outputs, rows, metric)
     grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, metric)
-    if weights:
-        h_grads = fairness.constraint_grads(stats, families, grad_sums)
-        for j, weight in weights:
-            grad += weight * h_grads[j]
+    if lam is not None:
+        grad += fairness.constraint_grads(stats, families, lam, grad_sums)
     check_finite(grad, f"client {shard.client_id} update gradient")
     return loss, stats, grad
 
@@ -112,13 +109,13 @@ def compute_statistics(
         raise ValueError("epochs must be >= 1")
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    weights = [(j, float(lam[j])) for j in np.flatnonzero(lam).tolist() if rows[j].size]
-    loss, stats, grad = lagrangian_grad(params, weights, shard, metric, rows, families)
+    lam = lam if any(lam[j] > 0.0 for j, r in enumerate(rows) if r.size) else None
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, families)
     update = grad
     flat = params.flat
     for _ in range(epochs - 1):
         flat = flat - lr * grad
-        _, _, grad = lagrangian_grad(MlpParams(params.spec, flat), weights, shard, metric, rows, families)
+        _, _, grad = lagrangian_grad(MlpParams(params.spec, flat), lam, shard, metric, rows, families)
         update = update + grad
     check_finite(update, f"client {shard.client_id} update gradient")
     return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)

@@ -358,6 +358,8 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
 
 def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
     """Shuffle each sensitive group and slice it by cumulative fractions."""
+    if spec.attribute not in train.attr_names:
+        raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {train.attr_names}")
     a = train.attr_names.index(spec.attribute)
     names = train.group_names[a]
     present = {names[c] for c in np.unique(train.S[:, a])}

@@ -20,9 +20,10 @@ values h and the multipliers are (n_keys,) vectors. Family totals add the
 family's keys in key order from 0.0 (``np.bincount`` with weights), so the
 population aggregate equals the sum of its groups bitwise, and
 normalization happens only at the point of use. A key without members in
-a block carries no constraint there: its h is 0 and ``constraint_grads``
-leaves it out. Gradients are formed in the client's local step
-(``group_grad_sums``, then ``constraint_grads``).
+a block carries no constraint there: its gap and h are 0 (``_gaps``). In
+a client's local step ``group_grad_sums`` sums grad f over each key's rows,
+and ``constraint_grads`` weights those sums into the one vector
+sum_s lambda_s grad h_s.
 """
 
 from __future__ import annotations
@@ -177,29 +178,20 @@ def constraint_values(stats: FairnessStatistics, families: np.ndarray, alpha: fl
 
 
 def constraint_grads(
-    stats: FairnessStatistics, families: np.ndarray, grad_sums: Mapping[int, np.ndarray]
-) -> dict[int, np.ndarray]:
-    """Subgradient of each h_s, sign(gap) * (grad F(D)/n - grad F(D^s)/n_s),
-    by key index, for every key with members in the block.
+    stats: FairnessStatistics, families: np.ndarray, lam: np.ndarray, grad_sums: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """sum_s lam_s grad h_s, the constraint part of the Lagrangian gradient.
 
-    ``grad_sums`` maps each such key to the sum of grad f over its rows
-    (``group_grad_sums``); a family's gradient total is the sum of its
-    keys' entries in key order. sign(0) is taken as 0 (subgradient at the
-    kink of the absolute value).
+    grad h_s = sign(gap_s) (grad F(D)/n - grad F(D^s)/n_s), sign(0) = 0 (a
+    subgradient at the kink). With a = lam sign(gap) and A_f its sum over
+    family f, this is sum_j c_j grad_sums[j], c_j = A_f(j)/n_f(j) - a_j/n_j,
+    added in key order over ``grad_sums`` (``group_grad_sums``: per key
+    with members, the sum of grad f over its rows).
     """
     gap, n_group, n_family = _gaps(stats, families)
-    members = np.flatnonzero(n_group).tolist()
-    family_grads: dict = {}
-    for j in members:
-        family_grads[families[j]] = family_grads.get(families[j], 0.0) + grad_sums[j]
-    out: dict[int, np.ndarray] = {}
-    for j in members:
-        if gap[j] == 0.0:
-            out[j] = np.zeros_like(grad_sums[j])
-        else:
-            sign = 1.0 if gap[j] > 0 else -1.0
-            out[j] = sign * (family_grads[families[j]] / n_family[j] - grad_sums[j] / n_group[j])
-    return out
+    a = lam * np.sign(gap)
+    family_a = np.bincount(families, weights=a)[families]
+    return sum((family_a[j] / n_family[j] - a[j] / n_group[j]) * g for j, g in grad_sums.items())
 
 
 # ---------------------------------------------------------------------------

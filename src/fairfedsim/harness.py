@@ -16,6 +16,7 @@ built, so a config that no cell can run fails before the grid starts.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -75,7 +76,11 @@ class ExperimentConfig(Hyperparameters):
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}; one of {tuple(REGIMES)}")
-        PartitionSpec.from_json(self.partition)
+        for name in ("regimes", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}={values} repeats a value: its cells would share one trace file")
+        _check_data(self.dataset, PartitionSpec.from_json(self.partition))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.client_mode not in CLIENT_MODES:
@@ -111,6 +116,27 @@ class ExperimentConfig(Hyperparameters):
         if self.client_mode == "single_step":
             values["local_epochs"] = 1
         return TrainConfig(**values, seed=seed)
+
+
+def _check_data(dataset: dict, spec: PartitionSpec) -> None:
+    """Refuse a dataset or partition that no cell can run. A CSV file is
+    read only when a cell runs, so its attributes and groups are checked
+    there (``data.partition``)."""
+    if set(dataset) == {"csv", "schema"}:
+        return
+    if set(dataset) != {"synthetic"}:
+        raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(dataset)}")
+    try:
+        args = inspect.signature(data_mod.synthetic_dataset).bind(seed=0, **dataset["synthetic"])
+    except TypeError as exc:
+        raise ValueError(f"dataset 'synthetic': {exc}") from None
+    args.apply_defaults()
+    groups = [f"g{g}" for g in range(len(args.arguments["group_fractions"]))]
+    if spec.attribute != "group" or set(spec.fractions) != set(groups):
+        raise ValueError(
+            f"partition over {spec.attribute!r} groups {sorted(spec.fractions)} does not match the synthetic"
+            f" dataset's attribute 'group' with groups {groups}"
+        )
 
 
 @dataclass

@@ -176,13 +176,11 @@ def per_sample_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE loss over the batch (rows of X, labels y) and its exact flat gradient."""
+    """Mean BCE loss over the batch (rows of X, labels y) and its exact flat
+    gradient: ``batch_outputs``, then ``weighted_grad((p - y) / n)``."""
     X, y = _rows(X), np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    probs, _, acts = _forward_cache(params, X)
-    loss = float(np.mean(per_sample_losses(probs, y)))
-    grad = _backward(params, acts, (probs - y) / n)
-    return loss, grad
+    probs, losses, weighted_grad = batch_outputs(params, X, y)
+    return float(np.mean(losses)), weighted_grad((probs - y) / X.shape[0])
 
 
 def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):

@@ -43,10 +43,10 @@ def upload(params, lam, shard, metric="dp", *, epochs, lr=Hyperparameters.eta):
 
 
 def step(params, lam, shard, metric="dp"):
-    """``lagrangian_grad`` with the multiplier ``lam`` on every key of the shard."""
+    """``lagrangian_grad`` with the multiplier ``lam`` on every key of the
+    shard; a zero ``lam`` is passed as None, as ``compute_statistics`` does."""
     rows, families = shard_keys(shard, metric)
-    weights = [(j, lam) for j in range(len(rows))] if lam else []
-    return lagrangian_grad(params, weights, shard, metric, rows, families)
+    return lagrangian_grad(params, np.full(len(rows), lam) if lam else None, shard, metric, rows, families)
 
 
 def test_zero_lambda_single_step_equals_loss_grad():

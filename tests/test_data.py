@@ -242,6 +242,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="no fractions"):
             partition(ds, spec, seed=0)
 
+    def test_unknown_attribute_rejected(self):
+        ds = synthetic_dataset(50, seed=12, input_dim=3)
+        spec = PartitionSpec("sex", {"g0": (0.5, 0.5), "g1": (0.5, 0.5)})
+        with pytest.raises(ValueError, match="partition attribute 'sex'"):
+            partition(ds, spec, seed=0)
+
     def test_pool_shards_restores_union(self):
         ds = synthetic_dataset(120, seed=13, input_dim=3)
         shards = partition(ds, self.spec(), seed=5)

@@ -31,7 +31,7 @@ from fairfedsim.model import MlpParams, MlpSpec
 from fairfedsim.numeric import make_rng
 from fairfedsim.oracles import finite_diff
 
-from conftest import min_preactivation
+from conftest import min_preactivation, rel_err
 
 
 class TestDemographicParity:
@@ -184,39 +184,91 @@ class TestConstraintValues:
         stats = two_group_stats(0.5, [0.5, 0.3], [10, 0])
         h = constraint_values(stats, FAMILY, 0.05)
         assert h[1] == 0.0 and h[0] == -0.05
-        grads = constraint_grads(stats, FAMILY, {0: np.ones(3)})
-        assert list(grads) == [0]
-        np.testing.assert_array_equal(grads[0], np.zeros(3))
+        grad = constraint_grads(stats, FAMILY, np.array([0.4, 0.9]), {0: np.ones(3)})
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
 
-def build_instance(seed, metric, input_dim=4, n=12):
+def build_instance(seed, metric, input_dim=4, n=12, attributes=1):
     rng = make_rng(seed)
     spec = MlpSpec(input_dim, (6, 5))
     params = MlpParams.init(spec, seed=seed)
     X = rng.normal(size=(n, input_dim))
     y = rng.integers(0, 2, size=n)
-    S = rng.integers(0, 2, size=(n, 1))
-    # ensure all (group, label) cells are populated
+    S = rng.integers(0, 2, size=(n, attributes))
+    # ensure all (group, label) cells are populated, for every attribute
     S[:4, 0] = [0, 0, 1, 1]
+    S[:4, 1:] = np.array([0, 1, 1, 0])[:, None]
     y[:4] = [0, 1, 0, 1]
     return spec, params, X, y, S
+
+
+def matches_finite_differences(seed, metric, attributes):
+    """Check ``constraint_grads`` at lambda = each unit vector e_s (which is
+    grad h_s) and at one random positive lambda against central differences
+    of sum_s lambda_s h_s. False, without a check, for an instance near a
+    kink, where the subgradient and the differences need not agree."""
+    spec, params, X, y, S = build_instance(seed, metric, attributes=attributes)
+    if min_preactivation(params, X) < 1e-4:
+        return False  # ReLU kink within the FD step
+    table = KeyTable.build([(y, S)], NAMES * attributes, metric)
+    rows, families = table.rows[0], table.families
+    assert families.max() + 1 == attributes * (2 if metric == "eo" else 1)
+
+    def h_of(w):
+        p = MlpParams.unflatten(spec, w)
+        s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
+        return constraint_values(s, families, 0.0)
+
+    flat0 = params.flatten()
+    if np.abs(h_of(flat0)).min() < 1e-4:
+        return False  # |gap| kink neighborhood: subgradient vs FD undefined
+    outputs = model.batch_outputs(params, X, y)
+    stats = compute_statistics_for_metric(outputs, rows, metric)
+    grad_sums = group_grad_sums(outputs, y, rows, metric)
+    n_keys = len(table.keys)
+    for lam in [*np.eye(n_keys), make_rng(seed, 0x1A).uniform(0.1, 1.0, n_keys)]:
+        fd = finite_diff(lambda w: float(lam @ h_of(w)), flat0, step=1e-5)
+        grad = constraint_grads(stats, families, lam, grad_sums)
+        assert rel_err(grad, fd) <= 1e-4, f"finite differences disagree: {metric}, seed {seed}, lambda {lam}"
+    return True
 
 
 class TestConstraintGrads:
     def test_zero_gap_gives_zero_vector(self):
         stats = two_group_stats(0.5, [0.5, 0.5], [10, 10])
-        grads = constraint_grads(stats, FAMILY, {j: np.arange(3.0) for j in range(2)})
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros(3))
+        grad = constraint_grads(stats, FAMILY, np.array([0.4, 0.9]), {j: np.arange(3.0) for j in range(2)})
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+    def test_zero_gap_key_contributes_nothing(self):
+        # s0=g0 sits at the family mean 0.5; s0=g1 and s0=g2 do not
+        stats = FairnessStatistics([(5.0, 10), (3.0, 10), (7.0, 10)])
+        families = np.zeros(3, dtype=np.int64)
+        grad_sums = {j: make_rng(j).normal(size=4) for j in range(3)}
+        with_g0 = constraint_grads(stats, families, np.array([0.8, 0.3, 0.5]), grad_sums)
+        without = constraint_grads(stats, families, np.array([0.0, 0.3, 0.5]), grad_sums)
+        np.testing.assert_array_equal(with_g0, without)
+        assert np.abs(without).max() > 0.0
+
+    def test_key_without_members_contributes_nothing(self):
+        # s0=g2 has no members in the block, so no gradient sum either
+        stats = FairnessStatistics([(4.0, 10), (6.0, 10), (0.0, 0)])
+        families = np.zeros(3, dtype=np.int64)
+        grad_sums = {j: make_rng(j).normal(size=4) for j in range(2)}
+        with_g2 = constraint_grads(stats, families, np.array([0.3, 0.5, 0.9]), grad_sums)
+        without = constraint_grads(stats, families, np.array([0.3, 0.5, 0.0]), grad_sums)
+        np.testing.assert_array_equal(with_g2, without)
+        assert np.abs(without).max() > 0.0
 
     def test_sign_flip(self):
         up = two_group_stats(0.6, [0.4, 0.8], [10, 10])
         sum_f, count = up.groups.T
         grad_sums = {j: np.arange(3.0) * count[j] * (1 if j == 0 else -1) for j in range(2)}
         down = FairnessStatistics(np.column_stack([(1.0 - sum_f / count) * count, count]))
-        g_up = constraint_grads(up, FAMILY, grad_sums)
-        g_down = constraint_grads(down, FAMILY, grad_sums)
-        np.testing.assert_allclose(g_up[0], -g_down[0])
+        lam = np.array([0.7, 0.2])
+        g_up = constraint_grads(up, FAMILY, lam, grad_sums)
+        g_down = constraint_grads(down, FAMILY, lam, grad_sums)
+        assert np.abs(g_up).max() > 0.0
+        np.testing.assert_array_equal(g_up, -g_down)
 
     @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
     def test_matches_finite_differences(self, metric):
@@ -225,34 +277,15 @@ class TestConstraintGrads:
         while checked < 8:
             seed += 1
             assert seed < 200, "instance sampler starved"
-            spec, params, X, y, S = build_instance(seed, metric)
-            if min_preactivation(params, X) < 1e-4:
-                continue  # ReLU kink within the FD step
-            table = block_table(y, S, metric)
-            rows, families = table.rows[0], table.families
-            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), rows, metric)
-            h0 = constraint_values(stats, families, alpha=0.0)
-            if any(abs(v) < 1e-4 for v in h0):
-                continue  # |gap| kink neighborhood: subgradient vs FD undefined
-            outputs = model.batch_outputs(params, X, y)
-            grads = constraint_grads(stats, families, group_grad_sums(outputs, y, rows, metric))
-            assert list(grads) == list(range(len(table.keys)))
-            flat0 = params.flatten()
-            ok_instance = True
-            for j in grads:
-                def h_of(w, j=j):
-                    p = MlpParams.unflatten(spec, w)
-                    s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
-                    return constraint_values(s, families, 0.0)[j]
+            checked += matches_finite_differences(seed, metric, attributes=1)
 
-                fd = finite_diff(h_of, flat0, step=1e-5)
-                denom = max(np.linalg.norm(fd), np.linalg.norm(grads[j]), 1e-30)
-                if np.linalg.norm(fd - grads[j]) / denom > 1e-4:
-                    ok_instance = False
-            if ok_instance:
-                checked += 1
-            else:
-                raise AssertionError(f"finite differences disagree for metric {metric}, seed {seed}")
+    @pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+    def test_two_attributes_match_finite_differences(self, metric):
+        # two sensitive attributes: 2 families under DP and AP, 4 under EO
+        seed = 0
+        while not matches_finite_differences(seed, metric, attributes=2):
+            seed += 1
+            assert seed < 200, "instance sampler starved"
 
 
 class TestAggregationIdentity:

@@ -147,9 +147,17 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("beta", -0.1), ("beta", 1.5), ("delta", -0.5), ("delta", 2.0), ("gamma", -1.0), ("eta", 0.0), ("eta", -0.05),
+         ("eta", math.nan), ("eta", math.inf), ("gamma", math.nan), ("alpha", math.nan), ("alpha", -0.1),
          ("constraint", "xx"), ("local_epochs", 0), ("rounds", 0), ("hidden_dims", ()), ("hidden_dims", (8, 0)),
          # ExperimentConfig only
          ("partition", {"attribute": "group", "fractions": {"g0": (0.5, 0.4), "g1": (0.5, 0.5)}}),
+         ("partition", {"attribute": "sex", "fractions": {"g0": (0.5, 0.5), "g1": (0.5, 0.5)}}),
+         ("dataset", {}),
+         ("dataset", {"csv": "rows.csv"}),
+         ("dataset", {"synthetic": {"n": 200, "bogus": 1}}),
+         ("dataset", {"synthetic": {"input_dim": 4}}),
+         # four groups against the default partition's g0 and g1
+         ("dataset", {"synthetic": {"n": 200, "group_fractions": (0.25,) * 4, "pos_rate_by_group": (0.5,) * 4}}),
          ("test_fraction", 1.5)],
     )
     def test_out_of_range_round_values_rejected_at_construction(self, name, value):
@@ -159,6 +167,21 @@ class TestConfig:
         for seeds in ((1, 2), ()):
             with pytest.raises(ValueError, match=name):
                 replace(ExperimentConfig(), seeds=seeds, **{name: value})
+
+    @pytest.mark.parametrize("name, values", [("seeds", (1, 1, 2)), ("regimes", ("fedavg", "fedavg"))])
+    def test_repeated_seed_or_regime_rejected(self, name, values):
+        with pytest.raises(ValueError, match=f"{name}=.* repeats"):
+            replace(ExperimentConfig(), **{name: values})
+
+    def test_synthetic_groups_g0_to_g11_with_their_partition_build(self):
+        groups = 12
+        cfg = replace(
+            ExperimentConfig(),
+            dataset={"synthetic": {"n": 600, "group_fractions": (1 / groups,) * groups,
+                                   "pos_rate_by_group": (0.5,) * groups}},
+            partition={"attribute": "group", "fractions": {f"g{g}": (0.5, 0.5) for g in range(groups)}},
+        )
+        assert len(build_data(cfg, 1).shards) == 2
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
