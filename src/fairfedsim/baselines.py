@@ -55,6 +55,11 @@ class Hyperparameters:
     constraint: str = "dp"       # one of fairness.CONSTRAINT_METRICS
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Refuse out-of-range values. Runs when the config is built;
+        ``harness.run`` runs it again, for fields edited since."""
         self.hidden_dims = model.check_hidden_dims(self.hidden_dims)
         if self.rounds < 1 or self.local_epochs < 1:
             raise ValueError(f"rounds={self.rounds} and local_epochs={self.local_epochs} must be >= 1")
@@ -79,8 +84,8 @@ class TrainConfig(Hyperparameters):
     seed: int = 1
     order_policy: str = "loss_ascending"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check(self) -> None:
+        super().check()
         if self.order_policy not in ORDER_POLICIES:
             raise ValueError(f"unknown order policy {self.order_policy!r}; one of {ORDER_POLICIES}")
 

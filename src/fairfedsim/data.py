@@ -406,6 +406,22 @@ def pool_shards(shards: Sequence[Shard]) -> Dataset:
     )
 
 
+def check_synthetic_args(
+    input_dim: int,
+    group_fractions: Sequence[float],
+    pos_rate_by_group: Sequence[float],
+    label_orientation_by_group: Optional[Sequence[float]],
+) -> None:
+    """Refuse ``synthetic_dataset`` arguments it cannot build from: fewer
+    than two features, or per-group tuples of different lengths."""
+    if input_dim < 2:
+        raise ValueError("input_dim must be >= 2")
+    if len(group_fractions) != len(pos_rate_by_group):
+        raise ValueError("group_fractions and pos_rate_by_group must align")
+    if label_orientation_by_group is not None and len(label_orientation_by_group) != len(group_fractions):
+        raise ValueError("label_orientation_by_group and group_fractions must align")
+
+
 def synthetic_dataset(
     n: int,
     seed: int,
@@ -427,14 +443,9 @@ def synthetic_dataset(
     additive), which forces group-specific decision rules and genuine
     gradient conflict between clients dominated by different groups.
     """
-    if input_dim < 2:
-        raise ValueError("input_dim must be >= 2")
-    if len(group_fractions) != len(pos_rate_by_group):
-        raise ValueError("group_fractions and pos_rate_by_group must align")
+    check_synthetic_args(input_dim, group_fractions, pos_rate_by_group, label_orientation_by_group)
     if label_orientation_by_group is None:
         label_orientation_by_group = (1.0,) * len(group_fractions)
-    if len(label_orientation_by_group) != len(group_fractions):
-        raise ValueError("label_orientation_by_group and group_fractions must align")
     rng = make_rng(seed, 0x5E)
     n_groups = len(group_fractions)
     counts = largest_remainder_counts(n, group_fractions)

@@ -9,8 +9,10 @@ traceback), ``trace/<regime>-<seed>.jsonl`` (per-round records), and
 server-phase seconds, kept out of the deterministic files).
 
 ``ExperimentConfig`` inherits the training hyperparameters and their checks
-from ``baselines.Hyperparameters`` and checks its own fields when it is
-built, so a config that no cell can run fails before the grid starts.
+from ``baselines.Hyperparameters`` and adds its own fields' checks to
+``check()``, which runs when the config is built and again when ``run``
+starts, so a config that no cell can run, even one edited after it was
+built, fails before the grid starts.
 """
 
 from __future__ import annotations
@@ -70,9 +72,16 @@ class ExperimentConfig(Hyperparameters):
     reference_regime: str = "mfairfl"
 
     def __post_init__(self):
-        super().__post_init__()
         self.regimes = tuple(str(r) for r in self.regimes)
         self.seeds = tuple(int(s) for s in self.seeds)
+        super().__post_init__()  # runs check()
+        if self.beta not in BETA_GRID and self.beta != 0.0:
+            warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
+        if self.delta not in DELTA_GRID and self.delta != 0.0:
+            warnings.warn(f"delta={self.delta} is outside the default grid {DELTA_GRID}", stacklevel=2)
+
+    def check(self) -> None:
+        super().check()
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}; one of {tuple(REGIMES)}")
@@ -87,10 +96,6 @@ class ExperimentConfig(Hyperparameters):
             raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
         if self.threads != 1:
             raise ValueError(f"threads={self.threads}: cells run sequentially, threads must be 1")
-        if self.beta not in BETA_GRID and self.beta != 0.0:
-            warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
-        if self.delta not in DELTA_GRID and self.delta != 0.0:
-            warnings.warn(f"delta={self.delta} is outside the default grid {DELTA_GRID}", stacklevel=2)
 
     def to_json(self) -> dict:
         return asdict(self)  # json writes the tuples as lists
@@ -128,10 +133,14 @@ def _check_data(dataset: dict, spec: PartitionSpec) -> None:
         raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(dataset)}")
     try:
         args = inspect.signature(data_mod.synthetic_dataset).bind(seed=0, **dataset["synthetic"])
-    except TypeError as exc:
+        args.apply_defaults()
+        a = args.arguments
+        data_mod.check_synthetic_args(
+            a["input_dim"], a["group_fractions"], a["pos_rate_by_group"], a["label_orientation_by_group"]
+        )
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"dataset 'synthetic': {exc}") from None
-    args.apply_defaults()
-    groups = [f"g{g}" for g in range(len(args.arguments["group_fractions"]))]
+    groups = [f"g{g}" for g in range(len(a["group_fractions"]))]
     if spec.attribute != "group" or set(spec.fractions) != set(groups):
         raise ValueError(
             f"partition over {spec.attribute!r} groups {sorted(spec.fractions)} does not match the synthetic"
@@ -237,8 +246,10 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[RunRecord]:
-    """Execute the full (regime, seed) grid; one record per cell. An empty
-    grid (no seeds or no regimes) is refused before any file is written."""
+    """Execute the full (regime, seed) grid; one record per cell. A config
+    that fails ``check()``, edited since it was built, or an empty grid (no
+    seeds or no regimes) is refused before any file is written."""
+    config.check()
     if not config.seeds or not config.regimes:
         raise ValueError(f"empty grid: regimes={config.regimes}, seeds={config.seeds}")
     out_path = Path(out_dir if out_dir is not None else config.out)

@@ -11,6 +11,22 @@ computed once per ``MlpSpec`` (``MlpSpec.layout``); ``MlpParams.weights``
 and ``biases`` are views into the vector, so ``unflatten`` and ``flatten``
 each make one copy, and a backward pass writes every layer's gradient
 straight into its slice of one new vector.
+
+Arrays per pass, for a batch of n rows:
+- A forward pass allocates one (n, width) product per hidden layer and adds
+  the bias and applies the ReLU to it in place; these are the pass's
+  activations, kept for its backward passes and written by nothing else.
+  The (n,) logits and ``sigmoid`` take a few n-length temporaries.
+- A backward pass allocates the flat gradient vector and, per hidden
+  layer, the (n, width) product ``delta @ W`` and the bool ReLU mask it is
+  multiplied by in place. A pass over a subset of rows first gathers those
+  rows of every activation (``take``).
+In-place work touches only arrays the pass made itself, never ``X``,
+``dlogit`` or the parameters. Every result is bit for bit that of the
+out-of-place formulas. Weights enter the products as views (``W.T``), not
+as contiguous transposed copies: OpenBLAS rounds its N/T and N/N gemm
+paths differently (a 32 x 32 layer over 5 rows differs in the last bits),
+so a copy would change the gradients.
 """
 
 from __future__ import annotations
@@ -108,14 +124,11 @@ class MlpParams:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (branch form)."""
+    """Numerically stable logistic function: 1/(1+e) for z >= 0 and e/(1+e)
+    below, with e = exp(-|z|) <= 1, so nothing overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 _P_CLAMP = 1e-12
@@ -140,8 +153,9 @@ def _forward_cache(params: MlpParams, X: np.ndarray):
     a = X
     n_layers = len(params.weights)
     for li in range(n_layers - 1):
-        z = a @ params.weights[li].T + params.biases[li]
-        a = np.maximum(z, 0.0)
+        a = a @ params.weights[li].T
+        a += params.biases[li]
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
     logits = (a @ params.weights[-1].T + params.biases[-1]).ravel()
     probs = sigmoid(logits)
@@ -158,7 +172,8 @@ def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> 
         np.matmul(delta.T, acts[li], out=grads_w[li])
         np.add.reduce(delta, axis=0, out=grads_b[li])
         if li > 0:
-            delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
+            delta = delta @ params.weights[li]
+            delta *= acts[li] > 0.0
     check_finite(flat, "gradient")
     return flat
 
@@ -200,6 +215,9 @@ def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):
         dlogit = np.asarray(dlogit, dtype=np.float64)
         if rows is None:
             return _backward(params, acts, dlogit)
-        return _backward(params, [a[rows] for a in acts], dlogit[rows])
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":  # take would read a bool mask as indices 0 and 1
+            raise TypeError(f"rows must be an integer index, not {rows.dtype}")
+        return _backward(params, [a.take(rows, axis=0) for a in acts], dlogit.take(rows))
 
     return probs, losses, weighted_grad

@@ -26,6 +26,25 @@ from fairfedsim.harness import (
 )
 
 
+def compas_rows_csv(tmp_path) -> Path:
+    """80 rows under the built-in ``compas`` schema, sex alternating and the
+    label changing every two rows: 20 rows per (sex, label)."""
+    schema = DatasetSchema.builtin("compas")
+    columns = schema.required_columns()
+    rows = []
+    for r in range(80):
+        row = {col: str((r * (j + 3)) % 17) for j, col in enumerate(schema.numeric_features)}
+        row.update({col: f"v{(r + j) % 3}" for j, col in enumerate(schema.categorical_features)})
+        row.update({"sex": ("Female", "Male")[r % 2], schema.label: str(r // 2 % 2)})
+        rows.append(row)
+    path = tmp_path / "rows.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
 def tiny_config(out, **over):
     fields = dict(
         regimes=("mfairfl", "fedavg"),
@@ -156,6 +175,7 @@ class TestConfig:
          ("dataset", {"csv": "rows.csv"}),
          ("dataset", {"synthetic": {"n": 200, "bogus": 1}}),
          ("dataset", {"synthetic": {"input_dim": 4}}),
+         ("dataset", {"synthetic": {"n": 200, "pos_rate_by_group": (0.5,)}}),
          # four groups against the default partition's g0 and g1
          ("dataset", {"synthetic": {"n": 200, "group_fractions": (0.25,) * 4, "pos_rate_by_group": (0.5,) * 4}}),
          ("test_fraction", 1.5)],
@@ -236,12 +256,36 @@ class TestRun:
         assert by_regime["mfairfl"].to_json() == by_regime["fedavg"].to_json()
 
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
-        cfg = tiny_config(tmp_path / "d", regimes=("fedavg",), seeds=(1,))
-        cfg.partition["fractions"] = {"g0": [1.0], "g1": [1.0], "zzz": [1.0]}
+        # CSV groups are checked only when a cell runs
+        cfg = replace(
+            ExperimentConfig(),
+            dataset={"schema": "compas", "csv": str(compas_rows_csv(tmp_path))},
+            partition={"attribute": "sex", "fractions": {"Female": [1.0], "Male": [1.0], "zzz": [1.0]}},
+            regimes=("fedavg",), seeds=(1,), rounds=1, local_epochs=1, hidden_dims=(8, 8), out=str(tmp_path / "d"),
+        )
         records = run(cfg)
         assert len(records) == 1
         assert records[0].error is not None
         assert "missing from data" in records[0].error
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.dataset["synthetic"].update(bogus=1),
+            lambda cfg: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.5,)),
+            lambda cfg: cfg.partition["fractions"].update(zzz=[1.0]),
+            lambda cfg: setattr(cfg, "seeds", (1, 1)),
+            lambda cfg: setattr(cfg, "eta", -1.0),
+        ],
+        ids=["synthetic-key", "synthetic-value", "partition-group", "repeated-seed", "eta"],
+    )
+    def test_edit_after_construction_refused_before_any_file(self, tmp_path, edit):
+        out = tmp_path / "x"
+        cfg = tiny_config(out, regimes=("fedavg",), seeds=(1,))
+        edit(cfg)
+        with pytest.raises(ValueError):
+            run(cfg)
+        assert not out.exists()
 
     @pytest.mark.parametrize("empty", ["seeds", "regimes"])
     def test_empty_grid_refused_before_any_file(self, tmp_path, empty):
@@ -291,26 +335,12 @@ class TestRun:
     @pytest.mark.parametrize("schema_ref", ["compas", "schema.json"])
     def test_csv_dataset(self, tmp_path, schema_ref):
         """A {"schema", "csv"} dataset, by built-in schema name or .json path."""
-        text = resources.files("fairfedsim.schemas").joinpath("compas.json").read_text()
-        schema = DatasetSchema.from_json(json.loads(text))
         if schema_ref.endswith(".json"):
             schema_ref = str(tmp_path / schema_ref)
-            Path(schema_ref).write_text(text)
-        columns = schema.required_columns()
-        rows = []
-        for r in range(80):  # sex alternates, the label every two rows: 20 rows per (sex, label)
-            row = {col: str((r * (j + 3)) % 17) for j, col in enumerate(schema.numeric_features)}
-            row.update({col: f"v{(r + j) % 3}" for j, col in enumerate(schema.categorical_features)})
-            row.update({"sex": ("Female", "Male")[r % 2], schema.label: str(r // 2 % 2)})
-            rows.append(row)
-        path = tmp_path / "rows.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
+            Path(schema_ref).write_text(resources.files("fairfedsim.schemas").joinpath("compas.json").read_text())
         cfg = replace(
             ExperimentConfig(),
-            dataset={"schema": schema_ref, "csv": str(path)},
+            dataset={"schema": schema_ref, "csv": str(compas_rows_csv(tmp_path))},
             partition={"attribute": "sex", "fractions": {"Female": (0.5, 0.5), "Male": (0.5, 0.5)}},
             regimes=("fedavg", "mfairfl"),
             seeds=(1,),

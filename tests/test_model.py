@@ -1,6 +1,9 @@
 """MLP forward/backward: golden values, finite differences, round trips."""
 
+import inspect
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,3 +289,94 @@ def test_backward_equals_per_layer_concatenate_bitwise():
         reference = np.concatenate([p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)])
 
         np.testing.assert_array_equal(model._backward(params, acts, dlogit), reference)
+        assert model._backward(params, acts, dlogit).tobytes() == reference.tobytes()  # -0.0 too
+
+
+# The kernel's in-place forms must give the same bytes as the out-of-place
+# formulas below; bytes, since assert_array_equal counts -0.0 equal to +0.0.
+
+
+def sigmoid_branch(z):
+    """The logistic function in its two-branch form, by boolean masks."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forward_out_of_place(params, X):
+    """(probs, logits, activations) with a new array for every intermediate."""
+    acts = [X]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    logits = (acts[-1] @ params.weights[-1].T + params.biases[-1]).ravel()
+    return sigmoid_branch(logits), logits, acts
+
+
+class TestKernelBytes:
+    def setup_method(self):
+        rng = make_rng(44)
+        self.params = MlpParams.init(MlpSpec(6, (32, 32, 32, 32)), seed=8)
+        self.X, self.y = random_batch(rng, 57, 6)
+        self.dlogit = rng.normal(size=57)
+        self.dlogit[::7] = -0.0
+        self.rows = [np.flatnonzero(self.y == 1), np.flatnonzero(self.y == 0), np.array([40, 3, 3, 12])]
+
+    def test_sigmoid_matches_branch_form(self):
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, 1e-300, 5e-324, tiny / 2, tiny, 36.7, 709.0, 745.0, 800.0, 1e308, np.inf]
+        z = np.concatenate([special, np.negative(special), make_rng(45).normal(size=10_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = sigmoid(z), sigmoid_branch(z)
+        assert got.tobytes() == want.tobytes()
+        assert sigmoid(-0.0) == sigmoid(0.0) == 0.5
+
+    def test_forward_matches_out_of_place_formula(self):
+        probs, logits, acts = model._forward_cache(self.params, self.X)
+        want_probs, want_logits, want_acts = forward_out_of_place(self.params, self.X)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert logits.tobytes() == want_logits.tobytes()
+        assert acts[0] is self.X
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
+
+    def test_weighted_grad_modifies_no_input(self):
+        X, dlogit, flat = self.X.copy(), self.dlogit.copy(), self.params.flat.copy()
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        acts = inspect.getclosurevars(weighted_grad).nonlocals["acts"]
+        cached = [a.tobytes() for a in acts]
+        for rows in (None, *self.rows):
+            weighted_grad(self.dlogit, rows)
+        assert self.X.tobytes() == X.tobytes()
+        assert self.dlogit.tobytes() == dlogit.tobytes()
+        assert self.params.flat.tobytes() == flat.tobytes()
+        assert [a.tobytes() for a in acts] == cached
+
+    def test_passes_give_the_same_bytes_in_any_order(self):
+        calls = [None, *self.rows, None]
+
+        def fresh(rows):
+            _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+            return weighted_grad(self.dlogit, rows).tobytes()
+
+        want = [fresh(rows) for rows in calls]
+        for order in itertools.permutations(range(len(calls))):
+            _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+            got = {i: weighted_grad(self.dlogit, calls[i]).tobytes() for i in order}
+            assert [got[i] for i in range(len(calls))] == want
+
+    def test_bool_rows_rejected(self):
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        with pytest.raises(TypeError, match="integer index"):
+            weighted_grad(self.dlogit, self.y == 1)
+
+    def test_take_equals_fancy_index_gather(self):
+        _, _, acts = model._forward_cache(self.params, self.X)
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        for rows in self.rows:
+            assert [a.take(rows, axis=0).tobytes() for a in acts] == [a[rows].tobytes() for a in acts]
+            want = model._backward(self.params, [a[rows] for a in acts], self.dlogit[rows])
+            assert weighted_grad(self.dlogit, rows).tobytes() == want.tobytes()
