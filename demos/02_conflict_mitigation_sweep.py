@@ -10,7 +10,7 @@ to plain averaging.
 
 import numpy as np
 
-from fairfedsim.aggregation import SimilarityState, diminish_conflicts
+from fairfedsim.aggregation import diminish_conflicts
 from fairfedsim.numeric import cosine
 
 grads = {
@@ -25,8 +25,8 @@ for i in range(3):
     for j in range(i + 1, 3):
         print(f"  cos(g{i}, g{j}) = {cosine(grads[i], grads[j]):+.3f}")
 
-state = SimilarityState(3, delta=0.25)
-result = diminish_conflicts(grads, order, beta=1.0, state=state)
+goals = np.zeros((3, 3))  # pairwise similarity goals, EMA decay 0.25
+result = diminish_conflicts(grads, order, beta=1.0, goals=goals, delta=0.25)
 
 print(f"\nadjustments performed: {result.n_adjustments}")
 tests = result.tests  # one array entry per pair test, in sweep order
@@ -36,8 +36,8 @@ for k, i, phi, goal, adjusted in zip(tests.client, tests.target, tests.phi, test
 
 print("\ncurated mean:", np.round(result.gradient, 4))
 print("plain mean:  ", np.round(np.mean(np.stack(list(grads.values())), axis=0), 4))
-print("updated goals:\n", np.round(result.state.goals, 3))
+print("updated goals:\n", np.round(result.goals, 3))
 
-flat = diminish_conflicts(grads, order, beta=0.0, state=SimilarityState(3, 0.25))
+flat = diminish_conflicts(grads, order, beta=0.0, goals=goals, delta=0.25)
 print("\nbeta = 0 output equals the plain mean:",
       np.array_equal(flat.gradient, np.mean(np.stack(list(grads.values())), axis=0)))

@@ -4,7 +4,6 @@ with server-side gradient-conflict mitigation."""
 __version__ = "0.1.0"
 
 from .aggregation import (
-    SimilarityState,
     adjust_gradient,
     diminish_conflicts,
     ema_update,

@@ -16,13 +16,14 @@ multipliers. A key without members in a block has h = 0 there, so the dual
 step leaves its multiplier as it is.
 
 A round is set by the run's ``baselines.TrainConfig``, of which
-``server_round`` reads five fields: ``alpha`` (the fairness tolerance
+``server_round`` reads six fields: ``alpha`` (the fairness tolerance
 inside h), ``gamma`` (the dual step), ``order_policy`` (the projection
 order, checked in ``build_order``), ``beta`` (the fraction of the order
-that is swept) and ``eta`` (the server step). The goals' EMA decay,
-``delta``, travels with the goals in ``SimilarityState``.
-``diminish_conflicts(grads, order, beta, state)`` is the sweep's one
-entry point; it checks that the order is a permutation of the clients.
+that is swept), ``eta`` (the server step) and ``delta`` (the goals' EMA
+decay). The goals are a symmetric K x K array in [-1, 1] that the run
+keeps across rounds. ``diminish_conflicts(grads, order, beta, goals,
+delta)`` is the sweep's one entry point; it refuses goals of another
+shape or outside [-1, 1] and an order that is not a permutation.
 
 The adjustment sets the cosine of (working, target) exactly to the goal:
 with phi the observed cosine and goal the target, the working gradient g_k
@@ -141,36 +142,15 @@ class DegenerateCancellationError(ArithmeticError):
     """The curated gradient vanished while the plain mean did not."""
 
 
-class SimilarityState:
-    """Pairwise EMA similarity goals, persistent across rounds, symmetric."""
-
-    def __init__(self, n_clients: int, delta: float, goals: Optional[np.ndarray] = None):
-        if goals is None:
-            goals = np.zeros((n_clients, n_clients))
-        goals = np.asarray(goals, dtype=np.float64)
-        if goals.shape != (n_clients, n_clients):
-            raise ValueError("goals matrix shape mismatch")
-        if np.abs(goals).max(initial=0.0) > 1.0:
-            raise ValueError("similarity goals must lie in [-1, 1]")
-        self.n_clients = n_clients
-        self.delta = float(delta)
-        self.goals = goals
-
-    def copy(self) -> "SimilarityState":
-        return SimilarityState(self.n_clients, self.delta, self.goals.copy())
-
-
-def ema_update(state: SimilarityState, i, j, phi) -> SimilarityState:
-    """One EMA step on the (i, j) goal, written symmetrically into ``state``
-    (returned for chaining). ``i``, ``j`` and ``phi`` may be equal-length
-    arrays of distinct pairs, which step every pair at once."""
+def ema_update(goals: np.ndarray, delta: float, i, j, phi) -> None:
+    """One EMA step with decay ``delta`` on the (i, j) goal, written
+    symmetrically into ``goals`` in place. ``i``, ``j`` and ``phi`` may be
+    equal-length arrays of distinct pairs, which step every pair at once."""
     if (np.abs(phi) > 1.0).any():
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
-    goals = state.goals
-    new = state.delta * goals[i, j] + (1.0 - state.delta) * phi
+    new = delta * goals[i, j] + (1.0 - delta) * phi
     goals[i, j] = new
     goals[j, i] = new
-    return state
 
 
 def update_lambda(lam: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
@@ -282,7 +262,7 @@ class DiminishResult:
 
     gradient: np.ndarray
     plain_mean: np.ndarray
-    state: SimilarityState
+    goals: np.ndarray
     n_adjustments: int
     tests: PairTests
     coords: np.ndarray
@@ -341,12 +321,14 @@ def diminish_conflicts(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
     beta: float,
-    state: SimilarityState,
+    goals: np.ndarray,
+    delta: float,
 ) -> DiminishResult:
     """The conflict-mitigation sweep, on orthonormal coordinates and in
     wavefront order (module docstring). ``grads`` maps the client ids
-    0..K-1 to equal-length gradients, and ``order`` is a permutation of
-    them (``build_order``).
+    0..K-1 to equal-length gradients, ``order`` is a permutation of them
+    (``build_order``), and ``goals`` the K x K similarity goals, left
+    alone: the result holds the copy stepped with EMA decay ``delta``.
 
     The first ``selected_count`` clients of the order have their working
     copies tested against every raw gradient in order (skipping self); a test
@@ -355,8 +337,13 @@ def diminish_conflicts(
     Returns the unweighted mean of the K working gradients.
     """
     K = len(order)
-    if sorted(order) != list(range(state.n_clients)):
-        raise ValueError("order must be a permutation of the state's client ids")
+    goals = np.array(goals, dtype=np.float64)
+    if goals.shape != (K, K):
+        raise ValueError(f"goals of shape {goals.shape} for {K} clients")
+    if sorted(order) != list(range(K)):
+        raise ValueError("order must be a permutation of the client ids")
+    if np.abs(goals).max(initial=0.0) > 1.0:
+        raise ValueError("similarity goals must lie in [-1, 1]")
     order = np.asarray(order, dtype=np.int64)
     n = selected_count(K, beta)
     raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
@@ -364,8 +351,6 @@ def diminish_conflicts(
     raw_norm = _row_norms(coords)
     working = coords.copy()
     norm_w = raw_norm.copy()
-    out_state = state.copy()
-    goals = out_state.goals
     # the sweep's results, at [q, t]: q the position of the adjusted client, t that of the target
     phis, seen, shift = np.zeros((n, K)), np.zeros((n, K)), np.zeros((n, K))
     tested, adjusted = np.zeros((n, K), dtype=bool), np.zeros((n, K), dtype=bool)
@@ -391,7 +376,7 @@ def diminish_conflicts(
             working[k] = moved
             norm_w[k] = _row_norms(moved)
             shift[q, t] = c
-        ema_update(out_state, k, i, phi)
+        ema_update(goals, delta, k, i, phi)
         tested[q, t] = True
         phis[q, t], seen[q, t], adjusted[q, t] = phi, goal, conflict
     n_adjustments = int(np.count_nonzero(adjusted))
@@ -405,7 +390,7 @@ def diminish_conflicts(
         shifts[np.ix_(order[:n], order)] = shift
         gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
-    return DiminishResult(gradient, plain_mean, out_state, n_adjustments, tests, coords, working)
+    return DiminishResult(gradient, plain_mean, goals, n_adjustments, tests, coords, working)
 
 
 @dataclass
@@ -462,15 +447,15 @@ def server_round(
     stats: Sequence[ClientStatistics],
     table: KeyTable,
     config: TrainConfig,
-    state: SimilarityState,
+    goals: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     round_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray, SimilarityState, RoundRecord]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, RoundRecord]:
     """One full aggregation round; see the module docstring for the steps.
-    ``lam`` and the statistics are aligned to ``table``. Reads
-    ``config.alpha``, ``gamma``, ``order_policy``, ``beta`` and ``eta``;
-    the goals' EMA decay is ``state.delta``. ``rng`` drives the random
-    order policy only."""
+    ``lam`` and the statistics are aligned to ``table``; the goals are
+    left alone and their update returned. Reads ``config.alpha``,
+    ``gamma``, ``order_policy``, ``beta``, ``eta`` and ``delta``. ``rng``
+    drives the random order policy only."""
     if not stats:
         raise ValueError("no client statistics")
     merged = FairnessStatistics.merge_all([st.fairness for st in stats])
@@ -479,7 +464,9 @@ def server_round(
 
     losses = lagrangian_losses(stats, lam, table.families, config.alpha)
     order = build_order(losses, config.order_policy, rng)
-    result = diminish_conflicts({st.client_id: st.update_grad for st in stats}, order, config.beta, state)
+    result = diminish_conflicts(
+        {st.client_id: st.update_grad for st in stats}, order, config.beta, goals, config.delta
+    )
 
     target_norm = norm(result.plain_mean)
     curated_norm = norm(result.gradient)
@@ -502,8 +489,8 @@ def server_round(
         multipliers=dict(zip(table.names(), new_lam.tolist())),
         order=order,
         n_adjustments=result.n_adjustments,
-        conflicts_pre=_count_conflicts(result.coords, result.coords, state.goals),
-        conflicts_post=_count_conflicts(result.working, result.coords, state.goals),
+        conflicts_pre=_count_conflicts(result.coords, result.coords, goals),
+        conflicts_post=_count_conflicts(result.working, result.coords, goals),
         g_global_norm=norm(g_global),
     )
-    return new_params, new_lam, result.state, record
+    return new_params, new_lam, result.goals, record

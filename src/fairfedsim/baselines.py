@@ -32,7 +32,7 @@ import numpy as np
 
 from . import client as client_mod
 from . import fairness, model
-from .aggregation import ORDER_POLICIES, RoundRecord, SimilarityState, server_round, update_lambda
+from .aggregation import ORDER_POLICIES, RoundRecord, server_round, update_lambda
 from .client import ClientStatistics
 from .data import Shard, pool_shards
 from .fairness import KeyTable
@@ -78,8 +78,8 @@ class Hyperparameters:
 @dataclass
 class TrainConfig(Hyperparameters):
     """Everything one training run needs, independent of the dataset.
-    ``aggregation.server_round`` reads alpha, gamma, order_policy, beta and
-    eta from it."""
+    ``aggregation.server_round`` reads alpha, gamma, order_policy, beta,
+    eta and delta from it."""
 
     seed: int = 1
     order_policy: str = "loss_ascending"
@@ -154,7 +154,7 @@ def run_federated(
     K = len(shards)
     lam_global = np.zeros(len(table.keys))
     lam_local = np.zeros((K, len(table.keys)))
-    state = SimilarityState(K, cfg.delta)
+    goals = np.zeros((K, K))  # pairwise similarity goals, symmetric
     order_rng = make_rng(cfg.seed, 0x0D) if cfg.order_policy == "random" else None
     # per-client multipliers: a plain averaging server, whose multipliers stay 0
     server_cfg = replace(cfg, gamma=0.0) if local_multipliers else cfg
@@ -179,8 +179,8 @@ def run_federated(
         ]
         served = time.perf_counter()
         client_s += served - started
-        flat, lam_global, state, record = server_round(
-            flat, lam_global, stats, table, server_cfg, state, rng=order_rng, round_index=t
+        flat, lam_global, goals, record = server_round(
+            flat, lam_global, stats, table, server_cfg, goals, rng=order_rng, round_index=t
         )
         if local_multipliers:
             h = np.stack([fairness.constraint_values(st.fairness, table.families, cfg.alpha) for st in stats])

@@ -31,16 +31,14 @@ def cmd_run(args) -> int:
         overrides["regimes"] = tuple(_parse_list(args.regimes))
     if args.seeds:
         overrides["seeds"] = tuple(int(s) for s in _parse_list(args.seeds))
-    if args.out:
-        overrides["out"] = args.out
     if overrides:
         config = replace(config, **overrides)
-    records = harness.run(config)
+    records = harness.run(config, args.out)
     failed = [r for r in records if r.error is not None]
     for r in records:
         status = "ok" if r.error is None else f"FAILED ({r.error})"
         print(f"{r.regime}-{r.seed}: {status}")
-    print(f"outputs in {config.out if not args.out else args.out}")
+    print(f"outputs in {args.out}")
     return 1 if failed else 0
 
 
@@ -134,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="experiment config JSON (defaults used when omitted)")
     p_run.add_argument("--regimes", help="comma-separated regime list override")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
-    p_run.add_argument("--out", help="output directory override")
+    p_run.add_argument("--out", default="results", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the theorem oracle campaigns")
@@ -145,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="rebuild tables from records.json")
     p_report.add_argument("--records", required=True, help="directory containing records.json")
-    p_report.add_argument("--reference", default="mfairfl")
+    p_report.add_argument("--reference", default=harness.REFERENCE_REGIME)
     p_report.set_defaults(func=cmd_report)
 
     p_part = sub.add_parser("partition", help="preview shard counts")

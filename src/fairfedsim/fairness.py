@@ -29,7 +29,7 @@ sum_s lambda_s grad h_s.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -290,25 +290,11 @@ class FairnessReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "dp": self.dp,
-            "eo": self.eo,
-            "ap": self.ap,
-            "cf": self.cf,
-            "per_group": self.per_group,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "FairnessReport":
-        return cls(
-            accuracy=d["accuracy"],
-            dp=dict(d["dp"]),
-            eo=dict(d["eo"]),
-            ap=dict(d["ap"]),
-            cf=d.get("cf"),
-            per_group=list(d.get("per_group", [])),
-        )
+        return cls(**d)
 
 
 def evaluate_predictions(

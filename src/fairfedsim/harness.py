@@ -39,6 +39,7 @@ from .data import Dataset, DatasetSchema, PartitionSpec, Shard
 from .fairness import FairnessReport
 
 CLIENT_MODES = ("local_epochs", "single_step")  # single_step is local_epochs with E = 1
+REFERENCE_REGIME = "mfairfl"  # the regime the report's t-tests compare against
 BETA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 DELTA_GRID = (0.001, 0.01, 0.1)
 
@@ -67,9 +68,7 @@ class ExperimentConfig(Hyperparameters):
     test_fraction: float = 0.2
     client_mode: str = "local_epochs"
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    out: str = "results"
     threads: int = 1  # cells run one after another in this process
-    reference_regime: str = "mfairfl"
 
     def __post_init__(self):
         self.regimes = tuple(str(r) for r in self.regimes)
@@ -110,9 +109,9 @@ class ExperimentConfig(Hyperparameters):
             return cls.from_json(json.load(fh))
 
     def config_hash(self) -> str:
-        """Stable digest of the experiment content (the output directory and
-        the ``threads`` field do not change results)."""
-        content = {k: v for k, v in self.to_json().items() if k not in ("out", "threads")}
+        """Stable digest of the experiment content (the ``threads`` field
+        does not change results)."""
+        content = {k: v for k, v in self.to_json().items() if k != "threads"}
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -245,20 +244,20 @@ def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional
                          error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
 
 
-def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[RunRecord]:
-    """Execute the full (regime, seed) grid; one record per cell. A config
-    that fails ``check()``, edited since it was built, or an empty grid (no
-    seeds or no regimes) is refused before any file is written."""
+def run(config: ExperimentConfig, out_dir: str | Path) -> list[RunRecord]:
+    """Execute the full (regime, seed) grid into ``out_dir``; one record per
+    cell. A config that fails ``check()``, edited since it was built, or an
+    empty grid (no seeds or no regimes) is refused before any file is written."""
     config.check()
     if not config.seeds or not config.regimes:
         raise ValueError(f"empty grid: regimes={config.regimes}, seeds={config.seeds}")
-    out_path = Path(out_dir if out_dir is not None else config.out)
+    out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     records = [run_cell(config, regime, seed, out_path) for regime in config.regimes for seed in config.seeds]
 
     with open(out_path / "records.json", "w", encoding="utf-8") as fh:
         json.dump([r.to_json() for r in records], fh, indent=2, sort_keys=True)
-    write_report(records, out_path, config.reference_regime)
+    write_report(records, out_path)
     meta = {
         "created_unix": time.time(),
         "version": __version__,
@@ -395,7 +394,7 @@ def _collect(records: Sequence[RunRecord]) -> dict[str, dict[str, list[float]]]:
     return out
 
 
-def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = "mfairfl") -> None:
+def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = REFERENCE_REGIME) -> None:
     """Aggregated CSV and pretty text table, byte-stable across reruns.
 
     Each (regime, metric) cell's mean, std and paired t-test against the

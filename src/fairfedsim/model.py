@@ -53,7 +53,7 @@ class MlpSpec:
     """Network shape: ``input_dim`` features, ReLU hidden layers, one logit."""
 
     input_dim: int
-    hidden_dims: tuple[int, ...] = (32, 32, 32, 32)
+    hidden_dims: tuple[int, ...]
 
     def __post_init__(self):
         if self.input_dim < 1:

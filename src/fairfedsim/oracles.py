@@ -31,7 +31,6 @@ import numpy as np
 
 from .aggregation import (
     PairTests,
-    SimilarityState,
     adjust_gradient,
     adjustment_coefficient,
     diminish_conflicts,
@@ -176,11 +175,6 @@ class BoundReport:
         return asdict(self)
 
 
-def _frozen_goals(K: int, goal: float) -> SimilarityState:
-    """Every goal at ``goal``; delta = 1 keeps the EMA from moving them."""
-    return SimilarityState(K, delta=1.0, goals=np.full((K, K), goal))
-
-
 def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float):
     """The |cos| range the hypothesis quantifies over, from the full sweep
     (beta = 1) at frozen goals: every tested (working, target) cosine plus
@@ -189,7 +183,7 @@ def _observed_cosine_band(gradients: Sequence[np.ndarray], goal: float):
     eps_hi signals an empty band."""
     K = len(gradients)
     grads = {i: np.asarray(g, dtype=np.float64) for i, g in enumerate(gradients)}
-    sweep = diminish_conflicts_dspace(grads, range(K), 1.0, _frozen_goals(K, goal))
+    sweep = diminish_conflicts_dspace(grads, range(K), 1.0, np.full((K, K), goal), 1.0)
     W = np.stack(list(grads.values()))
     iu = np.triu_indices(K, 1)
     observed = [np.abs(sweep.tests.phi)]
@@ -214,7 +208,7 @@ class DspaceSweep:
     working gradient) after each adjustment, in sweep order."""
 
     gradient: np.ndarray
-    state: SimilarityState
+    goals: np.ndarray
     n_adjustments: int
     tests: PairTests
     working: dict[int, np.ndarray]
@@ -225,15 +219,16 @@ def diminish_conflicts_dspace(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
     beta: float,
-    state: SimilarityState,
+    goals: np.ndarray,
+    delta: float,
 ) -> DspaceSweep:
     """Reference for ``aggregation.diminish_conflicts``: the same
     sweep, with every cosine taken between D-length vectors and every
     adjustment applied to a D-length working copy. The two agree to
     rounding (rtol 1e-9 in the tests) on the tests made, the goals and the
     mean."""
+    goals = np.array(goals, dtype=np.float64)
     working = {cid: np.array(grads[cid], dtype=np.float64, copy=True) for cid in order}
-    out_state = state.copy()
     tests = []  # (client, target, phi, goal, adjusted) per test
     moves = []
     for k in order[: selected_count(len(order), beta)]:
@@ -243,22 +238,23 @@ def diminish_conflicts_dspace(
             if norm(working[k]) == 0.0 or norm(grads[i]) == 0.0:
                 continue
             phi = cosine(working[k], grads[i])
-            goal = out_state.goals[k, i]
+            goal = goals[k, i]
             conflict = is_conflict(phi, goal)
             if conflict:
                 working[k] = adjust_gradient(working[k], grads[i], phi, goal)
                 moves.append((k, working[k]))
-            ema_update(out_state, k, i, phi)
+            ema_update(goals, delta, k, i, phi)
             tests.append((k, i, phi, goal, conflict))
     gradient = mean_rows([working[cid] for cid in sorted(working)])
-    return DspaceSweep(gradient, out_state, len(moves), PairTests.from_rows(tests), working, moves)
+    return DspaceSweep(gradient, goals, len(moves), PairTests.from_rows(tests), working, moves)
 
 
 def theorem2_check(instance: Theorem2Instance) -> BoundReport:
     """Run the sweep (beta = 1, frozen goals), measure conflicts against
     raw gradients, compare."""
     K = instance.K
-    result = diminish_conflicts(dict(enumerate(instance.gradients)), list(range(K)), 1.0, _frozen_goals(K, instance.goal))
+    frozen = np.full((K, K), instance.goal)  # delta = 1 keeps the EMA from moving them
+    result = diminish_conflicts(dict(enumerate(instance.gradients)), list(range(K)), 1.0, frozen, 1.0)
     lo, hi, all_conflicted = _observed_cosine_band(instance.gradients, instance.goal)
     hypothesis = all_conflicted and lo <= hi and (
         instance.eps1 - 1e-12 <= lo and hi <= instance.eps2 + 1e-12
@@ -463,28 +459,6 @@ def theorem3_descent_check(
         1 for a, b in zip(objectives, objectives[1:]) if b > a + 1e-10
     )
     return DescentTrace(objectives, coefficients, eta, increases, increases == 0)
-
-
-def random_quadratic_problem(dim: int, rng: np.random.Generator) -> QuadraticTwoClientProblem:
-    """Generic random SPD quadratics with separated centers.
-
-    Trajectories of the adjusted flow on such instances generically stall
-    on the two-objective Pareto set (every exactly anti-parallel gradient
-    pair is a fixed point of the symmetric adjustment) and can then drift
-    upward; useful for demonstrating that boundary, not for verifying the
-    descent property on its domain.
-    """
-
-    def spd() -> np.ndarray:
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        evals = rng.uniform(0.5, 2.0, size=dim)
-        return q @ np.diag(evals) @ q.T
-
-    a1 = rng.normal(0.0, 1.5, size=dim)
-    a2 = rng.normal(0.0, 1.5, size=dim)
-    w0 = rng.normal(0.0, 1.0, size=dim)
-    goal = float(rng.uniform(0.1, 0.5))
-    return QuadraticTwoClientProblem(spd(), spd(), a1, a2, w0, goal)
 
 
 def conflicting_quadratic_problem(dim: int, rng: np.random.Generator) -> QuadraticTwoClientProblem:

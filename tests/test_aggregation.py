@@ -12,7 +12,6 @@ from fairfedsim import aggregation, oracles
 from fairfedsim.aggregation import (
     CONFLICT_TIE_TOL,
     DegenerateCancellationError,
-    SimilarityState,
     _count_conflicts,
     adjust_gradient,
     adjustment_coefficient,
@@ -46,58 +45,58 @@ class TestUpdateLambda:
 
 class TestEmaUpdate:
     def test_hand_value(self):
-        state = SimilarityState(2, delta=0.1)
-        out = ema_update(state, 0, 1, phi=0.5)
-        np.testing.assert_allclose(out.goals[0, 1], 0.45)
-        np.testing.assert_allclose(out.goals[1, 0], 0.45)
+        goals = np.zeros((2, 2))
+        ema_update(goals, 0.1, 0, 1, phi=0.5)
+        np.testing.assert_allclose(goals[0, 1], 0.45)
+        np.testing.assert_allclose(goals[1, 0], 0.45)
 
     def test_delta_one_frozen(self):
-        state = SimilarityState(2, delta=1.0, goals=np.array([[0.0, 0.2], [0.2, 0.0]]))
-        out = ema_update(state, 0, 1, phi=-0.9)
-        assert out.goals[0, 1] == 0.2
+        goals = np.array([[0.0, 0.2], [0.2, 0.0]])
+        ema_update(goals, 1.0, 0, 1, phi=-0.9)
+        assert goals[0, 1] == 0.2
 
     def test_delta_zero_latest(self):
-        state = SimilarityState(2, delta=0.0, goals=np.array([[0.0, 0.2], [0.2, 0.0]]))
-        out = ema_update(state, 0, 1, phi=-0.9)
-        assert out.goals[0, 1] == -0.9
+        goals = np.array([[0.0, 0.2], [0.2, 0.0]])
+        ema_update(goals, 0.0, 0, 1, phi=-0.9)
+        assert goals[0, 1] == -0.9
 
     def test_out_of_range_phi_rejected(self):
         with pytest.raises(ValueError):
-            ema_update(SimilarityState(2, 0.5), 0, 1, phi=1.5)
+            ema_update(np.zeros((2, 2)), 0.5, 0, 1, phi=1.5)
 
-    def test_writes_into_the_given_state(self):
-        state = SimilarityState(3, delta=0.5)
-        assert ema_update(state, 0, 2, phi=0.4) is state
-        assert state.goals[0, 2] == state.goals[2, 0] == 0.2
+    def test_writes_into_the_given_goals(self):
+        goals = np.zeros((3, 3))
+        ema_update(goals, 0.5, 0, 2, phi=0.4)
+        assert goals[0, 2] == goals[2, 0] == 0.2
 
     def test_recursion_exact_on_random_sequences(self):
         rng = make_rng(20)
         for _ in range(30):
             delta = float(rng.uniform(0, 1))
-            state = SimilarityState(2, delta)
+            goals = np.zeros((2, 2))
             expected = 0.0
             for phi in rng.uniform(-1, 1, size=20):
-                state = ema_update(state, 0, 1, float(phi))
+                ema_update(goals, delta, 0, 1, float(phi))
                 expected = delta * expected + (1 - delta) * phi
-                assert state.goals[0, 1] == expected
-                assert -1.0 <= state.goals[0, 1] <= 1.0
+                assert goals[0, 1] == expected
+                assert -1.0 <= goals[0, 1] <= 1.0
 
 
     def test_arrays_step_every_pair_like_scalar_calls(self):
         rng = make_rng(30)
         upper = np.triu(rng.uniform(-1, 1, size=(5, 5)), 1)
-        by_array = SimilarityState(5, 0.3, upper + upper.T)
+        by_array = upper + upper.T
         by_scalar = by_array.copy()
         i, j = np.array([0, 1, 4]), np.array([2, 3, 1])
         phi = rng.uniform(-1, 1, size=3)
-        assert ema_update(by_array, i, j, phi) is by_array
+        ema_update(by_array, 0.3, i, j, phi)
         for a, b, p in zip(i.tolist(), j.tolist(), phi.tolist()):
-            ema_update(by_scalar, a, b, p)
-        np.testing.assert_array_equal(by_array.goals, by_scalar.goals)
+            ema_update(by_scalar, 0.3, a, b, p)
+        np.testing.assert_array_equal(by_array, by_scalar)
 
     def test_out_of_range_phi_in_an_array_rejected(self):
         with pytest.raises(ValueError):
-            ema_update(SimilarityState(3, 0.5), np.array([0, 1]), np.array([1, 2]), np.array([0.2, -1.5]))
+            ema_update(np.zeros((3, 3)), 0.5, np.array([0, 1]), np.array([1, 2]), np.array([0.2, -1.5]))
 
 
 class TestAdjustGradient:
@@ -190,25 +189,25 @@ def sweep_inputs(draw):
     # arithmetic (the reverse pair, a duplicated target) are ties that
     # rounding decides either way
     delta = draw(st.floats(1e-6, 1.0))
-    return grads, order, beta, SimilarityState(K, delta, goals)
+    return grads, order, beta, goals, delta
 
 
 class TestDiminishConflicts:
     @settings(max_examples=200, deadline=None)
     @given(sweep_inputs())
     def test_beta_zero_is_plain_mean_exactly(self, inputs):
-        grads, order, _, state = inputs
-        res = diminish_conflicts(grads, order, beta=0.0, state=state)
+        grads, order, _, goals, delta = inputs
+        res = diminish_conflicts(grads, order, beta=0.0, goals=goals, delta=delta)
         plain = np.mean(np.stack([grads[i] for i in range(len(order))]), axis=0)
         np.testing.assert_array_equal(res.gradient, plain)
         np.testing.assert_array_equal(res.plain_mean, res.gradient)
         assert len(res.tests) == 0
         assert res.n_adjustments == 0
-        np.testing.assert_array_equal(res.state.goals, state.goals)
+        np.testing.assert_array_equal(res.goals, goals)
 
     def test_single_client_passthrough(self):
         grads = {0: np.array([1.0, -2.0])}
-        res = diminish_conflicts(grads, [0], beta=1.0, state=SimilarityState(1, 0.5))
+        res = diminish_conflicts(grads, [0], beta=1.0, goals=np.zeros((1, 1)), delta=0.5)
         np.testing.assert_array_equal(res.gradient, grads[0])
 
     def test_matches_straight_line_reimplementation(self):
@@ -250,18 +249,16 @@ class TestDiminishConflicts:
                 goals[i, k] = new
         expected = np.mean(np.stack([working[i] for i in range(3)]), axis=0)
 
-        state = SimilarityState(3, delta, goals0.copy())
-        res = diminish_conflicts(grads, order, beta, state)
+        res = diminish_conflicts(grads, order, beta, goals0, delta)
         np.testing.assert_allclose(res.gradient, expected, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(res.state.goals, goals, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(res.goals, goals, rtol=1e-12, atol=1e-15)
         assert res.n_adjustments == n_adj
         assert n_adj > 0
 
     def test_selection_count(self):
         rng = make_rng(23)
         grads = {i: rng.normal(size=4) for i in range(5)}
-        state = SimilarityState(5, delta=1.0, goals=np.full((5, 5), 0.99))
-        res = diminish_conflicts(grads, list(range(5)), beta=0.5, state=state)
+        res = diminish_conflicts(grads, list(range(5)), beta=0.5, goals=np.full((5, 5), 0.99), delta=1.0)
         adjusted_clients = set(res.tests.client.tolist())
         assert adjusted_clients == set(range(math.ceil(0.5 * 5)))
 
@@ -271,8 +268,7 @@ class TestDiminishConflicts:
         v = np.array([1.0, 2.0, -0.5])
         grads = {0: v, 1: v + 1e-6 * np.array([0.3, -0.1, 0.2]), 2: -v}
         goals = np.array([[0.0, 1.0, -1.0 + 1e-12], [1.0, 0.0, 0.0], [-1.0 + 1e-12, 0.0, 0.0]])
-        state = SimilarityState(3, delta=1.0, goals=goals)
-        res = diminish_conflicts(grads, [0, 1, 2], beta=0.3, state=state)
+        res = diminish_conflicts(grads, [0, 1, 2], beta=0.3, goals=goals, delta=1.0)
         tests = res.tests
         assert list(zip(tests.target.tolist(), (tests.phi < tests.goal).tolist(), tests.adjusted.tolist())) == [
             (1, True, False), (2, True, False)
@@ -284,8 +280,7 @@ class TestDiminishConflicts:
         """At phi = -1 there is no plane to rotate in: adjusting would zero
         the working gradient and drop the client from the mean."""
         grads = {0: np.array([1.0, 0.0, 0.0]), 1: np.array([-2.0, 0.0, 0.0])}
-        state = SimilarityState(2, delta=0.5, goals=np.full((2, 2), 0.3))
-        res = sweep(grads, [0, 1], beta=1.0, state=state)
+        res = sweep(grads, [0, 1], beta=1.0, goals=np.full((2, 2), 0.3), delta=0.5)
         tests = res.tests
         assert list(zip(tests.client.tolist(), tests.target.tolist(), tests.phi.tolist(), tests.adjusted.tolist())) == [
             (0, 1, -1.0, False), (1, 0, -1.0, False)
@@ -294,8 +289,7 @@ class TestDiminishConflicts:
         np.testing.assert_array_equal(res.gradient, [-0.5, 0.0, 0.0])
 
     def test_anti_parallel_pairs_still_count_as_conflicts(self):
-        state = SimilarityState(2, delta=0.5, goals=np.full((2, 2), 0.3))
-        _, _, _, record = run_round([np.array([1.0, 0.0, 0.0]), np.array([-2.0, 0.0, 0.0])], state=state)
+        _, _, _, record = run_round([np.array([1.0, 0.0, 0.0]), np.array([-2.0, 0.0, 0.0])], goals=np.full((2, 2), 0.3))
         assert record.n_adjustments == 0
         assert record.conflicts_pre == record.conflicts_post == 2
         assert record.g_global_norm == 0.5
@@ -305,18 +299,30 @@ class TestDiminishConflicts:
         rng = make_rng(28)
         grads = {cid: rng.normal(size=6) for cid in range(25)}
         order = [int(i) for i in rng.permutation(25)]
-        state = SimilarityState(25, delta=1.0, goals=np.full((25, 25), 0.99))
-        res = diminish_conflicts(grads, order, 0.7, state)
+        res = diminish_conflicts(grads, order, 0.7, np.full((25, 25), 0.99), 1.0)
         assert set(res.tests.client.tolist()) == set(order[:18])
         kept = order[18:]
         np.testing.assert_array_equal(res.working[kept], res.coords[kept])
 
-    def test_order_must_cover_the_state(self):
+    @pytest.mark.parametrize("order", [[0, 0], [1, 2]])
+    def test_order_must_be_a_permutation(self, order):
         grads = {0: np.ones(2), 1: -np.ones(2)}
         with pytest.raises(ValueError, match="permutation"):
-            diminish_conflicts(grads, [0, 1], beta=1.0, state=SimilarityState(3, 0.5))
-        with pytest.raises(ValueError, match="permutation"):
-            diminish_conflicts(grads, [0, 0], beta=1.0, state=SimilarityState(2, 0.5))
+            diminish_conflicts(grads, order, beta=1.0, goals=np.zeros((2, 2)), delta=0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
+    def test_goals_must_be_k_by_k(self, shape):
+        grads = {0: np.ones(2), 1: -np.ones(2)}
+        with pytest.raises(ValueError, match="shape"):
+            diminish_conflicts(grads, [0, 1], beta=1.0, goals=np.zeros(shape), delta=0.5)
+
+    def test_goals_must_lie_in_the_unit_interval(self):
+        grads = {0: np.ones(2), 1: -np.ones(2)}
+        goals = np.array([[0.0, -1.0 - 1e-12], [-1.0 - 1e-12, 0.0]])
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            diminish_conflicts(grads, [0, 1], beta=1.0, goals=goals, delta=0.5)
+        goals = np.array([[0.0, -1.0], [-1.0, 0.0]])  # the bounds themselves are legal
+        assert diminish_conflicts(grads, [0, 1], beta=1.0, goals=goals, delta=0.5).n_adjustments == 0
 
 
 def dspace_conflicts(lefts, raws, goals):
@@ -333,11 +339,11 @@ class TestGramSweepMatchesDspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(sweep_inputs())
     def test_same_tests_goals_and_mean(self, inputs):
-        grads, order, beta, state = inputs
-        goals0 = state.goals.copy()
-        res = diminish_conflicts(grads, order, beta, state)
-        ref = diminish_conflicts_dspace(grads, order, beta, state)
-        np.testing.assert_array_equal(state.goals, goals0)  # the input state is left alone
+        grads, order, beta, goals, delta = inputs
+        goals0 = goals.copy()
+        res = diminish_conflicts(grads, order, beta, goals, delta)
+        ref = diminish_conflicts_dspace(grads, order, beta, goals, delta)
+        np.testing.assert_array_equal(goals, goals0)  # the input goals are left alone
 
         assert list(zip(res.tests.client.tolist(), res.tests.target.tolist(), res.tests.adjusted.tolist())) == list(
             zip(ref.tests.client.tolist(), ref.tests.target.tolist(), ref.tests.adjusted.tolist())
@@ -348,7 +354,7 @@ class TestGramSweepMatchesDspaceOracle:
                 getattr(res.tests, field), getattr(ref.tests, field),
                 rtol=1e-9, atol=1e-12,
             )
-        np.testing.assert_allclose(res.state.goals, ref.state.goals, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(res.goals, ref.goals, rtol=1e-9, atol=1e-12)
         scale = max(np.abs(w).max() for w in ref.working.values())
         np.testing.assert_allclose(res.gradient, ref.gradient, rtol=1e-9, atol=1e-9 * scale)
         if res.n_adjustments == 0:
@@ -376,22 +382,22 @@ def drawn_sweep_input(K, D, seed, multipliers, zero_draws, beta, delta):
     goals = goals + goals.T
     grads = {cid: R[cid] for cid in range(K)}
     order = [int(i) for i in rng.permutation(K)]
-    return grads, order, beta, SimilarityState(K, delta, goals)
+    return grads, order, beta, goals, delta
 
 
-def assert_sweep_matches_oracle(grads, order, beta, state):
+def assert_sweep_matches_oracle(grads, order, beta, goals, delta):
     """The property test's comparison, with its tolerances."""
-    res = diminish_conflicts(grads, order, beta, state)
-    ref = diminish_conflicts_dspace(grads, order, beta, state)
+    res = diminish_conflicts(grads, order, beta, goals, delta)
+    ref = diminish_conflicts_dspace(grads, order, beta, goals, delta)
     for field in ("client", "target", "adjusted"):
         np.testing.assert_array_equal(getattr(res.tests, field), getattr(ref.tests, field))
     assert res.n_adjustments == ref.n_adjustments
     for field in ("phi", "goal"):
         np.testing.assert_allclose(getattr(res.tests, field), getattr(ref.tests, field), rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(res.state.goals, ref.state.goals, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(res.goals, ref.goals, rtol=1e-9, atol=1e-12)
     scale = max(np.abs(w).max() for w in ref.working.values())
     np.testing.assert_allclose(res.gradient, ref.gradient, rtol=1e-9, atol=1e-9 * scale)
-    goals0 = state.goals
+    goals0 = goals
     assert _count_conflicts(res.coords, res.coords, goals0) == dspace_conflicts(grads, grads, goals0)
     assert _count_conflicts(res.working, res.coords, goals0) == dspace_conflicts(ref.working, grads, goals0)
     return res, ref
@@ -484,7 +490,7 @@ class TestSweepMatchesOracleOnKnownInputs:
         for pos in zero_at:
             R[order[pos]] = 0.0
         upper = np.triu(rng.uniform(-0.9, 0.9, size=(K, K)), 1)
-        return {cid: R[cid] for cid in range(K)}, order, beta, SimilarityState(K, 0.3, upper + upper.T)
+        return {cid: R[cid] for cid in range(K)}, order, beta, upper + upper.T, 0.3
 
     @pytest.mark.parametrize(
         "K, beta, zero_at",
@@ -494,8 +500,8 @@ class TestSweepMatchesOracleOnKnownInputs:
              "zero-rows-swept-and-not", "all-rows-zero"],
     )
     def test_wavefront_edge_cases(self, K, beta, zero_at):
-        grads, order, beta, state = self.random_input(K, beta, zero_at)
-        res, _ = assert_sweep_matches_oracle(grads, order, beta, state)
+        grads, order, beta, goals, delta = self.random_input(K, beta, zero_at)
+        res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
         zero = {order[pos] for pos in zero_at}
         assert not zero & (set(res.tests.client.tolist()) | set(res.tests.target.tolist()))
         if len(zero) == K:
@@ -510,8 +516,7 @@ class TestSweepMatchesOracleOnKnownInputs:
         monkeypatch.setattr(aggregation, "is_conflict", always)
         monkeypatch.setattr(oracles, "is_conflict", always)
         grads = {0: np.array([2.0, 0.0, 0.0]), 1: np.array([1.0, 0.0, 0.0]), 2: np.array([0.0, 1.0, 0.0])}
-        state = SimilarityState(3, 0.5, np.full((3, 3), 0.5))
-        res, ref = assert_sweep_matches_oracle(grads, [0, 1, 2], 1.0, state)
+        res, ref = assert_sweep_matches_oracle(grads, [0, 1, 2], 1.0, np.full((3, 3), 0.5), 0.5)
         # clients 0 and 1 vanish at their first test and test nothing else
         assert list(zip(res.tests.client.tolist(), res.tests.target.tolist())) == [(0, 1), (1, 0), (2, 0), (2, 1)]
         np.testing.assert_array_equal(ref.working[0], np.zeros(3))
@@ -523,7 +528,7 @@ class TestSweepMatchesOracleOnKnownInputs:
         rng = make_rng(seed)
         grads = {cid: rng.normal(size=D) + 0.1 for cid in range(K)}  # no zero row
         order = [int(i) for i in rng.permutation(K)]
-        res = diminish_conflicts(grads, order, beta, SimilarityState(K, 0.5))
+        res = diminish_conflicts(grads, order, beta, np.zeros((K, K)), 0.5)
         assert len(res.tests) == math.ceil(beta * K) * (K - 1)
 
 
@@ -549,20 +554,20 @@ class TestBuildOrder:
             TrainConfig(order_policy="sideways")
 
 
-def run_round(grads, beta=1.0, losses=None, eta=0.1, state=None, lam=None, gamma=0.5):
+def run_round(grads, beta=1.0, losses=None, eta=0.1, goals=None, lam=None, gamma=0.5, delta=0.5):
     stats = make_stats(grads, losses)
     K = len(grads)
-    cfg = TrainConfig(beta=beta, delta=0.5, gamma=gamma, eta=eta, alpha=0.05)
-    state = state if state is not None else SimilarityState(K, cfg.delta)
+    cfg = TrainConfig(beta=beta, delta=delta, gamma=gamma, eta=eta, alpha=0.05)
+    goals = goals if goals is not None else np.zeros((K, K))
     lam = lam if lam is not None else ZERO_LAM
     params = np.zeros(len(grads[0]))
-    return server_round(params, lam, stats, TABLE, cfg, state)
+    return server_round(params, lam, stats, TABLE, cfg, goals)
 
 
 class TestServerRound:
     def test_identical_gradients_full_beta(self):
         g = np.array([0.3, -0.7, 0.2])
-        params, lam, state, rec = run_round([g, g, g], beta=1.0, eta=0.1)
+        params, lam, goals, rec = run_round([g, g, g], beta=1.0, eta=0.1)
         np.testing.assert_allclose(params, -0.1 * g, rtol=1e-12)
         assert rec.n_adjustments == 0
 
@@ -571,15 +576,15 @@ class TestServerRound:
         grads = [rng.normal(size=5) for _ in range(4)]
         stats = make_stats(grads)
         cfg = TrainConfig(beta=1.0, delta=0.2, gamma=0.0, eta=1.0, alpha=0.05)
-        state = SimilarityState(4, cfg.delta)
         params0 = np.zeros(5)
-        params, _, _, rec = server_round(params0, ZERO_LAM, stats, TABLE, cfg, state)
+        params, _, _, rec = server_round(params0, ZERO_LAM, stats, TABLE, cfg, np.zeros((4, 4)))
         g_global = (params0 - params) / cfg.eta
         res = diminish_conflicts(
             {st.client_id: st.update_grad for st in stats},
             build_order(lagrangian_losses(stats, ZERO_LAM, TABLE.families, cfg.alpha)),
             cfg.beta,
-            SimilarityState(4, cfg.delta),
+            np.zeros((4, 4)),
+            cfg.delta,
         )
         raw_mean = np.mean(np.stack(grads), axis=0)
         np.testing.assert_allclose(cosine(g_global, res.gradient), 1.0, atol=1e-12)
@@ -590,7 +595,7 @@ class TestServerRound:
         # per-client F(D)=0.5 on both groups -> merged gap 0, h = -alpha
         cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.2, eta=0.1, alpha=0.05)
         lam = np.array([0.3, 0.0])
-        _, lam2, _, rec = server_round(np.zeros(2), lam, stats, TABLE, cfg, SimilarityState(2, 0.5))
+        _, lam2, _, rec = server_round(np.zeros(2), lam, stats, TABLE, cfg, np.zeros((2, 2)))
         np.testing.assert_allclose(lam2[0], 0.3 + 0.2 * (-0.05))
         assert lam2[1] == 0.0  # clamped at zero
         assert rec.multipliers == {"s0=g0": lam2[0], "s0=g1": 0.0}
@@ -602,13 +607,22 @@ class TestServerRound:
         np.testing.assert_array_equal(params, np.zeros(2))
         assert rec.g_global_norm == 0.0
 
+    def test_goal_decay_is_the_configs_delta(self):
+        g = [np.array([1.0, 0.0]), np.array([0.6, 0.8])]  # cos = 0.6, above the goals: no adjustment
+        goals = np.array([[0.0, 0.2], [0.2, 0.0]])
+        _, _, kept, _ = run_round(g, goals=goals, delta=1.0)
+        np.testing.assert_array_equal(kept, goals)
+        _, _, latest, _ = run_round(g, goals=goals, delta=0.0)
+        np.testing.assert_allclose(latest, [[0.0, 0.6], [0.6, 0.0]], rtol=1e-15)
+        np.testing.assert_array_equal(goals, [[0.0, 0.2], [0.2, 0.0]])  # the input goals are left alone
+
     def test_determinism(self):
         rng = make_rng(25)
         grads = [rng.normal(size=4) for _ in range(3)]
         out1 = run_round(grads, beta=1.0)
         out2 = run_round(grads, beta=1.0)
         np.testing.assert_array_equal(out1[0], out2[0])
-        np.testing.assert_array_equal(out1[2].goals, out2[2].goals)
+        np.testing.assert_array_equal(out1[2], out2[2])
 
     def test_beta_zero_order_policy_invariance(self):
         rng = make_rng(26)
@@ -618,7 +632,7 @@ class TestServerRound:
         for policy in ("loss_ascending", "reversed", "random"):
             cfg = TrainConfig(beta=0.0, delta=0.5, gamma=0.0, eta=0.1, alpha=0.05, order_policy=policy)
             p, _, _, _ = server_round(
-                np.zeros(4), ZERO_LAM, stats, TABLE, cfg, SimilarityState(4, 0.5), rng=make_rng(0)
+                np.zeros(4), ZERO_LAM, stats, TABLE, cfg, np.zeros((4, 4)), rng=make_rng(0)
             )
             outs.append(p)
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -630,15 +644,15 @@ class TestServerRound:
         cfg = TrainConfig(beta=1.0, delta=0.01, gamma=0.0, eta=0.1, alpha=0.05)
         for seed in range(5):
             rng = make_rng(29, seed)
-            state = SimilarityState(3, cfg.delta)
+            goals = np.zeros((3, 3))
             for t in range(12):
                 g = rng.normal(size=200)
                 grads = [g, float(rng.uniform(0.5, 2.0)) * g, rng.normal(size=200)]
-                _, _, state, _ = server_round(
-                    np.zeros(200), ZERO_LAM, make_stats(grads), TABLE, cfg, state, round_index=t
+                _, _, goals, _ = server_round(
+                    np.zeros(200), ZERO_LAM, make_stats(grads), TABLE, cfg, goals, round_index=t
                 )
-            assert state.goals[0, 1] == state.goals[1, 0] >= 1.0 - 1e-9
-            assert np.abs(state.goals).max() <= 1.0
+            assert goals[0, 1] == goals[1, 0] >= 1.0 - 1e-9
+            assert np.abs(goals).max() <= 1.0
 
     def test_conflict_counts_skip_rounding_ties(self):
         g = np.array([[1.0, 0.0], [0.6, 0.8]])  # cos = 0.6
@@ -710,11 +724,10 @@ class TestProperties:
         upper = np.triu(rng.uniform(-1.0, 1.0, size=(K, K)), 1)
         if saturate:
             upper = np.sign(upper) * (np.abs(upper) > 0.5)  # goals of exactly +-1 and 0
-        state = SimilarityState(K, delta, upper + upper.T)
+        goals = upper + upper.T
         order = [int(i) for i in rng.permutation(K)]
-        goals = state.goals
         for _ in range(3):  # goals feed the next round's sweep
-            goals = diminish_conflicts(grads, order, beta, SimilarityState(K, delta, goals)).state.goals
+            goals = diminish_conflicts(grads, order, beta, goals, delta).goals
             np.testing.assert_array_equal(goals, goals.T)
             assert np.abs(goals).max() <= 1.0
 
@@ -730,8 +743,7 @@ class TestProperties:
         rng = make_rng(seed)
         grads = [rng.normal(size=dim) * rng.uniform(0.1, 10.0) for _ in range(K)]
         cfg = TrainConfig(beta=beta, delta=0.5, gamma=0.0, eta=1.0, alpha=0.05)
-        state = SimilarityState(K, cfg.delta, np.full((K, K), goal))
-        params, _, _, rec = server_round(np.zeros(dim), ZERO_LAM, make_stats(grads), TABLE, cfg, state)
+        params, _, _, rec = server_round(np.zeros(dim), ZERO_LAM, make_stats(grads), TABLE, cfg, np.full((K, K), goal))
         raw_norm = norm(np.mean(np.stack(grads), axis=0))
         np.testing.assert_allclose(norm(-params), raw_norm, rtol=1e-12)
         assert rec.g_global_norm == norm(-params)

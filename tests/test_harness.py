@@ -45,14 +45,13 @@ def compas_rows_csv(tmp_path) -> Path:
     return path
 
 
-def tiny_config(out, **over):
+def tiny_config(**over):
     fields = dict(
         regimes=("mfairfl", "fedavg"),
         seeds=(1, 2),
         rounds=2,
         local_epochs=2,
         hidden_dims=(8, 8),
-        out=str(out),
     )
     fields.update(over)
     cfg = replace(ExperimentConfig(), **fields)
@@ -211,10 +210,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="client mode"):
             replace(ExperimentConfig(), client_mode="two_step")
 
-    def test_removed_key_rejected(self):
+    @pytest.mark.parametrize(
+        "key, value", [("weighted_mean", False), ("out", "results"), ("reference_regime", "mfairfl")]
+    )
+    def test_removed_key_rejected(self, key, value):
         d = ExperimentConfig().to_json()
-        d["weighted_mean"] = False
-        with pytest.raises(TypeError, match="weighted_mean"):
+        d[key] = value
+        with pytest.raises(TypeError, match=key):
             ExperimentConfig.from_json(d)
 
     def test_single_step_trains_as_one_local_epoch(self):
@@ -228,17 +230,15 @@ class TestConfig:
 
 class TestRun:
     def test_single_cell(self, tmp_path):
-        cfg = tiny_config(tmp_path / "o", regimes=("fedavg",), seeds=(1,))
-        records = run(cfg)
+        cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
+        records = run(cfg, tmp_path / "o")
         assert len(records) == 1
         assert records[0].error is None
         assert records[0].report is not None
 
     def test_grid_outputs_and_determinism(self, tmp_path):
-        cfg1 = tiny_config(tmp_path / "a")
-        rec1 = run(cfg1)
-        cfg2 = tiny_config(tmp_path / "b")
-        rec2 = run(cfg2)
+        rec1 = run(tiny_config(), tmp_path / "a")
+        rec2 = run(tiny_config(), tmp_path / "b")
         by_cell1 = {(r.regime, r.seed): r.report.to_json() for r in rec1}
         by_cell2 = {(r.regime, r.seed): r.report.to_json() for r in rec2}
         assert by_cell1 == by_cell2
@@ -250,8 +250,8 @@ class TestRun:
         assert (tmp_path / "a" / "trace" / "mfairfl-1.jsonl").exists()
 
     def test_beta_zero_mfairfl_cell_equals_fedavg_cell(self, tmp_path):
-        cfg = tiny_config(tmp_path / "c", beta=0.0, gamma=0.0, alpha=1.0, seeds=(3,))
-        records = run(cfg)
+        cfg = tiny_config(beta=0.0, gamma=0.0, alpha=1.0, seeds=(3,))
+        records = run(cfg, tmp_path / "c")
         by_regime = {r.regime: r.report for r in records}
         assert by_regime["mfairfl"].to_json() == by_regime["fedavg"].to_json()
 
@@ -261,9 +261,9 @@ class TestRun:
             ExperimentConfig(),
             dataset={"schema": "compas", "csv": str(compas_rows_csv(tmp_path))},
             partition={"attribute": "sex", "fractions": {"Female": [1.0], "Male": [1.0], "zzz": [1.0]}},
-            regimes=("fedavg",), seeds=(1,), rounds=1, local_epochs=1, hidden_dims=(8, 8), out=str(tmp_path / "d"),
+            regimes=("fedavg",), seeds=(1,), rounds=1, local_epochs=1, hidden_dims=(8, 8),
         )
-        records = run(cfg)
+        records = run(cfg, tmp_path / "d")
         assert len(records) == 1
         assert records[0].error is not None
         assert "missing from data" in records[0].error
@@ -281,23 +281,23 @@ class TestRun:
     )
     def test_edit_after_construction_refused_before_any_file(self, tmp_path, edit):
         out = tmp_path / "x"
-        cfg = tiny_config(out, regimes=("fedavg",), seeds=(1,))
+        cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
         edit(cfg)
         with pytest.raises(ValueError):
-            run(cfg)
+            run(cfg, out)
         assert not out.exists()
 
     @pytest.mark.parametrize("empty", ["seeds", "regimes"])
     def test_empty_grid_refused_before_any_file(self, tmp_path, empty):
         out = tmp_path / "e"
-        cfg = replace(tiny_config(out), **{empty: ()})  # allowed at construction
+        cfg = replace(tiny_config(), **{empty: ()})  # allowed at construction
         with pytest.raises(ValueError, match="empty grid"):
-            run(cfg)
+            run(cfg, out)
         assert not out.exists()
 
     def test_phase_times_in_meta_only(self, tmp_path):
         out = tmp_path / "p"
-        records = run(tiny_config(out, regimes=("mfairfl", "fedavg_f", "indfair"), seeds=(1,)))
+        records = run(tiny_config(regimes=("mfairfl", "fedavg_f", "indfair"), seeds=(1,)), out)
         meta = json.loads((out / "meta.json").read_text())
         assert set(meta["phase_times"]) == set(meta["wall_times"]) == {"mfairfl-1", "fedavg_f-1", "indfair-1"}
         for cell, phases in meta["phase_times"].items():
@@ -312,17 +312,16 @@ class TestRun:
 
     def test_records_reload(self, tmp_path):
         out = tmp_path / "e"
-        cfg = tiny_config(out, regimes=("fedavg",), seeds=(1, 2))
-        run(cfg)
+        run(tiny_config(regimes=("fedavg",), seeds=(1, 2)), out)
         records = load_records(str(out))
         assert len(records) == 2
         assert all(r.report is not None for r in records)
 
     def test_failed_cell_keeps_its_traceback(self, tmp_path):
         out = tmp_path / "f"
-        cfg = tiny_config(out, regimes=("mfairfl",), seeds=(1,))
+        cfg = tiny_config(regimes=("mfairfl",), seeds=(1,))
         cfg.partition["fractions"] = {"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}
-        (record,) = run(cfg)
+        (record,) = run(cfg, out)
         assert record.error == "ValueError: client 2: empty shard"
         assert record.traceback.startswith("Traceback (most recent call last):")
         assert "in _check_shard" in record.traceback
@@ -347,13 +346,12 @@ class TestRun:
             rounds=1,
             local_epochs=1,
             hidden_dims=(8, 8),
-            out=str(tmp_path / "o"),
         )
-        assert [r.error for r in run(cfg)] == [None, None]
+        assert [r.error for r in run(cfg, tmp_path / "o")] == [None, None]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="threads"):
-            tiny_config(tmp_path / "g", threads=2)
+            tiny_config(threads=2)
 
 
 class TestBuildData:
@@ -378,14 +376,17 @@ class TestBuildData:
 
 
 class TestCli:
-    def test_print_defaults(self, capsys):
+    def test_print_defaults(self, tmp_path, capsys):
         assert cli_main(["config", "--print-defaults"]) == 0
         out = capsys.readouterr().out
         parsed = json.loads(out)
         assert parsed["rounds"] == 10
+        path = tmp_path / "defaults.json"
+        path.write_text(out)
+        assert ExperimentConfig.from_file(str(path)).config_hash() == ExperimentConfig().config_hash()
 
     def test_partition_dry_run(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path / "h")
+        cfg = tiny_config()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_json()))
         assert cli_main(["partition", "--config", str(path)]) == 0
@@ -393,12 +394,21 @@ class TestCli:
         assert "client" in out and "g0" in out
 
     def test_run_subcommand(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path / "i", regimes=("fedavg",), seeds=(1,))
+        cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_json()))
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "j")])
         assert code == 0
         assert (tmp_path / "j" / "results.csv").exists()
+
+    def test_run_writes_under_results_by_default(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(regimes=("fedavg",), seeds=(1,)).to_json()))
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert "outputs in results" in capsys.readouterr().out
+        assert (tmp_path / "results" / "results.csv").exists()
+        assert (tmp_path / "results" / "trace" / "fedavg-1.jsonl").exists()
 
     def test_verify_subcommand(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -418,7 +428,6 @@ class TestCli:
 
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "k"
-        cfg = tiny_config(out, regimes=("fedavg",), seeds=(1, 2))
-        run(cfg)
+        run(tiny_config(regimes=("fedavg",), seeds=(1, 2)), out)
         assert cli_main(["report", "--records", str(out), "--reference", "fedavg"]) == 0
         assert "fedavg" in capsys.readouterr().out

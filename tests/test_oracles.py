@@ -13,13 +13,34 @@ from fairfedsim.oracles import (
     conflicting_quadratic_problem,
     finite_diff,
     generate_theorem2_instance,
-    random_quadratic_problem,
     theorem2_bound,
     theorem2_bound_formula,
     theorem2_campaign,
     theorem2_check,
     theorem3_descent_check,
 )
+
+
+def random_quadratic_problem(dim: int, rng: np.random.Generator) -> QuadraticTwoClientProblem:
+    """Generic random SPD quadratics with separated centers.
+
+    Trajectories of the adjusted flow on such instances generically stall
+    on the two-objective Pareto set (every exactly anti-parallel gradient
+    pair is a fixed point of the symmetric adjustment) and can then drift
+    upward; useful for demonstrating that boundary, not for verifying the
+    descent property on its domain.
+    """
+
+    def spd() -> np.ndarray:
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        evals = rng.uniform(0.5, 2.0, size=dim)
+        return q @ np.diag(evals) @ q.T
+
+    a1 = rng.normal(0.0, 1.5, size=dim)
+    a2 = rng.normal(0.0, 1.5, size=dim)
+    w0 = rng.normal(0.0, 1.0, size=dim)
+    goal = float(rng.uniform(0.1, 0.5))
+    return QuadraticTwoClientProblem(spd(), spd(), a1, a2, w0, goal)
 
 
 class TestFiniteDiff:

@@ -34,9 +34,9 @@ def counted(module, name):
 counted(harness, "paired_ttest")
 counted(aggregation, "_coordinates")
 config = replace(harness.ExperimentConfig(), regimes=("mfairfl", "fedavg"), seeds=(1, 2), rounds=1,
-                 local_epochs=1, hidden_dims=(8, 8), out=str(out / "grid"))
+                 local_epochs=1, hidden_dims=(8, 8))
 config.dataset["synthetic"]["n"] = 300
-records = harness.run(config)
+records = harness.run(config, str(out / "grid"))
 assert [r.error for r in records] == [None] * 4, [r.error for r in records]
 assert calls["paired_ttest"] > 0 and calls["_coordinates"] > 0, calls
 assert main(["verify", "--instances", "1", "--out", str(out / "verify")]) == 0
