@@ -139,7 +139,8 @@ CONFLICT_TIE_TOL = 1e-9     # conflict counts need cos < goal - tol (RoundRecord
 
 
 class DegenerateCancellationError(ArithmeticError):
-    """The curated gradient vanished while the plain mean did not."""
+    """The curated gradient cancelled to within rounding of zero (at most
+    K 2^-52 times the longest working gradient) while the plain mean did not."""
 
 
 def ema_update(goals: np.ndarray, delta: float, i, j, phi) -> None:
@@ -470,14 +471,13 @@ def server_round(
 
     target_norm = norm(result.plain_mean)
     curated_norm = norm(result.gradient)
-    if curated_norm == 0.0:
-        if target_norm > 0.0:
-            raise DegenerateCancellationError(
-                "curated gradient cancelled to zero while the raw mean did not"
-            )
-        g_global = result.gradient
-    else:
-        g_global = result.gradient * (target_norm / curated_norm)
+    # below K ulps of the longest working gradient the curated mean's direction is rounding error
+    cancelled = len(stats) * 2.0**-52 * _row_norms(result.working).max(initial=0.0)
+    if curated_norm <= cancelled < target_norm:
+        raise DegenerateCancellationError(
+            f"curated gradient cancelled to {curated_norm:.3g} while the raw mean's norm is {target_norm:.3g}"
+        )
+    g_global = result.gradient * (target_norm / curated_norm) if curated_norm > 0.0 else result.gradient
 
     check_finite(g_global, "global gradient")
     new_params = params - config.eta * g_global

@@ -278,7 +278,7 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     Constant columns keep scale 1 to avoid division by zero.
     """
     X = train.X
-    is_onehot = np.array([set(np.unique(X[:, j])) <= {0.0, 1.0} for j in range(X.shape[1])])
+    is_onehot = ((X == 0.0) | (X == 1.0)).all(axis=0)
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     mu[is_onehot] = 0.0
@@ -299,23 +299,21 @@ def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     rng = make_rng(seed, 0xD1)
-    strata: dict[tuple, list[int]] = {}
-    for i in range(len(dataset)):
-        key = (tuple(int(c) for c in dataset.S[i]), int(dataset.y[i]))
-        strata.setdefault(key, []).append(i)
-    test_idx: list[int] = []
-    train_idx: list[int] = []
-    for key in sorted(strata):
-        members = np.array(strata[key])
-        if members.size < 2:
-            raise ValueError(f"stratum {key} has {members.size} sample(s); cannot appear in both splits")
-        perm = rng.permutation(members.size)
-        members = members[perm]
-        n_test = int(math.floor(test_fraction * members.size + 0.5))
-        n_test = min(max(n_test, 1), members.size - 1)
-        test_idx.extend(members[:n_test].tolist())
-        train_idx.extend(members[n_test:].tolist())
-    return dataset.take(np.array(sorted(train_idx))), dataset.take(np.array(sorted(test_idx)))
+    # one integer code per row, sorted as the (sensitive tuple, label) keys
+    code = np.zeros(len(dataset), dtype=np.int64)
+    for col in (*dataset.S.T, dataset.y):
+        code = code * (int(col.max(initial=0)) + 1) + col
+    _, first, stratum, sizes = np.unique(code, return_index=True, return_inverse=True, return_counts=True)
+    by_stratum = np.argsort(stratum, kind="stable")  # each stratum's rows in index order
+    is_test = np.zeros(len(dataset), dtype=bool)
+    for start, size, row in zip(np.cumsum(sizes) - sizes, sizes.tolist(), first):
+        if size < 2:
+            key = (tuple(int(c) for c in dataset.S[row]), int(dataset.y[row]))
+            raise ValueError(f"stratum {key} has {size} sample(s); cannot appear in both splits")
+        members = by_stratum[start:start + size][rng.permutation(size)]
+        n_test = int(math.floor(test_fraction * size + 0.5))
+        is_test[members[:min(max(n_test, 1), size - 1)]] = True
+    return dataset.take(np.flatnonzero(~is_test)), dataset.take(np.flatnonzero(is_test))
 
 
 @dataclass
@@ -372,20 +370,15 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
 
     rng = make_rng(seed, 0xFA)  # stream tag for partitioning
     K = spec.n_clients
-    per_client: list[list[int]] = [[] for _ in range(K)]
+    client = np.full(len(train), -1, dtype=np.int64)  # each row's client
     for value in sorted(spec.fractions):
-        code = names.index(value)
-        members = np.flatnonzero(train.S[:, a] == code)
+        members = np.flatnonzero(train.S[:, a] == names.index(value))
         members = members[rng.permutation(members.size)]
         counts = largest_remainder_counts(members.size, spec.fractions[value])
-        pos = 0
-        for k in range(K):
-            per_client[k].extend(members[pos:pos + counts[k]].tolist())
-            pos += counts[k]
+        client[members] = np.repeat(np.arange(K), counts)
     shards = []
     for k in range(K):
-        idx = np.array(sorted(per_client[k]), dtype=np.int64)
-        shard = Shard(client_id=k, data=train.take(idx))
+        shard = Shard(client_id=k, data=train.take(np.flatnonzero(client == k)))
         if len(shard) == 0:
             logger.warning("client %d received an empty shard", k)
         shards.append(shard)
@@ -404,22 +397,6 @@ def pool_shards(shards: Sequence[Shard]) -> Dataset:
         ref.attr_names, ref.group_names, ref.feature_names,
         np.concatenate([s.data.row_ids for s in shards]),
     )
-
-
-def check_synthetic_args(
-    input_dim: int,
-    group_fractions: Sequence[float],
-    pos_rate_by_group: Sequence[float],
-    label_orientation_by_group: Optional[Sequence[float]],
-) -> None:
-    """Refuse ``synthetic_dataset`` arguments it cannot build from: fewer
-    than two features, or per-group tuples of different lengths."""
-    if input_dim < 2:
-        raise ValueError("input_dim must be >= 2")
-    if len(group_fractions) != len(pos_rate_by_group):
-        raise ValueError("group_fractions and pos_rate_by_group must align")
-    if label_orientation_by_group is not None and len(label_orientation_by_group) != len(group_fractions):
-        raise ValueError("label_orientation_by_group and group_fractions must align")
 
 
 def synthetic_dataset(
@@ -443,7 +420,12 @@ def synthetic_dataset(
     additive), which forces group-specific decision rules and genuine
     gradient conflict between clients dominated by different groups.
     """
-    check_synthetic_args(input_dim, group_fractions, pos_rate_by_group, label_orientation_by_group)
+    if input_dim < 2:
+        raise ValueError("input_dim must be >= 2")
+    if len(group_fractions) != len(pos_rate_by_group):
+        raise ValueError("group_fractions and pos_rate_by_group must align")
+    if label_orientation_by_group is not None and len(label_orientation_by_group) != len(group_fractions):
+        raise ValueError("label_orientation_by_group and group_fractions must align")
     if label_orientation_by_group is None:
         label_orientation_by_group = (1.0,) * len(group_fractions)
     rng = make_rng(seed, 0x5E)

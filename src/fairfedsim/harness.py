@@ -12,13 +12,18 @@ server-phase seconds, kept out of the deterministic files).
 from ``baselines.Hyperparameters`` and adds its own fields' checks to
 ``check()``, which runs when the config is built and again when ``run``
 starts, so a config that no cell can run, even one edited after it was
-built, fails before the grid starts.
+built, fails before the grid starts. For a synthetic dataset the check is
+the data stage itself: it builds the data once, at seed 0, and refuses the
+config if that build fails or leaves a client without training rows. One
+seed decides for all, because the seed only permutes rows: the group
+counts, the labels per group, each stratum's test count and the shard
+counts are all functions of the config alone. A CSV file is read only when
+a cell runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 import time
@@ -88,13 +93,13 @@ class ExperimentConfig(Hyperparameters):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name}={values} repeats a value: its cells would share one trace file")
-        _check_data(self.dataset, PartitionSpec.from_json(self.partition))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
         if self.client_mode not in CLIENT_MODES:
             raise ValueError(f"unknown client mode {self.client_mode!r}; one of {CLIENT_MODES}")
         if self.threads != 1:
             raise ValueError(f"threads={self.threads}: cells run sequentially, threads must be 1")
+        _check_data(self)  # last: the build reads the fields checked above
 
     def to_json(self) -> dict:
         return asdict(self)  # json writes the tuples as lists
@@ -122,29 +127,23 @@ class ExperimentConfig(Hyperparameters):
         return TrainConfig(**values, seed=seed)
 
 
-def _check_data(dataset: dict, spec: PartitionSpec) -> None:
-    """Refuse a dataset or partition that no cell can run. A CSV file is
-    read only when a cell runs, so its attributes and groups are checked
-    there (``data.partition``)."""
-    if set(dataset) == {"csv", "schema"}:
+def _check_data(config: ExperimentConfig) -> None:
+    """Refuse a dataset or partition that no cell can run. A synthetic
+    dataset is built once, at seed 0, through the cells' own data stage,
+    and every training shard must hold rows; the seed only permutes rows,
+    so every size the build can fail on is the same at every seed (module
+    docstring). A CSV file is read only when a cell runs, so its
+    attributes and groups are checked there (``data.partition``)."""
+    if set(config.dataset) == {"csv", "schema"}:
+        PartitionSpec.from_json(config.partition)
         return
-    if set(dataset) != {"synthetic"}:
-        raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(dataset)}")
+    if set(config.dataset) != {"synthetic"}:
+        raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(config.dataset)}")
     try:
-        args = inspect.signature(data_mod.synthetic_dataset).bind(seed=0, **dataset["synthetic"])
-        args.apply_defaults()
-        a = args.arguments
-        data_mod.check_synthetic_args(
-            a["input_dim"], a["group_fractions"], a["pos_rate_by_group"], a["label_orientation_by_group"]
-        )
+        for shard in build_data(config, 0).shards:
+            client_mod._check_shard(shard)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"dataset 'synthetic': {exc}") from None
-    groups = [f"g{g}" for g in range(len(a["group_fractions"]))]
-    if spec.attribute != "group" or set(spec.fractions) != set(groups):
-        raise ValueError(
-            f"partition over {spec.attribute!r} groups {sorted(spec.fractions)} does not match the synthetic"
-            f" dataset's attribute 'group' with groups {groups}"
-        )
+        raise ValueError(f"synthetic dataset and partition: no cell can run: {exc}") from None
 
 
 @dataclass
@@ -221,23 +220,20 @@ class RunRecord:
                    error=d.get("error"), traceback=d.get("traceback"))
 
 
-def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Optional[Path]) -> RunRecord:
+def run_cell(config: ExperimentConfig, regime: str, seed: int, out_dir: Path) -> RunRecord:
     started = time.perf_counter()
     chash = config.config_hash()
     try:
         prepared = build_data(config, seed)
         result = train(regime, prepared.shards, config.train_config(seed))
         report = evaluate_run(result, regime, prepared)
-        trace_path = ""
-        if out_dir is not None:
-            trace_dir = out_dir / "trace"
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            trace_file = trace_dir / f"{regime}-{seed}.jsonl"
-            with open(trace_file, "w", encoding="utf-8") as fh:
-                for rec in result.rounds:
-                    fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-            trace_path = str(trace_file)
-        return RunRecord(chash, regime, seed, report, trace_path, time.perf_counter() - started,
+        trace_dir = out_dir / "trace"
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        trace_file = trace_dir / f"{regime}-{seed}.jsonl"
+        with open(trace_file, "w", encoding="utf-8") as fh:
+            for rec in result.rounds:
+                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+        return RunRecord(chash, regime, seed, report, str(trace_file), time.perf_counter() - started,
                          phase_times={"client_s": result.client_s, "server_s": result.server_s})
     except Exception as exc:  # cell failures are recorded, the grid continues
         return RunRecord(chash, regime, seed, None, "", time.perf_counter() - started,

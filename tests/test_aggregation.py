@@ -607,6 +607,15 @@ class TestServerRound:
         np.testing.assert_array_equal(params, np.zeros(2))
         assert rec.g_global_norm == 0.0
 
+    def test_near_cancellation_refused(self):
+        # client 0 is rotated onto -(g1 + g2): the curated mean is 2.2e-16 (1, 1), a direction of rounding error
+        grads = [np.array([-3.0, -2.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        goals = np.zeros((3, 3))
+        goals[0, 1] = goals[1, 0] = -1.0 / math.sqrt(5.0)
+        goals[0, 2] = goals[2, 0] = -1.0 / math.sqrt(2.0)
+        with pytest.raises(DegenerateCancellationError, match="cancelled"):
+            run_round(grads, beta=1 / 3, losses=[0.1, 0.2, 0.3], goals=goals, delta=1.0)
+
     def test_goal_decay_is_the_configs_delta(self):
         g = [np.array([1.0, 0.0]), np.array([0.6, 0.8])]  # cos = 0.6, above the goals: no adjustment
         goals = np.array([[0.0, 0.2], [0.2, 0.0]])

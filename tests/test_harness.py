@@ -3,17 +3,22 @@
 import csv
 import json
 import math
+import tempfile
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from fairfedsim.baselines import TrainConfig
+from fairfedsim.baselines import REGIMES, TrainConfig
 from fairfedsim.cli import main as cli_main
+from fairfedsim.client import _check_shard
 from fairfedsim.data import DatasetSchema
 from fairfedsim.harness import (
     ExperimentConfig,
@@ -43,6 +48,57 @@ def compas_rows_csv(tmp_path) -> Path:
         writer.writeheader()
         writer.writerows(rows)
     return path
+
+
+@st.composite
+def fuzz_fields(draw):
+    """ExperimentConfig fields over the data-stage fuzz space: synthetic
+    n in {40, 200}, 2-3 groups of Dirichlet sizes, 1-8 clients with
+    Dirichlet fractions per group at concentration 0.05-5, and two short
+    cells whose training settings sit at their edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.integers(2, 3))
+    n_clients = draw(st.integers(1, 8))
+    concentration = draw(st.floats(0.05, 5.0))
+    synthetic = {
+        "n": draw(st.sampled_from((40, 200))),
+        "group_fractions": tuple(rng.dirichlet(np.ones(n_groups)).tolist()),
+        "pos_rate_by_group": tuple(rng.uniform(0.2, 0.8, n_groups).tolist()),
+    }
+    fractions = {f"g{g}": tuple(rng.dirichlet(np.full(n_clients, concentration)).tolist()) for g in range(n_groups)}
+    return dict(
+        dataset={"synthetic": synthetic},
+        partition={"attribute": "group", "fractions": fractions},
+        constraint=draw(st.sampled_from(("dp", "eo", "ap"))),
+        beta=draw(st.sampled_from((0.0, 0.2, 1.0))),
+        delta=draw(st.sampled_from((0.0, 0.01, 1.0))),
+        gamma=draw(st.sampled_from((0.0, 0.5, 50.0))),
+        regimes=tuple(draw(st.lists(st.sampled_from(sorted(REGIMES)), min_size=2, max_size=2, unique=True))),
+        seeds=(draw(st.integers(0, 999)),),
+        rounds=2,
+        local_epochs=2,
+        hidden_dims=(8, 8),
+    )
+
+
+def data_stage_outcome(dataset: dict, partition: dict, seed: int):
+    """What the data stage makes of a dataset and partition at one seed:
+    its error, or the per-(group, label) stratum sizes of both splits and
+    the sizes of every training and test shard."""
+    cfg = ExperimentConfig()
+    cfg.dataset, cfg.partition = dataset, partition  # set after construction: no check
+    try:
+        prepared = build_data(cfg, seed)
+        for shard in prepared.shards:
+            _check_shard(shard)
+    except ValueError as exc:
+        return str(exc)
+
+    def strata(ds):
+        return sorted(Counter(zip(ds.S[:, 0].tolist(), ds.y.tolist())).items())
+
+    return (strata(prepared.train), strata(prepared.test),
+            [len(s) for s in prepared.shards], [len(s) for s in prepared.test_shards])
 
 
 def tiny_config(**over):
@@ -192,6 +248,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name}=.* repeats"):
             replace(ExperimentConfig(), **{name: values})
 
+    @pytest.mark.parametrize(
+        "over, reason",
+        [
+            ({"dataset": {"synthetic": {"n": 300, "pos_rate_by_group": (0.005, 0.35)}}},
+             r"stratum \(\(0,\), 1\) has 1 sample"),
+            ({"dataset": {"synthetic": {"n": 300, "group_fractions": (1.0, 0.0)}}},
+             "partition group 'g1' missing from data"),
+            ({"partition": {"attribute": "group", "fractions": {"g0": (0.5, 0.5, 0.0), "g1": (0.5, 0.5, 0.0)}}},
+             "client 2: empty shard"),
+        ],
+        ids=["one-sample-stratum", "group-without-rows", "client-without-rows"],
+    )
+    def test_data_stage_failure_refused_at_construction(self, over, reason):
+        with pytest.raises(ValueError, match=reason) as refused:
+            replace(ExperimentConfig(), **over)
+        assert "dataset" in str(refused.value) and "partition" in str(refused.value)
+
     def test_synthetic_groups_g0_to_g11_with_their_partition_build(self):
         groups = 12
         cfg = replace(
@@ -219,12 +292,12 @@ class TestConfig:
         with pytest.raises(TypeError, match=key):
             ExperimentConfig.from_json(d)
 
-    def test_single_step_trains_as_one_local_epoch(self):
+    def test_single_step_trains_as_one_local_epoch(self, tmp_path):
         single = replace(ExperimentConfig(), client_mode="single_step", local_epochs=20, rounds=3)
         one = replace(ExperimentConfig(), local_epochs=1, rounds=3)
         assert single.train_config(1) == one.train_config(1)
-        a = run_cell(single, "mfairfl", 1, None)
-        b = run_cell(one, "mfairfl", 1, None)
+        a = run_cell(single, "mfairfl", 1, tmp_path / "single")
+        b = run_cell(one, "mfairfl", 1, tmp_path / "one")
         assert a.error is None and a.report.to_json() == b.report.to_json()
 
 
@@ -274,10 +347,14 @@ class TestRun:
             lambda cfg: cfg.dataset["synthetic"].update(bogus=1),
             lambda cfg: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.5,)),
             lambda cfg: cfg.partition["fractions"].update(zzz=[1.0]),
+            lambda cfg: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.005, 0.35)),
+            lambda cfg: cfg.dataset["synthetic"].update(group_fractions=(1.0, 0.0)),
+            lambda cfg: cfg.partition.update(fractions={"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}),
             lambda cfg: setattr(cfg, "seeds", (1, 1)),
             lambda cfg: setattr(cfg, "eta", -1.0),
         ],
-        ids=["synthetic-key", "synthetic-value", "partition-group", "repeated-seed", "eta"],
+        ids=["synthetic-key", "synthetic-value", "partition-group", "one-sample-stratum", "group-without-rows",
+             "client-without-rows", "repeated-seed", "eta"],
     )
     def test_edit_after_construction_refused_before_any_file(self, tmp_path, edit):
         out = tmp_path / "x"
@@ -318,9 +395,14 @@ class TestRun:
         assert all(r.report is not None for r in records)
 
     def test_failed_cell_keeps_its_traceback(self, tmp_path):
+        # a synthetic empty shard is refused at construction; a CSV file is read only when a cell runs
         out = tmp_path / "f"
-        cfg = tiny_config(regimes=("mfairfl",), seeds=(1,))
-        cfg.partition["fractions"] = {"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}
+        cfg = replace(
+            ExperimentConfig(),
+            dataset={"schema": "compas", "csv": str(compas_rows_csv(tmp_path))},
+            partition={"attribute": "sex", "fractions": {"Female": [0.5, 0.5, 0.0], "Male": [0.5, 0.5, 0.0]}},
+            regimes=("mfairfl",), seeds=(1,), rounds=2, local_epochs=2, hidden_dims=(8, 8),
+        )
         (record,) = run(cfg, out)
         assert record.error == "ValueError: client 2: empty shard"
         assert record.traceback.startswith("Traceback (most recent call last):")
@@ -352,6 +434,30 @@ class TestRun:
     def test_threads_other_than_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="threads"):
             tiny_config(threads=2)
+
+
+class TestDataStageCheck:
+    @settings(max_examples=30, deadline=None)
+    @given(fields=fuzz_fields(), seed=st.integers(1, 2**31 - 1))
+    def test_one_build_decides_for_every_seed(self, fields, seed):
+        """The seed only permutes rows: the check's build at seed 0 meets
+        every size, and every error, that a cell's build meets."""
+        dataset, partition = fields["dataset"], fields["partition"]
+        assert data_stage_outcome(dataset, partition, 0) == data_stage_outcome(dataset, partition, seed)
+
+    @pytest.mark.filterwarnings("ignore:.*outside the default grid:UserWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(fields=fuzz_fields())
+    def test_every_config_is_refused_or_finishes_every_cell(self, fields):
+        try:
+            cfg = ExperimentConfig(**fields)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            records = run(cfg, out)
+        for r in records:
+            assert r.error is None, f"{r.regime}-{r.seed}: {r.error}"
+            assert all(math.isfinite(v) for v in r.report.scores().values()), r.report.scores()
 
 
 class TestBuildData:
