@@ -9,7 +9,9 @@ an independent bisection solve, and sweeps a range of goals.
 
 import numpy as np
 
-from fairfedsim import adjust_gradient, c2_bisection, cosine
+from fairfedsim.aggregation import adjust_gradient
+from fairfedsim.numeric import cosine
+from fairfedsim.oracles import c2_bisection
 
 g_k = np.array([1.0, 0.0])
 g_j = np.array([0.0, 1.0])

@@ -8,8 +8,7 @@ the worst deviation of any client's accuracy from the mean.
 
 import numpy as np
 
-from fairfedsim import ap_violation, client_fairness_violation, dp_violation, eo_violation
-from fairfedsim.fairness import evaluate_predictions
+from fairfedsim.fairness import ap_violation, client_fairness_violation, dp_violation, eo_violation, evaluate_predictions
 
 preds = np.array([1, 1, 0, 0, 1, 1, 1, 0])
 labels = np.array([1, 0, 1, 0, 1, 1, 0, 0])

@@ -11,6 +11,19 @@ Schema files for the Adult/COMPAS/Bank benchmarks ship under
 ``fairfedsim/schemas``; the CSVs themselves are fetched by the user. The
 ``synthetic_dataset`` generator covers every test and demo without
 downloads.
+
+Ingestion rules (``load_csv``). Values and header names are stripped of
+surrounding spaces. A blank line is skipped. A row is dropped, and counted
+in ``n_dropped``, when it ends before a required column or a required value
+is a missing token (``""``, ``?``, ``NA``, ``N/A``). A categorical feature
+value outside its declared values goes to the feature's ``other`` column.
+A sensitive value outside its declared groups goes to the rest group when
+that group is declared too. Anything else malformed refuses the whole file
+with a ``ValueError`` that names the file and the line, column or value:
+an empty or undecodable file; a header that lacks a required column or
+names one twice; a row with more fields than the header; a numeric
+feature or binned sensitive value that is not a finite number; a sensitive
+value outside declared groups that hold no rest group; no row left.
 """
 
 from __future__ import annotations
@@ -51,14 +64,8 @@ class SensitiveSpec:
     bins: Optional[tuple[BinRule, ...]] = None
     rest_name: str = "other"
 
-    def group_of(self, raw: str) -> str:
-        if self.bins is not None:
-            v = float(raw)
-            for b in self.bins:
-                if b.lo <= v <= b.hi:
-                    return b.name
-            return self.rest_name
-        return raw
+    def bin_of(self, v: float) -> str:
+        return next((b.name for b in self.bins if b.lo <= v <= b.hi), self.rest_name)
 
     def domain(self) -> Optional[tuple[str, ...]]:
         if self.bins is not None:
@@ -103,14 +110,14 @@ class DatasetSchema:
         )
 
     @classmethod
-    def from_file(cls, path: str) -> "DatasetSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-    @classmethod
-    def builtin(cls, name: str) -> "DatasetSchema":
-        text = resources.files("fairfedsim.schemas").joinpath(f"{name}.json").read_text()
-        return cls.from_json(json.loads(text))
+    def load(cls, ref: str) -> "DatasetSchema":
+        """A schema by reference: a path ending in ``.json``, or else the
+        name of a shipped schema (``adult``, ``adult_multi``, ``compas``,
+        ``bank``)."""
+        if str(ref).endswith(".json"):
+            with open(ref, "r", encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        return cls.from_json(json.loads(resources.files("fairfedsim.schemas").joinpath(f"{ref}.json").read_text()))
 
 
 @dataclass
@@ -175,94 +182,85 @@ class Shard:
         return len(self.data)
 
 
-def load_csv(path: str, schema: DatasetSchema, strict: bool = False) -> Dataset:
+def load_csv(path: str, schema: DatasetSchema) -> Dataset:
     """Parse a header-keyed CSV into an encoded Dataset (features not yet
-    normalized; call ``standardize`` after splitting).
-
-    Rows missing any required value are dropped and counted. Unknown
-    categorical values error in strict mode and map to an ``"other"``
-    bucket otherwise.
-    """
+    normalized; call ``standardize`` after splitting). The rows are read
+    once; the module docstring states which rows are dropped and which
+    files are refused."""
+    required = schema.required_columns()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        missing_cols = [c for c in schema.required_columns() if c not in header]
-        if missing_cols:
-            raise ValueError(f"{path}: header missing columns {missing_cols}")
-        rows = []
-        n_dropped = 0
-        required = schema.required_columns()
-        for raw in reader:
-            row = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in raw.items()}
-            if any(row.get(c) in MISSING_TOKENS or row.get(c) is None for c in required):
-                n_dropped += 1
-                continue
-            rows.append(row)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise ValueError(f"{path}: header missing columns {missing}")
+            repeated = sorted({c for c in required if header.count(c) > 1})
+            if repeated:
+                raise ValueError(f"{path}: header names columns {repeated} more than once")
+            at = [header.index(c) for c in required]
+            read = []
+            for fields in filter(None, reader):  # a blank line reads as []
+                if len(fields) > len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(fields)} fields, the header {len(header)}"
+                    )
+                read.append([fields[i].strip() if i < len(fields) else "" for i in at])
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    rows = [row for row in read if not any(v in MISSING_TOKENS for v in row)]
+    n_dropped = len(read) - len(rows)
     if not rows:
         raise ValueError(f"{path}: no usable rows")
     if n_dropped:
         logger.info("%s: dropped %d rows with missing values", path, n_dropped)
-
-    # frozen category orders: declared domain if present, else sorted unique
-    cat_orders: dict[str, list[str]] = {}
-    cat_other: dict[str, bool] = {}
-    for col, declared in schema.categorical_features.items():
-        if declared is not None:
-            cat_orders[col] = list(declared)
-            cat_other[col] = True
-        else:
-            cat_orders[col] = sorted({r[col] for r in rows})
-            cat_other[col] = False
-
-    feature_names: list[str] = list(schema.numeric_features)
-    for col in schema.categorical_features:
-        feature_names += [f"{col}={v}" for v in cat_orders[col]]
-        if cat_other[col]:
-            feature_names.append(f"{col}=other")
-
+    cols = dict(zip(required, zip(*rows)))
     n = len(rows)
-    X = np.zeros((n, len(feature_names)))
-    y = np.zeros(n, dtype=np.int64)
-    S = np.zeros((n, len(schema.sensitive)), dtype=np.int64)
 
-    group_names: list[tuple[str, ...]] = []
-    for spec in schema.sensitive:
-        dom = spec.domain()
-        if dom is None:
-            dom = tuple(sorted({spec.group_of(r[spec.column]) for r in rows}))
-        group_names.append(tuple(dom))
-
-    for i, row in enumerate(rows):
-        j = 0
-        for col in schema.numeric_features:
+    def numbers(col: str) -> list[float]:
+        out = []
+        for v in cols[col]:
             try:
-                X[i, j] = float(row[col])
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric value {row[col]!r} in column {col}") from exc
-            j += 1
-        for col in schema.categorical_features:
-            order = cat_orders[col]
-            v = row[col]
-            if v in order:
-                X[i, j + order.index(v)] = 1.0
-            elif cat_other[col]:
-                if strict:
-                    raise ValueError(f"{path}: unknown category {v!r} in column {col}")
-                X[i, j + len(order)] = 1.0
-            j += len(order) + (1 if cat_other[col] else 0)
-        y[i] = 1 if row[schema.label] in schema.positive_values else 0
-        for a, spec in enumerate(schema.sensitive):
-            g = spec.group_of(row[spec.column])
-            if g not in group_names[a]:
-                if strict:
-                    raise ValueError(f"{path}: unknown group {g!r} for attribute {spec.column}")
-                g = spec.rest_name
-            S[i, a] = group_names[a].index(g)
+                out.append(float(v))
+            except ValueError:
+                out.append(math.nan)
+            if not math.isfinite(out[-1]):
+                raise ValueError(f"{path}: column {col}: {v!r} is not a finite number")
+        return out
+
+    # each feature block with its names: numeric columns, then one one-hot
+    # block per categorical (declared values plus "other", or the sorted values)
+    feature_names: list[str] = list(schema.numeric_features)
+    blocks = [np.zeros((n, 0))] + [np.array(numbers(col))[:, None] for col in schema.numeric_features]
+    for col, declared in schema.categorical_features.items():
+        values = list(declared) if declared is not None else sorted(set(cols[col]))
+        code = {v: values.index(v) for v in values}  # a value declared twice keeps its first column
+        feature_names += [f"{col}={v}" for v in values] + [f"{col}=other"] * (declared is not None)
+        blocks.append(np.eye(len(values) + (declared is not None))[[code.get(v, len(values)) for v in cols[col]]])
+    y = np.array([v in schema.positive_values for v in cols[schema.label]], dtype=np.int64)
+
+    S = np.zeros((n, len(schema.sensitive)), dtype=np.int64)
+    group_names: list[tuple[str, ...]] = []
+    for a, spec in enumerate(schema.sensitive):
+        groups = cols[spec.column] if spec.bins is None else [spec.bin_of(v) for v in numbers(spec.column)]
+        names = spec.domain() or tuple(sorted(set(groups)))
+        code = {g: names.index(g) for g in names}
+        unknown = sorted(set(groups) - set(code))
+        if unknown and spec.rest_name not in code:
+            raise ValueError(
+                f"{path}: column {spec.column}: values {unknown} lie outside its groups {list(names)}, "
+                f"which hold no {spec.rest_name!r} group"
+            )
+        S[:, a] = [code.get(g, code.get(spec.rest_name)) for g in groups]
+        group_names.append(names)
 
     return Dataset(
-        X, y, S,
+        np.hstack(blocks), y, S,
         attr_names=tuple(s.column for s in schema.sensitive),
         group_names=tuple(group_names),
         feature_names=tuple(feature_names),
@@ -355,7 +353,9 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
 
 
 def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
-    """Shuffle each sensitive group and slice it by cumulative fractions."""
+    """Shuffle each sensitive group and slice it by cumulative fractions.
+    A client may get no rows: ``client._check_shard`` refuses an empty
+    training shard, and ``harness.evaluate_run`` skips an empty test shard."""
     if spec.attribute not in train.attr_names:
         raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {train.attr_names}")
     a = train.attr_names.index(spec.attribute)
@@ -376,13 +376,7 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
         members = members[rng.permutation(members.size)]
         counts = largest_remainder_counts(members.size, spec.fractions[value])
         client[members] = np.repeat(np.arange(K), counts)
-    shards = []
-    for k in range(K):
-        shard = Shard(client_id=k, data=train.take(np.flatnonzero(client == k)))
-        if len(shard) == 0:
-            logger.warning("client %d received an empty shard", k)
-        shards.append(shard)
-    return shards
+    return [Shard(client_id=k, data=train.take(np.flatnonzero(client == k))) for k in range(K)]
 
 
 def pool_shards(shards: Sequence[Shard]) -> Dataset:
@@ -424,6 +418,10 @@ def synthetic_dataset(
         raise ValueError("input_dim must be >= 2")
     if len(group_fractions) != len(pos_rate_by_group):
         raise ValueError("group_fractions and pos_rate_by_group must align")
+    if not (all(f >= 0.0 for f in group_fractions) and abs(sum(group_fractions) - 1.0) <= 1e-9):
+        raise ValueError(f"group_fractions {tuple(group_fractions)} must be non-negative and sum to 1")
+    if not all(0.0 <= r <= 1.0 for r in pos_rate_by_group):
+        raise ValueError(f"pos_rate_by_group {tuple(pos_rate_by_group)} must lie in [0, 1]")
     if label_orientation_by_group is not None and len(label_orientation_by_group) != len(group_fractions):
         raise ValueError("label_orientation_by_group and group_fractions must align")
     if label_orientation_by_group is None:

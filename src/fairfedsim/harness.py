@@ -160,13 +160,7 @@ def build_data(config: ExperimentConfig, seed: int) -> PreparedData:
     if "synthetic" in config.dataset:
         ds = data_mod.synthetic_dataset(seed=seed, **config.dataset["synthetic"])
     else:
-        schema_ref = config.dataset["schema"]
-        schema = (
-            DatasetSchema.builtin(schema_ref)
-            if not str(schema_ref).endswith(".json")
-            else DatasetSchema.from_file(schema_ref)
-        )
-        ds = data_mod.load_csv(config.dataset["csv"], schema)
+        ds = data_mod.load_csv(config.dataset["csv"], DatasetSchema.load(config.dataset["schema"]))
     train_ds, test_ds = data_mod.split_train_test(ds, config.test_fraction, seed)
     train_ds, test_ds = data_mod.standardize(train_ds, test_ds)
     spec = PartitionSpec.from_json(config.partition)

@@ -1,7 +1,13 @@
 """Ingestion, splitting, partitioning, and the synthetic generator."""
 
+import tempfile
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfedsim.data import (
     DatasetSchema,
@@ -77,13 +83,11 @@ class TestLoadCsv:
         assert len(ds) == 3
         assert ds.n_dropped == 1
 
-    def test_unknown_category_lenient_vs_strict(self, tmp_path):
+    def test_unknown_category_goes_to_other(self, tmp_path):
         path = tmp_path / "unknown.csv"
         path.write_text("age,color,sex,outcome\n30,green,F,yes\n40,blue,M,no\n")
         ds = load_csv(str(path), SCHEMA)
         assert ds.X[0, 3] == 1.0  # "other" bucket
-        with pytest.raises(ValueError, match="unknown category"):
-            load_csv(str(path), SCHEMA, strict=True)
 
     def test_missing_header_column_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -98,11 +102,118 @@ class TestLoadCsv:
         decoded = [cats[int(np.argmax(row))] for row in onehot]
         assert decoded == ["red", "blue", "red"]
 
-    def test_builtin_schemas_parse(self):
-        for name in ("adult", "adult_multi", "compas", "bank"):
-            schema = DatasetSchema.builtin(name)
-            assert schema.label
-            assert schema.sensitive
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("age,color,sex,outcome\n30,red,F,yes\n40,blue,M,no,extra\n", "line 3 has 5 fields, the header 4"),
+            ("age,color,sex,outcome\n30,red,F,yes\n40,blue,X,no\n", r"column sex: values \['X'\] lie outside"),
+            ("age,color,sex,outcome\n30,red,F,yes\nnan,blue,M,no\n", "column age: 'nan' is not a finite number"),
+            ("age,color,sex,outcome\n30,red,F,yes\n-inf,blue,M,no\n", "column age: '-inf' is not a finite number"),
+            ("age,color,sex,outcome\n30,red,F,yes\nold,blue,M,no\n", "column age: 'old' is not a finite number"),
+            ("age,color,sex,outcome,sex\n30,red,F,yes,M\n", r"header names columns \['sex'\] more than once"),
+            ("age,color,sex,outcome\n?,red,F,yes\n", "no usable rows"),
+            ("age,color,sex,outcome\n" + "x" * 200_000 + "\n", "line 2: field larger than field limit"),
+        ],
+        ids=["long-row", "group-outside-domain", "nan", "inf", "non-numeric", "repeated-column", "no-rows",
+             "oversize-field"],
+    )
+    def test_malformed_file_refused_naming_it(self, tmp_path, text, refusal):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=refusal) as refused:
+            load_csv(str(path), SCHEMA)
+        assert str(refused.value).startswith(f"{path}: ")
+
+    def test_undecodable_file_refused_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("age,color,sex,outcome\n30,r\xf6d,F,yes\n".encode("latin-1"))
+        with pytest.raises(ValueError, match="not UTF-8") as refused:
+            load_csv(str(path), SCHEMA)
+        assert str(refused.value).startswith(f"{path}: ")
+
+    def test_short_row_and_blank_line(self, tmp_path):
+        """A row that ends before a required column is dropped and counted;
+        a blank line is skipped uncounted; a value outside a declared domain
+        that holds the rest group goes to that group."""
+        schema = DatasetSchema.from_json(
+            {"name": "rest", "numeric_features": ["age"], "categorical_features": [],
+             "sensitive": [{"column": "sex", "categories": ["F", "other"]}],
+             "label": "outcome", "positive_values": ["yes"]}
+        )
+        path = tmp_path / "short.csv"
+        path.write_text("age,sex,outcome,note\n30,F,yes\n\n40,M\n50,X,no,n\n")
+        ds = load_csv(str(path), schema)
+        assert ds.n_dropped == 1
+        np.testing.assert_array_equal(ds.S[:, 0], [0, 1])
+
+    @pytest.mark.parametrize("ref", ["adult", "adult_multi", "compas", "bank", "path"])
+    def test_schema_load_by_name_or_path(self, tmp_path, ref):
+        if ref == "path":
+            ref = str(tmp_path / "bank.json")
+            (tmp_path / "bank.json").write_text(resources.files("fairfedsim.schemas").joinpath("bank.json").read_text())
+        schema = DatasetSchema.load(ref)
+        assert schema.label
+        assert schema.sensitive
+
+
+FUZZ_SCHEMA = DatasetSchema.from_json(
+    {
+        "name": "fuzz",
+        "numeric_features": ["age"],
+        "categorical_features": [{"column": "color", "categories": ["blue", "red"]}, {"column": "shape"}],
+        "sensitive": [
+            {"column": "sex", "categories": ["F", "M"]},
+            {"column": "band", "bins": [{"name": "low", "lo": 0, "hi": 10}]},
+        ],
+        "label": "outcome",
+        "positive_values": ["yes"],
+    }
+)
+# per column: legal values, including a category or bin outside the declared
+# ones that has a home (color "green", band "12"), then the values that spoil a row
+LEGAL = {
+    "age": ["30", " 41.5", "-2", "1e3"], "color": ["red", "blue ", "green"], "shape": ["round", "flat"],
+    "sex": ["F", "M"], "band": ["3", "12"], "outcome": ["yes", "no", "maybe"], "note": ["a", "b,c"],
+}
+SPOILED = {"missing": ["", "?", "NA", "N/A", " ? "], "bad": ["nan", "inf", "-inf", "old", "X", "1,5"]}
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over FUZZ_SCHEMA's columns: permuted, missing and repeated
+    header columns, rows that are short, long or blank, or that hold a
+    missing token, an unknown group or a nan, inf or non-numeric number."""
+    header = draw(st.permutations(list(LEGAL)))
+    header = header[draw(st.integers(0, 1)):] + draw(st.lists(st.sampled_from(list(LEGAL)), max_size=1))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["ok", "ok", "ok", "missing", "bad", "short", "long", "blank"]))
+        cells = [draw(st.sampled_from(LEGAL[col])) for col in header]
+        if kind in SPOILED:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(SPOILED[kind]))
+        width = {"short": len(cells) - 1, "long": len(cells) + 1, "blank": 0}.get(kind, len(cells))
+        lines.append(",".join(f'"{c}"' if "," in c else c for c in (cells + ["extra"])[:width]))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_loads_a_valid_dataset_or_refuses_naming_the_file(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_text(text)
+            try:
+                ds = load_csv(str(path), FUZZ_SCHEMA)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
+                return
+        assert np.isfinite(ds.X).all()
+        assert set(ds.y.tolist()) <= {0, 1}
+        for a, names in enumerate(ds.group_names):
+            assert 0 <= ds.S[:, a].min() and ds.S[:, a].max() < len(names)
+        assert len(ds.feature_names) == ds.X.shape[1]
+        assert len(ds) + ds.n_dropped == sum(1 for line in text.splitlines()[1:] if line)
 
 
 class TestBinning:
@@ -280,6 +391,20 @@ class TestSynthetic:
         np.testing.assert_array_equal(a.y, b.y)
         assert a.X.shape == (100, 6)
         assert set(np.unique(a.S[:, 0])) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "over, refusal",
+        [
+            ({"pos_rate_by_group": (1.5, 0.35)}, r"pos_rate_by_group \(1.5, 0.35\) must lie in \[0, 1\]"),
+            ({"pos_rate_by_group": (0.5, -0.1)}, r"must lie in \[0, 1\]"),
+            ({"group_fractions": (0.7, 0.5)}, r"group_fractions \(0.7, 0.5\) must be non-negative and sum to 1"),
+            ({"group_fractions": (1.2, -0.2)}, "must be non-negative"),
+            ({"group_fractions": (float("nan"), 0.5)}, "must be non-negative"),
+        ],
+    )
+    def test_rates_and_fractions_checked(self, over, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            synthetic_dataset(300, seed=1, **over)
 
     def test_group_conditional_base_rates(self):
         ds = synthetic_dataset(4000, seed=16, pos_rate_by_group=(0.7, 0.3))

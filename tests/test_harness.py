@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import math
 import tempfile
 import warnings
@@ -34,7 +35,7 @@ from fairfedsim.harness import (
 def compas_rows_csv(tmp_path) -> Path:
     """80 rows under the built-in ``compas`` schema, sex alternating and the
     label changing every two rows: 20 rows per (sex, label)."""
-    schema = DatasetSchema.builtin("compas")
+    schema = DatasetSchema.load("compas")
     columns = schema.required_columns()
     rows = []
     for r in range(80):
@@ -257,13 +258,28 @@ class TestConfig:
              "partition group 'g1' missing from data"),
             ({"partition": {"attribute": "group", "fractions": {"g0": (0.5, 0.5, 0.0), "g1": (0.5, 0.5, 0.0)}}},
              "client 2: empty shard"),
+            ({"dataset": {"synthetic": {"n": 300, "pos_rate_by_group": (1.5, 0.35)}}},
+             r"pos_rate_by_group \(1.5, 0.35\) must lie in \[0, 1\]"),
+            ({"dataset": {"synthetic": {"n": 300, "group_fractions": (0.7, 0.5)}}},
+             r"group_fractions \(0.7, 0.5\) must be non-negative and sum to 1"),
         ],
-        ids=["one-sample-stratum", "group-without-rows", "client-without-rows"],
+        ids=["one-sample-stratum", "group-without-rows", "client-without-rows", "rate-above-one",
+             "fractions-sum-above-one"],
     )
     def test_data_stage_failure_refused_at_construction(self, over, reason):
         with pytest.raises(ValueError, match=reason) as refused:
             replace(ExperimentConfig(), **over)
         assert "dataset" in str(refused.value) and "partition" in str(refused.value)
+
+    def test_client_without_test_rows_builds_silently(self, caplog):
+        """A client with training rows but no test rows is legal (the
+        report skips its empty test shard), so building it logs nothing."""
+        caplog.set_level(logging.DEBUG)
+        fractions = (0.49, 0.49, 0.02)
+        cfg = tiny_config(partition={"attribute": "group", "fractions": {"g0": fractions, "g1": fractions}})
+        prepared = build_data(cfg, 0)
+        assert len(prepared.shards[2]) > 0 and len(prepared.test_shards[2]) == 0
+        assert caplog.records == []
 
     def test_synthetic_groups_g0_to_g11_with_their_partition_build(self):
         groups = 12

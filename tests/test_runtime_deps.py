@@ -1,4 +1,5 @@
-"""The package runs without scipy, which only the tests and the bench use."""
+"""The package runs without scipy, which only the tests and the bench use,
+and importing the harness loads only what a grid runs on."""
 
 import os
 import subprocess
@@ -44,12 +45,27 @@ print("ok")
 """
 
 
-def test_grid_and_verify_run_without_scipy(tmp_path):
+def run_fresh(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports the package from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, check=False
     )
+
+
+def test_grid_and_verify_run_without_scipy(tmp_path):
+    done = run_fresh("-c", SCRIPT, str(tmp_path), timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip().endswith("ok")
+
+
+def test_harness_import_loads_neither_oracles_nor_cli():
+    """The package root re-exports nothing, so importing the harness loads
+    only the modules a grid runs on: the set-up time covers no more."""
+    script = "import sys, fairfedsim.harness\nprint(*(m for m in sys.modules if 'fairfedsim' in m))"
+    done = run_fresh("-c", script, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "fairfedsim.harness" in loaded
+    assert "fairfedsim.oracles" not in loaded and "fairfedsim.cli" not in loaded, loaded
