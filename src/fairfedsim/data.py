@@ -18,12 +18,15 @@ in ``n_dropped``, when it ends before a required column or a required value
 is a missing token (``""``, ``?``, ``NA``, ``N/A``). A categorical feature
 value outside its declared values goes to the feature's ``other`` column.
 A sensitive value outside its declared groups goes to the rest group when
-that group is declared too. Anything else malformed refuses the whole file
-with a ``ValueError`` that names the file and the line, column or value:
-an empty or undecodable file; a header that lacks a required column or
-names one twice; a row with more fields than the header; a numeric
-feature or binned sensitive value that is not a finite number; a sensitive
-value outside declared groups that hold no rest group; no row left.
+that group is declared too. A column the header names twice is read from
+its last copy: ProPublica's COMPAS file, the usual source of the
+``compas`` schema, names ``priors_count`` and ``decile_score`` twice with
+equal values. Anything else malformed refuses the whole file with a
+``ValueError`` that names the file and the line, column or value: an empty
+or undecodable file; a header that lacks a required column; a row with
+more fields than the header; a numeric feature or binned sensitive value
+that is not a finite number; a sensitive value outside declared groups
+that hold no rest group; no row left.
 """
 
 from __future__ import annotations
@@ -194,14 +197,11 @@ def load_csv(path: str, schema: DatasetSchema) -> Dataset:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            missing = [c for c in required if c not in header]
+            position = {h.strip(): i for i, h in enumerate(header)}  # a repeated name keeps its last copy
+            missing = [c for c in required if c not in position]
             if missing:
                 raise ValueError(f"{path}: header missing columns {missing}")
-            repeated = sorted({c for c in required if header.count(c) > 1})
-            if repeated:
-                raise ValueError(f"{path}: header names columns {repeated} more than once")
-            at = [header.index(c) for c in required]
+            at = [position[c] for c in required]
             read = []
             for fields in filter(None, reader):  # a blank line reads as []
                 if len(fields) > len(header):
