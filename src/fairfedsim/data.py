@@ -12,6 +12,14 @@ Schema files for the Adult/COMPAS/Bank benchmarks ship under
 ``synthetic_dataset`` generator covers every test and demo without
 downloads.
 
+Schema rules (``DatasetSchema``). A schema is refused with a ``ValueError``
+that names it and the field when it lacks ``name``, ``sensitive``,
+``label`` or ``positive_values``; when a categorical feature's declared
+values repeat or hold ``other``, the name of the column its undeclared
+values go to; or when a sensitive attribute's group names repeat, its bin
+names and rest group counted together. ``DatasetSchema.load`` refuses a
+name that is not a shipped schema and lists the shipped names.
+
 Ingestion rules (``load_csv``). Values and header names are stripped of
 surrounding spaces. A blank line is skipped. A row is dropped, and counted
 in ``n_dropped``, when it ends before a required column or a required value
@@ -93,6 +101,11 @@ class DatasetSchema:
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetSchema":
+        """Refuses, naming the schema and the field, what could not encode
+        one-to-one (module docstring) and a missing required key."""
+        missing = [key for key in ("name", "sensitive", "label", "positive_values") if key not in d]
+        if missing:
+            raise ValueError(f"schema {d.get('name', '?')!r}: missing required keys {missing}")
         sens = []
         for s in d["sensitive"]:
             bins = None
@@ -100,13 +113,22 @@ class DatasetSchema:
                 bins = tuple(BinRule(b["name"], float(b["lo"]), float(b["hi"])) for b in s["bins"])
             cats = tuple(s["categories"]) if s.get("categories") else None
             sens.append(SensitiveSpec(s["column"], cats, bins, s.get("rest_name", "other")))
+            groups = sens[-1].domain() or ()
+            if len(set(groups)) != len(groups):
+                raise ValueError(f"schema {d['name']!r}: sensitive {s['column']}: group names {list(groups)} repeat")
+        categorical = {
+            c["column"]: (tuple(c["categories"]) if c.get("categories") else None)
+            for c in d.get("categorical_features", ())
+        }
+        for col, values in categorical.items():
+            if values is not None and (len(set(values)) != len(values) or "other" in values):
+                raise ValueError(
+                    f"schema {d['name']!r}: categorical {col}: declared values {list(values)} repeat or hold 'other'"
+                )
         return cls(
             name=d["name"],
             numeric_features=tuple(d.get("numeric_features", ())),
-            categorical_features={
-                c["column"]: (tuple(c["categories"]) if c.get("categories") else None)
-                for c in d.get("categorical_features", ())
-            },
+            categorical_features=categorical,
             sensitive=tuple(sens),
             label=d["label"],
             positive_values=tuple(str(v) for v in d["positive_values"]),
@@ -116,11 +138,15 @@ class DatasetSchema:
     def load(cls, ref: str) -> "DatasetSchema":
         """A schema by reference: a path ending in ``.json``, or else the
         name of a shipped schema (``adult``, ``adult_multi``, ``compas``,
-        ``bank``)."""
+        ``bank``); any other name is refused with the shipped names."""
         if str(ref).endswith(".json"):
             with open(ref, "r", encoding="utf-8") as fh:
                 return cls.from_json(json.load(fh))
-        return cls.from_json(json.loads(resources.files("fairfedsim.schemas").joinpath(f"{ref}.json").read_text()))
+        shipped = resources.files("fairfedsim.schemas")
+        if not shipped.joinpath(f"{ref}.json").is_file():
+            names = sorted(p.name[: -len(".json")] for p in shipped.iterdir() if p.name.endswith(".json"))
+            raise ValueError(f"schema {ref!r} is neither a shipped schema {names} nor a path ending in .json")
+        return cls.from_json(json.loads(shipped.joinpath(f"{ref}.json").read_text()))
 
 
 @dataclass
@@ -239,7 +265,7 @@ def load_csv(path: str, schema: DatasetSchema) -> Dataset:
     blocks = [np.zeros((n, 0))] + [np.array(numbers(col))[:, None] for col in schema.numeric_features]
     for col, declared in schema.categorical_features.items():
         values = list(declared) if declared is not None else sorted(set(cols[col]))
-        code = {v: values.index(v) for v in values}  # a value declared twice keeps its first column
+        code = {v: i for i, v in enumerate(values)}
         feature_names += [f"{col}={v}" for v in values] + [f"{col}=other"] * (declared is not None)
         blocks.append(np.eye(len(values) + (declared is not None))[[code.get(v, len(values)) for v in cols[col]]])
     y = np.array([v in schema.positive_values for v in cols[schema.label]], dtype=np.int64)
@@ -249,7 +275,7 @@ def load_csv(path: str, schema: DatasetSchema) -> Dataset:
     for a, spec in enumerate(schema.sensitive):
         groups = cols[spec.column] if spec.bins is None else [spec.bin_of(v) for v in numbers(spec.column)]
         names = spec.domain() or tuple(sorted(set(groups)))
-        code = {g: names.index(g) for g in names}
+        code = {g: i for i, g in enumerate(names)}
         unknown = sorted(set(groups) - set(code))
         if unknown and spec.rest_name not in code:
             raise ValueError(

@@ -12,13 +12,14 @@ server-phase seconds, kept out of the deterministic files).
 from ``baselines.Hyperparameters`` and adds its own fields' checks to
 ``check()``, which runs when the config is built and again when ``run``
 starts, so a config that no cell can run, even one edited after it was
-built, fails before the grid starts. For a synthetic dataset the check is
-the data stage itself: it builds the data once, at seed 0, and refuses the
-config if that build fails or leaves a client without training rows. One
-seed decides for all, because the seed only permutes rows: the group
-counts, the labels per group, each stratum's test count and the shard
-counts are all functions of the config alone. A CSV file is read only when
-a cell runs.
+built, fails before the grid starts. For both dataset kinds, synthetic and
+CSV, the check is the data stage itself: it builds the data once, at seed
+0, and refuses the config if that build fails or leaves a client without
+training rows. One seed decides for all, because the seed only permutes
+rows: the group counts, the labels per group, each stratum's test count
+and the shard counts are all functions of the config alone (a CSV file is
+loaded without the seed). So building or running a CSV config reads its
+file.
 """
 
 from __future__ import annotations
@@ -128,22 +129,17 @@ class ExperimentConfig(Hyperparameters):
 
 
 def _check_data(config: ExperimentConfig) -> None:
-    """Refuse a dataset or partition that no cell can run. A synthetic
-    dataset is built once, at seed 0, through the cells' own data stage,
-    and every training shard must hold rows; the seed only permutes rows,
-    so every size the build can fail on is the same at every seed (module
-    docstring). A CSV file is read only when a cell runs, so its
-    attributes and groups are checked there (``data.partition``)."""
-    if set(config.dataset) == {"csv", "schema"}:
-        PartitionSpec.from_json(config.partition)
-        return
-    if set(config.dataset) != {"synthetic"}:
-        raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(config.dataset)}")
+    """Refuse a dataset or partition that no cell can run. The data is
+    built once, at seed 0, through the cells' own data stage, and every
+    training shard must hold rows; the seed only permutes rows, so every
+    size the build can fail on is the same at every seed (module
+    docstring). A CSV config's file is read here, so a missing or
+    malformed file is refused too."""
     try:
         for shard in build_data(config, 0).shards:
             client_mod._check_shard(shard)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"synthetic dataset and partition: no cell can run: {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"dataset and partition: no cell can run: {exc}") from None
 
 
 @dataclass
@@ -157,10 +153,12 @@ class PreparedData:
 def build_data(config: ExperimentConfig, seed: int) -> PreparedData:
     """Deterministic data pipeline for one cell: load/generate, stratified
     split, z-score by train statistics, partition both splits."""
-    if "synthetic" in config.dataset:
+    if set(config.dataset) == {"synthetic"}:
         ds = data_mod.synthetic_dataset(seed=seed, **config.dataset["synthetic"])
-    else:
+    elif set(config.dataset) == {"csv", "schema"}:
         ds = data_mod.load_csv(config.dataset["csv"], DatasetSchema.load(config.dataset["schema"]))
+    else:
+        raise ValueError(f"dataset must hold 'synthetic' or 'csv' and 'schema', not {sorted(config.dataset)}")
     train_ds, test_ds = data_mod.split_train_test(ds, config.test_fraction, seed)
     train_ds, test_ds = data_mod.standardize(train_ds, test_ds)
     spec = PartitionSpec.from_json(config.partition)

@@ -177,6 +177,41 @@ class TestLoadCsv:
         assert schema.label
         assert schema.sensitive
 
+    def test_misspelled_shipped_schema_refused_with_the_shipped_names(self):
+        with pytest.raises(ValueError, match=r"'compass' is neither a shipped schema "
+                                             r"\['adult', 'adult_multi', 'bank', 'compas'\]"):
+            DatasetSchema.load("compass")
+
+    @pytest.mark.parametrize(
+        "over, refusal",
+        [
+            ({"categorical_features": [{"column": "color", "categories": ["red", "blue", "red"]}]},
+             r"categorical color: declared values \['red', 'blue', 'red'\] repeat or hold 'other'"),
+            ({"categorical_features": [{"column": "color", "categories": ["red", "other"]}]},
+             r"categorical color: declared values \['red', 'other'\] repeat or hold 'other'"),
+            ({"sensitive": [{"column": "sex", "categories": ["F", "M", "F"]}]},
+             r"sensitive sex: group names \['F', 'M', 'F'\] repeat"),
+            ({"sensitive": [{"column": "age", "bins": [{"name": "young", "lo": 0, "hi": 30},
+                                                       {"name": "young", "lo": 31, "hi": 60}]}]},
+             r"sensitive age: group names \['young', 'young', 'other'\] repeat"),
+            ({"sensitive": [{"column": "age", "bins": [{"name": "old", "lo": 61, "hi": 99}], "rest_name": "old"}]},
+             r"sensitive age: group names \['old', 'old'\] repeat"),
+            *[({key: None}, rf"missing required keys \['{key}'\]")
+              for key in ("name", "sensitive", "label", "positive_values")],
+        ],
+        ids=["categorical-repeat", "categorical-other", "sensitive-repeat", "bin-repeat", "bin-is-rest",
+             "no-name", "no-sensitive", "no-label", "no-positive-values"],
+    )
+    def test_schema_that_cannot_encode_refused_naming_it(self, over, refusal):
+        d = {"name": "fixture", "numeric_features": ["age"],
+             "categorical_features": [{"column": "color", "categories": ["blue", "red"]}],
+             "sensitive": [{"column": "sex", "categories": ["F", "M"]}], "label": "outcome",
+             "positive_values": ["yes"], **over}
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ValueError, match=refusal) as refused:
+            DatasetSchema.from_json(d)
+        assert str(refused.value).startswith(f"schema {d.get('name', '?')!r}: ")
+
 
 FUZZ_SCHEMA = DatasetSchema.from_json(
     {

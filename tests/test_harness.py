@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from fairfedsim import harness
 from fairfedsim.baselines import REGIMES, TrainConfig
 from fairfedsim.cli import main as cli_main
 from fairfedsim.client import _check_shard
@@ -32,13 +33,13 @@ from fairfedsim.harness import (
 )
 
 
-def compas_rows_csv(tmp_path) -> Path:
-    """80 rows under the built-in ``compas`` schema, sex alternating and the
-    label changing every two rows: 20 rows per (sex, label)."""
+def compas_rows_csv(tmp_path, n_rows: int = 80) -> Path:
+    """Rows under the built-in ``compas`` schema, sex alternating and the
+    label changing every two rows: at 80 rows, 20 per (sex, label)."""
     schema = DatasetSchema.load("compas")
     columns = schema.required_columns()
     rows = []
-    for r in range(80):
+    for r in range(n_rows):
         row = {col: str((r * (j + 3)) % 17) for j, col in enumerate(schema.numeric_features)}
         row.update({col: f"v{(r + j) % 3}" for j, col in enumerate(schema.categorical_features)})
         row.update({"sex": ("Female", "Male")[r % 2], schema.label: str(r // 2 % 2)})
@@ -51,25 +52,62 @@ def compas_rows_csv(tmp_path) -> Path:
     return path
 
 
+def compas_fields(csv_path, schema: str = "compas", **fractions) -> dict:
+    """The dataset and partition of a CSV config over ``csv_path``: each
+    sex split in halves over two clients, unless ``fractions`` says else."""
+    return {"dataset": {"schema": schema, "csv": str(csv_path)},
+            "partition": {"attribute": "sex", "fractions": {"Female": (0.5, 0.5), "Male": (0.5, 0.5), **fractions}}}
+
+
+def malformed_csv(tmp_path) -> Path:
+    path = tmp_path / "malformed.csv"
+    path.write_text("sex,two_year_recid\nMale,1\n")
+    return path
+
+
+# CSV configs that no cell can run: their fields over a directory, and the refusal
+CSV_REFUSALS = {
+    "csv-group-without-rows": (lambda d: compas_fields(compas_rows_csv(d), zzz=(0.5, 0.5)),
+                               "partition group 'zzz' missing from data"),
+    "csv-client-without-rows": (lambda d: compas_fields(compas_rows_csv(d), Female=(0.5, 0.5, 0.0),
+                                                        Male=(0.5, 0.5, 0.0)),
+                                "client 2: empty shard"),
+    "csv-one-sample-stratum": (lambda d: compas_fields(compas_rows_csv(d, n_rows=5)),
+                               r"stratum \(\(0,\), 1\) has 1 sample"),
+    "csv-misspelled-schema": (lambda d: compas_fields(compas_rows_csv(d), schema="compass"),
+                              r"'compass' is neither a shipped schema \['adult', 'adult_multi', 'bank', 'compas'\]"),
+    "csv-missing-file": (lambda d: compas_fields(d / "absent.csv"), "No such file or directory"),
+    "csv-malformed-file": (lambda d: compas_fields(malformed_csv(d)), r"malformed.csv: header missing columns"),
+}
+
+
+@st.composite
+def fuzz_partitions(draw, attribute: str, groups: tuple[str, ...]) -> dict:
+    """A partition of ``groups`` over 1-8 clients, with Dirichlet fractions
+    per group at concentration 0.05-5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_clients = draw(st.integers(1, 8))
+    concentration = draw(st.floats(0.05, 5.0))
+    fractions = {g: tuple(rng.dirichlet(np.full(n_clients, concentration)).tolist()) for g in groups}
+    return {"attribute": attribute, "fractions": fractions}
+
+
 @st.composite
 def fuzz_fields(draw):
     """ExperimentConfig fields over the data-stage fuzz space: synthetic
-    n in {40, 200}, 2-3 groups of Dirichlet sizes, 1-8 clients with
-    Dirichlet fractions per group at concentration 0.05-5, and two short
-    cells whose training settings sit at their edges."""
+    n in {40, 200}, 2-3 groups of Dirichlet sizes, a ``fuzz_partitions``
+    partition, and two short cells whose training settings sit at their
+    edges."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_groups = draw(st.integers(2, 3))
-    n_clients = draw(st.integers(1, 8))
-    concentration = draw(st.floats(0.05, 5.0))
     synthetic = {
         "n": draw(st.sampled_from((40, 200))),
         "group_fractions": tuple(rng.dirichlet(np.ones(n_groups)).tolist()),
         "pos_rate_by_group": tuple(rng.uniform(0.2, 0.8, n_groups).tolist()),
     }
-    fractions = {f"g{g}": tuple(rng.dirichlet(np.full(n_clients, concentration)).tolist()) for g in range(n_groups)}
     return dict(
         dataset={"synthetic": synthetic},
-        partition={"attribute": "group", "fractions": fractions},
+        partition=draw(fuzz_partitions("group", tuple(f"g{g}" for g in range(n_groups)))),
         constraint=draw(st.sampled_from(("dp", "eo", "ap"))),
         beta=draw(st.sampled_from((0.0, 0.2, 1.0))),
         delta=draw(st.sampled_from((0.0, 0.01, 1.0))),
@@ -100,6 +138,18 @@ def data_stage_outcome(dataset: dict, partition: dict, seed: int):
 
     return (strata(prepared.train), strata(prepared.test),
             [len(s) for s in prepared.shards], [len(s) for s in prepared.test_shards])
+
+
+def assert_refused_or_finishes_every_cell(fields: dict) -> None:
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        records = run(cfg, out)
+    for r in records:
+        assert r.error is None, f"{r.regime}-{r.seed}: {r.error}"
+        assert all(math.isfinite(v) for v in r.report.scores().values()), r.report.scores()
 
 
 def tiny_config(**over):
@@ -262,14 +312,17 @@ class TestConfig:
              r"pos_rate_by_group \(1.5, 0.35\) must lie in \[0, 1\]"),
             ({"dataset": {"synthetic": {"n": 300, "group_fractions": (0.7, 0.5)}}},
              r"group_fractions \(0.7, 0.5\) must be non-negative and sum to 1"),
+            *CSV_REFUSALS.values(),
         ],
         ids=["one-sample-stratum", "group-without-rows", "client-without-rows", "rate-above-one",
-             "fractions-sum-above-one"],
+             "fractions-sum-above-one", *CSV_REFUSALS],
     )
-    def test_data_stage_failure_refused_at_construction(self, over, reason):
+    def test_data_stage_failure_refused_at_construction(self, tmp_path, over, reason):
+        if callable(over):  # a CSV case: its files go in tmp_path
+            over = over(tmp_path)
         with pytest.raises(ValueError, match=reason) as refused:
             replace(ExperimentConfig(), **over)
-        assert "dataset" in str(refused.value) and "partition" in str(refused.value)
+        assert str(refused.value).startswith("dataset and partition: no cell can run: ")
 
     def test_client_without_test_rows_builds_silently(self, caplog):
         """A client with training rows but no test rows is legal (the
@@ -344,38 +397,39 @@ class TestRun:
         by_regime = {r.regime: r.report for r in records}
         assert by_regime["mfairfl"].to_json() == by_regime["fedavg"].to_json()
 
-    def test_failed_cell_recorded_not_fatal(self, tmp_path):
-        # CSV groups are checked only when a cell runs
-        cfg = replace(
-            ExperimentConfig(),
-            dataset={"schema": "compas", "csv": str(compas_rows_csv(tmp_path))},
-            partition={"attribute": "sex", "fractions": {"Female": [1.0], "Male": [1.0], "zzz": [1.0]}},
-            regimes=("fedavg",), seeds=(1,), rounds=1, local_epochs=1, hidden_dims=(8, 8),
-        )
-        records = run(cfg, tmp_path / "d")
-        assert len(records) == 1
-        assert records[0].error is not None
-        assert "missing from data" in records[0].error
+    def test_failed_cell_recorded_not_fatal(self, tmp_path, monkeypatch):
+        """A cell that fails at run time is recorded; the grid goes on."""
+        def train_failing_fedavg(regime, shards, config):
+            if regime == "fedavg":
+                raise RuntimeError("fedavg diverged")
+            return train(regime, shards, config)
+
+        train = harness.train
+        monkeypatch.setattr(harness, "train", train_failing_fedavg)
+        records = run(tiny_config(seeds=(1,)), tmp_path / "d")
+        assert [(r.regime, r.error) for r in records] == [("mfairfl", None), ("fedavg", "RuntimeError: fedavg diverged")]
+        assert records[0].report is not None
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda cfg: cfg.dataset["synthetic"].update(bogus=1),
-            lambda cfg: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.5,)),
-            lambda cfg: cfg.partition["fractions"].update(zzz=[1.0]),
-            lambda cfg: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.005, 0.35)),
-            lambda cfg: cfg.dataset["synthetic"].update(group_fractions=(1.0, 0.0)),
-            lambda cfg: cfg.partition.update(fractions={"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}),
-            lambda cfg: setattr(cfg, "seeds", (1, 1)),
-            lambda cfg: setattr(cfg, "eta", -1.0),
+            lambda cfg, _: cfg.dataset["synthetic"].update(bogus=1),
+            lambda cfg, _: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.5,)),
+            lambda cfg, _: cfg.partition["fractions"].update(zzz=[1.0]),
+            lambda cfg, _: cfg.dataset["synthetic"].update(pos_rate_by_group=(0.005, 0.35)),
+            lambda cfg, _: cfg.dataset["synthetic"].update(group_fractions=(1.0, 0.0)),
+            lambda cfg, _: cfg.partition.update(fractions={"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}),
+            lambda cfg, _: setattr(cfg, "seeds", (1, 1)),
+            lambda cfg, _: setattr(cfg, "eta", -1.0),
+            *[lambda cfg, d, make=make: vars(cfg).update(make(d)) for make, _ in CSV_REFUSALS.values()],
         ],
         ids=["synthetic-key", "synthetic-value", "partition-group", "one-sample-stratum", "group-without-rows",
-             "client-without-rows", "repeated-seed", "eta"],
+             "client-without-rows", "repeated-seed", "eta", *CSV_REFUSALS],
     )
     def test_edit_after_construction_refused_before_any_file(self, tmp_path, edit):
         out = tmp_path / "x"
         cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
-        edit(cfg)
+        edit(cfg, tmp_path)
         with pytest.raises(ValueError):
             run(cfg, out)
         assert not out.exists()
@@ -410,24 +464,21 @@ class TestRun:
         assert len(records) == 2
         assert all(r.report is not None for r in records)
 
-    def test_failed_cell_keeps_its_traceback(self, tmp_path):
-        # a synthetic empty shard is refused at construction; a CSV file is read only when a cell runs
+    def test_failed_cell_keeps_its_traceback(self, tmp_path, monkeypatch):
+        def train_diverging(regime, shards, config):
+            raise FloatingPointError("client 2 diverged")
+
+        monkeypatch.setattr(harness, "train", train_diverging)
         out = tmp_path / "f"
-        cfg = replace(
-            ExperimentConfig(),
-            dataset={"schema": "compas", "csv": str(compas_rows_csv(tmp_path))},
-            partition={"attribute": "sex", "fractions": {"Female": [0.5, 0.5, 0.0], "Male": [0.5, 0.5, 0.0]}},
-            regimes=("mfairfl",), seeds=(1,), rounds=2, local_epochs=2, hidden_dims=(8, 8),
-        )
-        (record,) = run(cfg, out)
-        assert record.error == "ValueError: client 2: empty shard"
+        (record,) = run(tiny_config(regimes=("mfairfl",), seeds=(1,)), out)
+        assert record.error == "FloatingPointError: client 2 diverged"
         assert record.traceback.startswith("Traceback (most recent call last):")
-        assert "in _check_shard" in record.traceback
+        assert "in train_diverging" in record.traceback
         assert record.traceback.rstrip().endswith(record.error)
         (reloaded,) = load_records(str(out))
         assert (reloaded.error, reloaded.traceback) == (record.error, record.traceback)
-        failed = [line for line in (out / "results.txt").read_text().splitlines() if "empty shard" in line]
-        assert failed == ["  mfairfl-1: ValueError: client 2: empty shard"]
+        failed = [line for line in (out / "results.txt").read_text().splitlines() if "diverged" in line]
+        assert failed == ["  mfairfl-1: FloatingPointError: client 2 diverged"]
 
     @pytest.mark.parametrize("schema_ref", ["compas", "schema.json"])
     def test_csv_dataset(self, tmp_path, schema_ref):
@@ -452,6 +503,11 @@ class TestRun:
             tiny_config(threads=2)
 
 
+@pytest.fixture(scope="module")
+def compas_csv(tmp_path_factory) -> Path:
+    return compas_rows_csv(tmp_path_factory.mktemp("compas"))
+
+
 class TestDataStageCheck:
     @settings(max_examples=30, deadline=None)
     @given(fields=fuzz_fields(), seed=st.integers(1, 2**31 - 1))
@@ -465,15 +521,21 @@ class TestDataStageCheck:
     @settings(max_examples=30, deadline=None)
     @given(fields=fuzz_fields())
     def test_every_config_is_refused_or_finishes_every_cell(self, fields):
-        try:
-            cfg = ExperimentConfig(**fields)
-        except ValueError:
-            return
-        with tempfile.TemporaryDirectory() as out:
-            records = run(cfg, out)
-        for r in records:
-            assert r.error is None, f"{r.regime}-{r.seed}: {r.error}"
-            assert all(math.isfinite(v) for v in r.report.scores().values()), r.report.scores()
+        assert_refused_or_finishes_every_cell(fields)
+
+    @settings(max_examples=50, deadline=None)
+    @given(partition=fuzz_partitions("sex", ("Female", "Male")), seed=st.integers(1, 2**31 - 1))
+    def test_one_csv_build_decides_for_every_seed(self, compas_csv, partition, seed):
+        dataset = {"schema": "compas", "csv": str(compas_csv)}
+        assert data_stage_outcome(dataset, partition, 0) == data_stage_outcome(dataset, partition, seed)
+
+    @pytest.mark.filterwarnings("ignore:.*outside the default grid:UserWarning")
+    @settings(max_examples=8, deadline=None)
+    @given(fields=fuzz_fields(), partition=fuzz_partitions("sex", ("Female", "Male")))
+    def test_every_csv_config_is_refused_or_finishes_every_cell(self, compas_csv, fields, partition):
+        fields.update(dataset={"schema": "compas", "csv": str(compas_csv)}, partition=partition,
+                      rounds=1, local_epochs=1)
+        assert_refused_or_finishes_every_cell(fields)
 
 
 class TestBuildData:
