@@ -73,21 +73,40 @@ That gives the sequential results exactly, because
     at tau - 2 when t - 1 = q);
   * the pairs of one step have distinct clients, so no two share a
     working gradient or a goal entry.
-One mask picks a step's live pairs: q != t, and both the working
-gradient and the raw target of nonzero norm. It skips the diagonal, zero
-raw gradients and working gradients driven to zero, none of which has a
-direction to test; a step without a live pair is skipped whole. Every
-result is written into an n x K grid at [q, t], and the grid read
-row-major is the sequential order in which tests are reported
+
+Position layout. The sweep permutes the coordinate rows, their norms and
+the goals into order position once, so that row p (and column p of the
+goals) belongs to client order[p], and permutes the working gradients and
+the goals back once at the end. A step's clients are then the rows
+lo .. lo + m - 1 and its targets the rows tau - 2 lo, tau - 2 lo - 2, ..., a
+stride -2 slice. In the flattened K x K goals the cell [q, tau - 2q] is
+tau + q (K - 2), and its mirror [tau - 2q, q] is tau K - q (2K - 1): both
+are arithmetic progressions in q, with steps K - 2 and -(2K - 1), and the
+cells of the n x K result grids step by K - 2 too. So a step reads and
+writes views only; it gathers just its conflicting pairs, to adjust them
+and recompute their norms, and applies the goals' EMA step in place.
+
+The self pair (q, q) sits in step tau = 3q, and it is never tested. A
+step that holds it, and every step once a raw or working gradient of zero
+norm exists, runs under a mask of live pairs: q != t, and both the
+working gradient and the raw target of nonzero norm. The mask skips the
+diagonal, zero raw gradients and working gradients driven to zero, none
+of which has a direction to test; a step without a live pair is skipped
+whole. Every result is written into an n x K grid at [q, t], and the
+grid read row-major is the sequential order in which tests are reported
 (``PairTests``).
 
 Cost: O(K^2 D) for G, O(K^2 rank) for its factor (about 0.7 ms at
 K = 100, one numpy step per column), and at most
 2 ceil(beta K) + K - 3 steps with a live pair (step 0 holds only the
 diagonal), of O(K rank) work each (217 at K = 100, beta = 0.6), in place
-of ceil(beta K) (K - 1) scalar tests (5,940). The sequential sweep on
-D-length vectors, O(ceil(beta K) K D), is kept as the reference
-``oracles.diminish_conflicts_dspace``.
+of ceil(beta K) (K - 1) scalar tests (5,940). A step is numpy call
+overhead, not arithmetic: about 20 calls, and about 30 more when a pair
+adjusts. On the ``cross-device`` bench's K = 100 sweeps a step costs
+about 42 us beyond the factor, against 70 us for the index-gather layout
+this one replaced (one core of a 2-vCPU Xeon, one BLAS thread). The
+sequential sweep on D-length vectors, O(ceil(beta K) K D), is kept as
+the reference ``oracles.diminish_conflicts_dspace``.
 
 Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
 met, so its pair test never adjusts. Near +1 the adjustment divides by
@@ -146,7 +165,9 @@ class DegenerateCancellationError(ArithmeticError):
 def ema_update(goals: np.ndarray, delta: float, i, j, phi) -> None:
     """One EMA step with decay ``delta`` on the (i, j) goal, written
     symmetrically into ``goals`` in place. ``i``, ``j`` and ``phi`` may be
-    equal-length arrays of distinct pairs, which step every pair at once."""
+    equal-length arrays of distinct pairs, which step every pair at once.
+    The D-space reference steps its goals here; the sweep takes the same
+    step on its views of the goals."""
     if (np.abs(phi) > 1.0).any():
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
     new = delta * goals[i, j] + (1.0 - delta) * phi
@@ -174,6 +195,12 @@ def adjustment_coefficient(norm_k, norm_j, phi, goal):
         raise ValueError("cannot adjust zero-norm gradients")
     if (np.abs(goal) >= 1.0).any():
         raise ValueError("similarity goal of +-1 makes the adjustment singular")
+    return _coefficient(norm_k, norm_j, phi, goal)
+
+
+def _coefficient(norm_k, norm_j, phi, goal):
+    """``adjustment_coefficient`` without its checks, for the sweep, whose
+    conflicts have both norms nonzero and |goal| < 1 (``is_conflict``)."""
     root_goal = np.sqrt(1.0 - goal * goal)
     return norm_k * (phi * root_goal - goal * np.sqrt(np.maximum(0.0, 1.0 - phi * phi))) / (norm_j * root_goal)
 
@@ -197,12 +224,10 @@ def lagrangian_losses(
 ) -> dict[int, float]:
     """l_k = L(D_k, w) + sum_s lambda_s h_s(w) from each client's own
     stats, summed in key order; h is 0 on a key without members on the
-    client, so such a key adds nothing."""
-    out = {}
-    for st in stats:
-        h = constraint_values(st.fairness, families, alpha)
-        out[st.client_id] = st.loss + sum((lam * h).tolist())
-    return out
+    client, so such a key adds nothing. Every client's h comes from one
+    stacked ``constraint_values`` call."""
+    h = constraint_values(np.stack([st.fairness.groups for st in stats]), families, alpha)
+    return {st.client_id: st.loss + sum(row) for st, row in zip(stats, (lam * h).tolist())}
 
 
 def build_order(
@@ -318,6 +343,15 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", m, m))
 
 
+def _run(start: int, count: int, stride: int) -> slice:
+    """The indices start, start + stride, ... (``count`` of them) as a
+    slice; a run of one takes any stride (K - 2 is 0 at K = 2)."""
+    if count == 1:
+        return slice(start, start + 1)
+    stop = start + count * stride
+    return slice(start, stop if stop >= 0 else None, stride)
+
+
 def diminish_conflicts(
     grads: Mapping[int, np.ndarray],
     order: Sequence[int],
@@ -338,7 +372,7 @@ def diminish_conflicts(
     Returns the unweighted mean of the K working gradients.
     """
     K = len(order)
-    goals = np.array(goals, dtype=np.float64)
+    goals = np.asarray(goals, dtype=np.float64)
     if goals.shape != (K, K):
         raise ValueError(f"goals of shape {goals.shape} for {K} clients")
     if sorted(order) != list(range(K)):
@@ -350,39 +384,63 @@ def diminish_conflicts(
     raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
     coords = _coordinates(raw)
     raw_norm = _row_norms(coords)
-    working = coords.copy()
-    norm_w = raw_norm.copy()
+    # the sweep's layout: row (and column) p belongs to client order[p]
+    targets, norm_t = coords[order], raw_norm[order]
+    working, norm_w = targets.copy(), norm_t.copy()
+    at = np.ix_(order, order)
+    swept_goals = goals[at]
+    cells = swept_goals.reshape(-1)
     # the sweep's results, at [q, t]: q the position of the adjusted client, t that of the target
     phis, seen, shift = np.zeros((n, K)), np.zeros((n, K)), np.zeros((n, K))
-    tested, adjusted = np.zeros((n, K), dtype=bool), np.zeros((n, K), dtype=bool)
+    tested, adjusted = ~np.eye(n, K, dtype=bool), np.zeros((n, K), dtype=bool)
+    phi_cells, seen_cells, shift_cells = phis.reshape(-1), seen.reshape(-1), shift.reshape(-1)
+    tested_cells, adjusted_cells = tested.reshape(-1), adjusted.reshape(-1)
+    nonzero = bool(raw_norm.all())  # no zero-norm raw or working gradient yet
     for tau in range(2 * n + K - 2) if n else ():
-        q = np.arange(max(0, (tau - K + 2) // 2), min(n - 1, tau // 2) + 1)
-        t = tau - 2 * q
-        k, i = order[q], order[t]
-        norm_k, norm_i = norm_w[k], raw_norm[i]
-        # self, or a zero-norm side (no direction): nothing to test or observe
-        live = (q != t) & (norm_k > 0.0) & (norm_i > 0.0)
-        if not live.all():
+        lo = max(0, (tau - K + 2) // 2)
+        m = min(n - 1, tau // 2) + 1 - lo
+        # pair j: client q = lo + j against target t = tau - 2 q, at cell q K + t of the grids
+        w, norm_k = working[lo : lo + m], norm_w[lo : lo + m]
+        at_t = _run(tau - 2 * lo, m, -2)
+        g, norm_i = targets[at_t], norm_t[at_t]
+        at_q = _run(tau + lo * (K - 2), m, K - 2)
+        phi, goal = phi_cells[at_q], cells[at_q]
+        own = tau // 3 - lo if tau % 3 == 0 else -1  # pair own is (q, q) if 0 <= own < m
+        live = True
+        if 0 <= own < m or not nonzero:
+            # the self pair, or a zero-norm side (no direction): nothing to test or observe
+            live = (norm_k > 0.0) & (norm_i > 0.0)
+            if 0 <= own < m:
+                live[own] = False
+            tested_cells[at_q] = live
             if not live.any():
                 continue
-            q, t, k, i, norm_k, norm_i = q[live], t[live], k[live], i[live], norm_k[live], norm_i[live]
-        w, g = working[k], coords[i]
-        phi = np.minimum(np.maximum(np.einsum("ki,ki->k", w, g) / (norm_k * norm_i), -1.0), 1.0)
-        goal = goals[k, i]
-        conflict = is_conflict(phi, goal)
-        if conflict.any():
-            # phi = goal = 0 gives c = 0: the pairs without a conflict keep w
-            c = adjustment_coefficient(norm_k, norm_i, np.where(conflict, phi, 0.0), np.where(conflict, goal, 0.0))
-            moved = w - c[:, None] * g
-            working[k] = moved
-            norm_w[k] = _row_norms(moved)
-            shift[q, t] = c
-        ema_update(goals, delta, k, i, phi)
-        tested[q, t] = True
-        phis[q, t], seen[q, t], adjusted[q, t] = phi, goal, conflict
+        np.divide(np.einsum("ki,ki->k", w, g), norm_k * norm_i, out=phi, where=live)
+        np.minimum(np.maximum(phi, -1.0, out=phi), 1.0, out=phi)
+        seen_cells[at_q] = goal
+        conflict = is_conflict(phi, goal) & live
+        hit = conflict.nonzero()[0]
+        if hit.size:
+            c = _coefficient(norm_k[hit], norm_i[hit], phi[hit], goal[hit])
+            moved = w[hit] - c[:, None] * g[hit]
+            w[hit] = moved
+            moved_norm = _row_norms(moved)
+            norm_k[hit] = moved_norm
+            nonzero = nonzero and bool(moved_norm.all())
+            shift_cells[at_q][hit] = c
+            adjusted_cells[at_q] = conflict
+        # the EMA step, and its copy into the mirrors [t, q]
+        np.copyto(goal, delta * goal + (1.0 - delta) * phi, where=live)
+        np.copyto(cells[_run(tau * K - lo * (2 * K - 1), m, 1 - 2 * K)], goal, where=live)
+    if (np.abs(phis) > 1.0).any():  # ema_update's check, once over the sweep's cosines
+        raise ValueError(f"observed cosine {phis[np.abs(phis) > 1.0]} outside [-1, 1]")
     n_adjustments = int(np.count_nonzero(adjusted))
     q, t = np.nonzero(tested)  # row-major: the sweep order
     tests = PairTests(order[q], order[t], phis[q, t], seen[q, t], adjusted[q, t])
+    new_goals = np.empty_like(swept_goals)
+    new_goals[at] = swept_goals
+    by_id = np.empty_like(working)
+    by_id[order] = working
     plain_mean = mean_rows(raw)
     gradient = plain_mean
     if n_adjustments:
@@ -391,7 +449,7 @@ def diminish_conflicts(
         shifts[np.ix_(order[:n], order)] = shift
         gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
-    return DiminishResult(gradient, plain_mean, goals, n_adjustments, tests, coords, working)
+    return DiminishResult(gradient, plain_mean, new_goals, n_adjustments, tests, coords, by_id)
 
 
 @dataclass
@@ -460,7 +518,7 @@ def server_round(
     if not stats:
         raise ValueError("no client statistics")
     merged = FairnessStatistics.merge_all([st.fairness for st in stats])
-    h_global = constraint_values(merged, table.families, config.alpha)
+    h_global = constraint_values(merged.groups, table.families, config.alpha)
     new_lam = update_lambda(lam, h_global, config.gamma)
 
     losses = lagrangian_losses(stats, lam, table.families, config.alpha)

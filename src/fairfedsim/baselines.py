@@ -183,7 +183,7 @@ def run_federated(
             flat, lam_global, stats, table, server_cfg, goals, rng=order_rng, round_index=t
         )
         if local_multipliers:
-            h = np.stack([fairness.constraint_values(st.fairness, table.families, cfg.alpha) for st in stats])
+            h = fairness.constraint_values(np.stack([st.fairness.groups for st in stats]), table.families, cfg.alpha)
             lam_local = update_lambda(lam_local, h, cfg.gamma)
         server_s += time.perf_counter() - served
         records.append(record)

@@ -56,6 +56,13 @@ logger = logging.getLogger(__name__)
 MISSING_TOKENS = ("", "?", "NA", "N/A")
 
 
+def _require(d: dict, keys: Sequence[str], where: str) -> None:
+    """Refuse a JSON object without one of ``keys``, naming ``where`` it sits."""
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{where}: missing required keys {missing}")
+
+
 @dataclass(frozen=True)
 class BinRule:
     """Half-open numeric bin [lo, hi] (inclusive bounds) mapped to a name."""
@@ -102,24 +109,27 @@ class DatasetSchema:
     @classmethod
     def from_json(cls, d: dict) -> "DatasetSchema":
         """Refuses, naming the schema and the field, what could not encode
-        one-to-one (module docstring) and a missing required key."""
-        missing = [key for key in ("name", "sensitive", "label", "positive_values") if key not in d]
-        if missing:
-            raise ValueError(f"schema {d.get('name', '?')!r}: missing required keys {missing}")
+        one-to-one (module docstring) and a missing required key, at the
+        top level or in a sensitive, categorical or bin entry."""
+        where = f"schema {d.get('name', '?')!r}"
+        _require(d, ("name", "sensitive", "label", "positive_values"), where)
         sens = []
         for s in d["sensitive"]:
+            _require(s, ("column",), f"{where}: sensitive entry")
             bins = None
             if s.get("bins"):
+                for b in s["bins"]:
+                    _require(b, ("name", "lo", "hi"), f"{where}: sensitive {s['column']}: bin")
                 bins = tuple(BinRule(b["name"], float(b["lo"]), float(b["hi"])) for b in s["bins"])
             cats = tuple(s["categories"]) if s.get("categories") else None
             sens.append(SensitiveSpec(s["column"], cats, bins, s.get("rest_name", "other")))
             groups = sens[-1].domain() or ()
             if len(set(groups)) != len(groups):
                 raise ValueError(f"schema {d['name']!r}: sensitive {s['column']}: group names {list(groups)} repeat")
-        categorical = {
-            c["column"]: (tuple(c["categories"]) if c.get("categories") else None)
-            for c in d.get("categorical_features", ())
-        }
+        categorical = {}
+        for c in d.get("categorical_features", ()):
+            _require(c, ("column",), f"{where}: categorical entry")
+            categorical[c["column"]] = tuple(c["categories"]) if c.get("categories") else None
         for col, values in categorical.items():
             if values is not None and (len(set(values)) != len(values) or "other" in values):
                 raise ValueError(
@@ -363,6 +373,7 @@ class PartitionSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "PartitionSpec":
+        _require(d, ("attribute", "fractions"), "partition")
         return cls(d["attribute"], {str(k): tuple(v) for k, v in d["fractions"].items()})
 
 

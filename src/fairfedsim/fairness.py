@@ -16,14 +16,16 @@ members in the pooled training data, in ``GroupKey.sort_key`` order. Every
 per-key quantity is an array aligned to that table. A block's statistics
 are an (n_keys, 2) array, per key the sum of the surrogate over the key's
 rows and the member count; that is all a client uploads. The constraint
-values h and the multipliers are (n_keys,) vectors. Family totals add the
-family's keys in key order from 0.0 (``np.bincount`` with weights), so the
-population aggregate equals the sum of its groups bitwise, and
-normalization happens only at the point of use. A key without members in
-a block carries no constraint there: its gap and h are 0 (``_gaps``). In
-a client's local step ``group_grad_sums`` sums grad f over each key's rows,
-and ``constraint_grads`` weights those sums into the one vector
-sum_s lambda_s grad h_s.
+values h and the multipliers are (n_keys,) vectors; a stack of K blocks'
+statistics, (K, n_keys, 2), gives h as a (K, n_keys) array in one call.
+Family totals add the family's keys in key order from 0.0 (``np.bincount``
+with weights), block by block in a stack, so the population aggregate
+equals the sum of its groups bitwise, a stacked block's h equals its h
+alone bitwise, and normalization happens only at the point of use. A key
+without members in a block carries no constraint there: its gap and h
+are 0 (``_gaps``). In a client's local step ``group_grad_sums`` sums
+grad f over each key's rows, and ``constraint_grads`` weights those sums
+into the one vector sum_s lambda_s grad h_s.
 """
 
 from __future__ import annotations
@@ -156,24 +158,42 @@ def group_grad_sums(
     return {j: weighted_grad(dlogit, r) for j, r in enumerate(rows) if r.size}
 
 
-def _gaps(stats: FairnessStatistics, families: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _family_totals(values: np.ndarray, families: np.ndarray) -> np.ndarray:
+    """Per key, the total of ``values`` over the key's family: the
+    family's keys added in key order from 0.0 (``np.bincount``), for one
+    block (n_keys,) or row by row for a stack (K, n_keys). A stack is one
+    bincount with block b's families numbered from b * n_families, so each
+    row equals its block's totals alone bit for bit."""
+    if values.ndim == 1:
+        return np.bincount(families, weights=values)[families]
+    n_families = int(families.max(initial=-1)) + 1
+    index = families + n_families * np.arange(len(values))[:, None]
+    totals = np.bincount(index.reshape(-1), weights=values.reshape(-1), minlength=len(values) * n_families)
+    return totals.reshape(len(values), n_families)[:, families]
+
+
+def _gaps(groups: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per key, F(D)/n - F(D^s)/n_s (0 where the key has no members), n_s
-    and n. Counts are nonnegative, so a key with members gives its family
-    members too: every gap of such a key is defined."""
-    sum_f, count = stats.groups.T
-    family_f = np.bincount(families, weights=sum_f)[families]
-    family_n = np.bincount(families, weights=count)[families]
+    and n, for one block's statistics (n_keys, 2) or a stack of K blocks
+    (K, n_keys, 2). Counts are nonnegative, so a key with members gives
+    its family members too: every gap of such a key is defined."""
+    sum_f, count = groups[..., 0], groups[..., 1]
+    family_f = _family_totals(sum_f, families)
+    family_n = _family_totals(count, families)
     members = count > 0
     gap = np.zeros_like(sum_f)
     gap[members] = family_f[members] / family_n[members] - sum_f[members] / count[members]
     return gap, count, family_n
 
 
-def constraint_values(stats: FairnessStatistics, families: np.ndarray, alpha: float) -> np.ndarray:
+def constraint_values(groups: np.ndarray, families: np.ndarray, alpha: float) -> np.ndarray:
     """h_s = |F(D)/n - F(D^s)/n_s| - alpha for every key with members in
-    the block, 0 for the others. ``families`` is the run's
+    the block, 0 for the others. ``groups`` is one block's statistics
+    (``FairnessStatistics.groups``, n_keys x 2) or a stack of K of them
+    (K x n_keys x 2), which gives one row of h per block, each equal bit
+    for bit to that block's h alone. ``families`` is the run's
     ``KeyTable.families``."""
-    gap, count, _ = _gaps(stats, families)
+    gap, count, _ = _gaps(groups, families)
     return np.where(count > 0, np.abs(gap) - alpha, 0.0)
 
 
@@ -188,7 +208,7 @@ def constraint_grads(
     added in key order over ``grad_sums`` (``group_grad_sums``: per key
     with members, the sum of grad f over its rows).
     """
-    gap, n_group, n_family = _gaps(stats, families)
+    gap, n_group, n_family = _gaps(stats.groups, families)
     a = lam * np.sign(gap)
     family_a = np.bincount(families, weights=a)[families]
     return sum((family_a[j] / n_family[j] - a[j] / n_group[j]) * g for j, g in grad_sums.items())

@@ -495,9 +495,11 @@ class TestSweepMatchesOracleOnKnownInputs:
     @pytest.mark.parametrize(
         "K, beta, zero_at",
         [(1, 1.0, ()), (2, 1.0, ()), (2, 0.5, ()), (7, 0.0, ()), (7, 1.0, ()), (9, 0.6, ()),
-         (8, 1.0, (3,)), (8, 0.5, (1, 6)), (5, 1.0, range(5))],
+         (8, 1.0, (3,)), (8, 0.5, (1, 6)), (5, 1.0, range(5)),
+         # K <= 3 at beta 0, 1/K and 1; at K = 2 the grid step K - 2 is 0
+         (1, 0.0, ()), (2, 0.0, ()), (3, 0.0, ()), (3, 1 / 3, ()), (3, 1.0, ())],
         ids=["K1", "K2", "K2-one-swept", "beta0", "beta1", "beta0.6", "zero-row-mid-order",
-             "zero-rows-swept-and-not", "all-rows-zero"],
+             "zero-rows-swept-and-not", "all-rows-zero", "K1-beta0", "K2-beta0", "K3-beta0", "K3-one-swept", "K3"],
     )
     def test_wavefront_edge_cases(self, K, beta, zero_at):
         grads, order, beta, goals, delta = self.random_input(K, beta, zero_at)
@@ -507,6 +509,41 @@ class TestSweepMatchesOracleOnKnownInputs:
         if len(zero) == K:
             assert len(res.tests) == 0
             np.testing.assert_array_equal(res.gradient, np.zeros(4))
+
+    def test_skipped_pairs_leave_both_goals_alone(self):
+        """A pair with a zero-norm side writes neither its goal nor the
+        mirror, which an asymmetric goal matrix shows. At K = 9, beta = 1,
+        step 6 holds the pairs (0, 6), (1, 4), (2, 2) and (3, 0): the zero
+        row at position 4 leaves (1, 4) out of a step with live pairs."""
+        grads, order, beta, _, delta = self.random_input(9, 1.0, zero_at=(4,))
+        goals = make_rng(34).uniform(-0.9, 0.9, size=(9, 9))
+        res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
+        pairs = set(zip(res.tests.client.tolist(), res.tests.target.tolist()))
+        assert {(order[0], order[6]), (order[3], order[0])} <= pairs
+        assert (order[1], order[4]) not in pairs
+        zero = order[4]
+        np.testing.assert_array_equal(res.goals[zero], goals[zero])
+        np.testing.assert_array_equal(res.goals[:, zero], goals[:, zero])
+
+    @pytest.mark.parametrize("multiple", [1.0, 2.5, -1.0])
+    def test_duplicated_clients(self, multiple):
+        grads, order, beta, goals, delta = self.random_input(10, 1.0, seed=33)
+        grads[order[2]] = grads[order[7]] = multiple * grads[order[4]]
+        res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
+        assert res.n_adjustments > 0
+
+    @pytest.mark.parametrize("K", [4, 11, 12])
+    def test_self_pairs_leave_the_diagonal_alone(self, K):
+        """Every step tau = 0 (mod 3) with 3 q = tau among its clients holds
+        the self pair (q, q); a diagonal goal of 0.99 would see a conflict
+        in any working gradient that has moved."""
+        grads, order, beta, goals, delta = self.random_input(K, 1.0)
+        np.fill_diagonal(goals, 0.99)
+        res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
+        np.testing.assert_array_equal(res.goals.diagonal(), 0.99)
+        assert not (res.tests.client == res.tests.target).any()
+        assert len(res.tests) == K * (K - 1)
+        assert res.n_adjustments > 0
 
     def test_working_gradient_driven_to_zero_norm(self, monkeypatch):
         """Once a working gradient vanishes, its later tests are skipped."""

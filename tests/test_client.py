@@ -127,7 +127,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         if min_preactivation(params, shard.X) < 1e-4:
             continue
         _, families = shard_keys(shard)
-        h0 = fairness.constraint_values(shard_statistics(params, shard, "dp"), families, 0.0)
+        h0 = fairness.constraint_values(shard_statistics(params, shard, "dp").groups, families, 0.0)
         if any(abs(v) < 1e-4 for v in h0):
             continue
         st = upload(params, 0.5, shard, epochs=1)
@@ -135,7 +135,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         def J(w):
             p = MlpParams.unflatten(params.spec, w)
             loss, _ = model.loss_and_grad(p, shard.X, shard.y)
-            h = fairness.constraint_values(shard_statistics(p, shard, "dp"), families, 0.0)
+            h = fairness.constraint_values(shard_statistics(p, shard, "dp").groups, families, 0.0)
             return loss + sum(0.5 * h)
 
         fd = finite_diff(J, params.flatten(), step=1e-5)

@@ -198,9 +198,17 @@ class TestLoadCsv:
              r"sensitive age: group names \['old', 'old'\] repeat"),
             *[({key: None}, rf"missing required keys \['{key}'\]")
               for key in ("name", "sensitive", "label", "positive_values")],
+            ({"sensitive": [{}]}, r"sensitive entry: missing required keys \['column'\]"),
+            ({"categorical_features": [{"categories": ["red"]}]},
+             r"categorical entry: missing required keys \['column'\]"),
+            *[({"sensitive": [{"column": "age", "bins": [{k: v for k, v in {"name": "young", "lo": 0, "hi": 30}.items()
+                                                           if k != key}]}]},
+               rf"sensitive age: bin: missing required keys \['{key}'\]")
+              for key in ("name", "lo", "hi")],
         ],
         ids=["categorical-repeat", "categorical-other", "sensitive-repeat", "bin-repeat", "bin-is-rest",
-             "no-name", "no-sensitive", "no-label", "no-positive-values"],
+             "no-name", "no-sensitive", "no-label", "no-positive-values", "sensitive-without-column",
+             "categorical-without-column", "bin-without-name", "bin-without-lo", "bin-without-hi"],
     )
     def test_schema_that_cannot_encode_refused_naming_it(self, over, refusal):
         d = {"name": "fixture", "numeric_features": ["age"],

@@ -158,18 +158,18 @@ def block_table(y, S, metric):
 class TestConstraintValues:
     def test_no_gap_gives_minus_alpha(self):
         stats = two_group_stats(0.5, [0.5, 0.5], [10, 10])
-        h = constraint_values(stats, FAMILY, alpha=0.05)
+        h = constraint_values(stats.groups, FAMILY, alpha=0.05)
         np.testing.assert_allclose(h, [-0.05, -0.05])
 
     def test_hand_value(self):
         # F(D) = 0.6, F(D^s) = 0.4 for group 0 via complementary group 0.8
         stats = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        h = constraint_values(stats, FAMILY, alpha=0.05)
+        h = constraint_values(stats.groups, FAMILY, alpha=0.05)
         np.testing.assert_allclose(h, [0.15, 0.15])
 
     def test_alpha_zero_gives_raw_gap(self):
         stats = two_group_stats(0.6, [0.4, 0.8], [10, 10])
-        h = constraint_values(stats, FAMILY, alpha=0.0)
+        h = constraint_values(stats.groups, FAMILY, alpha=0.0)
         np.testing.assert_allclose(h[0], 0.2)
 
     def test_alpha_one_never_positive(self):
@@ -177,12 +177,12 @@ class TestConstraintValues:
         for _ in range(50):
             means = rng.uniform(0, 1, size=2)
             stats = two_group_stats(means.mean(), means, [7, 13])
-            h = constraint_values(stats, FAMILY, alpha=1.0)
+            h = constraint_values(stats.groups, FAMILY, alpha=1.0)
             assert (h <= 0.0).all()
 
     def test_zero_count_key_carries_no_constraint(self):
         stats = two_group_stats(0.5, [0.5, 0.3], [10, 0])
-        h = constraint_values(stats, FAMILY, 0.05)
+        h = constraint_values(stats.groups, FAMILY, 0.05)
         assert h[1] == 0.0 and h[0] == -0.05
         grad = constraint_grads(stats, FAMILY, np.array([0.4, 0.9]), {0: np.ones(3)})
         np.testing.assert_array_equal(grad, np.zeros(3))
@@ -217,7 +217,7 @@ def matches_finite_differences(seed, metric, attributes):
     def h_of(w):
         p = MlpParams.unflatten(spec, w)
         s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
-        return constraint_values(s, families, 0.0)
+        return constraint_values(s.groups, families, 0.0)
 
     flat0 = params.flatten()
     if np.abs(h_of(flat0)).min() < 1e-4:
@@ -288,13 +288,30 @@ class TestConstraintGrads:
             assert seed < 200, "instance sampler starved"
 
 
+class TestStackedConstraintValues:
+    @pytest.mark.parametrize("metric, attributes", [("dp", 1), ("dp", 2), ("eo", 1), ("ap", 1)])
+    def test_stack_equals_each_block_alone(self, metric, attributes):
+        spec, params, X, y, S = build_instance(71, metric, n=40, attributes=attributes)
+        S[30:, 0] = 0  # the last block has no members of s0=g1
+        bounds = [(0, 10), (10, 22), (22, 30), (30, 40)]
+        table = KeyTable.build([(y[a:b], S[a:b]) for a, b in bounds], NAMES * attributes, metric)
+        groups = [
+            compute_statistics_for_metric(model.batch_outputs(params, X[a:b], y[a:b]), rows, metric).groups
+            for (a, b), rows in zip(bounds, table.rows)
+        ]
+        assert (groups[-1][:, 1] == 0).any()  # keys without members
+        assert table.families.max() + 1 == attributes * (2 if metric == "eo" else 1)
+        stacked = constraint_values(np.stack(groups), table.families, 0.05)
+        np.testing.assert_array_equal(stacked, [constraint_values(g, table.families, 0.05) for g in groups])
+
+
 class TestAggregationIdentity:
     def test_totals_equal_sum_of_groups_exactly(self):
         for seed, metric in itertools.product(range(5), ("dp", "eo")):
             spec, params, X, y, S = build_instance(seed + 50, metric)
             table = block_table(y, S, metric)
             stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), table.rows[0], metric)
-            gap, n_group, n_family = _gaps(stats, table.families)
+            gap, n_group, n_family = _gaps(stats.groups, table.families)
             sum_f, count = stats.groups.T.tolist()
             for j, fam in enumerate(table.families):
                 # the family total adds its groups in key order

@@ -59,6 +59,15 @@ def compas_fields(csv_path, schema: str = "compas", **fractions) -> dict:
             "partition": {"attribute": "sex", "fractions": {"Female": (0.5, 0.5), "Male": (0.5, 0.5), **fractions}}}
 
 
+def compas_schema_without_sensitive_column(tmp_path) -> str:
+    """The shipped COMPAS schema with its sensitive entry's ``column`` left out."""
+    schema = json.loads(resources.files("fairfedsim.schemas").joinpath("compas.json").read_text())
+    schema["sensitive"] = [{k: v for k, v in s.items() if k != "column"} for s in schema["sensitive"]]
+    path = tmp_path / "no_column.json"
+    path.write_text(json.dumps(schema))
+    return str(path)
+
+
 def malformed_csv(tmp_path) -> Path:
     path = tmp_path / "malformed.csv"
     path.write_text("sex,two_year_recid\nMale,1\n")
@@ -78,6 +87,9 @@ CSV_REFUSALS = {
                               r"'compass' is neither a shipped schema \['adult', 'adult_multi', 'bank', 'compas'\]"),
     "csv-missing-file": (lambda d: compas_fields(d / "absent.csv"), "No such file or directory"),
     "csv-malformed-file": (lambda d: compas_fields(malformed_csv(d)), r"malformed.csv: header missing columns"),
+    "csv-schema-without-sensitive-column": (
+        lambda d: compas_fields(compas_rows_csv(d), schema=compas_schema_without_sensitive_column(d)),
+        r"schema 'compas': sensitive entry: missing required keys \['column'\]"),
 }
 
 
@@ -312,10 +324,13 @@ class TestConfig:
              r"pos_rate_by_group \(1.5, 0.35\) must lie in \[0, 1\]"),
             ({"dataset": {"synthetic": {"n": 300, "group_fractions": (0.7, 0.5)}}},
              r"group_fractions \(0.7, 0.5\) must be non-negative and sum to 1"),
+            ({"partition": {"fractions": {"g0": (0.5, 0.5), "g1": (0.5, 0.5)}}},
+             r"partition: missing required keys \['attribute'\]"),
+            ({"partition": {"attribute": "group"}}, r"partition: missing required keys \['fractions'\]"),
             *CSV_REFUSALS.values(),
         ],
         ids=["one-sample-stratum", "group-without-rows", "client-without-rows", "rate-above-one",
-             "fractions-sum-above-one", *CSV_REFUSALS],
+             "fractions-sum-above-one", "partition-without-attribute", "partition-without-fractions", *CSV_REFUSALS],
     )
     def test_data_stage_failure_refused_at_construction(self, tmp_path, over, reason):
         if callable(over):  # a CSV case: its files go in tmp_path
