@@ -23,7 +23,8 @@ that is swept), ``eta`` (the server step) and ``delta`` (the goals' EMA
 decay). The goals are a symmetric K x K array in [-1, 1] that the run
 keeps across rounds. ``diminish_conflicts(grads, order, beta, goals,
 delta)`` is the sweep's one entry point; it refuses goals of another
-shape or outside [-1, 1] and an order that is not a permutation.
+shape, outside [-1, 1] or not symmetric, and an order that is not a
+permutation.
 
 The adjustment sets the cosine of (working, target) exactly to the goal:
 with phi the observed cosine and goal the target, the working gradient g_k
@@ -379,6 +380,12 @@ def diminish_conflicts(
         raise ValueError("order must be a permutation of the client ids")
     if np.abs(goals).max(initial=0.0) > 1.0:
         raise ValueError("similarity goals must lie in [-1, 1]")
+    # a pair test reads goals[k, i] and writes both cells, so the lower triangle must mirror the upper
+    asymmetric = goals != goals.T
+    if asymmetric.any():
+        k, i = np.argwhere(asymmetric)[0]
+        raise ValueError(f"similarity goals must be symmetric: goals[{k}, {i}] = {goals[k, i]}, "
+                         f"goals[{i}, {k}] = {goals[i, k]}")
     order = np.asarray(order, dtype=np.int64)
     n = selected_count(K, beta)
     raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])

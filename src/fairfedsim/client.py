@@ -23,6 +23,16 @@ one. Only then is sum_s lambda_s grad h_s formed, as one weighted sum of
 the per-key sums (``fairness.constraint_grads``), and added to the loss
 gradient, once; otherwise the step's gradient is the loss gradient bit
 for bit. These gradients stay in the step.
+
+A step computes and checks only what is read. Its gradient, the one the
+parameters step along and the round sums, is checked finite once; the
+per-key sums are checked only through it, so at zero multipliers, where
+nothing reads them, they go unchecked. The summed update is checked
+again only when E > 1 (at E = 1 it is the checked step gradient). Only
+the first step's loss is uploaded, so the per-sample losses are computed
+there and, for AP, whose surrogate they are, in every step. Steps 2..E
+update one parameter buffer in place, and the update gradient is summed
+in place. None of this touches the pass counts pinned above.
 """
 
 from __future__ import annotations
@@ -61,7 +71,8 @@ def lagrangian_grad(
     metric: str,
     rows: Sequence[np.ndarray],
     families: np.ndarray,
-) -> tuple[float, FairnessStatistics, np.ndarray]:
+    uploaded: bool = True,
+) -> tuple[Optional[float], FairnessStatistics, np.ndarray]:
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
@@ -72,17 +83,18 @@ def lagrangian_grad(
     forward pass serves the loss, the fairness statistics and the
     constraint gradient sums; the loss gradient is formed first, as in
     ``model.loss_and_grad``, and the constraint sum is added to it once.
+    The gradient is checked finite. A step whose loss is not ``uploaded``
+    returns None for it, and under DP and EO computes no per-sample loss.
     """
-    outputs = model.batch_outputs(params, shard.X, shard.y)
+    outputs = model.batch_outputs(params, shard.X, shard.y, uploaded or metric == "ap")
     probs, losses, weighted_grad = outputs
-    loss = float(np.mean(losses))
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
     stats = fairness.compute_statistics_for_metric(outputs, rows, metric)
     grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, metric)
     if lam is not None:
         grad += fairness.constraint_grads(stats, families, lam, grad_sums)
     check_finite(grad, f"client {shard.client_id} update gradient")
-    return loss, stats, grad
+    return (float(np.mean(losses)) if uploaded else None), stats, grad
 
 
 def compute_statistics(
@@ -112,12 +124,14 @@ def compute_statistics(
     lam = lam if any(lam[j] > 0.0 for j, r in enumerate(rows) if r.size) else None
     loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, families)
     update = grad
-    flat = params.flat
-    for _ in range(epochs - 1):
-        flat = flat - lr * grad
-        _, _, grad = lagrangian_grad(MlpParams(params.spec, flat), lam, shard, metric, rows, families)
-        update = update + grad
-    check_finite(update, f"client {shard.client_id} update gradient")
+    if epochs > 1:
+        step_params = MlpParams(params.spec, params.flatten())
+        update = grad.copy()
+        for _ in range(epochs - 1):
+            step_params.flat -= lr * grad
+            _, _, grad = lagrangian_grad(step_params, lam, shard, metric, rows, families, False)
+            update += grad
+        check_finite(update, f"client {shard.client_id} update gradient")
     return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)
 
 

@@ -141,7 +141,10 @@ def compute_statistics_for_metric(
     """
     probs, losses, _ = outputs
     f_vals = losses if metric == "ap" else probs  # the surrogate f
-    return FairnessStatistics([(f_vals[r].sum(), r.size) for r in rows])
+    groups = np.empty((len(rows), 2))
+    groups[:, 0] = [f_vals[r].sum() for r in rows]
+    groups[:, 1] = [r.size for r in rows]
+    return FairnessStatistics(groups)
 
 
 def group_grad_sums(
@@ -206,12 +209,15 @@ def constraint_grads(
     subgradient at the kink). With a = lam sign(gap) and A_f its sum over
     family f, this is sum_j c_j grad_sums[j], c_j = A_f(j)/n_f(j) - a_j/n_j,
     added in key order over ``grad_sums`` (``group_grad_sums``: per key
-    with members, the sum of grad f over its rows).
+    with members, the sum of grad f over its rows). c is formed once, on
+    those keys only, so no count of 0 is divided by.
     """
     gap, n_group, n_family = _gaps(stats.groups, families)
     a = lam * np.sign(gap)
     family_a = np.bincount(families, weights=a)[families]
-    return sum((family_a[j] / n_family[j] - a[j] / n_group[j]) * g for j, g in grad_sums.items())
+    keys = np.fromiter(grad_sums, dtype=np.intp, count=len(grad_sums))
+    c = family_a[keys] / n_family[keys] - a[keys] / n_group[keys]
+    return sum(c_j * g for c_j, g in zip(c, grad_sums.values()))
 
 
 # ---------------------------------------------------------------------------

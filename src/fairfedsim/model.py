@@ -20,7 +20,12 @@ Arrays per pass, for a batch of n rows:
 - A backward pass allocates the flat gradient vector and, per hidden
   layer, the (n, width) product ``delta @ W`` and the bool ReLU mask it is
   multiplied by in place. A pass over a subset of rows first gathers those
-  rows of every activation (``take``).
+  rows of every activation (``take``). That is all it does: it copies
+  no float64 weighting or integer index, and it does not check its result
+  for finiteness. ``weighted_grad`` returns an unchecked gradient, and
+  its callers check the gradients they read (``loss_and_grad`` its own
+  result, a client step the gradient it returns). The forward pass checks
+  its probabilities.
 In-place work touches only arrays the pass made itself, never ``X``,
 ``dlogit`` or the parameters. Every result is bit for bit that of the
 out-of-place formulas. Weights enter the products as views (``W.T``), not
@@ -164,17 +169,18 @@ def _forward_cache(params: MlpParams, X: np.ndarray):
 
 
 def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> np.ndarray:
-    """Flat gradient of sum_i dlogit[i] * logit_i with respect to the parameters."""
-    flat = np.empty(params.spec.n_params)
-    grads_w, grads_b = _views(params.spec, flat)
+    """Flat gradient of sum_i dlogit[i] * logit_i with respect to the
+    parameters, unchecked."""
+    layout = params.spec.layout
+    flat = np.empty(layout[-1][2])
     delta = dlogit[:, None]  # (n, 1)
-    for li in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[li], out=grads_w[li])
-        np.add.reduce(delta, axis=0, out=grads_b[li])
+    for li in range(len(layout) - 1, -1, -1):
+        w, b, e, fan_in = layout[li]
+        np.matmul(delta.T, acts[li], out=flat[w:b].reshape(e - b, fan_in))
+        np.add.reduce(delta, axis=0, out=flat[b:e])
         if li > 0:
             delta = delta @ params.weights[li]
             delta *= acts[li] > 0.0
-    check_finite(flat, "gradient")
     return flat
 
 
@@ -192,27 +198,31 @@ def per_sample_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def loss_and_grad(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean BCE loss over the batch (rows of X, labels y) and its exact flat
-    gradient: ``batch_outputs``, then ``weighted_grad((p - y) / n)``."""
+    gradient, checked finite: ``batch_outputs``, then
+    ``weighted_grad((p - y) / n)``."""
     X, y = _rows(X), np.asarray(y, dtype=np.float64)
     probs, losses, weighted_grad = batch_outputs(params, X, y)
-    return float(np.mean(losses)), weighted_grad((probs - y) / X.shape[0])
+    grad = weighted_grad((probs - y) / X.shape[0])
+    check_finite(grad, "gradient")
+    return float(np.mean(losses)), grad
 
 
-def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):
+def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool = True):
     """One forward pass exposing the pieces a local step needs.
 
     Returns (probs, losses, weighted_grad) where weighted_grad(dlogit, rows)
     reuses the cached activations for any per-sample logit weighting: the
-    flat gradient of sum_i dlogit[i] * logit_i. Given an integer index
-    ``rows``, only those samples are backpropagated, which equals the full
-    pass with dlogit zeroed outside ``rows`` up to summation order; with
-    ``rows=None`` every sample is.
+    flat gradient of sum_i dlogit[i] * logit_i, unchecked. Given an integer
+    index ``rows``, only those samples are backpropagated, which equals the
+    full pass with dlogit zeroed outside ``rows`` up to summation order;
+    with ``rows=None`` every sample is. With ``losses=False`` the
+    per-sample losses are not computed and None stands in their place.
     """
     probs, _, acts = _forward_cache(params, np.asarray(X, dtype=np.float64))
-    losses = per_sample_losses(probs, np.asarray(y, dtype=np.float64))
+    sample_losses = per_sample_losses(probs, np.asarray(y, dtype=np.float64)) if losses else None
 
     def weighted_grad(dlogit: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        dlogit = np.asarray(dlogit, dtype=np.float64)
+        dlogit = np.asarray(dlogit, dtype=np.float64)  # a float64 array is returned as is
         if rows is None:
             return _backward(params, acts, dlogit)
         rows = np.asarray(rows)
@@ -220,4 +230,4 @@ def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray):
             raise TypeError(f"rows must be an integer index, not {rows.dtype}")
         return _backward(params, [a.take(rows, axis=0) for a in acts], dlogit.take(rows))
 
-    return probs, losses, weighted_grad
+    return probs, sample_losses, weighted_grad

@@ -324,6 +324,14 @@ class TestDiminishConflicts:
         goals = np.array([[0.0, -1.0], [-1.0, 0.0]])  # the bounds themselves are legal
         assert diminish_conflicts(grads, [0, 1], beta=1.0, goals=goals, delta=0.5).n_adjustments == 0
 
+    def test_goals_must_be_symmetric(self):
+        grads = {i: g for i, g in enumerate(np.eye(3))}
+        goals = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.3], [0.1, -0.3, 0.0]])
+        with pytest.raises(ValueError, match=r"symmetric: goals\[1, 2\] = 0.3, goals\[2, 1\] = -0.3"):
+            diminish_conflicts(grads, [0, 1, 2], beta=1.0, goals=goals, delta=0.5)
+        goals[2, 1] = 0.3
+        diminish_conflicts(grads, [0, 1, 2], beta=1.0, goals=goals, delta=0.5)
+
 
 def dspace_conflicts(lefts, raws, goals):
     """Conflict count with the tie tolerance, on D-length vectors."""
@@ -512,11 +520,14 @@ class TestSweepMatchesOracleOnKnownInputs:
 
     def test_skipped_pairs_leave_both_goals_alone(self):
         """A pair with a zero-norm side writes neither its goal nor the
-        mirror, which an asymmetric goal matrix shows. At K = 9, beta = 1,
-        step 6 holds the pairs (0, 6), (1, 4), (2, 2) and (3, 0): the zero
-        row at position 4 leaves (1, 4) out of a step with live pairs."""
+        mirror: every pair holds its own goal, so an EMA write to either
+        cell, or a copy from another pair, shows. At K = 9, beta = 1, step
+        6 holds the pairs (0, 6), (1, 4), (2, 2) and (3, 0): the zero row at
+        position 4 leaves (1, 4) out of a step with live pairs."""
         grads, order, beta, _, delta = self.random_input(9, 1.0, zero_at=(4,))
-        goals = make_rng(34).uniform(-0.9, 0.9, size=(9, 9))
+        upper = np.triu(make_rng(34).uniform(-0.9, 0.9, size=(9, 9)), 1)
+        goals = upper + upper.T
+        assert len(np.unique(upper[np.triu_indices(9, 1)])) == 36
         res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
         pairs = set(zip(res.tests.client.tolist(), res.tests.target.tolist()))
         assert {(order[0], order[6]), (order[3], order[0])} <= pairs

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairfedsim import client, fairness, model
+from fairfedsim import aggregation, client, fairness, model
 from fairfedsim.baselines import (
     REGIMES,
     TrainConfig,
@@ -119,6 +119,27 @@ class TestBehavior:
             for p in result.model.params_list
         ]
         np.testing.assert_allclose(probs, np.mean(member, axis=0), rtol=1e-12)
+
+    def test_goals_stay_symmetric_bitwise_with_duplicated_clients(self, monkeypatch):
+        """The sweep refuses asymmetric goals; a run never hands it any, also
+        where duplicated clients drive a pair's goal towards 1."""
+        shards = make_shards(seed=17)
+        K = len(shards)
+        shards += [Shard(client_id=K, data=shards[0].data), Shard(client_id=K + 1, data=shards[2].data)]
+        seen = []
+        sweep = aggregation.diminish_conflicts
+
+        def recorded(grads, order, beta, goals, delta):
+            result = sweep(grads, order, beta, goals, delta)
+            seen.extend([goals, result.goals])
+            return result
+
+        monkeypatch.setattr(aggregation, "diminish_conflicts", recorded)
+        run_federated(shards, quick_cfg(rounds=4, beta=1.0))
+        assert len(seen) == 8
+        for goals in seen:
+            assert goals.tobytes() == np.ascontiguousarray(goals.T).tobytes()
+        assert (seen[-1][0, K] > 0.5) and (seen[-1][2, K + 1] > 0.5)
 
     def test_trace_records_cover_rounds(self):
         shards = make_shards(n=150, seed=12)

@@ -8,6 +8,7 @@ from fairfedsim.baselines import Hyperparameters
 from fairfedsim.client import compute_statistics, lagrangian_grad, local_accuracy
 from fairfedsim.data import Shard, synthetic_dataset
 from fairfedsim.model import MlpParams, MlpSpec
+from fairfedsim.numeric import NonFiniteError
 from fairfedsim.oracles import finite_diff
 
 from conftest import min_preactivation, rel_err
@@ -228,3 +229,62 @@ def test_zero_multipliers_keep_one_backward_pass_per_key(monkeypatch, metric):
     calls = counting(monkeypatch, model, "_backward")
     step(params, 0.0, shard, metric)
     assert len(calls) == 1 + sum(1 for r in rows if r.size) == 1 + len(rows)
+
+
+def nan_passes(monkeypatch, poisoned):
+    """Make ``model._backward`` return NaN everywhere on the passes whose
+    row count ``poisoned`` accepts."""
+    backward = model._backward
+
+    def patched(params, acts, dlogit):
+        grad = backward(params, acts, dlogit)
+        return np.full_like(grad, np.nan) if poisoned(len(dlogit)) else grad
+
+    monkeypatch.setattr(model, "_backward", patched)
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_non_finite_key_gradient_raises_where_read(monkeypatch, metric):
+    """A key's gradient is checked through the step gradient it enters,
+    at a positive multiplier; at zero multipliers no one reads it."""
+    shard = small_shard(9)
+    params = init_params(shard)
+    assert all(r.size < len(shard) for r in shard_keys(shard, metric)[0])
+    nan_passes(monkeypatch, lambda n: n < len(shard))
+    upload(params, 0.0, shard, metric, epochs=3, lr=0.1)
+    with pytest.raises(NonFiniteError, match="non-finite client 0 update gradient"):
+        upload(params, 0.3, shard, metric, epochs=1)
+
+
+def test_non_finite_loss_gradient_raises_at_one_epoch(monkeypatch):
+    shard = small_shard(9)
+    params = init_params(shard)
+    nan_passes(monkeypatch, lambda n: n == len(shard))
+    with pytest.raises(NonFiniteError, match="non-finite client 0 update gradient"):
+        upload(params, 0.0, shard, epochs=1)
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_per_sample_losses_only_where_read(monkeypatch, metric):
+    """The first step's losses are uploaded; AP's surrogate is the loss,
+    so its later steps compute the losses too, DP's and EO's do not."""
+    shard = small_shard(10)
+    params = init_params(shard)
+    calls = counting(monkeypatch, model, "per_sample_losses")
+    for lam in (0.0, 0.3):
+        calls.clear()
+        upload(params, lam, shard, metric, epochs=3, lr=0.1)
+        assert len(calls) == (3 if metric == "ap" else 1)
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_step_not_uploaded_returns_no_loss_and_the_same_gradient(metric):
+    shard = small_shard(11)
+    params = init_params(shard)
+    rows, families = shard_keys(shard, metric)
+    lam = np.full(len(rows), 0.3)
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, families)
+    none, later_stats, later_grad = lagrangian_grad(params, lam, shard, metric, rows, families, False)
+    assert loss > 0.0 and none is None
+    assert later_stats.groups.tobytes() == stats.groups.tobytes()
+    assert later_grad.tobytes() == grad.tobytes()

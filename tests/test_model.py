@@ -19,7 +19,7 @@ from fairfedsim.model import (
     predict_proba,
     sigmoid,
 )
-from fairfedsim.numeric import make_rng
+from fairfedsim.numeric import NonFiniteError, make_rng
 from fairfedsim.oracles import finite_diff
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_mlp.json").read_text())
@@ -154,6 +154,21 @@ class TestLossAndGradients:
         loss, grad = loss_and_grad(params, np.array([[5.0]]), np.array([1]))
         assert loss < 1e-10
         assert np.linalg.norm(grad) < 1e-10
+
+    def test_non_finite_gradient_raises(self):
+        """An activation that overflows leaves the probability finite
+        (sigmoid(inf) = 1) but not the gradient: ``weighted_grad`` returns
+        it unchecked, and ``loss_and_grad`` checks its own result."""
+        params = MlpParams.zeros(MlpSpec(1, (1,)))
+        params.weights[0][0, 0] = 10.0
+        params.weights[1][0, 0] = 1.0
+        X, y = np.array([[1e308]]), np.array([0])
+        with np.errstate(over="ignore"):
+            probs, _, weighted_grad = batch_outputs(params, X, y)
+            assert probs[0] == 1.0
+            assert not np.isfinite(weighted_grad(probs - y)).all()
+            with pytest.raises(NonFiniteError, match="non-finite gradient"):
+                loss_and_grad(params, X, y)
 
     def test_empty_batch_rejected(self):
         params = MlpParams.zeros(MlpSpec(2, (2,)))
