@@ -60,54 +60,65 @@ returns the plain mean bit for bit.
 
 Wavefront order. Let q be the position of the adjusted client k_q and t
 that of the target k_t in the order, with n = ceil(beta K) swept
-positions. In sequence the sweep runs the pairs (q, t) client by client
-and target by target. Here pair (q, t) runs at step tau = 2q + t, for
-tau = 0 .. 2n + K - 3, over the positions
-q = max(0, floor((tau - K + 2) / 2)) .. min(n - 1, floor(tau / 2)) with
-t = tau - 2q, and all pairs of one step run as one vector operation.
-That gives the sequential results exactly, because
+positions. In sequence the sweep runs the pairs (q, t), t != q, client by
+client and target by target; client q's targets are numbered
+t' = t + [t < q] = 1 .. K - 1, which skips its own position. Here pair
+(q, t) runs at step tau = q + t', for tau = 1 .. n + K - 2, over the
+positions q = max(0, tau - K + 1) .. min(n - 1, tau - 1), and all pairs
+of one step run as one vector operation. That gives the sequential
+results exactly, because
   * pair (q, t) reads and writes only the goal of {k_q, k_t} and working
     gradient k_q (its target is a raw gradient);
-  * the only other pair on that goal is (t, q): for t < q it runs at
-    2t + q < tau, before (q, t), and for t > q after it, as in sequence;
-  * the client's previous test, (q, t - 1), runs at tau - 1 (or (q, t - 2)
-    at tau - 2 when t - 1 = q);
+  * the client's previous test, number t' - 1, runs at tau - 1;
+  * the only other pair on that goal is (t, q), at t + q + [q < t]: for
+    t < q that is tau - 1, before (q, t), and for t > q it is tau + 1,
+    after it, as in sequence;
   * the pairs of one step have distinct clients, so no two share a
-    working gradient or a goal entry.
+    working gradient or a goal.
+For n >= 2 no schedule is shorter: the tests (0, 1) .. (0, n - 1),
+(n - 1, 0) and the other K - 2 tests of client n - 1 each depend on the one
+before, a chain of n + K - 2.
 
-Position layout. The sweep permutes the coordinate rows, their norms and
-the goals into order position once, so that row p (and column p of the
-goals) belongs to client order[p], and permutes the working gradients and
-the goals back once at the end. A step's clients are then the rows
-lo .. lo + m - 1 and its targets the rows tau - 2 lo, tau - 2 lo - 2, ..., a
-stride -2 slice. In the flattened K x K goals the cell [q, tau - 2q] is
-tau + q (K - 2), and its mirror [tau - 2q, q] is tau K - q (2K - 1): both
-are arithmetic progressions in q, with steps K - 2 and -(2K - 1), and the
-cells of the n x K result grids step by K - 2 too. So a step reads and
-writes views only; it gathers just its conflicting pairs, to adjust them
-and recompute their norms, and applies the goals' EMA step in place.
+Layout. The sweep permutes the coordinate rows, their norms and the goals
+into order position once, so that row p (and column p of the goals)
+belongs to client order[p], and permutes the working gradients and the
+goals back once at the end. A step's clients are then consecutive rows.
+The swept rows' goals and the sweep's results are held in an n x K
+off-diagonal grid, built once a round from the position-layout goals:
+column t' of row q is target t' - [t' <= q], and column 0 holds the
+diagonal, which no step visits. In the flattened grid the cell
+[q, tau - q] is tau + q (K - 1), an arithmetic progression in q with step
+K - 1. So a step reads and writes its goals, cosines and results on
+views, its targets are one ``take`` of the rows its cells name, its EMA
+step runs in place on the goal view, and it gathers only its conflicting
+pairs, to adjust them and recompute their norms. A pair with q < t < n
+copies its new goal into the mirror cell [t, q + 1], which (t, q) reads at
+the next step: the cells tau K + 1 - q (K - 1), with step -(K - 1). No
+other goal is read again in the round: for t < q the mirror has run, and a
+target t >= n is never a client. At the end each pair's goal comes back
+from its swept client's row, and a pair of two swept clients takes the
+goal of its second test, row max(q, t). The diagonal is never tested, so
+it is left as it is.
 
-The self pair (q, q) sits in step tau = 3q, and it is never tested. A
-step that holds it, and every step once a raw or working gradient of zero
-norm exists, runs under a mask of live pairs: q != t, and both the
-working gradient and the raw target of nonzero norm. The mask skips the
-diagonal, zero raw gradients and working gradients driven to zero, none
-of which has a direction to test; a step without a live pair is skipped
-whole. Every result is written into an n x K grid at [q, t], and the
-grid read row-major is the sequential order in which tests are reported
+A step runs under a mask of live pairs once a raw or working gradient of
+zero norm exists: both the working gradient and the raw target of nonzero
+norm. The mask skips zero raw gradients and working gradients driven to
+zero, neither of which has a direction to test; a step without a live pair
+is skipped whole. Every result is written into the grid, and the grid read
+row-major is the sequential order in which tests are reported
 (``PairTests``).
 
 Cost: O(K^2 D) for G, O(K^2 rank) for its factor (about 0.7 ms at
-K = 100, one numpy step per column), and at most
-2 ceil(beta K) + K - 3 steps with a live pair (step 0 holds only the
-diagonal), of O(K rank) work each (217 at K = 100, beta = 0.6), in place
-of ceil(beta K) (K - 1) scalar tests (5,940). A step is numpy call
+K = 100, one numpy step per column), and n + K - 2 steps of O(K rank)
+work each (158 at K = 100, beta = 0.6; 798 at K = 500), in place of
+ceil(beta K) (K - 1) scalar tests (5,940 at K = 100). A step is numpy call
 overhead, not arithmetic: about 20 calls, and about 30 more when a pair
-adjusts. On the ``cross-device`` bench's K = 100 sweeps a step costs
-about 42 us beyond the factor, against 70 us for the index-gather layout
-this one replaced (one core of a 2-vCPU Xeon, one BLAS thread). The
-sequential sweep on D-length vectors, O(ceil(beta K) K D), is kept as
-the reference ``oracles.diminish_conflicts_dspace``.
+adjusts. On the ``cross-device`` bench's K = 100 sweeps a sweep costs
+about 8.8 ms, against 10.8 ms for the schedule tau = 2q + t this one
+replaced, which took 2n + K - 2 steps (218) and skipped the self pair by a
+mask (one core of a 2-vCPU Xeon, one BLAS thread). The sequential sweep
+on D-length vectors, O(ceil(beta K) K D), is kept as the reference
+``oracles.diminish_conflicts_dspace``.
 
 Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
 met, so its pair test never adjusts. Near +1 the adjustment divides by
@@ -217,7 +228,8 @@ def is_conflict(phi, goal):
     """The sweep's test: phi < goal, with saturated goals counting as met
     and anti-parallel pairs left alone (module docstring). Takes scalars
     or equal-length arrays."""
-    return (phi > -1.0 + GOAL_SATURATION_EPS) & (phi < goal) & (np.abs(goal) < 1.0 - GOAL_SATURATION_EPS)
+    # phi > -1 + eps and phi < goal already put goal above -1 + eps
+    return (phi > -1.0 + GOAL_SATURATION_EPS) & (phi < goal) & (goal < 1.0 - GOAL_SATURATION_EPS)
 
 
 def lagrangian_losses(
@@ -345,10 +357,7 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _run(start: int, count: int, stride: int) -> slice:
-    """The indices start, start + stride, ... (``count`` of them) as a
-    slice; a run of one takes any stride (K - 2 is 0 at K = 2)."""
-    if count == 1:
-        return slice(start, start + 1)
+    """The indices start, start + stride, ... (``count`` of them) as a slice."""
     stop = start + count * stride
     return slice(start, stop if stop >= 0 else None, stride)
 
@@ -396,29 +405,31 @@ def diminish_conflicts(
     working, norm_w = targets.copy(), norm_t.copy()
     at = np.ix_(order, order)
     swept_goals = goals[at]
-    cells = swept_goals.reshape(-1)
-    # the sweep's results, at [q, t]: q the position of the adjusted client, t that of the target
+    # the off-diagonal grid: column t' of row q is target t' - [t' <= q], column 0 the diagonal
+    rows = np.arange(n)[:, None]
+    target_of = np.arange(K) - (np.arange(K) <= rows)
+    target_of[:, 0] = rows[:, 0]
+    target_cells = target_of.reshape(-1)
+    goal_cells = swept_goals[rows, target_of].reshape(-1)
+    # the sweep's results, on the same grid
     phis, seen, shift = np.zeros((n, K)), np.zeros((n, K)), np.zeros((n, K))
-    tested, adjusted = ~np.eye(n, K, dtype=bool), np.zeros((n, K), dtype=bool)
+    tested, adjusted = np.ones((n, K), dtype=bool), np.zeros((n, K), dtype=bool)
+    tested[:, 0] = False
     phi_cells, seen_cells, shift_cells = phis.reshape(-1), seen.reshape(-1), shift.reshape(-1)
     tested_cells, adjusted_cells = tested.reshape(-1), adjusted.reshape(-1)
     nonzero = bool(raw_norm.all())  # no zero-norm raw or working gradient yet
-    for tau in range(2 * n + K - 2) if n else ():
-        lo = max(0, (tau - K + 2) // 2)
-        m = min(n - 1, tau // 2) + 1 - lo
-        # pair j: client q = lo + j against target t = tau - 2 q, at cell q K + t of the grids
-        w, norm_k = working[lo : lo + m], norm_w[lo : lo + m]
-        at_t = _run(tau - 2 * lo, m, -2)
-        g, norm_i = targets[at_t], norm_t[at_t]
-        at_q = _run(tau + lo * (K - 2), m, K - 2)
-        phi, goal = phi_cells[at_q], cells[at_q]
-        own = tau // 3 - lo if tau % 3 == 0 else -1  # pair own is (q, q) if 0 <= own < m
+    for tau in range(1, n + K - 1) if n else ():
+        lo, hi = max(0, tau - K + 1), min(n, tau)
+        # pair j: client q = lo + j against the target at column tau - q, cell q K + tau - q of the grids
+        w, norm_k = working[lo:hi], norm_w[lo:hi]
+        at_q = _run(tau + lo * (K - 1), hi - lo, K - 1)
+        t = target_cells[at_q]
+        g, norm_i = targets.take(t, axis=0), norm_t.take(t)
+        phi, goal = phi_cells[at_q], goal_cells[at_q]
         live = True
-        if 0 <= own < m or not nonzero:
-            # the self pair, or a zero-norm side (no direction): nothing to test or observe
+        if not nonzero:
+            # a zero-norm side has no direction: nothing to test or observe
             live = (norm_k > 0.0) & (norm_i > 0.0)
-            if 0 <= own < m:
-                live[own] = False
             tested_cells[at_q] = live
             if not live.any():
                 continue
@@ -428,22 +439,30 @@ def diminish_conflicts(
         conflict = is_conflict(phi, goal) & live
         hit = conflict.nonzero()[0]
         if hit.size:
-            c = _coefficient(norm_k[hit], norm_i[hit], phi[hit], goal[hit])
-            moved = w[hit] - c[:, None] * g[hit]
+            c = _coefficient(norm_k.take(hit), norm_i.take(hit), phi.take(hit), goal.take(hit))
+            moved = w.take(hit, axis=0) - c[:, None] * g.take(hit, axis=0)
             w[hit] = moved
             moved_norm = _row_norms(moved)
             norm_k[hit] = moved_norm
             nonzero = nonzero and bool(moved_norm.all())
             shift_cells[at_q][hit] = c
             adjusted_cells[at_q] = conflict
-        # the EMA step, and its copy into the mirrors [t, q]
-        np.copyto(goal, delta * goal + (1.0 - delta) * phi, where=live)
-        np.copyto(cells[_run(tau * K - lo * (2 * K - 1), m, 1 - 2 * K)], goal, where=live)
+        # the EMA step, and its copy into the mirror cell [t, q + 1] of the pairs q < t < n, read at step tau + 1
+        np.multiply(goal, delta, out=goal, where=live)
+        np.add(goal, (1.0 - delta) * phi, out=goal, where=live)
+        first, last = max(lo, tau - n + 1), min(hi - 1, (tau - 1) // 2)
+        if first <= last:
+            goal_cells[_run(tau * K + 1 - first * (K - 1), last + 1 - first, 1 - K)] = goal[first - lo : last + 1 - lo]
     if (np.abs(phis) > 1.0).any():  # ema_update's check, once over the sweep's cosines
         raise ValueError(f"observed cosine {phis[np.abs(phis) > 1.0]} outside [-1, 1]")
     n_adjustments = int(np.count_nonzero(adjusted))
-    q, t = np.nonzero(tested)  # row-major: the sweep order
-    tests = PairTests(order[q], order[t], phis[q, t], seen[q, t], adjusted[q, t])
+    q, col = np.nonzero(tested)  # row-major: the sweep order
+    tests = PairTests(order[q], order[target_of[q, col]], phis[q, col], seen[q, col], adjusted[q, col])
+    # a swept client's row holds its goals; a pair of two swept clients ends on its second test, row max(q, t)
+    swept_goals[rows, target_of] = goal_cells.reshape(n, K)
+    top = swept_goals[:n, :n]
+    np.copyto(top, top.T, where=rows < rows.T)
+    swept_goals[n:, :n] = swept_goals[:n, n:].T
     new_goals = np.empty_like(swept_goals)
     new_goals[at] = swept_goals
     by_id = np.empty_like(working)
@@ -453,7 +472,7 @@ def diminish_conflicts(
     if n_adjustments:
         # take the adjustments off alone, so an unadjusted round is the plain mean bit for bit
         shifts = np.zeros((K, K))  # shifts[k, i]: the multiple of g_i taken off w_k
-        shifts[np.ix_(order[:n], order)] = shift
+        shifts[order[:n, None], order[target_of]] = shift
         gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
     return DiminishResult(gradient, plain_mean, new_goals, n_adjustments, tests, coords, by_id)

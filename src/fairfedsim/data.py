@@ -392,7 +392,9 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
 def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
     """Shuffle each sensitive group and slice it by cumulative fractions.
     A client may get no rows: ``client._check_shard`` refuses an empty
-    training shard, and ``harness.evaluate_run`` skips an empty test shard."""
+    training shard, and ``harness.evaluate_run`` skips an empty test shard.
+    Each shard holds its rows in the order of ``train``: one stable sort by
+    client gives every client's rows as a run, and each run is one take."""
     if spec.attribute not in train.attr_names:
         raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {train.attr_names}")
     a = train.attr_names.index(spec.attribute)
@@ -413,7 +415,10 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
         members = members[rng.permutation(members.size)]
         counts = largest_remainder_counts(members.size, spec.fractions[value])
         client[members] = np.repeat(np.arange(K), counts)
-    return [Shard(client_id=k, data=train.take(np.flatnonzero(client == k))) for k in range(K)]
+    # client ids in the narrowest unsigned type: at 8 or 16 bits numpy's stable sort is a radix sort
+    by_client = np.argsort(client.astype(np.min_scalar_type(K)), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(client, minlength=K)))).tolist()
+    return [Shard(client_id=k, data=train.take(by_client[bounds[k] : bounds[k + 1]])) for k in range(K)]
 
 
 def pool_shards(shards: Sequence[Shard]) -> Dataset:

@@ -1,12 +1,15 @@
-"""Four short grids whose outputs ``tests/data/golden/`` pins.
+"""Five short grids whose outputs ``tests/data/golden/`` pins.
 
 Three take the shapes of the benchmark's workloads at 2 rounds and seed
 7: ``cross-silo`` (the default config, K=5, DP, three regimes),
 ``cross-device`` (K=100 single-step clients on data whose groups need
 opposite rules) and ``eo-multigroup`` (four groups under EO, K=10). The
 fourth, ``ap``, is the default config under AP, the one metric whose
-surrogate (the per-sample loss) every local step reads. Each
-grid's ``results.csv`` and ``trace/`` go to ``<out dir>/<grid>/``, and the
+surrogate (the per-sample loss) every local step reads. The fifth,
+``alpha-zero``, is the default config with no fairness tolerance
+(alpha = 0): round 1's dual step makes the multipliers positive, so round
+2's local steps take the constraint gradients. Each grid's
+``results.csv`` and ``trace/`` go to ``<out dir>/<grid>/``, and the
 machine stamp (numpy version, BLAS name and thread count) to
 ``<out dir>/stamp.json``.
 
@@ -46,7 +49,7 @@ def dirichlet_fractions(groups: tuple[str, ...], n_clients: int, concentration: 
 
 
 def grids() -> dict[str, ExperimentConfig]:
-    """The four configs; their data is set after construction, and
+    """The five configs; their data is set after construction, and
     ``run`` checks it."""
     cross_device = ExperimentConfig(regimes=("mfairfl",), client_mode="single_step", rounds=ROUNDS, seeds=(SEED,))
     cross_device.dataset["synthetic"].update(n=6000, label_orientation_by_group=(1.0, -1.0))
@@ -64,6 +67,7 @@ def grids() -> dict[str, ExperimentConfig]:
         "cross-device": cross_device,
         "eo-multigroup": eo_multigroup,
         "ap": ExperimentConfig(constraint="ap", rounds=ROUNDS, seeds=(SEED,)),
+        "alpha-zero": ExperimentConfig(alpha=0.0, rounds=ROUNDS, seeds=(SEED,)),
     }
 
 

@@ -192,6 +192,47 @@ def sweep_inputs(draw):
     return grads, order, beta, goals, delta
 
 
+def straight_line_sweep(grads, order, beta, goals0, delta):
+    """The sweep as written out by hand, no shared helpers: the working
+    gradients, the goals and the adjustment count."""
+    goals = goals0.copy()
+    K = len(order)
+    working = {i: grads[i].copy() for i in range(K)}
+    n_adj = 0
+    n_selected = math.ceil(beta * K)
+    for k in order[:n_selected]:
+        for i in order:
+            if i == k:
+                continue
+            wk = working[k]
+            gi = grads[i]
+            phi = float(np.dot(wk, gi) / (np.linalg.norm(wk) * np.linalg.norm(gi)))
+            phi = max(-1.0, min(1.0, phi))
+            goal = goals[k, i]
+            if phi < goal:
+                coeff = (
+                    np.linalg.norm(wk)
+                    * (phi * np.sqrt(1 - goal**2) - goal * np.sqrt(1 - phi**2))
+                    / (np.linalg.norm(gi) * np.sqrt(1 - goal**2))
+                )
+                working[k] = wk - coeff * gi
+                n_adj += 1
+            new = delta * goal + (1 - delta) * phi
+            goals[k, i] = new
+            goals[i, k] = new
+    return working, goals, n_adj
+
+
+def assert_matches_straight_line(grads, order, beta, goals0, delta):
+    working, goals, n_adj = straight_line_sweep(grads, order, beta, goals0, delta)
+    expected = np.mean(np.stack([working[i] for i in range(len(order))]), axis=0)
+    res = diminish_conflicts(grads, order, beta, goals0, delta)
+    np.testing.assert_allclose(res.gradient, expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(res.goals, goals, rtol=1e-12, atol=1e-15)
+    assert res.n_adjustments == n_adj
+    assert n_adj > 0
+
+
 class TestDiminishConflicts:
     @settings(max_examples=200, deadline=None)
     @given(sweep_inputs())
@@ -217,43 +258,16 @@ class TestDiminishConflicts:
             1: np.array([-0.5, 1.0, 0.0]),
             2: np.array([0.2, -0.8, 0.5]),
         }
-        beta, delta = 1.0, 0.25
-        order = [1, 0, 2]
-        goals0 = np.zeros((3, 3))
+        assert_matches_straight_line(grads, [1, 0, 2], 1.0, np.zeros((3, 3)), 0.25)
 
-        # straight-line execution, no shared helpers
-        goals = goals0.copy()
-        working = {i: grads[i].copy() for i in range(3)}
-        n_adj = 0
-        K = 3
-        n_selected = math.ceil(beta * K)
-        for k in order[:n_selected]:
-            for i in order:
-                if i == k:
-                    continue
-                wk = working[k]
-                gi = grads[i]
-                phi = float(np.dot(wk, gi) / (np.linalg.norm(wk) * np.linalg.norm(gi)))
-                phi = max(-1.0, min(1.0, phi))
-                goal = goals[k, i]
-                if phi < goal:
-                    coeff = (
-                        np.linalg.norm(wk)
-                        * (phi * np.sqrt(1 - goal**2) - goal * np.sqrt(1 - phi**2))
-                        / (np.linalg.norm(gi) * np.sqrt(1 - goal**2))
-                    )
-                    working[k] = wk - coeff * gi
-                    n_adj += 1
-                new = delta * goal + (1 - delta) * phi
-                goals[k, i] = new
-                goals[i, k] = new
-        expected = np.mean(np.stack([working[i] for i in range(3)]), axis=0)
-
-        res = diminish_conflicts(grads, order, beta, goals0, delta)
-        np.testing.assert_allclose(res.gradient, expected, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(res.goals, goals, rtol=1e-12, atol=1e-15)
-        assert res.n_adjustments == n_adj
-        assert n_adj > 0
+    def test_matches_straight_line_reimplementation_with_goals(self):
+        """The same at K = 5 with two clients left unswept and nonzero
+        symmetric goals, so that pairs of two swept clients, pairs with one,
+        and goals met or missed all occur."""
+        rng = make_rng(35)
+        grads = {cid: rng.normal(size=4) for cid in range(5)}
+        upper = np.triu(rng.uniform(-0.6, 0.6, size=(5, 5)), 1)
+        assert_matches_straight_line(grads, [3, 0, 4, 1, 2], 0.6, upper + upper.T, 0.4)
 
     def test_selection_count(self):
         rng = make_rng(23)
@@ -504,14 +518,21 @@ class TestSweepMatchesOracleOnKnownInputs:
         "K, beta, zero_at",
         [(1, 1.0, ()), (2, 1.0, ()), (2, 0.5, ()), (7, 0.0, ()), (7, 1.0, ()), (9, 0.6, ()),
          (8, 1.0, (3,)), (8, 0.5, (1, 6)), (5, 1.0, range(5)),
-         # K <= 3 at beta 0, 1/K and 1; at K = 2 the grid step K - 2 is 0
-         (1, 0.0, ()), (2, 0.0, ()), (3, 0.0, ()), (3, 1 / 3, ()), (3, 1.0, ())],
+         # K <= 3 at beta 0, 1/K and 1
+         (1, 0.0, ()), (2, 0.0, ()), (3, 0.0, ()), (3, 1 / 3, ()), (3, 1.0, ()),
+         # n = 1, K - 1 and K swept: no mirror write, pairs with one unswept
+         # client, and every pair of two swept clients ending on its second test
+         (4, 1 / 4, ()), (4, 3 / 4, ()), (4, 1.0, ()), (5, 1 / 5, ()), (5, 4 / 5, ()), (5, 1.0, ()),
+         (12, 1 / 12, ()), (12, 11 / 12, ()), (12, 1.0, ())],
         ids=["K1", "K2", "K2-one-swept", "beta0", "beta1", "beta0.6", "zero-row-mid-order",
-             "zero-rows-swept-and-not", "all-rows-zero", "K1-beta0", "K2-beta0", "K3-beta0", "K3-one-swept", "K3"],
+             "zero-rows-swept-and-not", "all-rows-zero", "K1-beta0", "K2-beta0", "K3-beta0", "K3-one-swept", "K3",
+             "K4-n1", "K4-n3", "K4-n4", "K5-n1", "K5-n4", "K5-n5", "K12-n1", "K12-n11", "K12-n12"],
     )
     def test_wavefront_edge_cases(self, K, beta, zero_at):
         grads, order, beta, goals, delta = self.random_input(K, beta, zero_at)
         res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)
+        if not zero_at:
+            assert len(res.tests) == aggregation.selected_count(K, beta) * (K - 1)
         zero = {order[pos] for pos in zero_at}
         assert not zero & (set(res.tests.client.tolist()) | set(res.tests.target.tolist()))
         if len(zero) == K:
@@ -522,8 +543,9 @@ class TestSweepMatchesOracleOnKnownInputs:
         """A pair with a zero-norm side writes neither its goal nor the
         mirror: every pair holds its own goal, so an EMA write to either
         cell, or a copy from another pair, shows. At K = 9, beta = 1, step
-        6 holds the pairs (0, 6), (1, 4), (2, 2) and (3, 0): the zero row at
-        position 4 leaves (1, 4) out of a step with live pairs."""
+        5 holds the pairs (0, 5), (1, 4), (2, 3), (3, 1) and (4, 0): the
+        zero row at position 4 leaves (1, 4) and (4, 0) out of a step with
+        live pairs, while (0, 6) and (3, 0) are tested at other steps."""
         grads, order, beta, _, delta = self.random_input(9, 1.0, zero_at=(4,))
         upper = np.triu(make_rng(34).uniform(-0.9, 0.9, size=(9, 9)), 1)
         goals = upper + upper.T
@@ -545,9 +567,10 @@ class TestSweepMatchesOracleOnKnownInputs:
 
     @pytest.mark.parametrize("K", [4, 11, 12])
     def test_self_pairs_leave_the_diagonal_alone(self, K):
-        """Every step tau = 0 (mod 3) with 3 q = tau among its clients holds
-        the self pair (q, q); a diagonal goal of 0.99 would see a conflict
-        in any working gradient that has moved."""
+        """No step visits the self pair (q, q): the diagonal sits in column
+        0 of the sweep's grid, where no step reads or writes. A diagonal
+        goal of 0.99 would see a conflict in any working gradient that has
+        moved, so a self test would adjust and step the goal."""
         grads, order, beta, goals, delta = self.random_input(K, 1.0)
         np.fill_diagonal(goals, 0.99)
         res, _ = assert_sweep_matches_oracle(grads, order, beta, goals, delta)

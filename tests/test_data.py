@@ -21,6 +21,7 @@ from fairfedsim.data import (
     standardize,
     synthetic_dataset,
 )
+from fairfedsim.numeric import make_rng
 
 FIXTURE_CSV = """age,color,sex,outcome
 30,red,F,yes
@@ -423,6 +424,45 @@ class TestPartition:
         spec = PartitionSpec("sex", {"g0": (0.5, 0.5), "g1": (0.5, 0.5)})
         with pytest.raises(ValueError, match="partition attribute 'sex'"):
             partition(ds, spec, seed=0)
+
+    @staticmethod
+    def per_client_shards(train, spec, seed):
+        """Each client's rows gathered by its own mask, after the same
+        per-group shuffle and apportionment as ``partition``."""
+        a = train.attr_names.index(spec.attribute)
+        rng = make_rng(seed, 0xFA)
+        client = np.full(len(train), -1, dtype=np.int64)
+        for value in sorted(spec.fractions):
+            members = np.flatnonzero(train.S[:, a] == train.group_names[a].index(value))
+            members = members[rng.permutation(members.size)]
+            counts = largest_remainder_counts(members.size, spec.fractions[value])
+            client[members] = np.repeat(np.arange(spec.n_clients), counts)
+        return [train.take(np.flatnonzero(client == k)) for k in range(spec.n_clients)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shards_match_the_per_client_formula(self, seed):
+        rng = make_rng(seed)
+        K = int(rng.integers(1, 13))
+        share = float(rng.uniform(0.2, 0.8))
+        ds = synthetic_dataset(int(rng.integers(5, 300)), seed=seed, input_dim=3, group_fractions=(share, 1.0 - share))
+        # a random set of clients gets no fraction of any group, so no rows
+        empty = rng.random(K) < 0.3
+        empty[rng.integers(K)] = False
+        fractions = {}
+        for name in ("g0", "g1"):
+            raw = np.where(empty, 0.0, rng.dirichlet(np.ones(K)) + 1e-3)
+            fractions[name] = tuple((raw / raw.sum()).tolist())
+        spec = PartitionSpec("group", fractions)
+        shards = partition(ds, spec, seed=seed)
+        want = self.per_client_shards(ds, spec, seed)
+        assert [s.client_id for s in shards] == list(range(K))
+        assert all(len(s) == 0 for s, none in zip(shards, empty) if none)
+        for shard, ref in zip(shards, want):
+            for field in ("X", "y", "S", "row_ids"):
+                got, expected = getattr(shard.data, field), getattr(ref, field)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
     def test_pool_shards_restores_union(self):
         ds = synthetic_dataset(120, seed=13, input_dim=3)
