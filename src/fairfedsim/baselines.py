@@ -170,6 +170,7 @@ def run_federated(
                 lam_local[i] if local_multipliers else lam_global,
                 shard,
                 table.rows[i],
+                table.counts[i],
                 table.families,
                 metric=cfg.constraint,
                 epochs=cfg.local_epochs,

@@ -8,21 +8,25 @@ E step gradients, which for E = 1 is the Lagrangian gradient itself.
 Clients only ever touch their own shard.
 
 Keys are decided once per run, in the run's ``fairness.KeyTable``. A
-client gets its shard's row list of that table (``KeyTable.rows[i]``) and
-the table's family indices, and reuses both for every round and step. Its
-multipliers are an (n_keys,) vector and its uploaded statistics an
-(n_keys, 2) array, both aligned to the table.
+client gets its shard's rows and counts of that table (``KeyTable.rows[i]``
+and ``counts[i]``) and the table's family indices, and reuses them for
+every round and step. Its multipliers are an (n_keys,) vector and its
+uploaded statistics an (n_keys, 2) array, both aligned to the table.
 
 A step runs one forward pass over the shard, then backpropagates the loss
 over every row and, for each constraint key with members on the shard,
 grad f over that key's rows (``fairness.group_grad_sums``), whatever its
 multiplier: the benchmark pins ``model.backward_per_step == 1 + #keys``.
-The multipliers are frozen for the round, so ``compute_statistics``
-decides once per round whether any key with members carries a positive
-one. Only then is sum_s lambda_s grad h_s formed, as one weighted sum of
-the per-key sums (``fairness.constraint_grads``), and added to the loss
-gradient, once; otherwise the step's gradient is the loss gradient bit
-for bit. These gradients stay in the step.
+A key of the first sensitive attribute is one run of the shard's rows
+(``data.partition`` orders them so), so its pass and its statistic read
+views of the forward pass's arrays; only a key of a further attribute
+gathers its rows. The multipliers are frozen for the round, so
+``compute_statistics`` decides once per round whether any key with
+members carries a positive one. Only then is sum_s lambda_s grad h_s
+formed, as one weighted sum of the per-key sums
+(``fairness.constraint_grads``), and added to the loss gradient, once;
+otherwise the step's gradient is the loss gradient bit for bit. These
+gradients stay in the step.
 
 A step computes and checks only what is read. Its gradient, the one the
 parameters step along and the round sums, is checked finite once; the
@@ -69,28 +73,30 @@ def lagrangian_grad(
     lam: Optional[np.ndarray],
     shard: Shard,
     metric: str,
-    rows: Sequence[np.ndarray],
+    rows: Sequence[slice | np.ndarray],
+    counts: np.ndarray,
     families: np.ndarray,
     uploaded: bool = True,
 ) -> tuple[Optional[float], FairnessStatistics, np.ndarray]:
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
-    ``rows`` is the shard's row list of the run's ``fairness.KeyTable`` and
-    ``families`` the table's family indices. ``lam`` is the (n_keys,)
-    multiplier vector, or None when no key with members on the shard has
-    a positive multiplier; then the gradient is the loss gradient. One
-    forward pass serves the loss, the fairness statistics and the
-    constraint gradient sums; the loss gradient is formed first, as in
-    ``model.loss_and_grad``, and the constraint sum is added to it once.
-    The gradient is checked finite. A step whose loss is not ``uploaded``
-    returns None for it, and under DP and EO computes no per-sample loss.
+    ``rows`` and ``counts`` are the shard's ``rows[i]`` and ``counts[i]`` of
+    the run's ``fairness.KeyTable``, and ``families`` its family indices.
+    ``lam`` is the (n_keys,) multiplier vector, or None when no key with
+    members on the shard has a positive multiplier; then the gradient is
+    the loss gradient. One forward pass serves the loss, the fairness
+    statistics and the constraint gradient sums; the loss gradient is
+    formed first, as in ``model.loss_and_grad``, and the constraint sum is
+    added to it once. The gradient is checked finite. A step whose loss is
+    not ``uploaded`` returns None for it, and under DP and EO computes no
+    per-sample loss.
     """
     outputs = model.batch_outputs(params, shard.X, shard.y, uploaded or metric == "ap")
     probs, losses, weighted_grad = outputs
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
-    stats = fairness.compute_statistics_for_metric(outputs, rows, metric)
-    grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, metric)
+    stats = fairness.compute_statistics_for_metric(outputs, rows, counts, metric)
+    grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, counts, metric)
     if lam is not None:
         grad += fairness.constraint_grads(stats, families, lam, grad_sums)
     check_finite(grad, f"client {shard.client_id} update gradient")
@@ -101,7 +107,8 @@ def compute_statistics(
     params: MlpParams,
     lam: np.ndarray,
     shard: Shard,
-    rows: Sequence[np.ndarray],
+    rows: Sequence[slice | np.ndarray],
+    counts: np.ndarray,
     families: np.ndarray,
     *,
     metric: str,
@@ -113,23 +120,23 @@ def compute_statistics(
     Runs ``epochs`` full-batch descent steps on J with the multiplier
     vector ``lam`` frozen; the update gradient is the sum of the per-step
     gradients (exactly the telescoped (w0 - wE)/lr), while loss and
-    fairness statistics are evaluated at the received parameters. ``rows``
-    and ``families`` are as in ``lagrangian_grad``.
+    fairness statistics are evaluated at the received parameters. ``rows``,
+    ``counts`` and ``families`` are as in ``lagrangian_grad``.
     """
     _check_shard(shard)
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    lam = lam if any(lam[j] > 0.0 for j, r in enumerate(rows) if r.size) else None
-    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, families)
+    lam = lam if (lam[counts > 0.0] > 0.0).any() else None
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families)
     update = grad
     if epochs > 1:
         step_params = MlpParams(params.spec, params.flatten())
         update = grad.copy()
         for _ in range(epochs - 1):
             step_params.flat -= lr * grad
-            _, _, grad = lagrangian_grad(step_params, lam, shard, metric, rows, families, False)
+            _, _, grad = lagrangian_grad(step_params, lam, shard, metric, rows, counts, families, False)
             update += grad
         check_finite(update, f"client {shard.client_id} update gradient")
     return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)

@@ -393,8 +393,13 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
     """Shuffle each sensitive group and slice it by cumulative fractions.
     A client may get no rows: ``client._check_shard`` refuses an empty
     training shard, and ``harness.evaluate_run`` skips an empty test shard.
-    Each shard holds its rows in the order of ``train``: one stable sort by
-    client gives every client's rows as a run, and each run is one take."""
+
+    Each shard holds its rows ordered by the first sensitive attribute's
+    code, then the label, and in the order of ``train`` within ties. So
+    every DP, AP and EO key of attribute 0 is one run of rows on every
+    shard, which ``fairness.KeyTable`` records as a slice. One stable sort
+    on the composite key (client * n_codes + code) * 2 + label orders all
+    shards at once, and each client's run of that order is one take."""
     if spec.attribute not in train.attr_names:
         raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {train.attr_names}")
     a = train.attr_names.index(spec.attribute)
@@ -415,10 +420,12 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
         members = members[rng.permutation(members.size)]
         counts = largest_remainder_counts(members.size, spec.fractions[value])
         client[members] = np.repeat(np.arange(K), counts)
-    # client ids in the narrowest unsigned type: at 8 or 16 bits numpy's stable sort is a radix sort
-    by_client = np.argsort(client.astype(np.min_scalar_type(K)), kind="stable")
+    n_codes = len(train.group_names[0])
+    key = (client * n_codes + train.S[:, 0]) * 2 + train.y
+    # the key in the narrowest unsigned type: at 8 or 16 bits numpy's stable sort is a radix sort
+    order = np.argsort(key.astype(np.min_scalar_type(2 * K * n_codes - 1)), kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(client, minlength=K)))).tolist()
-    return [Shard(client_id=k, data=train.take(by_client[bounds[k] : bounds[k + 1]])) for k in range(K)]
+    return [Shard(client_id=k, data=train.take(order[bounds[k] : bounds[k + 1]])) for k in range(K)]
 
 
 def pool_shards(shards: Sequence[Shard]) -> Dataset:

@@ -13,19 +13,27 @@ Two distinct surfaces live here and must not be conflated:
 Constraint keys are decided once per training run, by ``KeyTable.build``
 over the run's shards: the groups (or group-and-label cells for EO) with
 members in the pooled training data, in ``GroupKey.sort_key`` order. Every
-per-key quantity is an array aligned to that table. A block's statistics
-are an (n_keys, 2) array, per key the sum of the surrogate over the key's
-rows and the member count; that is all a client uploads. The constraint
-values h and the multipliers are (n_keys,) vectors; a stack of K blocks'
-statistics, (K, n_keys, 2), gives h as a (K, n_keys) array in one call.
-Family totals add the family's keys in key order from 0.0 (``np.bincount``
-with weights), block by block in a stack, so the population aggregate
-equals the sum of its groups bitwise, a stacked block's h equals its h
-alone bitwise, and normalization happens only at the point of use. A key
-without members in a block carries no constraint there: its gap and h
-are 0 (``_gaps``). In a client's local step ``group_grad_sums`` sums
-grad f over each key's rows, and ``constraint_grads`` weights those sums
-into the one vector sum_s lambda_s grad h_s.
+per-key quantity is an array aligned to that table. The table also holds,
+per block, each key's rows as the indexer a step reads them by, and the
+member counts. ``data.partition`` orders a shard's rows by the first
+sensitive attribute's code, then the label, so every key of attribute 0 is
+one run of rows, recorded as a ``slice``: a statistic's sum and a key's
+backward pass (``model.batch_outputs``) read views of the step's arrays,
+not gathered copies. Keys of a further attribute keep an index array.
+
+A block's statistics are an (n_keys, 2) array, per key the sum of the
+surrogate over the key's rows and the member count; that is all a client
+uploads. The constraint values h and the multipliers are (n_keys,)
+vectors; a stack of K blocks' statistics, (K, n_keys, 2), gives h as a
+(K, n_keys) array in one call. Family totals add the family's keys in key
+order from 0.0 (``np.bincount`` with weights), block by block in a stack,
+so the population aggregate equals the sum of its groups bitwise, a
+stacked block's h equals its h alone bitwise, and normalization happens
+only at the point of use. A key without members in a block carries no
+constraint there: its gap and h are 0 (``_gaps``). In a client's local
+step ``group_grad_sums`` sums grad f over each key's rows, and
+``constraint_grads`` weights those sums into the one vector sum_s lambda_s
+grad h_s.
 """
 
 from __future__ import annotations
@@ -71,13 +79,19 @@ class KeyTable:
 
     ``keys`` are the keys with members in the pooled blocks, in
     ``GroupKey.sort_key`` order; ``families[j]`` numbers key j's family
-    (the keys that share a population total) in key order; ``rows[i][j]``
-    holds block i's row indices of key j, empty where the block has none.
+    (the keys that share a population total) in key order. ``rows[i][j]``
+    indexes block i's rows of key j, ``a[rows[i][j]]`` for any array ``a``
+    over the block's rows: a ``slice`` where they are one run (an empty one
+    where the block has none), their int64 index array otherwise.
+    ``counts[i, j]`` is their number, as a float64 (n_blocks, n_keys) array:
+    the count column of block i's statistics and, where nonzero, the keys
+    a step backpropagates.
     """
 
     keys: tuple[GroupKey, ...]
     families: np.ndarray
-    rows: tuple[tuple[np.ndarray, ...], ...]
+    rows: tuple[tuple[slice | np.ndarray, ...], ...]
+    counts: np.ndarray
 
     @classmethod
     def build(
@@ -93,6 +107,11 @@ class KeyTable:
             in_group = S[:, a] == code
             return np.flatnonzero(in_group if lab is None else in_group & (np.asarray(y) == lab))
 
+        def indexer(r):  # r ascends without repeats, so it is a run when its span is its size
+            if r.size == 0:
+                return slice(0, 0)
+            return slice(int(r[0]), int(r[-1]) + 1) if r[-1] - r[0] + 1 == r.size else r
+
         labels = (0, 1) if metric == "eo" else (None,)
         found = {
             GroupKey(a, str(name), lab): [members(y, S, a, code, lab) for y, S in blocks]
@@ -103,8 +122,9 @@ class KeyTable:
         keys = sorted((k for k, rows in found.items() if any(r.size for r in rows)), key=GroupKey.sort_key)
         numbers: dict = {}
         families = np.array([numbers.setdefault(k.family, len(numbers)) for k in keys], dtype=np.int64)
-        rows = tuple(tuple(found[k][i] for k in keys) for i in range(len(blocks)))
-        return cls(tuple(keys), families, rows)
+        rows = tuple(tuple(indexer(found[k][i]) for k in keys) for i in range(len(blocks)))
+        counts = np.array([[found[k][i].size for k in keys] for i in range(len(blocks))], dtype=np.float64)
+        return cls(tuple(keys), families, rows, counts.reshape(len(blocks), len(keys)))
 
     def names(self) -> list[str]:
         return [k.to_str() for k in self.keys]
@@ -129,36 +149,36 @@ class FairnessStatistics:
 
 
 def compute_statistics_for_metric(
-    outputs: tuple, rows: Sequence[np.ndarray], metric: str
+    outputs: tuple, rows: Sequence[slice | np.ndarray], counts: np.ndarray, metric: str
 ) -> FairnessStatistics:
     """Build FairnessStatistics for one surrogate family on one data block.
 
     ``outputs`` is ``model.batch_outputs(params, X, y)`` of the block, the
-    forward pass of the step, and ``rows`` is the block's row list of the
-    run's ``KeyTable``. Keys absent from the block keep count 0 so
-    statistics from different clients merge on aligned keys. No backward
-    pass is run.
+    forward pass of the step; ``rows`` and ``counts`` are the block's
+    ``KeyTable.rows[i]`` and ``counts[i]``. Keys absent from the block keep
+    count 0 so statistics from different clients merge on aligned keys. No
+    backward pass is run.
     """
     probs, losses, _ = outputs
     f_vals = losses if metric == "ap" else probs  # the surrogate f
     groups = np.empty((len(rows), 2))
     groups[:, 0] = [f_vals[r].sum() for r in rows]
-    groups[:, 1] = [r.size for r in rows]
+    groups[:, 1] = counts
     return FairnessStatistics(groups)
 
 
 def group_grad_sums(
-    outputs: tuple, y: np.ndarray, rows: Sequence[np.ndarray], metric: str
+    outputs: tuple, y: np.ndarray, rows: Sequence[slice | np.ndarray], counts: np.ndarray, metric: str
 ) -> dict[int, np.ndarray]:
     """Gradient of the sum of f over the rows of every key with members,
     by key index: one backward pass per key, over that key's rows only.
 
-    ``outputs`` is ``model.batch_outputs(params, X, y)`` and ``rows`` is
-    the block's row list of the run's ``KeyTable``.
+    ``outputs`` is ``model.batch_outputs(params, X, y)``; ``rows`` and
+    ``counts`` are the block's ``KeyTable.rows[i]`` and ``counts[i]``.
     """
     probs, _, weighted_grad = outputs
     dlogit = probs - y if metric == "ap" else probs * (1.0 - probs)  # df/dlogit
-    return {j: weighted_grad(dlogit, r) for j, r in enumerate(rows) if r.size}
+    return {j: weighted_grad(dlogit, rows[j]) for j in np.flatnonzero(counts).tolist()}
 
 
 def _family_totals(values: np.ndarray, families: np.ndarray) -> np.ndarray:

@@ -17,15 +17,21 @@ Arrays per pass, for a batch of n rows:
   the bias and applies the ReLU to it in place; these are the pass's
   activations, kept for its backward passes and written by nothing else.
   The (n,) logits and ``sigmoid`` take a few n-length temporaries.
-- A backward pass allocates the flat gradient vector and, per hidden
-  layer, the (n, width) product ``delta @ W`` and the bool ReLU mask it is
-  multiplied by in place. A pass over a subset of rows first gathers those
-  rows of every activation (``take``). That is all it does: it copies
-  no float64 weighting or integer index, and it does not check its result
-  for finiteness. ``weighted_grad`` returns an unchecked gradient, and
-  its callers check the gradients they read (``loss_and_grad`` its own
-  result, a client step the gradient it returns). The forward pass checks
-  its probabilities.
+- A backward pass allocates the flat gradient vector, one length-n vector
+  of ones and, per hidden layer, the (n, width) product ``delta @ W`` and
+  the bool ReLU mask it is multiplied by in place. Each layer's weight
+  gradient ``delta.T @ a`` and bias gradient ``ones @ delta`` are BLAS
+  products written straight into the layer's slices of the flat vector.
+  The pass does not check its result for finiteness: ``weighted_grad``
+  returns an unchecked gradient, and its callers check the gradients they
+  read (``loss_and_grad`` its own result, a client step the gradient it
+  returns). The forward pass checks its probabilities.
+- A pass over some rows indexes every activation and ``dlogit`` by them,
+  ``a[rows]``, one path for both kinds of ``rows``: a slice (a run of rows,
+  as ``fairness.KeyTable`` records every key of the first sensitive
+  attribute) gives views, so the pass copies nothing; an integer index
+  gathers copies of those rows. Either gives the bytes of a pass over a
+  batch holding just those rows.
 In-place work touches only arrays the pass made itself, never ``X``,
 ``dlogit`` or the parameters. Every result is bit for bit that of the
 out-of-place formulas. Weights enter the products as views (``W.T``), not
@@ -173,11 +179,12 @@ def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> 
     parameters, unchecked."""
     layout = params.spec.layout
     flat = np.empty(layout[-1][2])
+    ones = np.ones(dlogit.shape[0])
     delta = dlogit[:, None]  # (n, 1)
     for li in range(len(layout) - 1, -1, -1):
         w, b, e, fan_in = layout[li]
         np.matmul(delta.T, acts[li], out=flat[w:b].reshape(e - b, fan_in))
-        np.add.reduce(delta, axis=0, out=flat[b:e])
+        np.matmul(ones, delta, out=flat[b:e])
         if li > 0:
             delta = delta @ params.weights[li]
             delta *= acts[li] > 0.0
@@ -212,22 +219,23 @@ def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool 
 
     Returns (probs, losses, weighted_grad) where weighted_grad(dlogit, rows)
     reuses the cached activations for any per-sample logit weighting: the
-    flat gradient of sum_i dlogit[i] * logit_i, unchecked. Given an integer
-    index ``rows``, only those samples are backpropagated, which equals the
-    full pass with dlogit zeroed outside ``rows`` up to summation order;
-    with ``rows=None`` every sample is. With ``losses=False`` the
+    flat gradient of sum_i dlogit[i] * logit_i, unchecked. Given ``rows``, a
+    slice or an integer index, only those samples are backpropagated, which
+    equals the full pass with dlogit zeroed outside ``rows`` up to summation
+    order; with ``rows=None`` every sample is. With ``losses=False`` the
     per-sample losses are not computed and None stands in their place.
     """
     probs, _, acts = _forward_cache(params, np.asarray(X, dtype=np.float64))
     sample_losses = per_sample_losses(probs, np.asarray(y, dtype=np.float64)) if losses else None
 
-    def weighted_grad(dlogit: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def weighted_grad(dlogit: np.ndarray, rows: Optional[slice | np.ndarray] = None) -> np.ndarray:
         dlogit = np.asarray(dlogit, dtype=np.float64)  # a float64 array is returned as is
         if rows is None:
-            return _backward(params, acts, dlogit)
-        rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu":  # take would read a bool mask as indices 0 and 1
-            raise TypeError(f"rows must be an integer index, not {rows.dtype}")
-        return _backward(params, [a.take(rows, axis=0) for a in acts], dlogit.take(rows))
+            rows = slice(None)
+        elif not isinstance(rows, slice):
+            rows = np.asarray(rows)
+            if rows.dtype.kind not in "iu":  # one kind of row selection: a mask is refused, not applied
+                raise TypeError(f"rows must be a slice or an integer index, not {rows.dtype}")
+        return _backward(params, [a[rows] for a in acts], dlogit[rows])
 
     return probs, sample_losses, weighted_grad

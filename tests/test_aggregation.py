@@ -149,8 +149,8 @@ class TestAdjustGradient:
             adjustment_coefficient(ones, ones, 0.1 * ones, np.array([0.5, -1.0, 0.5]))
 
 
-# two keys of one family; the server reads no rows
-TABLE = KeyTable((GroupKey(0, "g0"), GroupKey(0, "g1")), np.zeros(2, dtype=np.int64), ())
+# two keys of one family; the server reads no rows or counts
+TABLE = KeyTable((GroupKey(0, "g0"), GroupKey(0, "g1")), np.zeros(2, dtype=np.int64), (), np.zeros((0, 2)))
 ZERO_LAM = np.zeros(2)
 
 

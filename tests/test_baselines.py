@@ -164,15 +164,16 @@ class TestConstraintKeys:
         params = MlpParams.init(model.MlpSpec(4, (8,)), 1)
         merged = fairness.FairnessStatistics.merge_all(
             [
-                fairness.compute_statistics_for_metric(model.batch_outputs(params, s.X, s.y), rows, metric)
-                for s, rows in zip(shards, table.rows)
+                fairness.compute_statistics_for_metric(model.batch_outputs(params, s.X, s.y), rows, counts, metric)
+                for s, rows, counts in zip(shards, table.rows, table.counts)
             ]
         )
-        assert any(r.size == 0 for r in table.rows[1])
+        assert (table.counts[1] == 0).any()
         pooled = pool_shards(shards)
         pooled_table = fairness.KeyTable.build([(pooled.y, pooled.S)], ds.group_names, metric)
         assert table.keys == pooled_table.keys
-        np.testing.assert_array_equal(merged.groups[:, 1], [r.size for r in pooled_table.rows[0]])
+        selected = [np.arange(len(pooled))[r].size for r in pooled_table.rows[0]]
+        np.testing.assert_array_equal(merged.groups[:, 1], selected)
         assert (merged.groups[:, 1] > 0).all()
 
     def test_key_without_members_anywhere_is_left_out(self):

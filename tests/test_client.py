@@ -25,29 +25,31 @@ def init_params(shard, seed=5):
 
 
 def shard_keys(shard, metric="dp"):
-    """The shard's rows of its own key table, and the table's family indices."""
+    """The shard's rows and counts of its own key table, and the table's
+    family indices."""
     table = fairness.KeyTable.build([(shard.y, shard.S)], shard.data.group_names, metric)
-    return table.rows[0], table.families
+    return table.rows[0], table.counts[0], table.families
 
 
 def shard_statistics(params, shard, metric):
     """The fairness statistics of the shard at ``params``, from one forward pass."""
     outputs = model.batch_outputs(params, shard.X, shard.y)
-    return fairness.compute_statistics_for_metric(outputs, shard_keys(shard, metric)[0], metric)
+    rows, counts, _ = shard_keys(shard, metric)
+    return fairness.compute_statistics_for_metric(outputs, rows, counts, metric)
 
 
 def upload(params, lam, shard, metric="dp", *, epochs, lr=Hyperparameters.eta):
     """``compute_statistics`` with the multiplier ``lam`` on every key of the shard."""
-    rows, families = shard_keys(shard, metric)
+    rows, counts, families = shard_keys(shard, metric)
     lam = np.full(len(rows), lam)
-    return compute_statistics(params, lam, shard, rows, families, metric=metric, epochs=epochs, lr=lr)
+    return compute_statistics(params, lam, shard, rows, counts, families, metric=metric, epochs=epochs, lr=lr)
 
 
 def step(params, lam, shard, metric="dp"):
     """``lagrangian_grad`` with the multiplier ``lam`` on every key of the
     shard; a zero ``lam`` is passed as None, as ``compute_statistics`` does."""
-    rows, families = shard_keys(shard, metric)
-    return lagrangian_grad(params, np.full(len(rows), lam) if lam else None, shard, metric, rows, families)
+    rows, counts, families = shard_keys(shard, metric)
+    return lagrangian_grad(params, np.full(len(rows), lam) if lam else None, shard, metric, rows, counts, families)
 
 
 def test_zero_lambda_single_step_equals_loss_grad():
@@ -127,7 +129,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         params = init_params(shard, seed=40 + seed)
         if min_preactivation(params, shard.X) < 1e-4:
             continue
-        _, families = shard_keys(shard)
+        _, _, families = shard_keys(shard)
         h0 = fairness.constraint_values(shard_statistics(params, shard, "dp").groups, families, 0.0)
         if any(abs(v) < 1e-4 for v in h0):
             continue
@@ -161,7 +163,9 @@ def test_empty_shard_rejected():
     empty = Shard(client_id=0, data=ds.take(np.array([], dtype=np.int64)))
     params = MlpParams.zeros(MlpSpec(4, (3,)))
     with pytest.raises(ValueError, match="empty shard"):
-        compute_statistics(params, np.zeros(0), empty, (), np.zeros(0, dtype=np.int64), metric="dp", epochs=1, lr=0.05)
+        compute_statistics(
+            params, np.zeros(0), empty, (), np.zeros(0), np.zeros(0, dtype=np.int64), metric="dp", epochs=1, lr=0.05
+        )
     with pytest.raises(ValueError, match="empty shard"):
         local_accuracy(params, empty)
 
@@ -216,7 +220,9 @@ def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeyp
     )
     calls = counting(monkeypatch, fairness, "constraint_grads")
     lam = np.array([0.0, 0.0, 0.7])  # only on s0=g2, which has no members on this shard
-    st = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="dp", epochs=1, lr=0.05)
+    st = compute_statistics(
+        params, lam, shard, table.rows[0], table.counts[0], table.families, metric="dp", epochs=1, lr=0.05
+    )
     assert calls == []
     np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 
@@ -225,10 +231,10 @@ def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeyp
 def test_zero_multipliers_keep_one_backward_pass_per_key(monkeypatch, metric):
     shard = small_shard(8)
     params = init_params(shard)
-    rows, _ = shard_keys(shard, metric)
+    _, counts, _ = shard_keys(shard, metric)
     calls = counting(monkeypatch, model, "_backward")
     step(params, 0.0, shard, metric)
-    assert len(calls) == 1 + sum(1 for r in rows if r.size) == 1 + len(rows)
+    assert len(calls) == 1 + np.count_nonzero(counts) == 1 + len(counts)
 
 
 def nan_passes(monkeypatch, poisoned):
@@ -249,7 +255,7 @@ def test_non_finite_key_gradient_raises_where_read(monkeypatch, metric):
     at a positive multiplier; at zero multipliers no one reads it."""
     shard = small_shard(9)
     params = init_params(shard)
-    assert all(r.size < len(shard) for r in shard_keys(shard, metric)[0])
+    assert (shard_keys(shard, metric)[1] < len(shard)).all()
     nan_passes(monkeypatch, lambda n: n < len(shard))
     upload(params, 0.0, shard, metric, epochs=3, lr=0.1)
     with pytest.raises(NonFiniteError, match="non-finite client 0 update gradient"):
@@ -281,10 +287,10 @@ def test_per_sample_losses_only_where_read(monkeypatch, metric):
 def test_step_not_uploaded_returns_no_loss_and_the_same_gradient(metric):
     shard = small_shard(11)
     params = init_params(shard)
-    rows, families = shard_keys(shard, metric)
+    rows, counts, families = shard_keys(shard, metric)
     lam = np.full(len(rows), 0.3)
-    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, families)
-    none, later_stats, later_grad = lagrangian_grad(params, lam, shard, metric, rows, families, False)
+    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families)
+    none, later_stats, later_grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families, False)
     assert loss > 0.0 and none is None
     assert later_stats.groups.tobytes() == stats.groups.tobytes()
     assert later_grad.tobytes() == grad.tobytes()

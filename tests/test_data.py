@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairfedsim.data import (
+    Dataset,
     DatasetSchema,
     PartitionSpec,
     Shard,
@@ -21,6 +22,7 @@ from fairfedsim.data import (
     standardize,
     synthetic_dataset,
 )
+from fairfedsim.fairness import KeyTable
 from fairfedsim.numeric import make_rng
 
 FIXTURE_CSV = """age,color,sex,outcome
@@ -428,7 +430,8 @@ class TestPartition:
     @staticmethod
     def per_client_shards(train, spec, seed):
         """Each client's rows gathered by its own mask, after the same
-        per-group shuffle and apportionment as ``partition``."""
+        per-group shuffle and apportionment as ``partition``, then ordered
+        by the first attribute's code and the label (``lexsort`` is stable)."""
         a = train.attr_names.index(spec.attribute)
         rng = make_rng(seed, 0xFA)
         client = np.full(len(train), -1, dtype=np.int64)
@@ -437,32 +440,69 @@ class TestPartition:
             members = members[rng.permutation(members.size)]
             counts = largest_remainder_counts(members.size, spec.fractions[value])
             client[members] = np.repeat(np.arange(spec.n_clients), counts)
-        return [train.take(np.flatnonzero(client == k)) for k in range(spec.n_clients)]
+        shards = []
+        for k in range(spec.n_clients):
+            rows = np.flatnonzero(client == k)
+            shards.append(train.take(rows[np.lexsort((train.y[rows], train.S[rows, 0]))]))
+        return shards
+
+    @staticmethod
+    def random_spec(rng, attribute, names):
+        """1-12 clients with Dirichlet fractions of every group in ``names``,
+        and the mask of the clients (a random set, never all) that get none."""
+        K = int(rng.integers(1, 13))
+        empty = rng.random(K) < 0.3
+        empty[rng.integers(K)] = False
+        fractions = {}
+        for name in names:
+            raw = np.where(empty, 0.0, rng.dirichlet(np.ones(K)) + 1e-3)
+            fractions[name] = tuple((raw / raw.sum()).tolist())
+        return PartitionSpec(attribute, fractions), empty
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_shards_match_the_per_client_formula(self, seed):
         rng = make_rng(seed)
-        K = int(rng.integers(1, 13))
         share = float(rng.uniform(0.2, 0.8))
         ds = synthetic_dataset(int(rng.integers(5, 300)), seed=seed, input_dim=3, group_fractions=(share, 1.0 - share))
-        # a random set of clients gets no fraction of any group, so no rows
-        empty = rng.random(K) < 0.3
-        empty[rng.integers(K)] = False
-        fractions = {}
-        for name in ("g0", "g1"):
-            raw = np.where(empty, 0.0, rng.dirichlet(np.ones(K)) + 1e-3)
-            fractions[name] = tuple((raw / raw.sum()).tolist())
-        spec = PartitionSpec("group", fractions)
+        spec, empty = self.random_spec(rng, "group", ("g0", "g1"))
         shards = partition(ds, spec, seed=seed)
         want = self.per_client_shards(ds, spec, seed)
-        assert [s.client_id for s in shards] == list(range(K))
+        assert [s.client_id for s in shards] == list(range(len(empty)))
         assert all(len(s) == 0 for s, none in zip(shards, empty) if none)
         for shard, ref in zip(shards, want):
             for field in ("X", "y", "S", "row_ids"):
                 got, expected = getattr(shard.data, field), getattr(ref, field)
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["dp", "eo"]), by=st.sampled_from(["group", "s1"]))
+    def test_every_first_attribute_key_is_one_run(self, seed, metric, by):
+        """Whichever attribute the clients are split by, every key of the
+        first attribute is recorded as a slice on every shard, empty ones
+        included; the keys of a second attribute select their members."""
+        rng = make_rng(seed)
+        n_groups = int(rng.integers(2, 5))
+        raw = rng.dirichlet(np.ones(n_groups)) + 0.05
+        ds = synthetic_dataset(
+            int(rng.integers(20, 300)), seed=seed, input_dim=3, group_fractions=tuple(raw / raw.sum()),
+            pos_rate_by_group=tuple(rng.uniform(0.2, 0.8, n_groups)),
+        )
+        second = rng.integers(0, 3, len(ds))
+        ds = Dataset(ds.X, ds.y, np.column_stack([ds.S[:, 0], second]), ("group", "s1"),
+                     (ds.group_names[0], ("h0", "h1", "h2")), ds.feature_names, ds.row_ids)
+        a = ds.attr_names.index(by)
+        spec, _ = self.random_spec(rng, by, [ds.group_names[a][c] for c in np.unique(ds.S[:, a])])
+        shards = partition(ds, spec, seed=seed)
+        table = KeyTable.build([(s.y, s.S) for s in shards], ds.group_names, metric)
+        for shard, rows in zip(shards, table.rows):
+            for key, r in zip(table.keys, rows):
+                member = shard.S[:, key.attribute] == ds.group_names[key.attribute].index(key.value)
+                if key.label is not None:
+                    member &= shard.y == key.label
+                assert np.arange(len(shard))[r].tolist() == np.flatnonzero(member).tolist()
+                assert isinstance(r, slice) or key.attribute == 1
 
     def test_pool_shards_restores_union(self):
         ds = synthetic_dataset(120, seed=13, input_dim=3)

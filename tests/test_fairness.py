@@ -211,20 +211,20 @@ def matches_finite_differences(seed, metric, attributes):
     if min_preactivation(params, X) < 1e-4:
         return False  # ReLU kink within the FD step
     table = KeyTable.build([(y, S)], NAMES * attributes, metric)
-    rows, families = table.rows[0], table.families
+    rows, counts, families = table.rows[0], table.counts[0], table.families
     assert families.max() + 1 == attributes * (2 if metric == "eo" else 1)
 
     def h_of(w):
         p = MlpParams.unflatten(spec, w)
-        s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, metric)
+        s = compute_statistics_for_metric(model.batch_outputs(p, X, y), rows, counts, metric)
         return constraint_values(s.groups, families, 0.0)
 
     flat0 = params.flatten()
     if np.abs(h_of(flat0)).min() < 1e-4:
         return False  # |gap| kink neighborhood: subgradient vs FD undefined
     outputs = model.batch_outputs(params, X, y)
-    stats = compute_statistics_for_metric(outputs, rows, metric)
-    grad_sums = group_grad_sums(outputs, y, rows, metric)
+    stats = compute_statistics_for_metric(outputs, rows, counts, metric)
+    grad_sums = group_grad_sums(outputs, y, rows, counts, metric)
     n_keys = len(table.keys)
     for lam in [*np.eye(n_keys), make_rng(seed, 0x1A).uniform(0.1, 1.0, n_keys)]:
         fd = finite_diff(lambda w: float(lam @ h_of(w)), flat0, step=1e-5)
@@ -296,8 +296,8 @@ class TestStackedConstraintValues:
         bounds = [(0, 10), (10, 22), (22, 30), (30, 40)]
         table = KeyTable.build([(y[a:b], S[a:b]) for a, b in bounds], NAMES * attributes, metric)
         groups = [
-            compute_statistics_for_metric(model.batch_outputs(params, X[a:b], y[a:b]), rows, metric).groups
-            for (a, b), rows in zip(bounds, table.rows)
+            compute_statistics_for_metric(model.batch_outputs(params, X[a:b], y[a:b]), rows, counts, metric).groups
+            for (a, b), rows, counts in zip(bounds, table.rows, table.counts)
         ]
         assert (groups[-1][:, 1] == 0).any()  # keys without members
         assert table.families.max() + 1 == attributes * (2 if metric == "eo" else 1)
@@ -310,7 +310,8 @@ class TestAggregationIdentity:
         for seed, metric in itertools.product(range(5), ("dp", "eo")):
             spec, params, X, y, S = build_instance(seed + 50, metric)
             table = block_table(y, S, metric)
-            stats = compute_statistics_for_metric(model.batch_outputs(params, X, y), table.rows[0], metric)
+            outputs = model.batch_outputs(params, X, y)
+            stats = compute_statistics_for_metric(outputs, table.rows[0], table.counts[0], metric)
             gap, n_group, n_family = _gaps(stats.groups, table.families)
             sum_f, count = stats.groups.T.tolist()
             for j, fam in enumerate(table.families):
@@ -338,10 +339,22 @@ class TestKeyTable:
             "s0=a|y=0", "s0=b|y=0", "s0=a|y=1", "s0=b|y=1"
         ]
         np.testing.assert_array_equal(table.families, [0, 0, 1, 1])
-        assert [[r.tolist() for r in block] for block in table.rows] == [
+        assert [[np.arange(n)[r].tolist() for r in block] for n, block in zip((2, 3), table.rows)] == [
             [[], [1], [0], []],
             [[2], [], [1], [0]],
         ]
+        np.testing.assert_array_equal(table.counts, [[0, 1, 1, 0], [1, 0, 1, 1]])
+
+    def test_a_run_is_a_slice_and_other_rows_an_index_array(self):
+        y = np.array([0, 1, 1, 0, 1])
+        S = np.array([[0, 1], [0, 0], [1, 1], [1, 0], [1, 1]])
+        table = KeyTable.build([(y, S)], (("g0", "g1"), ("h0", "h1")), "dp")
+        assert table.names() == ["s0=g0", "s0=g1", "s1=h0", "s1=h1"]
+        rows = table.rows[0]
+        assert rows[:2] == (slice(0, 2), slice(2, 5))
+        assert [r.dtype for r in rows[2:]] == [np.int64, np.int64]
+        assert [r.tolist() for r in rows[2:]] == [[1, 3], [0, 2, 4]]
+        np.testing.assert_array_equal(table.counts, [[2, 3, 2, 3]])
 
     def test_key_without_members_anywhere_is_left_out(self):
         y = np.ones(6, dtype=np.int64)  # no y = 0 rows: those EO keys have no members
@@ -385,10 +398,12 @@ class TestMerge:
         table = KeyTable.build([(y[r], S[r]) for r in parts], self.NAMES, metric)
         assert table.keys == pooled_table.keys
         np.testing.assert_array_equal(table.families, pooled_table.families)
-        pooled = compute_statistics_for_metric(model.batch_outputs(params, X, y), pooled_table.rows[0], metric)
+        pooled = compute_statistics_for_metric(
+            model.batch_outputs(params, X, y), pooled_table.rows[0], pooled_table.counts[0], metric
+        )
         stats = [
-            compute_statistics_for_metric(model.batch_outputs(params, X[r], y[r]), part_rows, metric)
-            for r, part_rows in zip(parts, table.rows)
+            compute_statistics_for_metric(model.batch_outputs(params, X[r], y[r]), part_rows, counts, metric)
+            for r, part_rows, counts in zip(parts, table.rows, table.counts)
         ]
         left = FairnessStatistics.merge_all(stats).groups  # ((s1 + s2) + s3) + ...
         right = stats[-1].groups  # s1 + (s2 + (s3 + ...))
@@ -413,7 +428,8 @@ class TestStatisticsAreScalars:
 
         monkeypatch.setattr(model, "_backward", counted)
         spec, params, X, y, S = build_instance(3, metric)
-        compute_statistics_for_metric(model.batch_outputs(params, X, y), block_table(y, S, metric).rows[0], metric)
+        table = block_table(y, S, metric)
+        compute_statistics_for_metric(model.batch_outputs(params, X, y), table.rows[0], table.counts[0], metric)
         assert calls == []
 
     def test_upload_is_one_row_per_key(self):
@@ -421,9 +437,12 @@ class TestStatisticsAreScalars:
         params = MlpParams.init(MlpSpec(4, (5,)), seed=3)
         table = KeyTable.build([(shard.y, shard.S)], shard.data.group_names, "eo")
         lam = np.zeros(len(table.keys))
-        upload = compute_statistics(params, lam, shard, table.rows[0], table.families, metric="eo", epochs=2, lr=0.05)
+        upload = compute_statistics(
+            params, lam, shard, table.rows[0], table.counts[0], table.families, metric="eo", epochs=2, lr=0.05
+        )
         assert upload.fairness.groups.shape == (len(table.keys), 2) == (4, 2)
-        np.testing.assert_array_equal(upload.fairness.groups[:, 1], [r.size for r in table.rows[0]])
+        selected = [np.arange(len(shard))[r].size for r in table.rows[0]]
+        np.testing.assert_array_equal(upload.fairness.groups[:, 1], selected)
 
 
 class TestReport:

@@ -286,7 +286,8 @@ class TestRowRestrictedBackward:
 
 def test_backward_equals_per_layer_concatenate_bitwise():
     """The backward pass writes each layer's gradient into its slice of one
-    vector; the result equals concatenating per-layer products bit for bit."""
+    vector; the result equals concatenating per-layer products bit for bit,
+    each bias gradient the product of a ones vector and the layer's delta."""
     rng = make_rng(31)
     for spec in (MlpSpec(5, (7, 6)), MlpSpec(3, (32, 32, 32, 32)), MlpSpec(1, (1,))):
         params = MlpParams.init(spec, seed=6)
@@ -298,7 +299,7 @@ def test_backward_equals_per_layer_concatenate_bitwise():
         delta = dlogit[:, None]
         for li in range(len(params.weights) - 1, -1, -1):
             grads_w[li] = delta.T @ acts[li]
-            grads_b[li] = delta.sum(axis=0)
+            grads_b[li] = np.ones(23) @ delta
             if li > 0:
                 delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
         reference = np.concatenate([p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)])
@@ -387,6 +388,18 @@ class TestKernelBytes:
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
         with pytest.raises(TypeError, match="integer index"):
             weighted_grad(self.dlogit, self.y == 1)
+
+    def test_a_run_is_read_in_place_and_equals_its_gather(self, monkeypatch):
+        _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
+        cached = inspect.getclosurevars(weighted_grad).nonlocals["acts"]
+        passed = []
+        backward = model._backward
+        monkeypatch.setattr(model, "_backward", lambda p, acts, d: passed.append(acts) or backward(p, acts, d))
+        for run in (slice(0, 57), slice(10, 11), slice(20, 45)):
+            got = weighted_grad(self.dlogit, run)
+            assert all(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))
+            assert got.tobytes() == weighted_grad(self.dlogit, np.arange(57)[run]).tobytes()
+            assert not any(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))  # a gather copies
 
     def test_take_equals_fancy_index_gather(self):
         _, _, acts = model._forward_cache(self.params, self.X)
