@@ -178,8 +178,9 @@ def ema_update(goals: np.ndarray, delta: float, i, j, phi) -> None:
     """One EMA step with decay ``delta`` on the (i, j) goal, written
     symmetrically into ``goals`` in place. ``i``, ``j`` and ``phi`` may be
     equal-length arrays of distinct pairs, which step every pair at once.
-    The D-space reference steps its goals here; the sweep takes the same
-    step on its views of the goals."""
+    The D-space reference steps its goals here, behind the range check; the
+    sweep takes the same step on its views of the goals, with its cosines
+    clipped into [-1, 1] where they are observed."""
     if (np.abs(phi) > 1.0).any():
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
     new = delta * goals[i, j] + (1.0 - delta) * phi
@@ -453,8 +454,6 @@ def diminish_conflicts(
         first, last = max(lo, tau - n + 1), min(hi - 1, (tau - 1) // 2)
         if first <= last:
             goal_cells[_run(tau * K + 1 - first * (K - 1), last + 1 - first, 1 - K)] = goal[first - lo : last + 1 - lo]
-    if (np.abs(phis) > 1.0).any():  # ema_update's check, once over the sweep's cosines
-        raise ValueError(f"observed cosine {phis[np.abs(phis) > 1.0]} outside [-1, 1]")
     n_adjustments = int(np.count_nonzero(adjusted))
     q, col = np.nonzero(tested)  # row-major: the sweep order
     tests = PairTests(order[q], order[target_of[q, col]], phis[q, col], seen[q, col], adjusted[q, col])

@@ -2,7 +2,8 @@
 
 The training hyperparameters are declared and range-checked once, in
 ``Hyperparameters``, which ``TrainConfig`` and ``harness.ExperimentConfig``
-extend; the regimes are declared once, in ``REGIMES`` (name -> runner).
+extend; the regimes are declared once, in ``REGIMES``, a table of
+name -> (runner, ``TrainConfig`` overrides) that ``train`` applies.
 
 One federated engine drives everything, so the spec'd reductions hold
 bitwise: fedavg is the engine with beta=0, gamma=0, alpha=1; fedavg_f is
@@ -10,9 +11,9 @@ beta=0 with per-client multipliers updated from local statistics; cenfair
 is a single-shard federation over the pooled data with the federated
 step budget (rounds x local epochs); indfair runs one single-shard
 federation per client and evaluates the uniform mixture of the resulting
-models; the mfairfl variants only change the projection order
-(``replace(cfg, order_policy="random")`` and ``"reversed"``). Every regime
-averages the client update gradients 1/K.
+models; the mfairfl variants only override the projection order
+(``order_policy="random"`` and ``"reversed"``). Every regime averages the
+client update gradients 1/K.
 
 ``run_federated`` decides the run's constraint keys once, as a
 ``fairness.KeyTable`` over its shards, and keeps the multipliers as arrays
@@ -197,15 +198,9 @@ def run_federated(
     return TrainResult(TrainedModel(spec, [flat]), records, multipliers, client_s, server_s)
 
 
-def run_fedavg(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    """Classic averaging: constraints fully disabled, client update
-    gradients averaged 1/K (no sample-size weights)."""
-    return run_federated(shards, replace(cfg, beta=0.0, gamma=0.0, alpha=1.0))
-
-
 def run_fedavg_f(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
-    """Locally fair training, classic averaging: per-client dual ascent."""
-    return run_federated(shards, replace(cfg, beta=0.0), local_multipliers=True)
+    """Locally fair training: per-client dual ascent."""
+    return run_federated(shards, cfg, local_multipliers=True)
 
 
 def run_cenfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
@@ -229,21 +224,20 @@ def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     )
 
 
+# name -> (runner, TrainConfig overrides)
 REGIMES = {
-    "fedavg": run_fedavg,
-    "fedavg_f": run_fedavg_f,
-    "indfair": run_indfair,
-    "cenfair": run_cenfair,
-    "mfairfl": run_federated,
-    "mfairfl_rnd": lambda shards, cfg: run_federated(shards, replace(cfg, order_policy="random")),
-    "mfairfl_rev": lambda shards, cfg: run_federated(shards, replace(cfg, order_policy="reversed")),
+    "fedavg": (run_federated, {"beta": 0.0, "gamma": 0.0, "alpha": 1.0}),
+    "fedavg_f": (run_fedavg_f, {"beta": 0.0}),
+    "indfair": (run_indfair, {}),
+    "cenfair": (run_cenfair, {}),
+    "mfairfl": (run_federated, {}),
+    "mfairfl_rnd": (run_federated, {"order_policy": "random"}),
+    "mfairfl_rev": (run_federated, {"order_policy": "reversed"}),
 }
-
-# regimes whose global model serves every client, hence get a CF score
-CLIENT_FAIRNESS_REGIMES = frozenset({"fedavg", "fedavg_f", "mfairfl", "mfairfl_rnd", "mfairfl_rev"})
 
 
 def train(regime: str, shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; one of {tuple(REGIMES)}")
-    return REGIMES[regime](shards, cfg)
+    runner, overrides = REGIMES[regime]
+    return runner(shards, replace(cfg, **overrides))

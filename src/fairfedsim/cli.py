@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a (regime, seed) experiment grid")
     p_run.add_argument("--config", help="experiment config JSON (defaults used when omitted)")
-    p_run.add_argument("--regimes", help="comma-separated regime list override")
+    p_run.add_argument("--regimes", help=f"comma-separated regime list override, of {', '.join(harness.REGIMES)}")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.set_defaults(func=cmd_run)

@@ -40,7 +40,7 @@ from . import __version__
 from . import client as client_mod
 from . import data as data_mod
 from . import fairness
-from .baselines import CLIENT_FAIRNESS_REGIMES, REGIMES, Hyperparameters, TrainConfig, TrainResult, train
+from .baselines import REGIMES, Hyperparameters, TrainConfig, TrainResult, run_federated, run_fedavg_f, train
 from .data import Dataset, DatasetSchema, PartitionSpec, Shard
 from .fairness import FairnessReport
 
@@ -171,7 +171,8 @@ def evaluate_run(result: TrainResult, regime: str, prepared: PreparedData) -> Fa
     test = prepared.test
     probs = result.model.predict_proba(test.X)
     per_client_acc = None
-    if regime in CLIENT_FAIRNESS_REGIMES:
+    # CF needs one model trained across the clients' own shards
+    if REGIMES[regime][0] in (run_federated, run_fedavg_f):
         params = result.model.single_params()
         per_client_acc = [
             client_mod.local_accuracy(params, s) for s in prepared.test_shards if len(s) > 0
@@ -360,10 +361,9 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def _metric_columns(records: Sequence[RunRecord]) -> list[str]:
-    for r in records:
-        if r.report is not None:
-            return list(r.report.scores().keys())
-    return []
+    """Every report's score names, in first-seen order: a regime without a
+    CF score does not drop another's."""
+    return list(dict.fromkeys(name for r in records if r.report is not None for name in r.report.scores()))
 
 
 def _collect(records: Sequence[RunRecord]) -> dict[str, dict[str, list[float]]]:

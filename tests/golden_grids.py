@@ -1,4 +1,4 @@
-"""Five short grids whose outputs ``tests/data/golden/`` pins.
+"""Six short grids whose outputs ``tests/data/golden/`` pins.
 
 Three take the shapes of the benchmark's workloads at 2 rounds and seed
 7: ``cross-silo`` (the default config, K=5, DP, three regimes),
@@ -8,7 +8,10 @@ fourth, ``ap``, is the default config under AP, the one metric whose
 surrogate (the per-sample loss) every local step reads. The fifth,
 ``alpha-zero``, is the default config with no fairness tolerance
 (alpha = 0): round 1's dual step makes the multipliers positive, so round
-2's local steps take the constraint gradients. Each grid's
+2's local steps take the constraint gradients. The sixth,
+``other-regimes``, is the default config over the four regimes no other
+grid runs: the two projection-order ablations, ``indfair`` and
+``cenfair``. Each grid's
 ``results.csv`` and ``trace/`` go to ``<out dir>/<grid>/``, and the
 machine stamp (numpy version, BLAS name and thread count) to
 ``<out dir>/stamp.json``.
@@ -49,7 +52,7 @@ def dirichlet_fractions(groups: tuple[str, ...], n_clients: int, concentration: 
 
 
 def grids() -> dict[str, ExperimentConfig]:
-    """The five configs; their data is set after construction, and
+    """The six configs; their data is set after construction, and
     ``run`` checks it."""
     cross_device = ExperimentConfig(regimes=("mfairfl",), client_mode="single_step", rounds=ROUNDS, seeds=(SEED,))
     cross_device.dataset["synthetic"].update(n=6000, label_orientation_by_group=(1.0, -1.0))
@@ -68,6 +71,9 @@ def grids() -> dict[str, ExperimentConfig]:
         "eo-multigroup": eo_multigroup,
         "ap": ExperimentConfig(constraint="ap", rounds=ROUNDS, seeds=(SEED,)),
         "alpha-zero": ExperimentConfig(alpha=0.0, rounds=ROUNDS, seeds=(SEED,)),
+        "other-regimes": ExperimentConfig(
+            regimes=("mfairfl_rnd", "mfairfl_rev", "indfair", "cenfair"), rounds=ROUNDS, seeds=(SEED,)
+        ),
     }
 
 

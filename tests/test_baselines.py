@@ -10,8 +10,6 @@ from fairfedsim.baselines import (
     REGIMES,
     TrainConfig,
     run_cenfair,
-    run_fedavg,
-    run_fedavg_f,
     run_federated,
     run_indfair,
     train,
@@ -36,22 +34,22 @@ class TestReductions:
     def test_fedavg_equals_disabled_mfairfl_bitwise(self):
         shards = make_shards()
         cfg = quick_cfg()
-        a = run_fedavg(shards, cfg)
+        a = train("fedavg", shards, cfg)
         b = run_federated(shards, replace(cfg, beta=0.0, gamma=0.0, alpha=1.0))
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_fedavg_f_with_inactive_constraints_equals_fedavg(self):
         shards = make_shards(seed=2)
         cfg = quick_cfg(alpha=1.0)
-        a = run_fedavg_f(shards, cfg)
-        b = run_fedavg(shards, cfg)
+        a = train("fedavg_f", shards, cfg)
+        b = train("fedavg", shards, cfg)
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_single_client_fedavg_f_equals_indfair(self):
         ds = synthetic_dataset(120, seed=3, input_dim=4)
         shard = Shard(client_id=0, data=ds)
         cfg = quick_cfg()
-        a = run_fedavg_f([shard], cfg)
+        a = train("fedavg_f", [shard], cfg)
         b = run_indfair([shard], cfg)
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
@@ -94,7 +92,7 @@ class TestBehavior:
                                pos_rate_by_group=(0.5, 0.5), noise=0.6)
         shards = partition(ds, PartitionSpec("group", {"g0": (0.5, 0.5), "g1": (0.5, 0.5)}), seed=8)
         cfg = quick_cfg(rounds=10, local_epochs=20, eta=0.1)
-        result = run_fedavg(shards, cfg)
+        result = train("fedavg", shards, cfg)
         params = result.model.single_params()
         probs = predict_proba(params, ds.X)
         acc = float(((probs >= 0.5).astype(int) == ds.y).mean())
@@ -213,7 +211,7 @@ class TestConstraintKeys:
         spec = PartitionSpec("group", {"g0": (0.5, 0.5), "g1": (0.5, 0.5), "g2": (1.0, 0.0)})
         shards = partition(ds, spec, seed=16)
         assert not (shards[1].S[:, 0] == 2).any()
-        result = run_fedavg_f(shards, quick_cfg(rounds=3, local_epochs=2, alpha=0.0, gamma=1.0))
+        result = train("fedavg_f", shards, quick_cfg(rounds=3, local_epochs=2, alpha=0.0, gamma=1.0))
         lam = result.multipliers
         assert lam[1]["s0=g2"] == 0.0  # its start value
         assert lam[0]["s0=g2"] > 0.0 and any(v > 0.0 for v in lam[1].values())

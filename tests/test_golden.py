@@ -1,4 +1,4 @@
-"""The golden-run gate: five short grids, run in a fresh process, must
+"""The golden-run gate: six short grids, run in a fresh process, must
 reproduce the outputs pinned under ``tests/data/golden/`` (written by
 ``golden_grids.py``, with the machine stamp they were pinned on).
 
@@ -24,7 +24,7 @@ import fairfedsim
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "data" / "golden"
-GRIDS = ("cross-silo", "cross-device", "eo-multigroup", "ap", "alpha-zero")
+GRIDS = ("cross-silo", "cross-device", "eo-multigroup", "ap", "alpha-zero", "other-regimes")
 EXACT_TRACE_FIELDS = ("round", "order", "adjustments", "conflicts_pre", "conflicts_post")
 TRACE_RTOL = 1e-12
 

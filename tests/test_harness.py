@@ -472,6 +472,28 @@ class TestRun:
         for trace in (out / "trace").iterdir():
             assert "client_s" not in trace.read_text()
 
+    def test_cf_scored_exactly_for_a_model_trained_across_the_clients_shards(self):
+        """cenfair trains on the pooled data and indfair returns a mixture:
+        neither gets a CF score; every other regime does."""
+        cfg = tiny_config(rounds=1, local_epochs=1)
+        prepared = build_data(cfg, 1)
+
+        def cf(regime):
+            result = harness.train(regime, prepared.shards, cfg.train_config(1))
+            return harness.evaluate_run(result, regime, prepared).cf
+
+        scored = {r for r in REGIMES if cf(r) is not None}
+        assert scored == {"fedavg", "fedavg_f", "mfairfl", "mfairfl_rnd", "mfairfl_rev"}
+
+    @pytest.mark.parametrize("regimes", [("indfair", "mfairfl"), ("mfairfl", "indfair")])
+    def test_cf_column_does_not_depend_on_regime_order(self, tmp_path, regimes):
+        out = tmp_path / "o"
+        run(tiny_config(regimes=regimes, rounds=1), out)
+        rows = {tuple(line.split(",")[:2]) for line in (out / "results.csv").read_text().splitlines()}
+        assert ("mfairfl", "cf") in rows and ("indfair", "cf") not in rows
+        header, mfairfl_row = [line.split() for line in (out / "results.txt").read_text().splitlines()[1:5:3]]
+        assert header[-1] == "cf" and len(mfairfl_row) == len(header)
+
     def test_records_reload(self, tmp_path):
         out = tmp_path / "e"
         run(tiny_config(regimes=("fedavg",), seeds=(1, 2)), out)
