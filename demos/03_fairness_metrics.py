@@ -25,11 +25,12 @@ print("AP violation:", ap_violation(losses, groups))
 print("CF violation for client accuracies (0.8, 0.6):",
       client_fairness_violation([0.8, 0.6]))
 
-# the full report bundles everything, per sensitive attribute
+# the full report bundles everything, per sensitive attribute; given each
+# row's client, it scores CF from the per-client accuracies too
 probs = np.array([0.9, 0.7, 0.3, 0.2, 0.8, 0.9, 0.6, 0.1])
+clients = np.array([0, 0, 1, 1, 1, 2, 2, 2])
 report = evaluate_predictions(
-    probs, labels, groups[:, None], ("gender",), (("A", "B"),),
-    per_client_accuracy=[0.75, 0.7, 0.8],
+    probs, labels, groups[:, None], ("gender",), (("A", "B"),), clients=clients,
 )
 print("\nreport:", report.scores())
 for row in report.per_group:

@@ -6,6 +6,8 @@ recipe gives the first client half of group 0 while group 1 mass sits with
 clients 1 and 2, so client distributions differ sharply.
 """
 
+import numpy as np
+
 from fairfedsim.data import PartitionSpec, largest_remainder_counts, partition, synthetic_dataset
 
 print("largest-remainder example: 100 samples at (0.5, 0.1, 0.1, 0.2, 0.1):",
@@ -20,10 +22,9 @@ spec = PartitionSpec(
 shards = partition(ds, spec, seed=7)
 
 print(f"\n{'client':>8} {'total':>8} {'g0':>6} {'g1':>6} {'pos rate':>9}")
-for shard in shards:
-    counts = shard.group_counts["group"]
-    print(f"{shard.client_id:>8} {len(shard):>8} {counts['g0']:>6} {counts['g1']:>6} "
-          f"{shard.y.mean():>9.3f}")
+for k, shard in enumerate(shards):  # client k's shard sits at index k
+    g0, g1 = np.bincount(shard.S[:, 0], minlength=2)
+    print(f"{k:>8} {len(shard):>8} {g0:>6} {g1:>6} {shard.y.mean():>9.3f}")
 
 total = sum(len(s) for s in shards)
 print(f"\nconservation: {total} shard samples == {len(ds)} dataset samples")

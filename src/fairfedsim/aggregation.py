@@ -21,7 +21,9 @@ inside h), ``gamma`` (the dual step), ``order_policy`` (the projection
 order, checked in ``build_order``), ``beta`` (the fraction of the order
 that is swept), ``eta`` (the server step) and ``delta`` (the goals' EMA
 decay). The goals are a symmetric K x K array in [-1, 1] that the run
-keeps across rounds. ``diminish_conflicts(grads, order, beta, goals,
+keeps across rounds. A client is its position k in the round's uploads:
+``grads[k]`` is client k's update gradient, and the losses and round
+records are keyed by k. ``diminish_conflicts(grads, order, beta, goals,
 delta)`` is the sweep's one entry point; it refuses goals of another
 shape, outside [-1, 1] or not symmetric, and an order that is not a
 permutation.
@@ -241,7 +243,7 @@ def lagrangian_losses(
     client, so such a key adds nothing. Every client's h comes from one
     stacked ``constraint_values`` call."""
     h = constraint_values(np.stack([st.fairness.groups for st in stats]), families, alpha)
-    return {st.client_id: st.loss + sum(row) for st, row in zip(stats, (lam * h).tolist())}
+    return {k: st.loss + sum(row) for k, (st, row) in enumerate(zip(stats, (lam * h).tolist()))}
 
 
 def build_order(
@@ -249,8 +251,8 @@ def build_order(
     policy: str = "loss_ascending",
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[int, ...]:
-    """Client ids in target order (position in it is the theorem's k):
-    by ascending Lagrangian loss, ties broken by client id, or its
+    """Clients in target order (position in it is the theorem's k):
+    by ascending Lagrangian loss, ties broken by client index, or its
     seeded-random and reversed variants."""
     if policy not in ORDER_POLICIES:
         raise ValueError(f"unknown order policy {policy!r}")
@@ -295,7 +297,7 @@ class PairTests:
 @dataclass
 class DiminishResult:
     """The curated mean, the plain mean of the raw gradients and the goals
-    after the sweep. With R the raw gradients as rows in client id order,
+    after the sweep. With R the raw gradients as rows in client order,
     ``coords`` holds their coordinates (``coords @ coords.T`` equals R R^T)
     and ``working`` the curated working gradients' coordinates in the same
     basis."""
@@ -364,17 +366,17 @@ def _run(start: int, count: int, stride: int) -> slice:
 
 
 def diminish_conflicts(
-    grads: Mapping[int, np.ndarray],
+    grads: Sequence[np.ndarray],
     order: Sequence[int],
     beta: float,
     goals: np.ndarray,
     delta: float,
 ) -> DiminishResult:
     """The conflict-mitigation sweep, on orthonormal coordinates and in
-    wavefront order (module docstring). ``grads`` maps the client ids
-    0..K-1 to equal-length gradients, ``order`` is a permutation of them
-    (``build_order``), and ``goals`` the K x K similarity goals, left
-    alone: the result holds the copy stepped with EMA decay ``delta``.
+    wavefront order (module docstring). ``grads[k]`` is client k's
+    gradient, k = 0..K-1, all of one length; ``order`` is a permutation
+    of 0..K-1 (``build_order``), and ``goals`` the K x K similarity goals,
+    left alone: the result holds the copy stepped with EMA decay ``delta``.
 
     The first ``selected_count`` clients of the order have their working
     copies tested against every raw gradient in order (skipping self); a test
@@ -387,7 +389,7 @@ def diminish_conflicts(
     if goals.shape != (K, K):
         raise ValueError(f"goals of shape {goals.shape} for {K} clients")
     if sorted(order) != list(range(K)):
-        raise ValueError("order must be a permutation of the client ids")
+        raise ValueError("order must be a permutation of the clients 0..K-1")
     if np.abs(goals).max(initial=0.0) > 1.0:
         raise ValueError("similarity goals must lie in [-1, 1]")
     # a pair test reads goals[k, i] and writes both cells, so the lower triangle must mirror the upper
@@ -398,7 +400,7 @@ def diminish_conflicts(
                          f"goals[{i}, {k}] = {goals[i, k]}")
     order = np.asarray(order, dtype=np.int64)
     n = selected_count(K, beta)
-    raw = np.stack([np.asarray(grads[cid], dtype=np.float64) for cid in range(K)])
+    raw = np.stack([np.asarray(grads[k], dtype=np.float64) for k in range(K)])
     coords = _coordinates(raw)
     raw_norm = _row_norms(coords)
     # the sweep's layout: row (and column) p belongs to client order[p]
@@ -548,9 +550,7 @@ def server_round(
 
     losses = lagrangian_losses(stats, lam, table.families, config.alpha)
     order = build_order(losses, config.order_policy, rng)
-    result = diminish_conflicts(
-        {st.client_id: st.update_grad for st in stats}, order, config.beta, goals, config.delta
-    )
+    result = diminish_conflicts([st.update_grad for st in stats], order, config.beta, goals, config.delta)
 
     target_norm = norm(result.plain_mean)
     curated_norm = norm(result.gradient)
@@ -567,7 +567,7 @@ def server_round(
 
     record = RoundRecord(
         round_index=round_index,
-        client_losses={st.client_id: st.loss for st in stats},
+        client_losses={k: st.loss for k, st in enumerate(stats)},
         lagrangian_losses=losses,
         multipliers=dict(zip(table.names(), new_lam.tolist())),
         order=order,

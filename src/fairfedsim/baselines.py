@@ -18,8 +18,10 @@ client update gradients 1/K.
 ``run_federated`` decides the run's constraint keys once, as a
 ``fairness.KeyTable`` over its shards, and keeps the multipliers as arrays
 aligned to it: an (n_keys,) global vector and, for fedavg_f, a (K, n_keys)
-array with one row per client, in shard order. ``TrainResult`` and the
-round records name the multipliers by the keys' ``to_str``.
+array with one row per client. A client is its position k in the shard
+list: its block of the table, its multiplier row and its entries in the
+round records all sit at k. ``TrainResult`` and the round records name
+the multipliers by the keys' ``to_str``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import client as client_mod
 from . import fairness, model
 from .aggregation import ORDER_POLICIES, RoundRecord, server_round, update_lambda
 from .client import ClientStatistics
-from .data import Shard, pool_shards
+from .data import Dataset, pool_shards
 from .fairness import KeyTable
 from .model import MlpParams, MlpSpec
 from .numeric import make_rng
@@ -98,15 +100,6 @@ class TrainedModel:
     spec: MlpSpec
     params_list: list[np.ndarray]
 
-    @property
-    def is_mixture(self) -> bool:
-        return len(self.params_list) > 1
-
-    def single_params(self) -> MlpParams:
-        if self.is_mixture:
-            raise ValueError("mixture model has no single parameter vector")
-        return MlpParams.unflatten(self.spec, self.params_list[0])
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Averaged probabilities: the deterministic surrogate for drawing
         one member model uniformly at random per prediction."""
@@ -132,7 +125,7 @@ class TrainResult:
 
 
 def run_federated(
-    shards: Sequence[Shard],
+    shards: Sequence[Dataset],
     cfg: TrainConfig,
     local_multipliers: bool = False,
 ) -> TrainResult:
@@ -142,16 +135,17 @@ def run_federated(
     (server-side, merged statistics) to per-client vectors updated from
     each client's own statistics (the fair-local-training baseline). The
     final multipliers are returned by key name: one dict, or one per
-    client id.
+    client index. An empty shard is refused before the first round.
     """
     if not shards:
         raise ValueError("need at least one shard")
+    client_mod.check_shards(shards)
     input_dim = shards[0].X.shape[1]
     spec = MlpSpec(input_dim, cfg.hidden_dims)
     params = MlpParams.init(spec, cfg.seed)
     flat = params.flatten()
 
-    table = KeyTable.build([(s.y, s.S) for s in shards], shards[0].data.group_names, cfg.constraint)
+    table = KeyTable.build([(s.y, s.S) for s in shards], shards[0].group_names, cfg.constraint)
     K = len(shards)
     lam_global = np.zeros(len(table.keys))
     lam_local = np.zeros((K, len(table.keys)))
@@ -168,16 +162,14 @@ def run_federated(
         stats: list[ClientStatistics] = [
             client_mod.compute_statistics(
                 params_t,
-                lam_local[i] if local_multipliers else lam_global,
+                lam_local[k] if local_multipliers else lam_global,
                 shard,
-                table.rows[i],
-                table.counts[i],
-                table.families,
-                metric=cfg.constraint,
+                table,
+                k,
                 epochs=cfg.local_epochs,
                 lr=cfg.eta,
             )
-            for i, shard in enumerate(shards)
+            for k, shard in enumerate(shards)
         ]
         served = time.perf_counter()
         client_s += served - started
@@ -192,34 +184,32 @@ def run_federated(
 
     names = table.names()
     if local_multipliers:
-        multipliers = {s.client_id: dict(zip(names, row)) for s, row in zip(shards, lam_local.tolist())}
+        multipliers = {k: dict(zip(names, row)) for k, row in enumerate(lam_local.tolist())}
     else:
         multipliers = dict(zip(names, lam_global.tolist()))
     return TrainResult(TrainedModel(spec, [flat]), records, multipliers, client_s, server_s)
 
 
-def run_fedavg_f(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
+def run_fedavg_f(shards: Sequence[Dataset], cfg: TrainConfig) -> TrainResult:
     """Locally fair training: per-client dual ascent."""
     return run_federated(shards, cfg, local_multipliers=True)
 
 
-def run_cenfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
+def run_cenfair(shards: Sequence[Dataset], cfg: TrainConfig) -> TrainResult:
     """Constrained training on the pooled data as a single-shard federation,
     with the federated budget of rounds x local epochs full-batch steps."""
-    return run_federated([Shard(client_id=0, data=pool_shards(shards))], cfg)
+    return run_federated([pool_shards(shards)], cfg)
 
 
-def run_indfair(shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
+def run_indfair(shards: Sequence[Dataset], cfg: TrainConfig) -> TrainResult:
     """Independent per-client constrained training; the population model is
     the uniform mixture of the client models (averaged probabilities)."""
-    results = [
-        run_federated([Shard(client_id=0, data=s.data)], cfg) for s in shards
-    ]
+    results = [run_federated([s], cfg) for s in shards]
     spec = results[0].model.spec
     mixture = TrainedModel(spec, [r.model.params_list[0] for r in results])
     all_rounds = [rec for r in results for rec in r.rounds]
     return TrainResult(
-        mixture, all_rounds, {s.client_id: r.multipliers for s, r in zip(shards, results)},
+        mixture, all_rounds, {k: r.multipliers for k, r in enumerate(results)},
         client_s=sum(r.client_s for r in results), server_s=sum(r.server_s for r in results),
     )
 
@@ -236,7 +226,7 @@ REGIMES = {
 }
 
 
-def train(regime: str, shards: Sequence[Shard], cfg: TrainConfig) -> TrainResult:
+def train(regime: str, shards: Sequence[Dataset], cfg: TrainConfig) -> TrainResult:
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; one of {tuple(REGIMES)}")
     runner, overrides = REGIMES[regime]

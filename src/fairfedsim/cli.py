@@ -9,12 +9,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, oracles
 from .harness import ExperimentConfig
 
 
 def _parse_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    """A comma-separated list, as an argparse type: an empty one is refused."""
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"empty list {raw!r}")
+    return parts
+
+
+def _seed_list(raw: str) -> list[int]:
+    return [int(part) for part in _parse_list(raw)]  # argparse reports a ValueError as an invalid value
 
 
 def _positive_int(raw: str) -> int:
@@ -27,10 +37,10 @@ def _positive_int(raw: str) -> int:
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if args.regimes:
-        overrides["regimes"] = tuple(_parse_list(args.regimes))
-    if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in _parse_list(args.seeds))
+    if args.regimes is not None:
+        overrides["regimes"] = tuple(args.regimes)
+    if args.seeds is not None:
+        overrides["seeds"] = tuple(args.seeds)
     if overrides:
         config = replace(config, **overrides)
     records = harness.run(config, args.out)
@@ -98,21 +108,19 @@ def cmd_report(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    """Print the training shard counts of the seed-0 build that the config
+    check makes; the counts are the same at every seed (``harness``)."""
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    seed = config.seeds[0]
-    prepared = harness.build_data(config, seed)
+    prepared = harness.build_data(config, 0)
     attr = config.partition["attribute"]
-    print(f"shard preview (seed {seed}, attribute {attr!r}):")
-    header = f"{'client':>8} {'total':>8} " + " ".join(
-        f"{name:>10}" for name in sorted(config.partition["fractions"])
-    )
-    print(header)
-    for shard in prepared.shards:
-        counts = shard.group_counts[attr]
-        row = f"{shard.client_id:>8} {len(shard):>8} " + " ".join(
-            f"{counts.get(name, 0):>10}" for name in sorted(config.partition["fractions"])
-        )
-        print(row)
+    names = sorted(config.partition["fractions"])
+    print(f"shard preview (attribute {attr!r}; the counts are the same at every seed):")
+    print(f"{'client':>8} {'total':>8} " + " ".join(f"{name:>10}" for name in names))
+    a = prepared.test.attr_names.index(attr)
+    codes = [prepared.test.group_names[a].index(name) for name in names]
+    for k, shard in enumerate(prepared.shards):
+        counts = np.bincount(shard.S[:, a], minlength=len(prepared.test.group_names[a]))
+        print(f"{k:>8} {len(shard):>8} " + " ".join(f"{counts[c]:>10}" for c in codes))
     return 0
 
 
@@ -130,8 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a (regime, seed) experiment grid")
     p_run.add_argument("--config", help="experiment config JSON (defaults used when omitted)")
-    p_run.add_argument("--regimes", help=f"comma-separated regime list override, of {', '.join(harness.REGIMES)}")
-    p_run.add_argument("--seeds", help="comma-separated seed list override")
+    p_run.add_argument(
+        "--regimes", type=_parse_list, help=f"comma-separated regime list override, of {', '.join(harness.REGIMES)}"
+    )
+    p_run.add_argument("--seeds", type=_seed_list, help="comma-separated seed list override")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -7,11 +7,13 @@ parameters) and the update gradient the server aggregates: the sum of the
 E step gradients, which for E = 1 is the Lagrangian gradient itself.
 Clients only ever touch their own shard.
 
-Keys are decided once per run, in the run's ``fairness.KeyTable``. A
-client gets its shard's rows and counts of that table (``KeyTable.rows[i]``
-and ``counts[i]``) and the table's family indices, and reuses them for
-every round and step. Its multipliers are an (n_keys,) vector and its
-uploaded statistics an (n_keys, 2) array, both aligned to the table.
+A client is its position k in the run's shard list, as in the paper's
+server. Keys are decided once per run, in the run's ``fairness.KeyTable``;
+client k reads block k of it (``KeyTable.rows[k]`` and ``counts[k]``),
+its family indices and its constraint metric, for every round and step.
+Its multipliers are an (n_keys,) vector and its uploaded statistics an
+(n_keys, 2) array, both aligned to the table. A run refuses an empty
+shard once, before its first round (``check_shards``).
 
 A step runs one forward pass over the shard, then backpropagates the loss
 over every row and, for each constraint key with members on the shard,
@@ -47,42 +49,42 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fairness, model
-from .data import Shard
-from .fairness import FairnessStatistics
+from .data import Dataset
+from .fairness import FairnessStatistics, KeyTable
 from .model import MlpParams
 from .numeric import check_finite
 
 
 @dataclass
 class ClientStatistics:
-    """The per-round upload: everything the server needs, nothing more."""
+    """The per-round upload: everything the server needs, nothing more.
+    The server knows the client by its position in the round's uploads."""
 
-    client_id: int
     loss: float
     fairness: FairnessStatistics
     update_grad: np.ndarray
 
 
-def _check_shard(shard: Shard) -> None:
-    if len(shard) == 0:
-        raise ValueError(f"client {shard.client_id}: empty shard")
+def check_shards(shards: Sequence[Dataset]) -> None:
+    """Refuse a run whose client k has no rows, once, before it trains."""
+    for k, shard in enumerate(shards):
+        if len(shard) == 0:
+            raise ValueError(f"client {k}: empty shard")
 
 
 def lagrangian_grad(
     params: MlpParams,
     lam: Optional[np.ndarray],
-    shard: Shard,
-    metric: str,
-    rows: Sequence[slice | np.ndarray],
-    counts: np.ndarray,
-    families: np.ndarray,
+    shard: Dataset,
+    table: KeyTable,
+    k: int,
     uploaded: bool = True,
 ) -> tuple[Optional[float], FairnessStatistics, np.ndarray]:
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
 
-    ``rows`` and ``counts`` are the shard's ``rows[i]`` and ``counts[i]`` of
-    the run's ``fairness.KeyTable``, and ``families`` its family indices.
+    ``shard`` is client k's and ``table`` the run's ``fairness.KeyTable``,
+    of which the step reads block k and the constraint metric.
     ``lam`` is the (n_keys,) multiplier vector, or None when no key with
     members on the shard has a positive multiplier; then the gradient is
     the loss gradient. One forward pass serves the loss, the fairness
@@ -92,59 +94,45 @@ def lagrangian_grad(
     not ``uploaded`` returns None for it, and under DP and EO computes no
     per-sample loss.
     """
+    rows, counts, metric = table.rows[k], table.counts[k], table.metric
     outputs = model.batch_outputs(params, shard.X, shard.y, uploaded or metric == "ap")
     probs, losses, weighted_grad = outputs
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
     stats = fairness.compute_statistics_for_metric(outputs, rows, counts, metric)
     grad_sums = fairness.group_grad_sums(outputs, shard.y, rows, counts, metric)
     if lam is not None:
-        grad += fairness.constraint_grads(stats, families, lam, grad_sums)
-    check_finite(grad, f"client {shard.client_id} update gradient")
+        grad += fairness.constraint_grads(stats, table.families, lam, grad_sums)
+    check_finite(grad, f"client {k} update gradient")
     return (float(np.mean(losses)) if uploaded else None), stats, grad
 
 
 def compute_statistics(
     params: MlpParams,
     lam: np.ndarray,
-    shard: Shard,
-    rows: Sequence[slice | np.ndarray],
-    counts: np.ndarray,
-    families: np.ndarray,
+    shard: Dataset,
+    table: KeyTable,
+    k: int,
     *,
-    metric: str,
     epochs: int,
     lr: float,
 ) -> ClientStatistics:
-    """Assemble the round upload.
+    """Assemble client k's round upload.
 
     Runs ``epochs`` full-batch descent steps on J with the multiplier
     vector ``lam`` frozen; the update gradient is the sum of the per-step
     gradients (exactly the telescoped (w0 - wE)/lr), while loss and
-    fairness statistics are evaluated at the received parameters. ``rows``,
-    ``counts`` and ``families`` are as in ``lagrangian_grad``.
+    fairness statistics are evaluated at the received parameters.
+    ``shard``, ``table`` and ``k`` are as in ``lagrangian_grad``.
     """
-    _check_shard(shard)
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if lr <= 0.0:
-        raise ValueError("lr must be positive")
-    lam = lam if (lam[counts > 0.0] > 0.0).any() else None
-    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families)
+    lam = lam if (lam[table.counts[k] > 0.0] > 0.0).any() else None
+    loss, stats, grad = lagrangian_grad(params, lam, shard, table, k)
     update = grad
     if epochs > 1:
         step_params = MlpParams(params.spec, params.flatten())
         update = grad.copy()
         for _ in range(epochs - 1):
             step_params.flat -= lr * grad
-            _, _, grad = lagrangian_grad(step_params, lam, shard, metric, rows, counts, families, False)
+            _, _, grad = lagrangian_grad(step_params, lam, shard, table, k, False)
             update += grad
-        check_finite(update, f"client {shard.client_id} update gradient")
-    return ClientStatistics(client_id=shard.client_id, loss=loss, fairness=stats, update_grad=update)
-
-
-def local_accuracy(params: MlpParams, shard: Shard) -> float:
-    """Fraction correct under the >= 0.5 decision rule (ties predict 1)."""
-    _check_shard(shard)
-    probs = model.predict_proba(params, shard.X)
-    preds = (probs >= 0.5).astype(np.int64)
-    return float((preds == shard.y).mean())
+        check_finite(update, f"client {k} update gradient")
+    return ClientStatistics(loss=loss, fairness=stats, update_grad=update)

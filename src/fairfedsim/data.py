@@ -187,40 +187,6 @@ class Dataset:
         )
 
 
-@dataclass
-class Shard:
-    """One client's private slice of the training split."""
-
-    client_id: int
-    data: Dataset
-
-    @property
-    def group_counts(self) -> dict[str, dict[str, int]]:
-        """Members per group name, per sensitive attribute."""
-        return {
-            attr: {
-                name: int((self.data.S[:, a] == code).sum())
-                for code, name in enumerate(self.data.group_names[a])
-            }
-            for a, attr in enumerate(self.data.attr_names)
-        }
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.data.X
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data.y
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.data.S
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
 def load_csv(path: str, schema: DatasetSchema) -> Dataset:
     """Parse a header-keyed CSV into an encoded Dataset (features not yet
     normalized; call ``standardize`` after splitting). The rows are read
@@ -389,22 +355,15 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
     return counts
 
 
-def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
-    """Shuffle each sensitive group and slice it by cumulative fractions.
-    A client may get no rows: ``client._check_shard`` refuses an empty
-    training shard, and ``harness.evaluate_run`` skips an empty test shard.
-
-    Each shard holds its rows ordered by the first sensitive attribute's
-    code, then the label, and in the order of ``train`` within ties. So
-    every DP, AP and EO key of attribute 0 is one run of rows on every
-    shard, which ``fairness.KeyTable`` records as a slice. One stable sort
-    on the composite key (client * n_codes + code) * 2 + label orders all
-    shards at once, and each client's run of that order is one take."""
-    if spec.attribute not in train.attr_names:
-        raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {train.attr_names}")
-    a = train.attr_names.index(spec.attribute)
-    names = train.group_names[a]
-    present = {names[c] for c in np.unique(train.S[:, a])}
+def assign_clients(data: Dataset, spec: PartitionSpec, seed: int) -> np.ndarray:
+    """Each row's client, 0..K-1: every sensitive group of the partition
+    attribute is shuffled and cut by its cumulative fractions (largest
+    remainder). A client may get no rows."""
+    if spec.attribute not in data.attr_names:
+        raise ValueError(f"partition attribute {spec.attribute!r} is not one of the data's {data.attr_names}")
+    a = data.attr_names.index(spec.attribute)
+    names = data.group_names[a]
+    present = {names[c] for c in np.unique(data.S[:, a])}
     for value in spec.fractions:
         if value not in present:
             raise ValueError(f"partition group {value!r} missing from data")
@@ -413,32 +372,47 @@ def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Shard]:
             raise ValueError(f"no fractions configured for group {value!r}")
 
     rng = make_rng(seed, 0xFA)  # stream tag for partitioning
-    K = spec.n_clients
-    client = np.full(len(train), -1, dtype=np.int64)  # each row's client
+    client = np.full(len(data), -1, dtype=np.int64)
     for value in sorted(spec.fractions):
-        members = np.flatnonzero(train.S[:, a] == names.index(value))
+        members = np.flatnonzero(data.S[:, a] == names.index(value))
         members = members[rng.permutation(members.size)]
         counts = largest_remainder_counts(members.size, spec.fractions[value])
-        client[members] = np.repeat(np.arange(K), counts)
+        client[members] = np.repeat(np.arange(spec.n_clients), counts)
+    return client
+
+
+def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]:
+    """Client k's shard at index k: its rows of ``assign_clients``. A
+    client may get no rows; ``client.check_shards`` refuses an empty shard
+    once per run.
+
+    Each shard holds its rows ordered by the first sensitive attribute's
+    code, then the label, and in the order of ``train`` within ties. So
+    every DP, AP and EO key of attribute 0 is one run of rows on every
+    shard, which ``fairness.KeyTable`` records as a slice. One stable sort
+    on the composite key (client * n_codes + code) * 2 + label orders all
+    shards at once, and each client's run of that order is one take."""
+    client = assign_clients(train, spec, seed)
+    K = spec.n_clients
     n_codes = len(train.group_names[0])
     key = (client * n_codes + train.S[:, 0]) * 2 + train.y
     # the key in the narrowest unsigned type: at 8 or 16 bits numpy's stable sort is a radix sort
     order = np.argsort(key.astype(np.min_scalar_type(2 * K * n_codes - 1)), kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(client, minlength=K)))).tolist()
-    return [Shard(client_id=k, data=train.take(order[bounds[k] : bounds[k + 1]])) for k in range(K)]
+    return [train.take(order[bounds[k] : bounds[k + 1]]) for k in range(K)]
 
 
-def pool_shards(shards: Sequence[Shard]) -> Dataset:
+def pool_shards(shards: Sequence[Dataset]) -> Dataset:
     """Union of shards (used by the centralized baseline)."""
     if not shards:
         raise ValueError("no shards to pool")
-    ref = shards[0].data
+    ref = shards[0]
     return Dataset(
         np.concatenate([s.X for s in shards]),
         np.concatenate([s.y for s in shards]),
         np.concatenate([s.S for s in shards]),
         ref.attr_names, ref.group_names, ref.feature_names,
-        np.concatenate([s.data.row_ids for s in shards]),
+        np.concatenate([s.row_ids for s in shards]),
     )
 
 

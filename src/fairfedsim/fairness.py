@@ -14,9 +14,10 @@ Constraint keys are decided once per training run, by ``KeyTable.build``
 over the run's shards: the groups (or group-and-label cells for EO) with
 members in the pooled training data, in ``GroupKey.sort_key`` order. Every
 per-key quantity is an array aligned to that table. The table also holds,
-per block, each key's rows as the indexer a step reads them by, and the
-member counts. ``data.partition`` orders a shard's rows by the first
-sensitive attribute's code, then the label, so every key of attribute 0 is
+per block, each key's rows as the indexer a step reads them by, the member
+counts and the constraint metric; client k's step reads block k.
+``data.partition`` orders a shard's rows by the first sensitive
+attribute's code, then the label, so every key of attribute 0 is
 one run of rows, recorded as a ``slice``: a statistic's sum and a key's
 backward pass (``model.batch_outputs``) read views of the step's arrays,
 not gathered copies. Keys of a further attribute keep an index array.
@@ -85,13 +86,15 @@ class KeyTable:
     where the block has none), their int64 index array otherwise.
     ``counts[i, j]`` is their number, as a float64 (n_blocks, n_keys) array:
     the count column of block i's statistics and, where nonzero, the keys
-    a step backpropagates.
+    a step backpropagates. ``metric`` is the constraint metric the keys
+    were built for, which a step reads to pick its surrogate.
     """
 
     keys: tuple[GroupKey, ...]
     families: np.ndarray
     rows: tuple[tuple[slice | np.ndarray, ...], ...]
     counts: np.ndarray
+    metric: str
 
     @classmethod
     def build(
@@ -124,7 +127,7 @@ class KeyTable:
         families = np.array([numbers.setdefault(k.family, len(numbers)) for k in keys], dtype=np.int64)
         rows = tuple(tuple(indexer(found[k][i]) for k in keys) for i in range(len(blocks)))
         counts = np.array([[found[k][i].size for k in keys] for i in range(len(blocks))], dtype=np.float64)
-        return cls(tuple(keys), families, rows, counts.reshape(len(blocks), len(keys)))
+        return cls(tuple(keys), families, rows, counts.reshape(len(blocks), len(keys)), metric)
 
     def names(self) -> list[str]:
         return [k.to_str() for k in self.keys]
@@ -349,9 +352,11 @@ def evaluate_predictions(
     S: np.ndarray,
     attr_names: Sequence[str],
     group_names: Sequence[Sequence[str]],
-    per_client_accuracy: Optional[Sequence[float]] = None,
+    clients: Optional[np.ndarray] = None,
 ) -> FairnessReport:
-    """Hard-threshold probabilities (>= 0.5 predicts 1) and score them."""
+    """Hard-threshold probabilities (>= 0.5 predicts 1) and score them.
+    ``clients`` labels each row with its client; given, CF is scored over
+    the accuracies of the clients that have rows."""
     probs = np.asarray(probs, dtype=np.float64)
     y = np.asarray(y)
     preds = (probs >= 0.5).astype(np.int64)
@@ -379,6 +384,8 @@ def evaluate_predictions(
                 }
             )
     cf = None
-    if per_client_accuracy is not None:
-        cf = client_fairness_violation(per_client_accuracy)
+    if clients is not None:
+        rows = np.bincount(clients)
+        correct = np.bincount(clients, weights=(preds == y).astype(np.float64))
+        cf = client_fairness_violation(correct[rows > 0] / rows[rows > 0])
     return FairnessReport(accuracy=accuracy, dp=dp, eo=eo, ap=ap, cf=cf, per_group=per_group)

@@ -41,7 +41,7 @@ from . import client as client_mod
 from . import data as data_mod
 from . import fairness
 from .baselines import REGIMES, Hyperparameters, TrainConfig, TrainResult, run_federated, run_fedavg_f, train
-from .data import Dataset, DatasetSchema, PartitionSpec, Shard
+from .data import Dataset, DatasetSchema, PartitionSpec
 from .fairness import FairnessReport
 
 CLIENT_MODES = ("local_epochs", "single_step")  # single_step is local_epochs with E = 1
@@ -136,23 +136,26 @@ def _check_data(config: ExperimentConfig) -> None:
     docstring). A CSV config's file is read here, so a missing or
     malformed file is refused too."""
     try:
-        for shard in build_data(config, 0).shards:
-            client_mod._check_shard(shard)
+        client_mod.check_shards(build_data(config, 0).shards)
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"dataset and partition: no cell can run: {exc}") from None
 
 
 @dataclass
 class PreparedData:
-    train: Dataset
+    """One cell's data: the test split, client k's training shard at
+    ``shards[k]``, and each test row's client (``test_clients``, 0..K-1),
+    by which the client-fairness score groups the test predictions."""
+
     test: Dataset
-    shards: list[Shard]
-    test_shards: list[Shard]
+    shards: list[Dataset]
+    test_clients: np.ndarray
 
 
 def build_data(config: ExperimentConfig, seed: int) -> PreparedData:
     """Deterministic data pipeline for one cell: load/generate, stratified
-    split, z-score by train statistics, partition both splits."""
+    split, z-score by train statistics, partition the training split and
+    assign each test row a client by the same fractions."""
     if set(config.dataset) == {"synthetic"}:
         ds = data_mod.synthetic_dataset(seed=seed, **config.dataset["synthetic"])
     elif set(config.dataset) == {"csv", "schema"}:
@@ -163,23 +166,15 @@ def build_data(config: ExperimentConfig, seed: int) -> PreparedData:
     train_ds, test_ds = data_mod.standardize(train_ds, test_ds)
     spec = PartitionSpec.from_json(config.partition)
     shards = data_mod.partition(train_ds, spec, seed)
-    test_shards = data_mod.partition(test_ds, spec, seed + 1_000_003)
-    return PreparedData(train_ds, test_ds, shards, test_shards)
+    return PreparedData(test_ds, shards, data_mod.assign_clients(test_ds, spec, seed + 1_000_003))
 
 
 def evaluate_run(result: TrainResult, regime: str, prepared: PreparedData) -> FairnessReport:
     test = prepared.test
     probs = result.model.predict_proba(test.X)
-    per_client_acc = None
     # CF needs one model trained across the clients' own shards
-    if REGIMES[regime][0] in (run_federated, run_fedavg_f):
-        params = result.model.single_params()
-        per_client_acc = [
-            client_mod.local_accuracy(params, s) for s in prepared.test_shards if len(s) > 0
-        ]
-    return fairness.evaluate_predictions(
-        probs, test.y, test.S, test.attr_names, test.group_names, per_client_acc
-    )
+    clients = prepared.test_clients if REGIMES[regime][0] in (run_federated, run_fedavg_f) else None
+    return fairness.evaluate_predictions(probs, test.y, test.S, test.attr_names, test.group_names, clients)
 
 
 @dataclass

@@ -13,8 +13,8 @@ surrogate (the per-sample loss) every local step reads. The fifth,
 grid runs: the two projection-order ablations, ``indfair`` and
 ``cenfair``. Each grid's
 ``results.csv`` and ``trace/`` go to ``<out dir>/<grid>/``, and the
-machine stamp (numpy version, BLAS name and thread count) to
-``<out dir>/stamp.json``.
+machine stamp (numpy version, BLAS name, version, thread count and core)
+to ``<out dir>/stamp.json``.
 
 Usage: python tests/golden_grids.py <out dir>
 
@@ -77,28 +77,45 @@ def grids() -> dict[str, ExperimentConfig]:
     }
 
 
-def blas_threads() -> int | None:
-    """The thread count the loaded OpenBLAS reports (None for another BLAS,
-    or where the process's mapped libraries cannot be read)."""
+def _openblas_call(symbols: tuple[str, ...], restype):
+    """The result of the first of ``symbols`` that a loaded OpenBLAS
+    exports, called without arguments (None for another BLAS, or where the
+    process's mapped libraries cannot be read)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
         for path in libraries:
-            for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                           "openblas_get_num_threads"):
+            for symbol in symbols:
                 fn = getattr(ctypes.CDLL(path), symbol, None)
                 if fn is not None:
-                    fn.restype = ctypes.c_int
-                    return int(fn())
+                    fn.restype = restype
+                    return fn()
     except OSError:
         pass
     return None
 
 
+def blas_threads() -> int | None:
+    """The thread count the loaded OpenBLAS reports."""
+    return _openblas_call(
+        ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"), ctypes.c_int
+    )
+
+
+def blas_core() -> str | None:
+    """The CPU core the loaded OpenBLAS picked its kernels for (its
+    ``get_corename``, such as "SkylakeX"): the kernels, and with them the
+    products' bits, follow the core, not the version."""
+    core = _openblas_call(
+        ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"), ctypes.c_char_p
+    )
+    return None if core is None else core.decode()
+
+
 def machine_stamp() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "blas_threads": blas_threads()}
+            "blas_threads": blas_threads(), "blas_core": blas_core()}
 
 
 def main(out_dir: str) -> None:

@@ -150,7 +150,7 @@ class TestAdjustGradient:
 
 
 # two keys of one family; the server reads no rows or counts
-TABLE = KeyTable((GroupKey(0, "g0"), GroupKey(0, "g1")), np.zeros(2, dtype=np.int64), (), np.zeros((0, 2)))
+TABLE = KeyTable((GroupKey(0, "g0"), GroupKey(0, "g1")), np.zeros(2, dtype=np.int64), (), np.zeros((0, 2)), "dp")
 ZERO_LAM = np.zeros(2)
 
 
@@ -160,7 +160,7 @@ def make_stats(grads, losses=None):
     for cid, g in enumerate(grads):
         loss = losses[cid] if losses is not None else float(cid)
         fs = FairnessStatistics([(0.5, 2), (0.5, 2)])
-        out.append(ClientStatistics(cid, loss, fs, np.asarray(g, float)))
+        out.append(ClientStatistics(loss, fs, np.asarray(g, float)))
     return out
 
 
@@ -387,6 +387,51 @@ class TestGramSweepMatchesDspaceOracle:
         assert _count_conflicts(res.working, res.coords, goals0) == dspace_conflicts(
             ref.working, grads, goals0
         )
+
+
+class TestSweepMetamorphic:
+    """Properties that relate two sweeps, with no oracle: the sweep reads
+    only angles, so scaling every gradient by a power of two changes no
+    decision and no bit, and it names no client, so relabelling the
+    clients maps its tests and changes no decision."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs(), st.integers(-7, 5))
+    def test_scaling_by_a_power_of_two_is_exact(self, inputs, k):
+        grads, order, beta, goals, delta = inputs
+        scale = 2.0**k
+        res = diminish_conflicts(grads, order, beta, goals, delta)
+        scaled = diminish_conflicts({i: scale * g for i, g in grads.items()}, order, beta, goals, delta)
+        for field in ("client", "target", "phi", "goal", "adjusted"):
+            assert getattr(scaled.tests, field).tobytes() == getattr(res.tests, field).tobytes(), field
+        assert scaled.goals.tobytes() == res.goals.tobytes()
+        assert scaled.n_adjustments == res.n_adjustments
+        assert scaled.gradient.tobytes() == (scale * res.gradient).tobytes()
+        assert scaled.plain_mean.tobytes() == (scale * res.plain_mean).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs(), st.integers(0, 2**32 - 1))
+    def test_relabelling_the_clients_maps_the_tests(self, inputs, seed):
+        grads, order, beta, goals, delta = inputs
+        K = len(order)
+        label = make_rng(seed).permutation(K)  # client i becomes client label[i]
+        relabelled_goals = np.empty_like(goals)
+        relabelled_goals[np.ix_(label, label)] = goals
+        res = diminish_conflicts(grads, order, beta, goals, delta)
+        got = diminish_conflicts(
+            {int(label[i]): g for i, g in grads.items()}, [int(label[i]) for i in order], beta, relabelled_goals, delta
+        )
+        np.testing.assert_array_equal(got.tests.client, label[res.tests.client])
+        np.testing.assert_array_equal(got.tests.target, label[res.tests.target])
+        np.testing.assert_array_equal(got.tests.adjusted, res.tests.adjusted)
+        assert got.n_adjustments == res.n_adjustments
+        for field in ("phi", "goal"):
+            np.testing.assert_allclose(getattr(got.tests, field), getattr(res.tests, field), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.goals[np.ix_(label, label)], res.goals, rtol=1e-9, atol=1e-12)
+        # a working gradient's norm is its coordinate row's, and bounds its entries
+        scale = np.linalg.norm(res.working, axis=1).max(initial=0.0)
+        for field in ("gradient", "plain_mean"):
+            np.testing.assert_allclose(getattr(got, field), getattr(res, field), rtol=1e-9, atol=1e-9 * scale)
 
 
 def drawn_sweep_input(K, D, seed, multipliers, zero_draws, beta, delta):
@@ -651,7 +696,7 @@ class TestServerRound:
         params, _, _, rec = server_round(params0, ZERO_LAM, stats, TABLE, cfg, np.zeros((4, 4)))
         g_global = (params0 - params) / cfg.eta
         res = diminish_conflicts(
-            {st.client_id: st.update_grad for st in stats},
+            [st.update_grad for st in stats],
             build_order(lagrangian_losses(stats, ZERO_LAM, TABLE.families, cfg.alpha)),
             cfg.beta,
             np.zeros((4, 4)),
@@ -756,7 +801,7 @@ class TestServerRound:
 
     def test_lagrangian_losses_sum_over_keys_with_members(self):
         fs = FairnessStatistics([(1.2, 3), (0.0, 0)])  # key 1 has no members on the client
-        stats = [ClientStatistics(0, 0.7, fs, np.ones(2))]
+        stats = [ClientStatistics(0.7, fs, np.ones(2))]
         losses = lagrangian_losses(stats, np.array([0.5, 0.9]), TABLE.families, 0.05)
         assert losses == {0: 0.7 + 0.5 * -0.05}  # h = -alpha on key 0: no gap
 

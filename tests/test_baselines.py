@@ -14,7 +14,7 @@ from fairfedsim.baselines import (
     run_indfair,
     train,
 )
-from fairfedsim.data import PartitionSpec, Shard, partition, pool_shards, synthetic_dataset
+from fairfedsim.data import PartitionSpec, partition, pool_shards, synthetic_dataset
 from fairfedsim.model import MlpParams, predict_proba
 
 SPEC = PartitionSpec("group", {"g0": (0.5, 0.1, 0.1, 0.2, 0.1), "g1": (0.1, 0.4, 0.3, 0.1, 0.1)})
@@ -46,8 +46,7 @@ class TestReductions:
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_single_client_fedavg_f_equals_indfair(self):
-        ds = synthetic_dataset(120, seed=3, input_dim=4)
-        shard = Shard(client_id=0, data=ds)
+        shard = synthetic_dataset(120, seed=3, input_dim=4)
         cfg = quick_cfg()
         a = train("fedavg_f", [shard], cfg)
         b = run_indfair([shard], cfg)
@@ -58,12 +57,11 @@ class TestReductions:
         cfg = quick_cfg()
         a = run_cenfair(shards, cfg)
         pooled = pool_shards(shards)
-        b = run_federated([Shard(client_id=0, data=pooled)], cfg)
+        b = run_federated([pooled], cfg)
         np.testing.assert_array_equal(a.model.params_list[0], b.model.params_list[0])
 
     def test_reversed_order_single_client_equals_default(self):
-        ds = synthetic_dataset(100, seed=5, input_dim=4)
-        shard = Shard(client_id=0, data=ds)
+        shard = synthetic_dataset(100, seed=5, input_dim=4)
         cfg = quick_cfg()
         a = run_federated([shard], cfg)
         b = run_federated([shard], replace(cfg, order_policy="reversed"))
@@ -93,8 +91,8 @@ class TestBehavior:
         shards = partition(ds, PartitionSpec("group", {"g0": (0.5, 0.5), "g1": (0.5, 0.5)}), seed=8)
         cfg = quick_cfg(rounds=10, local_epochs=20, eta=0.1)
         result = train("fedavg", shards, cfg)
-        params = result.model.single_params()
-        probs = predict_proba(params, ds.X)
+        assert len(result.model.params_list) == 1
+        probs = predict_proba(MlpParams.unflatten(result.model.spec, result.model.params_list[0]), ds.X)
         acc = float(((probs >= 0.5).astype(int) == ds.y).mean())
         assert acc >= 0.95
 
@@ -109,8 +107,7 @@ class TestBehavior:
         shards = make_shards(n=200, seed=10)
         cfg = quick_cfg(rounds=2, local_epochs=2)
         result = run_indfair(shards, cfg)
-        assert result.model.is_mixture
-        assert len(result.model.params_list) == len(shards)
+        assert len(result.model.params_list) == len(shards) > 1
         probs = result.model.predict_proba(shards[0].X)
         member = [
             predict_proba(MlpParams.unflatten(result.model.spec, p), shards[0].X)
@@ -123,7 +120,7 @@ class TestBehavior:
         where duplicated clients drive a pair's goal towards 1."""
         shards = make_shards(seed=17)
         K = len(shards)
-        shards += [Shard(client_id=K, data=shards[0].data), Shard(client_id=K + 1, data=shards[2].data)]
+        shards += [shards[0], shards[2]]
         seen = []
         sweep = aggregation.diminish_conflicts
 
@@ -179,7 +176,7 @@ class TestConstraintKeys:
         shards = partition(ds, SPEC, seed=14)
         # every shard labelled 1: the EO keys conditioned on y = 0 have no members
         for s in shards:
-            s.data.y[:] = 1
+            s.y[:] = 1
         keys = fairness.KeyTable.build([(s.y, s.S) for s in shards], ds.group_names, "eo").keys
         assert keys and all(k.label == 1 for k in keys)
         result = run_federated(shards, quick_cfg(rounds=1, local_epochs=1, constraint="eo"))

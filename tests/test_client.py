@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fairfedsim import client, fairness, model
-from fairfedsim.baselines import Hyperparameters
-from fairfedsim.client import compute_statistics, lagrangian_grad, local_accuracy
-from fairfedsim.data import Shard, synthetic_dataset
+from fairfedsim.baselines import Hyperparameters, TrainConfig, run_federated
+from fairfedsim.client import check_shards, compute_statistics, lagrangian_grad
+from fairfedsim.data import synthetic_dataset
 from fairfedsim.model import MlpParams, MlpSpec
 from fairfedsim.numeric import NonFiniteError
 from fairfedsim.oracles import finite_diff
@@ -14,9 +14,8 @@ from fairfedsim.oracles import finite_diff
 from conftest import min_preactivation, rel_err
 
 
-def small_shard(seed=0, n=24, client_id=0):
-    ds = synthetic_dataset(n, seed=seed, input_dim=4)
-    return Shard(client_id=client_id, data=ds)
+def small_shard(seed=0, n=24):
+    return synthetic_dataset(n, seed=seed, input_dim=4)
 
 
 def init_params(shard, seed=5):
@@ -25,31 +24,28 @@ def init_params(shard, seed=5):
 
 
 def shard_keys(shard, metric="dp"):
-    """The shard's rows and counts of its own key table, and the table's
-    family indices."""
-    table = fairness.KeyTable.build([(shard.y, shard.S)], shard.data.group_names, metric)
-    return table.rows[0], table.counts[0], table.families
+    """The key table of a run whose only client (client 0) is ``shard``."""
+    return fairness.KeyTable.build([(shard.y, shard.S)], shard.group_names, metric)
 
 
 def shard_statistics(params, shard, metric):
     """The fairness statistics of the shard at ``params``, from one forward pass."""
     outputs = model.batch_outputs(params, shard.X, shard.y)
-    rows, counts, _ = shard_keys(shard, metric)
-    return fairness.compute_statistics_for_metric(outputs, rows, counts, metric)
+    table = shard_keys(shard, metric)
+    return fairness.compute_statistics_for_metric(outputs, table.rows[0], table.counts[0], metric)
 
 
 def upload(params, lam, shard, metric="dp", *, epochs, lr=Hyperparameters.eta):
     """``compute_statistics`` with the multiplier ``lam`` on every key of the shard."""
-    rows, counts, families = shard_keys(shard, metric)
-    lam = np.full(len(rows), lam)
-    return compute_statistics(params, lam, shard, rows, counts, families, metric=metric, epochs=epochs, lr=lr)
+    table = shard_keys(shard, metric)
+    return compute_statistics(params, np.full(len(table.keys), lam), shard, table, 0, epochs=epochs, lr=lr)
 
 
 def step(params, lam, shard, metric="dp"):
     """``lagrangian_grad`` with the multiplier ``lam`` on every key of the
     shard; a zero ``lam`` is passed as None, as ``compute_statistics`` does."""
-    rows, counts, families = shard_keys(shard, metric)
-    return lagrangian_grad(params, np.full(len(rows), lam) if lam else None, shard, metric, rows, counts, families)
+    table = shard_keys(shard, metric)
+    return lagrangian_grad(params, np.full(len(table.keys), lam) if lam else None, shard, table, 0)
 
 
 def test_zero_lambda_single_step_equals_loss_grad():
@@ -129,7 +125,7 @@ def test_update_grad_matches_lagrangian_finite_differences():
         params = init_params(shard, seed=40 + seed)
         if min_preactivation(params, shard.X) < 1e-4:
             continue
-        _, _, families = shard_keys(shard)
+        families = shard_keys(shard).families
         h0 = fairness.constraint_values(shard_statistics(params, shard, "dp").groups, families, 0.0)
         if any(abs(v) < 1e-4 for v in h0):
             continue
@@ -147,12 +143,12 @@ def test_update_grad_matches_lagrangian_finite_differences():
 
 
 def test_clients_isolated_and_deterministic():
-    shard_a = small_shard(4, client_id=0)
-    shard_b = small_shard(5, client_id=1)
+    shard_a = small_shard(4)
+    shard_b = small_shard(5)
     params = init_params(shard_a, seed=10)
     before = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     # mutating another client's shard must not change this client's upload
-    shard_b.data.X[:] = 999.0
+    shard_b.X[:] = 999.0
     after = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     np.testing.assert_array_equal(before.update_grad, after.update_grad)
     assert before.loss == after.loss
@@ -160,31 +156,39 @@ def test_clients_isolated_and_deterministic():
 
 def test_empty_shard_rejected():
     ds = synthetic_dataset(10, seed=0, input_dim=4)
-    empty = Shard(client_id=0, data=ds.take(np.array([], dtype=np.int64)))
-    params = MlpParams.zeros(MlpSpec(4, (3,)))
-    with pytest.raises(ValueError, match="empty shard"):
-        compute_statistics(
-            params, np.zeros(0), empty, (), np.zeros(0), np.zeros(0, dtype=np.int64), metric="dp", epochs=1, lr=0.05
-        )
-    with pytest.raises(ValueError, match="empty shard"):
-        local_accuracy(params, empty)
+    empty = ds.take(np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="client 1: empty shard"):
+        check_shards([ds, empty, ds])
+    check_shards([ds, ds])
 
 
-def test_local_accuracy_perfect_and_tie_rule():
+def test_shards_checked_once_per_run_before_any_step(monkeypatch):
+    """``run_federated`` checks the shards once, not per round or step,
+    and refuses an empty one before round 1: no client steps, and the
+    message names the empty client by its position."""
+    ds = synthetic_dataset(40, seed=0, input_dim=4)
+    cfg = TrainConfig(hidden_dims=(3,), rounds=3, local_epochs=2)
+    checks = counting(monkeypatch, client, "check_shards")
+    run_federated([ds, ds], cfg)
+    assert len(checks) == 1
+    checks.clear()
+    steps = counting(monkeypatch, client, "compute_statistics")
+    with pytest.raises(ValueError, match="^client 1: empty shard$"):
+        run_federated([ds, ds.take(np.array([], dtype=np.int64)), ds], cfg)
+    assert len(checks) == 1 and steps == []
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_step_takes_its_metric_from_the_table(metric):
+    """A step's statistics are those of the table's metric: an EO table
+    gives one (group, label) row per cell, an AP table sums the losses."""
     shard = small_shard(6)
-    spec = MlpSpec(4, (3,))
-    zero = MlpParams.zeros(spec)
-    # zero params predict 0.5 everywhere; the >= 0.5 rule predicts 1 for all
-    np.testing.assert_allclose(local_accuracy(zero, shard), shard.y.mean())
-
-    # a handcrafted strong model: logit = 25 * x0 via relu(x0) - relu(-x0)
-    strong = MlpParams.zeros(MlpSpec(4, (2,)))
-    strong.weights[0][0, 0] = 1.0
-    strong.weights[0][1, 0] = -1.0
-    strong.weights[1][0, 0] = 25.0
-    strong.weights[1][0, 1] = -25.0
-    acc = local_accuracy(strong, shard)
-    assert acc > 0.6
+    params = init_params(shard)
+    table = shard_keys(shard, metric)
+    _, stats, _ = lagrangian_grad(params, None, shard, table, 0)
+    assert table.metric == metric
+    assert stats.groups.shape == ((4, 2) if metric == "eo" else (2, 2))
+    np.testing.assert_array_equal(stats.groups, shard_statistics(params, shard, metric).groups)
 
 
 
@@ -220,9 +224,7 @@ def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeyp
     )
     calls = counting(monkeypatch, fairness, "constraint_grads")
     lam = np.array([0.0, 0.0, 0.7])  # only on s0=g2, which has no members on this shard
-    st = compute_statistics(
-        params, lam, shard, table.rows[0], table.counts[0], table.families, metric="dp", epochs=1, lr=0.05
-    )
+    st = compute_statistics(params, lam, shard, table, 0, epochs=1, lr=0.05)
     assert calls == []
     np.testing.assert_array_equal(st.update_grad, model.loss_and_grad(params, shard.X, shard.y)[1])
 
@@ -231,7 +233,7 @@ def test_multipliers_on_keys_without_members_form_no_constraint_gradient(monkeyp
 def test_zero_multipliers_keep_one_backward_pass_per_key(monkeypatch, metric):
     shard = small_shard(8)
     params = init_params(shard)
-    _, counts, _ = shard_keys(shard, metric)
+    counts = shard_keys(shard, metric).counts[0]
     calls = counting(monkeypatch, model, "_backward")
     step(params, 0.0, shard, metric)
     assert len(calls) == 1 + np.count_nonzero(counts) == 1 + len(counts)
@@ -255,7 +257,7 @@ def test_non_finite_key_gradient_raises_where_read(monkeypatch, metric):
     at a positive multiplier; at zero multipliers no one reads it."""
     shard = small_shard(9)
     params = init_params(shard)
-    assert (shard_keys(shard, metric)[1] < len(shard)).all()
+    assert (shard_keys(shard, metric).counts[0] < len(shard)).all()
     nan_passes(monkeypatch, lambda n: n < len(shard))
     upload(params, 0.0, shard, metric, epochs=3, lr=0.1)
     with pytest.raises(NonFiniteError, match="non-finite client 0 update gradient"):
@@ -287,10 +289,10 @@ def test_per_sample_losses_only_where_read(monkeypatch, metric):
 def test_step_not_uploaded_returns_no_loss_and_the_same_gradient(metric):
     shard = small_shard(11)
     params = init_params(shard)
-    rows, counts, families = shard_keys(shard, metric)
-    lam = np.full(len(rows), 0.3)
-    loss, stats, grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families)
-    none, later_stats, later_grad = lagrangian_grad(params, lam, shard, metric, rows, counts, families, False)
+    table = shard_keys(shard, metric)
+    lam = np.full(len(table.keys), 0.3)
+    loss, stats, grad = lagrangian_grad(params, lam, shard, table, 0)
+    none, later_stats, later_grad = lagrangian_grad(params, lam, shard, table, 0, False)
     assert loss > 0.0 and none is None
     assert later_stats.groups.tobytes() == stats.groups.tobytes()
     assert later_grad.tobytes() == grad.tobytes()

@@ -13,7 +13,7 @@ from fairfedsim.data import (
     Dataset,
     DatasetSchema,
     PartitionSpec,
-    Shard,
+    assign_clients,
     largest_remainder_counts,
     load_csv,
     partition,
@@ -382,13 +382,13 @@ class TestPartition:
         shards = partition(ds, self.spec(), seed=1)
         g0_total = int((ds.S[:, 0] == 0).sum())
         expected_g0 = largest_remainder_counts(g0_total, (0.5, 0.1, 0.1, 0.2, 0.1))
-        got_g0 = [s.group_counts["group"]["g0"] for s in shards]
+        got_g0 = [int((s.S[:, 0] == 0).sum()) for s in shards]
         assert got_g0 == expected_g0
 
     def test_conservation_and_disjointness(self):
         ds = synthetic_dataset(333, seed=8, input_dim=3)
         shards = partition(ds, self.spec(), seed=2)
-        all_rows = np.concatenate([s.data.row_ids for s in shards])
+        all_rows = np.concatenate([s.row_ids for s in shards])
         assert len(all_rows) == len(ds)
         assert len(set(all_rows.tolist())) == len(ds)
 
@@ -397,7 +397,7 @@ class TestPartition:
         a = partition(ds, self.spec(), seed=3)
         b = partition(ds, self.spec(), seed=3)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.data.row_ids, sb.data.row_ids)
+            np.testing.assert_array_equal(sa.row_ids, sb.row_ids)
 
     def test_uniform_spec_equal_shards(self):
         ds = synthetic_dataset(200, seed=10, input_dim=3, group_fractions=(0.5, 0.5))
@@ -468,11 +468,15 @@ class TestPartition:
         spec, empty = self.random_spec(rng, "group", ("g0", "g1"))
         shards = partition(ds, spec, seed=seed)
         want = self.per_client_shards(ds, spec, seed)
-        assert [s.client_id for s in shards] == list(range(len(empty)))
+        assert len(shards) == len(want) == len(empty)
         assert all(len(s) == 0 for s, none in zip(shards, empty) if none)
+        client = assign_clients(ds, spec, seed)  # the synthetic rows' ids are their indices
+        assert [sorted(s.row_ids.tolist()) for s in shards] == [
+            np.flatnonzero(client == k).tolist() for k in range(len(shards))
+        ]
         for shard, ref in zip(shards, want):
             for field in ("X", "y", "S", "row_ids"):
-                got, expected = getattr(shard.data, field), getattr(ref, field)
+                got, expected = getattr(shard, field), getattr(ref, field)
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
 

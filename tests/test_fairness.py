@@ -25,7 +25,7 @@ from fairfedsim.fairness import (
     group_grad_sums,
 )
 from fairfedsim.client import compute_statistics
-from fairfedsim.data import Shard, synthetic_dataset
+from fairfedsim.data import synthetic_dataset
 from fairfedsim.harness import RunRecord, write_report
 from fairfedsim.model import MlpParams, MlpSpec
 from fairfedsim.numeric import make_rng
@@ -433,13 +433,11 @@ class TestStatisticsAreScalars:
         assert calls == []
 
     def test_upload_is_one_row_per_key(self):
-        shard = Shard(client_id=0, data=synthetic_dataset(30, seed=2, input_dim=4))
+        shard = synthetic_dataset(30, seed=2, input_dim=4)
         params = MlpParams.init(MlpSpec(4, (5,)), seed=3)
-        table = KeyTable.build([(shard.y, shard.S)], shard.data.group_names, "eo")
+        table = KeyTable.build([(shard.y, shard.S)], shard.group_names, "eo")
         lam = np.zeros(len(table.keys))
-        upload = compute_statistics(
-            params, lam, shard, table.rows[0], table.counts[0], table.families, metric="eo", epochs=2, lr=0.05
-        )
+        upload = compute_statistics(params, lam, shard, table, 0, epochs=2, lr=0.05)
         assert upload.fairness.groups.shape == (len(table.keys), 2) == (4, 2)
         selected = [np.arange(len(shard))[r].size for r in table.rows[0]]
         np.testing.assert_array_equal(upload.fairness.groups[:, 1], selected)
@@ -450,7 +448,7 @@ class TestReport:
         probs = np.array([0.9, 0.2, 0.8, 0.4, 0.6, 0.1])
         y = np.array([1, 0, 1, 0, 1, 0])
         S = np.array([[0], [0], [0], [1], [1], [1]])
-        rep = evaluate_predictions(probs, y, S, ("sex",), (("f", "m"),), per_client_accuracy=[0.8, 0.7])
+        rep = evaluate_predictions(probs, y, S, ("sex",), (("f", "m"),), clients=np.array([0, 0, 0, 1, 1, 1]))
         assert rep.accuracy == 1.0
         assert set(rep.scores()) == {"acc", "dp[sex]", "eo[sex]", "ap[sex]", "cf"}
         again = FairnessReport.from_json(rep.to_json())
@@ -462,13 +460,47 @@ class TestReport:
         S = np.array([[0], [0], [1], [1]])
         rep = evaluate_predictions(probs, y, S, ("g",), (("a", "b"),))
         assert rep.cf is None
-        with_cf = evaluate_predictions(probs, y, S, ("g",), (("a", "b"),), per_client_accuracy=[0.5, 1.0])
+        with_cf = evaluate_predictions(probs, y, S, ("g",), (("a", "b"),), clients=np.array([0, 0, 1, 1]))
         records = [RunRecord("h", "fedavg", 1, with_cf), RunRecord("h", "indfair", 1, rep)]
         write_report(records, tmp_path, reference="fedavg")
         table = (tmp_path / "results.txt").read_text().splitlines()
         assert table[1].split()[-1] == "cf"
         assert table[4].split()[0] == "indfair" and table[4].split()[-1] == "-"
         assert "indfair,cf," not in (tmp_path / "results.csv").read_text()
+
+    def test_client_accuracy_tie_rule_and_clients_without_rows(self):
+        """CF reads each client's accuracy from the report's own hard
+        predictions: p = 0.5 predicts 1, and a client without rows is left
+        out (here client 1)."""
+        y = np.array([1, 0, 1, 1, 1, 0, 0, 0])
+        S = np.zeros((8, 1), dtype=np.int64)
+        clients = np.array([0, 0, 2, 2, 3, 3, 3, 3])
+
+        def cf(probs):
+            return evaluate_predictions(probs, y, S, ("g",), (("a",),), clients=clients).cf
+
+        assert cf(np.full(8, 0.5)) == client_fairness_violation([0.5, 1.0, 0.25])
+        assert cf(np.full(8, np.nextafter(0.5, 0.0))) == client_fairness_violation([0.5, 0.0, 0.75])
+
+    def test_client_accuracy_of_a_trained_model(self):
+        """Zero parameters predict 0.5, so 1, everywhere: each client's
+        accuracy is its positive rate. A handcrafted strong model
+        (logit = 25 x0, via relu(x0) - relu(-x0)) beats that."""
+        shard = synthetic_dataset(24, seed=6, input_dim=4)
+        clients = np.arange(24) % 3
+        zero = MlpParams.zeros(MlpSpec(4, (3,)))
+        rep = evaluate_predictions(
+            model.predict_proba(zero, shard.X), shard.y, shard.S, ("g",), (("g0", "g1"),), clients=clients
+        )
+        assert rep.accuracy == shard.y.mean()
+        assert rep.cf == client_fairness_violation([shard.y[clients == k].mean() for k in range(3)])
+        strong = MlpParams.zeros(MlpSpec(4, (2,)))
+        strong.weights[0][0, 0] = 1.0
+        strong.weights[0][1, 0] = -1.0
+        strong.weights[1][0, 0] = 25.0
+        strong.weights[1][0, 1] = -25.0
+        probs = model.predict_proba(strong, shard.X)
+        assert evaluate_predictions(probs, shard.y, shard.S, ("g",), (("g0", "g1"),)).accuracy > 0.6
 
     def test_scores_in_unit_interval(self):
         rng = make_rng(15)

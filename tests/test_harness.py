@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from fairfedsim import harness
+from fairfedsim import data, harness, model
 from fairfedsim.baselines import REGIMES, TrainConfig
 from fairfedsim.cli import main as cli_main
-from fairfedsim.client import _check_shard
-from fairfedsim.data import DatasetSchema
+from fairfedsim.client import check_shards
+from fairfedsim.data import DatasetSchema, PartitionSpec, largest_remainder_counts, pool_shards
+from fairfedsim.fairness import client_fairness_violation
 from fairfedsim.harness import (
     ExperimentConfig,
     _t_test_p,
@@ -140,16 +141,15 @@ def data_stage_outcome(dataset: dict, partition: dict, seed: int):
     cfg.dataset, cfg.partition = dataset, partition  # set after construction: no check
     try:
         prepared = build_data(cfg, seed)
-        for shard in prepared.shards:
-            _check_shard(shard)
+        check_shards(prepared.shards)
     except ValueError as exc:
         return str(exc)
 
     def strata(ds):
         return sorted(Counter(zip(ds.S[:, 0].tolist(), ds.y.tolist())).items())
 
-    return (strata(prepared.train), strata(prepared.test),
-            [len(s) for s in prepared.shards], [len(s) for s in prepared.test_shards])
+    return (strata(pool_shards(prepared.shards)), strata(prepared.test), [len(s) for s in prepared.shards],
+            np.bincount(prepared.test_clients, minlength=len(prepared.shards)).tolist())
 
 
 def assert_refused_or_finishes_every_cell(fields: dict) -> None:
@@ -341,12 +341,12 @@ class TestConfig:
 
     def test_client_without_test_rows_builds_silently(self, caplog):
         """A client with training rows but no test rows is legal (the
-        report skips its empty test shard), so building it logs nothing."""
+        report leaves it out of CF), so building it logs nothing."""
         caplog.set_level(logging.DEBUG)
         fractions = (0.49, 0.49, 0.02)
         cfg = tiny_config(partition={"attribute": "group", "fractions": {"g0": fractions, "g1": fractions}})
         prepared = build_data(cfg, 0)
-        assert len(prepared.shards[2]) > 0 and len(prepared.test_shards[2]) == 0
+        assert len(prepared.shards[2]) > 0 and not (prepared.test_clients == 2).any()
         assert caplog.records == []
 
     def test_synthetic_groups_g0_to_g11_with_their_partition_build(self):
@@ -581,19 +581,45 @@ class TestBuildData:
         cfg.dataset["synthetic"]["n"] = 200
         a = build_data(cfg, 5)
         b = build_data(cfg, 5)
-        np.testing.assert_array_equal(a.train.X, b.train.X)
+        np.testing.assert_array_equal(a.test.X, b.test.X)
+        np.testing.assert_array_equal(a.test_clients, b.test_clients)
         for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.data.row_ids, sb.data.row_ids)
+            np.testing.assert_array_equal(sa.X, sb.X)
+            np.testing.assert_array_equal(sa.row_ids, sb.row_ids)
 
-    def test_test_shards_mirror_partition(self):
+    def test_test_clients_follow_the_partition(self):
+        """Every test row has one client in 0..K-1, and each group's test
+        rows are apportioned by its fractions (largest remainder)."""
         cfg = ExperimentConfig()
         cfg.dataset["synthetic"]["n"] = 500
         prepared = build_data(cfg, 1)
-        assert len(prepared.test_shards) == len(prepared.shards) == 5
-        test_rows = set()
-        for s in prepared.test_shards:
-            test_rows.update(s.data.row_ids.tolist())
-        assert test_rows == set(prepared.test.row_ids.tolist())
+        test, clients = prepared.test, prepared.test_clients
+        assert len(prepared.shards) == 5
+        assert clients.shape == (len(test),) and clients.dtype == np.int64
+        assert 0 <= clients.min() and clients.max() < 5
+        for code, name in enumerate(test.group_names[0]):
+            in_group = test.S[:, 0] == code
+            expected = largest_remainder_counts(int(in_group.sum()), cfg.partition["fractions"][name])
+            assert np.bincount(clients[in_group], minlength=5).tolist() == expected
+
+    @pytest.mark.parametrize("regime", ["mfairfl", "fedavg_f"])
+    def test_cf_equals_the_per_client_shard_scores(self, regime):
+        """CF from the test rows' client labels equals, exactly, CF from
+        one prediction pass per client over its own test rows (the client
+        shards a partition of the test split gives, at the labels' seed)."""
+        cfg = tiny_config(rounds=2, local_epochs=2, partition={
+            "attribute": "group", "fractions": {"g0": (0.5, 0.3, 0.2, 0.0), "g1": (0.1, 0.4, 0.4, 0.1)}
+        })
+        seed = 3
+        prepared = build_data(cfg, seed)
+        result = harness.train(regime, prepared.shards, cfg.train_config(seed))
+        params = model.MlpParams.unflatten(result.model.spec, result.model.params_list[0])
+        test_shards = data.partition(prepared.test, PartitionSpec.from_json(cfg.partition), seed + 1_000_003)
+        accuracies = [
+            float(((model.predict_proba(params, s.X) >= 0.5) == s.y).mean()) for s in test_shards if len(s) > 0
+        ]
+        assert len(accuracies) == 4
+        assert harness.evaluate_run(result, regime, prepared).cf == client_fairness_violation(accuracies)
 
 
 class TestCli:
@@ -613,6 +639,34 @@ class TestCli:
         assert cli_main(["partition", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "client" in out and "g0" in out
+
+    def test_partition_without_seeds_previews_the_seed_0_build(self, tmp_path, capsys):
+        """A config may hold no seeds; the preview is the config check's
+        seed-0 build, whose shard counts are those of every seed."""
+        cfg = tiny_config(seeds=())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        assert cli_main(["partition", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "the counts are the same at every seed" in lines[0]
+        sizes = [len(s) for s in build_data(cfg, 0).shards]
+        assert [int(line.split()[1]) for line in lines[2:]] == sizes == [len(s) for s in build_data(cfg, 5).shards]
+
+    @pytest.mark.parametrize("option", ["--seeds", "--regimes"])
+    @pytest.mark.parametrize("value", [",", " , ,", ""])
+    def test_run_refuses_an_empty_list_at_parse_time(self, tmp_path, capsys, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", option, value, "--out", str(tmp_path / "never")])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: empty list" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_run_refuses_a_seed_that_is_not_an_integer_at_parse_time(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--seeds", "1,x", "--out", str(tmp_path / "never")])
+        assert exit_info.value.code == 2
+        assert "argument --seeds: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
