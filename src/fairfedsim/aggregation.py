@@ -81,26 +81,24 @@ For n >= 2 no schedule is shorter: the tests (0, 1) .. (0, n - 1),
 (n - 1, 0) and the other K - 2 tests of client n - 1 each depend on the one
 before, a chain of n + K - 2.
 
-Layout. The sweep permutes the coordinate rows, their norms and the goals
-into order position once, so that row p (and column p of the goals)
-belongs to client order[p], and permutes the working gradients and the
-goals back once at the end. A step's clients are then consecutive rows.
-The swept rows' goals and the sweep's results are held in an n x K
-off-diagonal grid, built once a round from the position-layout goals:
-column t' of row q is target t' - [t' <= q], and column 0 holds the
+Layout. Only the working gradients and their norms move into order
+position, so that row p belongs to client order[p] and a step's clients
+are consecutive rows; they move back once at the end. The raw targets and
+the goals stay by client id. The goals live in one copy of the K x K
+array. The sweep's pairs and results are held in an n x K off-diagonal
+grid: column t' of row q is target t' - [t' <= q], and column 0 holds the
 diagonal, which no step visits. In the flattened grid the cell
 [q, tau - q] is tau + q (K - 1), an arithmetic progression in q with step
-K - 1. So a step reads and writes its goals, cosines and results on
-views, its targets are one ``take`` of the rows its cells name, its EMA
-step runs in place on the goal view, and it gathers only its conflicting
-pairs, to adjust them and recompute their norms. A pair with q < t < n
-copies its new goal into the mirror cell [t, q + 1], which (t, q) reads at
-the next step: the cells tau K + 1 - q (K - 1), with step -(K - 1). No
-other goal is read again in the round: for t < q the mirror has run, and a
-target t >= n is never a client. At the end each pair's goal comes back
-from its swept client's row, and a pair of two swept clients takes the
-goal of its second test, row max(q, t). The diagonal is never tested, so
-it is left as it is.
+K - 1. So a step reads its targets' client ids, the flat index of each
+pair's goal cell and that of its mirror cell from views of the grid, and
+writes its cosines and results on views. Its targets and their norms are
+one ``take`` each, its goals one ``take`` from the copy, and it gathers
+only its conflicting pairs, to adjust them and recompute their norms. Each
+stepped goal is written to both cells of its pair, so the copy is
+symmetric after every step: a test reads the goal its pair's earlier test
+left, and each pair ends on the goal of its last test. The diagonal and
+the pairs of two clients that are not swept are never tested, so they are
+left as they are.
 
 A step runs under a mask of live pairs once a raw or working gradient of
 zero norm exists: both the working gradient and the raw target of nonzero
@@ -116,10 +114,8 @@ work each (158 at K = 100, beta = 0.6; 798 at K = 500), in place of
 ceil(beta K) (K - 1) scalar tests (5,940 at K = 100). A step is numpy call
 overhead, not arithmetic: about 20 calls, and about 30 more when a pair
 adjusts. On the ``cross-device`` bench's K = 100 sweeps a sweep costs
-about 8.8 ms, against 10.8 ms for the schedule tau = 2q + t this one
-replaced, which took 2n + K - 2 steps (218) and skipped the self pair by a
-mask (one core of a 2-vCPU Xeon, one BLAS thread). The sequential sweep
-on D-length vectors, O(ceil(beta K) K D), is kept as the reference
+about 8.2 ms (one core of a 2-vCPU Xeon, one BLAS thread). The sequential
+sweep on D-length vectors, O(ceil(beta K) K D), is kept as the reference
 ``oracles.diminish_conflicts_dspace``.
 
 Saturated goals: a goal within ``GOAL_SATURATION_EPS`` (1e-9) of +-1 counts as
@@ -181,8 +177,9 @@ def ema_update(goals: np.ndarray, delta: float, i, j, phi) -> None:
     symmetrically into ``goals`` in place. ``i``, ``j`` and ``phi`` may be
     equal-length arrays of distinct pairs, which step every pair at once.
     The D-space reference steps its goals here, behind the range check; the
-    sweep takes the same step on its views of the goals, with its cosines
-    clipped into [-1, 1] where they are observed."""
+    sweep takes the same step on the goals its pairs gather and writes each
+    back to both cells of its pair, with its cosines clipped into [-1, 1]
+    where they are observed."""
     if (np.abs(phi) > 1.0).any():
         raise ValueError(f"observed cosine {phi} outside [-1, 1]")
     new = delta * goals[i, j] + (1.0 - delta) * phi
@@ -278,17 +275,12 @@ class PairTests:
     goal: np.ndarray
     adjusted: np.ndarray
 
-    def __post_init__(self):
-        self.client = np.asarray(self.client, dtype=np.int64)
-        self.target = np.asarray(self.target, dtype=np.int64)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.goal = np.asarray(self.goal, dtype=np.float64)
-        self.adjusted = np.asarray(self.adjusted, dtype=bool)
-
     @classmethod
     def from_rows(cls, rows: Sequence[tuple]) -> "PairTests":
         """From (client, target, phi, goal, adjusted) tuples in sweep order."""
-        return cls(*(list(zip(*rows)) or [()] * 5))
+        columns = list(zip(*rows)) or [()] * 5
+        dtypes = (np.int64, np.int64, np.float64, np.float64, bool)
+        return cls(*(np.asarray(c, dtype=d) for c, d in zip(columns, dtypes)))
 
     def __len__(self) -> int:
         return len(self.client)
@@ -359,12 +351,6 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", m, m))
 
 
-def _run(start: int, count: int, stride: int) -> slice:
-    """The indices start, start + stride, ... (``count`` of them) as a slice."""
-    stop = start + count * stride
-    return slice(start, stop if stop >= 0 else None, stride)
-
-
 def diminish_conflicts(
     grads: Sequence[np.ndarray],
     order: Sequence[int],
@@ -403,17 +389,17 @@ def diminish_conflicts(
     raw = np.stack([np.asarray(grads[k], dtype=np.float64) for k in range(K)])
     coords = _coordinates(raw)
     raw_norm = _row_norms(coords)
-    # the sweep's layout: row (and column) p belongs to client order[p]
-    targets, norm_t = coords[order], raw_norm[order]
-    working, norm_w = targets.copy(), norm_t.copy()
-    at = np.ix_(order, order)
-    swept_goals = goals[at]
+    # only the working rows move: row p belongs to client order[p]
+    working, norm_w = coords[order], raw_norm[order]
+    new_goals = goals.copy()
+    flat_goals = new_goals.reshape(-1)
     # the off-diagonal grid: column t' of row q is target t' - [t' <= q], column 0 the diagonal
     rows = np.arange(n)[:, None]
     target_of = np.arange(K) - (np.arange(K) <= rows)
     target_of[:, 0] = rows[:, 0]
-    target_cells = target_of.reshape(-1)
-    goal_cells = swept_goals[rows, target_of].reshape(-1)
+    client, target = order[rows], order[target_of]
+    target_cells = target.reshape(-1)
+    pair_cells, mirror_cells = (client * K + target).reshape(-1), (target * K + client).reshape(-1)
     # the sweep's results, on the same grid
     phis, seen, shift = np.zeros((n, K)), np.zeros((n, K)), np.zeros((n, K))
     tested, adjusted = np.ones((n, K), dtype=bool), np.zeros((n, K), dtype=bool)
@@ -425,10 +411,11 @@ def diminish_conflicts(
         lo, hi = max(0, tau - K + 1), min(n, tau)
         # pair j: client q = lo + j against the target at column tau - q, cell q K + tau - q of the grids
         w, norm_k = working[lo:hi], norm_w[lo:hi]
-        at_q = _run(tau + lo * (K - 1), hi - lo, K - 1)
+        at_q = slice(tau + lo * (K - 1), tau + hi * (K - 1), K - 1)
         t = target_cells[at_q]
-        g, norm_i = targets.take(t, axis=0), norm_t.take(t)
-        phi, goal = phi_cells[at_q], goal_cells[at_q]
+        g, norm_i = coords.take(t, axis=0), raw_norm.take(t)
+        phi, cells = phi_cells[at_q], pair_cells[at_q]
+        goal = flat_goals.take(cells)
         live = True
         if not nonzero:
             # a zero-norm side has no direction: nothing to test or observe
@@ -450,22 +437,14 @@ def diminish_conflicts(
             nonzero = nonzero and bool(moved_norm.all())
             shift_cells[at_q][hit] = c
             adjusted_cells[at_q] = conflict
-        # the EMA step, and its copy into the mirror cell [t, q + 1] of the pairs q < t < n, read at step tau + 1
+        # the EMA step, written to both cells of each pair, so the goals stay symmetric
         np.multiply(goal, delta, out=goal, where=live)
         np.add(goal, (1.0 - delta) * phi, out=goal, where=live)
-        first, last = max(lo, tau - n + 1), min(hi - 1, (tau - 1) // 2)
-        if first <= last:
-            goal_cells[_run(tau * K + 1 - first * (K - 1), last + 1 - first, 1 - K)] = goal[first - lo : last + 1 - lo]
+        flat_goals[cells] = goal
+        flat_goals[mirror_cells[at_q]] = goal
     n_adjustments = int(np.count_nonzero(adjusted))
     q, col = np.nonzero(tested)  # row-major: the sweep order
-    tests = PairTests(order[q], order[target_of[q, col]], phis[q, col], seen[q, col], adjusted[q, col])
-    # a swept client's row holds its goals; a pair of two swept clients ends on its second test, row max(q, t)
-    swept_goals[rows, target_of] = goal_cells.reshape(n, K)
-    top = swept_goals[:n, :n]
-    np.copyto(top, top.T, where=rows < rows.T)
-    swept_goals[n:, :n] = swept_goals[:n, n:].T
-    new_goals = np.empty_like(swept_goals)
-    new_goals[at] = swept_goals
+    tests = PairTests(order[q], target[q, col], phis[q, col], seen[q, col], adjusted[q, col])
     by_id = np.empty_like(working)
     by_id[order] = working
     plain_mean = mean_rows(raw)
@@ -473,7 +452,7 @@ def diminish_conflicts(
     if n_adjustments:
         # take the adjustments off alone, so an unadjusted round is the plain mean bit for bit
         shifts = np.zeros((K, K))  # shifts[k, i]: the multiple of g_i taken off w_k
-        shifts[order[:n, None], order[target_of]] = shift
+        shifts[client, target] = shift
         gradient = gradient - (shifts.sum(axis=0) / K) @ raw
         check_finite(gradient, "curated gradient")
     return DiminishResult(gradient, plain_mean, new_goals, n_adjustments, tests, coords, by_id)

@@ -40,7 +40,7 @@ from .client import ClientStatistics
 from .data import Dataset, pool_shards
 from .fairness import KeyTable
 from .model import MlpParams, MlpSpec
-from .numeric import make_rng
+from .numeric import check_int, make_rng
 
 
 @dataclass
@@ -61,11 +61,12 @@ class Hyperparameters:
         self.check()
 
     def check(self) -> None:
-        """Refuse out-of-range values. Runs when the config is built;
-        ``harness.run`` runs it again, for fields edited since."""
+        """Refuse out-of-range values, and integer settings that are not
+        integers. Runs when the config is built; ``harness.run`` runs it
+        again, for fields edited since."""
         self.hidden_dims = model.check_hidden_dims(self.hidden_dims)
-        if self.rounds < 1 or self.local_epochs < 1:
-            raise ValueError(f"rounds={self.rounds} and local_epochs={self.local_epochs} must be >= 1")
+        self.rounds = check_int(self.rounds, "rounds", 1)
+        self.local_epochs = check_int(self.local_epochs, "local_epochs", 1)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 <= self.delta <= 1.0:

@@ -23,8 +23,15 @@ def _parse_list(raw: str) -> list[str]:
     return parts
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be non-negative, got {value}")
+    return value
+
+
 def _seed_list(raw: str) -> list[int]:
-    return [int(part) for part in _parse_list(raw)]  # argparse reports a ValueError as an invalid value
+    return [_seed(part) for part in _parse_list(raw)]
 
 
 def _positive_int(raw: str) -> int:
@@ -147,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the theorem oracle campaigns")
     p_verify.add_argument("--instances", type=_positive_int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--seed", type=_seed, default=7)
     p_verify.add_argument("--out", default="verify-out")
     p_verify.set_defaults(func=cmd_verify)
 

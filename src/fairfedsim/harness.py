@@ -43,6 +43,7 @@ from . import fairness
 from .baselines import REGIMES, Hyperparameters, TrainConfig, TrainResult, run_federated, run_fedavg_f, train
 from .data import Dataset, DatasetSchema, PartitionSpec
 from .fairness import FairnessReport
+from .numeric import check_int
 
 CLIENT_MODES = ("local_epochs", "single_step")  # single_step is local_epochs with E = 1
 REFERENCE_REGIME = "mfairfl"  # the regime the report's t-tests compare against
@@ -78,7 +79,6 @@ class ExperimentConfig(Hyperparameters):
 
     def __post_init__(self):
         self.regimes = tuple(str(r) for r in self.regimes)
-        self.seeds = tuple(int(s) for s in self.seeds)
         super().__post_init__()  # runs check()
         if self.beta not in BETA_GRID and self.beta != 0.0:
             warnings.warn(f"beta={self.beta} is outside the default grid {BETA_GRID}", stacklevel=2)
@@ -90,6 +90,7 @@ class ExperimentConfig(Hyperparameters):
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}; one of {tuple(REGIMES)}")
+        self.seeds = tuple(check_int(s, "seeds", 0) for s in self.seeds)
         for name in ("regimes", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

@@ -48,14 +48,15 @@ from typing import Optional
 
 import numpy as np
 
-from .numeric import check_finite, make_rng
+from .numeric import check_finite, check_int, make_rng
 
 
 def check_hidden_dims(hidden_dims) -> tuple[int, ...]:
-    """The hidden layer widths as ints: at least one layer, each >= 1."""
-    dims = tuple(int(h) for h in hidden_dims)
-    if not dims or any(h < 1 for h in dims):
-        raise ValueError("hidden_dims must be nonempty with all dims >= 1")
+    """The hidden layer widths as ints: at least one layer, each an
+    integer >= 1."""
+    dims = tuple(check_int(h, "hidden_dims", 1) for h in hidden_dims)
+    if not dims:
+        raise ValueError("hidden_dims must be nonempty")
     return dims
 
 

@@ -32,6 +32,16 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, stream)])))
 
 
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int: an int or numpy integer (not a bool) of at
+    least ``minimum``; anything else, a float included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def check_finite(v: np.ndarray | float, context: str = "value") -> None:
     """Raise NonFiniteError if ``v`` contains NaN or infinity."""
     if not np.isfinite(v).all():

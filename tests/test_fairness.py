@@ -468,6 +468,14 @@ class TestReport:
         assert table[4].split()[0] == "indfair" and table[4].split()[-1] == "-"
         assert "indfair,cf," not in (tmp_path / "results.csv").read_text()
 
+    def test_group_without_test_rows_left_out_of_per_group(self):
+        probs = np.array([0.9, 0.2, 0.7, 0.3])
+        y = np.array([1, 0, 0, 0])
+        S = np.array([[0], [0], [2], [2]])  # group "b" (code 1) has no rows
+        rep = evaluate_predictions(probs, y, S, ("g",), (("a", "b", "c"),))
+        rows = [(row["group"], row["count"], row["accuracy"]) for row in rep.per_group]
+        assert rows == [("a", 2, 1.0), ("c", 2, 0.5)]
+
     def test_client_accuracy_tie_rule_and_clients_without_rows(self):
         """CF reads each client's accuracy from the report's own hard
         predictions: p = 0.5 predicts 1, and a client without rows is left

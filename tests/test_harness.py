@@ -22,15 +22,17 @@ from fairfedsim.baselines import REGIMES, TrainConfig
 from fairfedsim.cli import main as cli_main
 from fairfedsim.client import check_shards
 from fairfedsim.data import DatasetSchema, PartitionSpec, largest_remainder_counts, pool_shards
-from fairfedsim.fairness import client_fairness_violation
+from fairfedsim.fairness import FairnessReport, client_fairness_violation
 from fairfedsim.harness import (
     ExperimentConfig,
+    RunRecord,
     _t_test_p,
     build_data,
     load_records,
     paired_ttest,
     run,
     run_cell,
+    write_report,
 )
 
 
@@ -286,6 +288,8 @@ class TestConfig:
         [("beta", -0.1), ("beta", 1.5), ("delta", -0.5), ("delta", 2.0), ("gamma", -1.0), ("eta", 0.0), ("eta", -0.05),
          ("eta", math.nan), ("eta", math.inf), ("gamma", math.nan), ("alpha", math.nan), ("alpha", -0.1),
          ("constraint", "xx"), ("local_epochs", 0), ("rounds", 0), ("hidden_dims", ()), ("hidden_dims", (8, 0)),
+         # integer settings: neither truncated nor taken from a bool
+         ("rounds", 1.5), ("local_epochs", 1.5), ("rounds", True), ("hidden_dims", (8.9,)), ("hidden_dims", (8, True)),
          # ExperimentConfig only
          ("partition", {"attribute": "group", "fractions": {"g0": (0.5, 0.4), "g1": (0.5, 0.5)}}),
          ("partition", {"attribute": "sex", "fractions": {"g0": (0.5, 0.5), "g1": (0.5, 0.5)}}),
@@ -305,6 +309,17 @@ class TestConfig:
         for seeds in ((1, 2), ()):
             with pytest.raises(ValueError, match=name):
                 replace(ExperimentConfig(), seeds=seeds, **{name: value})
+
+    @pytest.mark.parametrize("seeds", [(1.7,), (-1,), (2, True), (np.float64(3.0),)])
+    def test_seed_that_is_not_a_non_negative_integer_rejected_at_construction(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            replace(ExperimentConfig(), seeds=seeds)
+
+    def test_numpy_integer_settings_are_taken_as_ints(self):
+        cfg = replace(ExperimentConfig(), seeds=(np.int64(3),), rounds=np.int32(2), hidden_dims=(np.int64(8),))
+        assert (cfg.seeds, cfg.rounds, cfg.hidden_dims) == ((3,), 2, (8,))
+        assert all(type(v) is int for v in (*cfg.seeds, cfg.rounds, *cfg.hidden_dims))
+        assert cfg.config_hash() == replace(ExperimentConfig(), seeds=(3,), rounds=2, hidden_dims=(8,)).config_hash()
 
     @pytest.mark.parametrize("name, values", [("seeds", (1, 1, 2)), ("regimes", ("fedavg", "fedavg"))])
     def test_repeated_seed_or_regime_rejected(self, name, values):
@@ -435,11 +450,12 @@ class TestRun:
             lambda cfg, _: cfg.dataset["synthetic"].update(group_fractions=(1.0, 0.0)),
             lambda cfg, _: cfg.partition.update(fractions={"g0": [0.5, 0.5, 0.0], "g1": [0.5, 0.5, 0.0]}),
             lambda cfg, _: setattr(cfg, "seeds", (1, 1)),
+            lambda cfg, _: setattr(cfg, "seeds", (1.5,)),
             lambda cfg, _: setattr(cfg, "eta", -1.0),
             *[lambda cfg, d, make=make: vars(cfg).update(make(d)) for make, _ in CSV_REFUSALS.values()],
         ],
         ids=["synthetic-key", "synthetic-value", "partition-group", "one-sample-stratum", "group-without-rows",
-             "client-without-rows", "repeated-seed", "eta", *CSV_REFUSALS],
+             "client-without-rows", "repeated-seed", "fractional-seed", "eta", *CSV_REFUSALS],
     )
     def test_edit_after_construction_refused_before_any_file(self, tmp_path, edit):
         out = tmp_path / "x"
@@ -493,6 +509,26 @@ class TestRun:
         assert ("mfairfl", "cf") in rows and ("indfair", "cf") not in rows
         header, mfairfl_row = [line.split() for line in (out / "results.txt").read_text().splitlines()[1:5:3]]
         assert header[-1] == "cf" and len(mfairfl_row) == len(header)
+
+    def test_significant_difference_marked_in_the_text_table(self, tmp_path):
+        """A score that differs from the reference's by a constant shift at
+        every seed is significant (``*``); identical scores are not."""
+
+        def report(acc):
+            return FairnessReport(accuracy=acc, dp={"g": 0.1}, eo={"g": 0.2}, ap={"g": 0.3})
+
+        accs = [0.70, 0.72, 0.75]
+        records = [RunRecord("h", regime, seed, report(acc + shift))
+                   for regime, shift in (("mfairfl", 0.0), ("fedavg", 0.05)) for seed, acc in enumerate(accs)]
+        write_report(records, tmp_path)
+        lines = (tmp_path / "results.txt").read_text().splitlines()
+        assert lines[1].split() == ["regime", "acc", "dp[g]", "eo[g]", "ap[g]"]
+        rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+        assert [cell.endswith("*") for cell in rows["fedavg"]] == [True, False, False, False]
+        assert not any(cell.endswith("*") for cell in rows["mfairfl"])
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            significant = {(r["regime"], r["metric"]): r["significant"] for r in csv.DictReader(fh)}
+        assert [significant["fedavg", m] for m in ("acc", "dp[g]", "eo[g]", "ap[g]")] == ["1", "0", "0", "0"]
 
     def test_records_reload(self, tmp_path):
         out = tmp_path / "e"
@@ -667,6 +703,27 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "argument --seeds: invalid" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--seeds", "-1"], ["verify", "--seed", "-1", "--instances", "1"]])
+    def test_negative_seed_refused_at_parse_time(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*argv, "--out", str(tmp_path / "never")])
+        assert exit_info.value.code == 2
+        assert "a seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_run_overrides_regimes_and_seeds(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(rounds=1, local_epochs=1).to_json()))
+        argv = ["run", "--config", str(path), "--regimes", "fedavg", "--seeds", "3", "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "fedavg-3: ok"
+        assert [p.name for p in (tmp_path / "o" / "trace").iterdir()] == ["fedavg-3.jsonl"]
+        assert [(r.regime, r.seed) for r in load_records(str(tmp_path / "o"))] == [("fedavg", 3)]
+
+    def test_config_without_an_action_exits_2(self, capsys):
+        assert cli_main(["config"]) == 2
+        assert capsys.readouterr().err == "nothing to do; use --print-defaults\n"
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(regimes=("fedavg",), seeds=(1,))
