@@ -136,7 +136,9 @@ def run_federated(
     (server-side, merged statistics) to per-client vectors updated from
     each client's own statistics (the fair-local-training baseline). The
     final multipliers are returned by key name: one dict, or one per
-    client index. An empty shard is refused before the first round.
+    client index. An empty shard is refused before the first round. Every
+    local step writes into one ``model.Workspace``, sized to the largest
+    shard and built here, in the training path alone.
     """
     if not shards:
         raise ValueError("need at least one shard")
@@ -145,6 +147,7 @@ def run_federated(
     spec = MlpSpec(input_dim, cfg.hidden_dims)
     params = MlpParams.init(spec, cfg.seed)
     flat = params.flatten()
+    work = model.Workspace(spec, max(len(s) for s in shards))
 
     table = KeyTable.build([(s.y, s.S) for s in shards], shards[0].group_names, cfg.constraint)
     K = len(shards)
@@ -169,6 +172,7 @@ def run_federated(
                 k,
                 epochs=cfg.local_epochs,
                 lr=cfg.eta,
+                work=work,
             )
             for k, shard in enumerate(shards)
         ]

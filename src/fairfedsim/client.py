@@ -19,10 +19,14 @@ A step runs one forward pass over the shard, then backpropagates the loss
 over every row and, for each constraint key with members on the shard,
 grad f over that key's rows (``fairness.group_grad_sums``), whatever its
 multiplier: the benchmark pins ``model.backward_per_step == 1 + #keys``.
-A key of the first sensitive attribute is one run of the shard's rows
-(``data.partition`` orders them so), so its pass and its statistic read
-views of the forward pass's arrays; only a key of a further attribute
-gathers its rows. The multipliers are frozen for the round, so
+Every pass on an n-row shard writes into the first n rows of the run's
+one ``model.Workspace`` (``baselines.run_federated`` builds it, sized to
+the largest shard). A key of the first sensitive attribute is one
+run of the shard's rows (``data.partition`` orders them so), so its pass
+and its statistic read views of the forward pass's activations; only a
+key of a further attribute gathers its rows. So a step allocates no
+(n, width) array: only the flat gradients it keeps, n-length vectors and
+those gathered rows. The multipliers are frozen for the round, so
 ``compute_statistics`` decides once per round whether any key with
 members carries a positive one. Only then is sum_s lambda_s grad h_s
 formed, as one weighted sum of the per-key sums
@@ -79,6 +83,7 @@ def lagrangian_grad(
     table: KeyTable,
     k: int,
     uploaded: bool = True,
+    work: Optional[model.Workspace] = None,
 ) -> tuple[Optional[float], FairnessStatistics, np.ndarray]:
     """Loss, fairness statistics, and the full gradient of
     J(w, lambda) = L(D_k, w) + sum_s lambda_s h_s(w) at the given params.
@@ -92,10 +97,11 @@ def lagrangian_grad(
     formed first, as in ``model.loss_and_grad``, and the constraint sum is
     added to it once. The gradient is checked finite. A step whose loss is
     not ``uploaded`` returns None for it, and under DP and EO computes no
-    per-sample loss.
+    per-sample loss. The passes write into ``work`` (``model.Workspace``),
+    or into a new workspace sized to the shard.
     """
     rows, counts, metric = table.rows[k], table.counts[k], table.metric
-    outputs = model.batch_outputs(params, shard.X, shard.y, uploaded or metric == "ap")
+    outputs = model.batch_outputs(params, shard.X, shard.y, uploaded or metric == "ap", work)
     probs, losses, weighted_grad = outputs
     grad = weighted_grad((probs - shard.y) / probs.shape[0])
     stats = fairness.compute_statistics_for_metric(outputs, rows, counts, metric)
@@ -115,6 +121,7 @@ def compute_statistics(
     *,
     epochs: int,
     lr: float,
+    work: Optional[model.Workspace] = None,
 ) -> ClientStatistics:
     """Assemble client k's round upload.
 
@@ -122,17 +129,17 @@ def compute_statistics(
     vector ``lam`` frozen; the update gradient is the sum of the per-step
     gradients (exactly the telescoped (w0 - wE)/lr), while loss and
     fairness statistics are evaluated at the received parameters.
-    ``shard``, ``table`` and ``k`` are as in ``lagrangian_grad``.
+    ``shard``, ``table``, ``k`` and ``work`` are as in ``lagrangian_grad``.
     """
     lam = lam if (lam[table.counts[k] > 0.0] > 0.0).any() else None
-    loss, stats, grad = lagrangian_grad(params, lam, shard, table, k)
+    loss, stats, grad = lagrangian_grad(params, lam, shard, table, k, True, work)
     update = grad
     if epochs > 1:
         step_params = MlpParams(params.spec, params.flatten())
         update = grad.copy()
         for _ in range(epochs - 1):
             step_params.flat -= lr * grad
-            _, _, grad = lagrangian_grad(step_params, lam, shard, table, k, False)
+            _, _, grad = lagrangian_grad(step_params, lam, shard, table, k, False, work)
             update += grad
         check_finite(update, f"client {k} update gradient")
     return ClientStatistics(loss=loss, fairness=stats, update_grad=update)

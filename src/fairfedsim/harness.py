@@ -408,7 +408,7 @@ def write_report(records: Sequence[RunRecord], out_dir: Path, reference: str = R
     for (regime, metric), (mean, std, n, test) in cells.items():
         t_s = p_s = sig = ""
         if test is not None:
-            t_s = "inf" if math.isinf(test.t) else f"{test.t:.6g}"
+            t_s = f"{test.t:.6g}"
             p_s = f"{test.p:.6g}"
             sig = "1" if test.significant else "0"
         csv_lines.append(f"{regime},{metric},{mean:.6g},{std:.6g},{n},{t_s},{p_s},{sig},{chash},{__version__}")

@@ -12,32 +12,43 @@ and ``biases`` are views into the vector, so ``unflatten`` and ``flatten``
 each make one copy, and a backward pass writes every layer's gradient
 straight into its slice of one new vector.
 
-Arrays per pass, for a batch of n rows:
-- A forward pass allocates one (n, width) product per hidden layer and adds
-  the bias and applies the ReLU to it in place; these are the pass's
-  activations, kept for its backward passes and written by nothing else.
-  The (n,) logits and ``sigmoid`` take a few n-length temporaries.
-- A backward pass allocates the flat gradient vector, one length-n vector
-  of ones and, per hidden layer, the (n, width) product ``delta @ W`` and
-  the bool ReLU mask it is multiplied by in place. Each layer's weight
-  gradient ``delta.T @ a`` and bias gradient ``ones @ delta`` are BLAS
-  products written straight into the layer's slices of the flat vector.
-  The pass does not check its result for finiteness: ``weighted_grad``
-  returns an unchecked gradient, and its callers check the gradients they
-  read (``loss_and_grad`` its own result, a client step the gradient it
+Arrays per pass, for a batch of n rows: the passes write into a
+``Workspace``, arrays made once for up to ``rows`` rows and reused by every
+pass over its first n rows. ``baselines.run_federated`` builds one per
+training run, sized to its largest shard, and every client, step and round
+shares it (clients run one after another); ``predict_proba``,
+``loss_and_grad`` and a ``batch_outputs`` call without one build one
+sized to their batch. A batch longer than the workspace is refused.
+- A forward pass writes each hidden product into its layer's activation
+  buffer (``np.matmul(a, W.T, out=...)``), then adds the bias and applies
+  the ReLU in place; these are the pass's activations, kept for its
+  backward passes. It stamps the workspace, and a ``weighted_grad`` of an
+  earlier pass, whose activations it overwrote, raises instead of reading
+  them. The (n,) logits and ``sigmoid`` take a few fresh n-length vectors.
+- A backward pass allocates only the flat gradient vector, which it
+  returns. Per hidden layer it writes ``delta @ W`` into the layer's
+  ``delta`` buffer (two arrays, which the layers take in turn) and the
+  bool ReLU mask into the layer's mask buffer, and multiplies the two in
+  place. Each layer's weight gradient ``delta.T @ a`` and bias gradient
+  ``ones @ delta`` (the workspace's ``ones``) are BLAS products written
+  straight into the layer's slices of the flat vector. The pass does not
+  check its result for finiteness: ``weighted_grad`` returns an unchecked
+  gradient, and its callers check the gradients they read
+  (``loss_and_grad`` its own result, a client step the gradient it
   returns). The forward pass checks its probabilities.
 - A pass over some rows indexes every activation and ``dlogit`` by them,
   ``a[rows]``, one path for both kinds of ``rows``: a slice (a run of rows,
   as ``fairness.KeyTable`` records every key of the first sensitive
-  attribute) gives views, so the pass copies nothing; an integer index
-  gathers copies of those rows. Either gives the bytes of a pass over a
-  batch holding just those rows.
-In-place work touches only arrays the pass made itself, never ``X``,
-``dlogit`` or the parameters. Every result is bit for bit that of the
-out-of-place formulas. Weights enter the products as views (``W.T``), not
-as contiguous transposed copies: OpenBLAS rounds its N/T and N/N gemm
-paths differently (a 32 x 32 layer over 5 rows differs in the last bits),
-so a copy would change the gradients.
+  attribute) gives views of the workspace, so the pass copies nothing; an
+  integer index gathers fresh copies of those rows. Either gives the bytes
+  of a pass over a batch holding just those rows.
+In-place work touches only the workspace and arrays the pass made itself,
+never ``X``, ``dlogit`` or the parameters. Every buffer a product writes
+is C-contiguous, so it runs the BLAS call a fresh result would, and every
+result is bit for bit that of the out-of-place formulas. Weights enter the
+products as views (``W.T``), not as contiguous transposed copies: OpenBLAS
+rounds its N/T and N/N gemm paths differently (a 32 x 32 layer over 5
+rows differs in the last bits), so a copy would change the gradients.
 """
 
 from __future__ import annotations
@@ -154,18 +165,47 @@ def _rows(X) -> np.ndarray:
     return X
 
 
-def _forward_cache(params: MlpParams, X: np.ndarray):
-    """Forward pass keeping pre-activations for backprop.
+class Workspace:
+    """The arrays a pass writes, for batches of up to ``rows`` rows of
+    ``spec``'s network. Per hidden layer: an activation buffer, a ``delta``
+    buffer and a bool ReLU mask buffer, each (rows, width) and C-contiguous.
+    The delta buffers are views into two arrays of rows x the widest layer,
+    taken in turn from layer to layer, and the masks views into one such
+    array; a pass over n rows uses the first n rows of each. ``ones`` is a
+    vector of ones; ``stamp`` counts the forward passes written into it."""
+
+    def __init__(self, spec: MlpSpec, rows: int):
+        self.rows = rows
+        widths = spec.hidden_dims
+        self.acts = [np.empty((rows, h)) for h in widths]
+        size = rows * max(widths)
+        pair, mask = (np.empty(size), np.empty(size)), np.empty(size, dtype=bool)
+        self.deltas = [pair[j % 2][: rows * h].reshape(rows, h) for j, h in enumerate(widths)]
+        self.masks = [mask[: rows * h].reshape(rows, h) for h in widths]
+        self.ones = np.ones(rows)
+        self.stamp = 0
+
+    def fit(self, n: int) -> None:
+        """Refuse a batch of ``n`` rows that the workspace cannot hold."""
+        if n > self.rows:
+            raise ValueError(f"a batch of {n} rows exceeds the workspace's {self.rows}")
+
+
+def _forward_cache(params: MlpParams, X: np.ndarray, work: Workspace):
+    """Forward pass keeping the activations for backprop, written into
+    ``work``'s first len(X) rows; stamps ``work``.
 
     Returns (probs, logits, activations) where activations[0] is the input.
     """
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError(f"input shape {X.shape} does not match input_dim {params.spec.input_dim}")
+    n = X.shape[0]
+    work.fit(n)
+    work.stamp += 1
     acts = [X]
     a = X
-    n_layers = len(params.weights)
-    for li in range(n_layers - 1):
-        a = a @ params.weights[li].T
+    for li in range(len(params.weights) - 1):
+        a = np.matmul(a, params.weights[li].T, out=work.acts[li][:n])
         a += params.biases[li]
         np.maximum(a, 0.0, out=a)
         acts.append(a)
@@ -175,25 +215,28 @@ def _forward_cache(params: MlpParams, X: np.ndarray):
     return probs, logits, acts
 
 
-def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray) -> np.ndarray:
+def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray, work: Workspace) -> np.ndarray:
     """Flat gradient of sum_i dlogit[i] * logit_i with respect to the
-    parameters, unchecked."""
+    parameters, unchecked; the temporaries are ``work``'s."""
     layout = params.spec.layout
+    n = dlogit.shape[0]
+    work.fit(n)
     flat = np.empty(layout[-1][2])
-    ones = np.ones(dlogit.shape[0])
+    ones = work.ones[:n]
     delta = dlogit[:, None]  # (n, 1)
     for li in range(len(layout) - 1, -1, -1):
         w, b, e, fan_in = layout[li]
         np.matmul(delta.T, acts[li], out=flat[w:b].reshape(e - b, fan_in))
         np.matmul(ones, delta, out=flat[b:e])
         if li > 0:
-            delta = delta @ params.weights[li]
-            delta *= acts[li] > 0.0
+            delta = np.matmul(delta, params.weights[li], out=work.deltas[li - 1][:n])
+            delta *= np.greater(acts[li], 0.0, out=work.masks[li - 1][:n])
     return flat
 
 
 def predict_proba(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    p, _, _ = _forward_cache(params, np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    p, _, _ = _forward_cache(params, X, Workspace(params.spec, len(X)))
     return p
 
 
@@ -215,7 +258,9 @@ def loss_and_grad(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[floa
     return float(np.mean(losses)), grad
 
 
-def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool = True):
+def batch_outputs(
+    params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool = True, work: Optional[Workspace] = None
+):
     """One forward pass exposing the pieces a local step needs.
 
     Returns (probs, losses, weighted_grad) where weighted_grad(dlogit, rows)
@@ -225,11 +270,19 @@ def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool 
     equals the full pass with dlogit zeroed outside ``rows`` up to summation
     order; with ``rows=None`` every sample is. With ``losses=False`` the
     per-sample losses are not computed and None stands in their place.
+    The pass writes into ``work``, or into a new workspace sized to the
+    batch; once a later pass has written into the same workspace,
+    weighted_grad raises ``RuntimeError``.
     """
-    probs, _, acts = _forward_cache(params, np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    work = Workspace(params.spec, len(X)) if work is None else work
+    probs, _, acts = _forward_cache(params, X, work)
+    stamp = work.stamp
     sample_losses = per_sample_losses(probs, np.asarray(y, dtype=np.float64)) if losses else None
 
     def weighted_grad(dlogit: np.ndarray, rows: Optional[slice | np.ndarray] = None) -> np.ndarray:
+        if work.stamp != stamp:
+            raise RuntimeError("stale activations: a later forward pass has overwritten this pass's workspace")
         dlogit = np.asarray(dlogit, dtype=np.float64)  # a float64 array is returned as is
         if rows is None:
             rows = slice(None)
@@ -237,6 +290,6 @@ def batch_outputs(params: MlpParams, X: np.ndarray, y: np.ndarray, losses: bool 
             rows = np.asarray(rows)
             if rows.dtype.kind not in "iu":  # one kind of row selection: a mask is refused, not applied
                 raise TypeError(f"rows must be a slice or an integer index, not {rows.dtype}")
-        return _backward(params, [a[rows] for a in acts], dlogit[rows])
+        return _backward(params, [a[rows] for a in acts], dlogit[rows], work)
 
     return probs, sample_losses, weighted_grad

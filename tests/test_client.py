@@ -1,5 +1,7 @@
 """Client-side statistics: one step, telescoping, isolation, accuracy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,8 +246,8 @@ def nan_passes(monkeypatch, poisoned):
     row count ``poisoned`` accepts."""
     backward = model._backward
 
-    def patched(params, acts, dlogit):
-        grad = backward(params, acts, dlogit)
+    def patched(params, acts, dlogit, work):
+        grad = backward(params, acts, dlogit, work)
         return np.full_like(grad, np.nan) if poisoned(len(dlogit)) else grad
 
     monkeypatch.setattr(model, "_backward", patched)
@@ -296,3 +298,54 @@ def test_step_not_uploaded_returns_no_loss_and_the_same_gradient(metric):
     assert loss > 0.0 and none is None
     assert later_stats.groups.tobytes() == stats.groups.tobytes()
     assert later_grad.tobytes() == grad.tobytes()
+
+
+def round_peak_bytes(n, metric):
+    """Peak bytes traced over one client round (3 steps, lambda > 0) on an
+    n-row shard ordered as ``data.partition`` orders one, after a warm round
+    with the same workspace."""
+    shard = synthetic_dataset(n, seed=4, input_dim=6)
+    shard = shard.take(np.lexsort((shard.y, shard.S[:, 0])))
+    table = shard_keys(shard, metric)
+    assert all(isinstance(r, slice) for r in table.rows[0])
+    params = MlpParams.init(MlpSpec(6, (32, 32, 32, 32)), seed=1)
+    lam = np.full(len(table.keys), 0.3)
+    work = model.Workspace(params.spec, n)
+    compute_statistics(params, lam, shard, table, 0, epochs=3, lr=0.05, work=work)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_statistics(params, lam, shard, table, 0, epochs=3, lr=0.05, work=work)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric", ["dp", "eo", "ap"])
+def test_steady_state_round_allocates_no_row_by_width_array(metric):
+    """Doubling the shard from 300 to 600 rows may grow a round's peak only
+    by n-length vectors. The bound, 64 bytes a row, is eight float64 such
+    vectors live at once and a quarter of one (n, 32) float64 array's row:
+    a step that allocated its activations or deltas afresh grows by
+    at least four of those, 1 KB a row (about 1.5 KB a row was seen;
+    through the workspace 8-16 bytes a row)."""
+    growth = round_peak_bytes(600, metric) - round_peak_bytes(300, metric)
+    assert growth < 64 * 300
+
+
+def test_a_run_shares_one_workspace_sized_to_its_largest_shard(monkeypatch):
+    """``run_federated`` builds one workspace, and every local step of every
+    client and round writes its forward pass into it."""
+    built = []
+
+    class Recorded(model.Workspace):
+        def __init__(self, spec, rows):
+            super().__init__(spec, rows)
+            built.append(self)
+
+    monkeypatch.setattr(model, "Workspace", Recorded)
+    shards = [synthetic_dataset(n, seed=n, input_dim=4) for n in (30, 50, 20)]
+    cfg = TrainConfig(hidden_dims=(5, 3), rounds=2, local_epochs=3)
+    run_federated(shards, cfg)
+    assert [w.rows for w in built] == [50]
+    assert built[0].stamp == cfg.rounds * cfg.local_epochs * len(shards)

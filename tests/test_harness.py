@@ -530,6 +530,22 @@ class TestRun:
             significant = {(r["regime"], r["metric"]): r["significant"] for r in csv.DictReader(fh)}
         assert [significant["fedavg", m] for m in ("acc", "dp[g]", "eo[g]", "ap[g]")] == ["1", "0", "0", "0"]
 
+    def test_constant_shift_t_keeps_its_sign(self, tmp_path):
+        """A regime above the reference at every seed and one below it have
+        infinite t statistics of opposite signs; results.csv writes both
+        signs, and results.txt marks both cells significant."""
+        accs = [0.70, 0.72, 0.75]
+        shifts = (("mfairfl", 0.0), ("fedavg", 0.05), ("indfair", -0.05))
+        records = [RunRecord("h", regime, seed, FairnessReport(accuracy=acc + shift, dp={}, eo={}, ap={}))
+                   for regime, shift in shifts for seed, acc in enumerate(accs)]
+        write_report(records, tmp_path)
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            t = {r["regime"]: r["t_vs_ref"] for r in csv.DictReader(fh) if r["metric"] == "acc"}
+        assert t == {"mfairfl": "", "fedavg": "-inf", "indfair": "inf"}
+        lines = (tmp_path / "results.txt").read_text().splitlines()
+        rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+        assert rows["fedavg"][0].endswith("*") and rows["indfair"][0].endswith("*")
+
     def test_records_reload(self, tmp_path):
         out = tmp_path / "e"
         run(tiny_config(regimes=("fedavg",), seeds=(1, 2)), out)

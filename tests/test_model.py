@@ -13,6 +13,7 @@ from fairfedsim import model
 from fairfedsim.model import (
     MlpParams,
     MlpSpec,
+    Workspace,
     batch_outputs,
     loss_and_grad,
     per_sample_losses,
@@ -280,32 +281,41 @@ class TestRowRestrictedBackward:
 
     def test_all_rows_default_is_the_full_backward_bitwise(self):
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
-        _, _, acts = model._forward_cache(self.params, self.X)
-        np.testing.assert_array_equal(weighted_grad(self.dlogit), model._backward(self.params, acts, self.dlogit))
+        work = Workspace(self.params.spec, 40)
+        _, _, acts = model._forward_cache(self.params, self.X, work)
+        np.testing.assert_array_equal(
+            weighted_grad(self.dlogit), model._backward(self.params, acts, self.dlogit, work)
+        )
+
+
+def backward_out_of_place(params, acts, dlogit):
+    """The flat gradient as the concatenation of per-layer products, with a
+    new array for every intermediate, each bias gradient the product of a
+    ones vector and the layer's delta."""
+    grads_w, grads_b = [None] * len(params.weights), [None] * len(params.biases)
+    delta = dlogit[:, None]
+    for li in range(len(params.weights) - 1, -1, -1):
+        grads_w[li] = delta.T @ acts[li]
+        grads_b[li] = np.ones(len(dlogit)) @ delta
+        if li > 0:
+            delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
+    return np.concatenate([p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)])
 
 
 def test_backward_equals_per_layer_concatenate_bitwise():
     """The backward pass writes each layer's gradient into its slice of one
-    vector; the result equals concatenating per-layer products bit for bit,
-    each bias gradient the product of a ones vector and the layer's delta."""
+    vector; the result equals concatenating per-layer products bit for bit."""
     rng = make_rng(31)
     for spec in (MlpSpec(5, (7, 6)), MlpSpec(3, (32, 32, 32, 32)), MlpSpec(1, (1,))):
         params = MlpParams.init(spec, seed=6)
         X, _ = random_batch(rng, 23, spec.input_dim)
         dlogit = rng.normal(size=23)
-        _, _, acts = model._forward_cache(params, X)
+        work = Workspace(spec, 23)
+        _, _, acts = model._forward_cache(params, X, work)
+        reference = backward_out_of_place(params, acts, dlogit)
 
-        grads_w, grads_b = [None] * len(params.weights), [None] * len(params.biases)
-        delta = dlogit[:, None]
-        for li in range(len(params.weights) - 1, -1, -1):
-            grads_w[li] = delta.T @ acts[li]
-            grads_b[li] = np.ones(23) @ delta
-            if li > 0:
-                delta = (delta @ params.weights[li]) * (acts[li] > 0.0)
-        reference = np.concatenate([p for gw, gb in zip(grads_w, grads_b) for p in (gw.ravel(), gb)])
-
-        np.testing.assert_array_equal(model._backward(params, acts, dlogit), reference)
-        assert model._backward(params, acts, dlogit).tobytes() == reference.tobytes()  # -0.0 too
+        np.testing.assert_array_equal(model._backward(params, acts, dlogit, work), reference)
+        assert model._backward(params, acts, dlogit, work).tobytes() == reference.tobytes()  # -0.0 too
 
 
 # The kernel's in-place forms must give the same bytes as the out-of-place
@@ -352,7 +362,7 @@ class TestKernelBytes:
         assert sigmoid(-0.0) == sigmoid(0.0) == 0.5
 
     def test_forward_matches_out_of_place_formula(self):
-        probs, logits, acts = model._forward_cache(self.params, self.X)
+        probs, logits, acts = model._forward_cache(self.params, self.X, Workspace(self.params.spec, 57))
         want_probs, want_logits, want_acts = forward_out_of_place(self.params, self.X)
         assert probs.tobytes() == want_probs.tobytes()
         assert logits.tobytes() == want_logits.tobytes()
@@ -394,7 +404,7 @@ class TestKernelBytes:
         cached = inspect.getclosurevars(weighted_grad).nonlocals["acts"]
         passed = []
         backward = model._backward
-        monkeypatch.setattr(model, "_backward", lambda p, acts, d: passed.append(acts) or backward(p, acts, d))
+        monkeypatch.setattr(model, "_backward", lambda p, acts, d, w: passed.append(acts) or backward(p, acts, d, w))
         for run in (slice(0, 57), slice(10, 11), slice(20, 45)):
             got = weighted_grad(self.dlogit, run)
             assert all(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))
@@ -402,9 +412,55 @@ class TestKernelBytes:
             assert not any(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))  # a gather copies
 
     def test_take_equals_fancy_index_gather(self):
-        _, _, acts = model._forward_cache(self.params, self.X)
+        work = Workspace(self.params.spec, 57)
+        _, _, acts = model._forward_cache(self.params, self.X, work)
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
         for rows in self.rows:
             assert [a.take(rows, axis=0).tobytes() for a in acts] == [a[rows].tobytes() for a in acts]
-            want = model._backward(self.params, [a[rows] for a in acts], self.dlogit[rows])
+            want = model._backward(self.params, [a[rows] for a in acts], self.dlogit[rows], work)
             assert weighted_grad(self.dlogit, rows).tobytes() == want.tobytes()
+
+
+class TestWorkspace:
+    """One workspace serves every pass of a run: each pass writes its first
+    n rows, a stale pass refuses to read, and the bytes are the fresh ones."""
+
+    def setup_method(self):
+        self.spec = MlpSpec(4, (8, 5, 3))
+        self.params = MlpParams.init(self.spec, seed=2)
+        self.X, self.y = random_batch(make_rng(21), 30, 4)
+
+    @pytest.mark.parametrize("hidden", [(8, 5, 3), (6, 6, 6)], ids=["unequal", "uniform"])
+    def test_passes_equal_the_out_of_place_formulas_bitwise(self, hidden):
+        spec = MlpSpec(4, hidden)
+        params = MlpParams.init(spec, seed=3)
+        rng = make_rng(22)
+        work = Workspace(spec, 41)
+        for n in (41, 30, 7):  # shrinking batches: each reads rows a longer pass wrote
+            X, y = random_batch(rng, n, 4)
+            dlogit = rng.normal(size=n)
+            probs, _, weighted_grad = batch_outputs(params, X, y, work=work)
+            want_probs, _, want_acts = forward_out_of_place(params, X)
+            assert probs.tobytes() == want_probs.tobytes()
+            for rows in (None, slice(2, n - 1), np.arange(1, n, 3)):
+                sel = slice(None) if rows is None else rows
+                want = backward_out_of_place(params, [a[sel] for a in want_acts], dlogit[sel])
+                assert weighted_grad(dlogit, rows).tobytes() == want.tobytes()
+
+    def test_a_later_pass_makes_the_earlier_weighted_grad_stale(self):
+        work = Workspace(self.spec, 30)
+        _, _, first = batch_outputs(self.params, self.X, self.y, work=work)
+        first(np.ones(30))
+        _, _, second = batch_outputs(self.params, self.X[:10], self.y[:10], work=work)
+        with pytest.raises(RuntimeError, match="stale"):
+            first(np.ones(30))
+        second(np.ones(10))
+
+    def test_a_batch_longer_than_the_workspace_is_refused(self):
+        work = Workspace(self.spec, 29)
+        with pytest.raises(ValueError, match="exceeds the workspace"):
+            batch_outputs(self.params, self.X, self.y, work=work)
+        _, _, weighted_grad = batch_outputs(self.params, self.X[:29], self.y[:29], work=work)
+        with pytest.raises(ValueError, match="exceeds the workspace"):
+            weighted_grad(np.ones(29), np.zeros(30, dtype=np.int64))  # a gather longer than the batch
+        assert [a.shape for a in work.acts] == [(29, 8), (29, 5), (29, 3)]  # nothing grew
