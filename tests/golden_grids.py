@@ -1,4 +1,4 @@
-"""Six short grids whose outputs ``tests/data/golden/`` pins.
+"""Eight short grids whose outputs ``tests/data/golden/`` pins.
 
 Three take the shapes of the benchmark's workloads at 2 rounds and seed
 7: ``cross-silo`` (the default config, K=5, DP, three regimes),
@@ -11,10 +11,13 @@ surrogate (the per-sample loss) every local step reads. The fifth,
 2's local steps take the constraint gradients. The sixth,
 ``other-regimes``, is the default config over the four regimes no other
 grid runs: the two projection-order ablations, ``indfair`` and
-``cenfair``. Each grid's
-``results.csv`` and ``trace/`` go to ``<out dir>/<grid>/``, and the
-machine stamp (numpy version, BLAS name, version, thread count and core)
-to ``<out dir>/stamp.json``.
+``cenfair``. The seventh and eighth, ``alpha-zero-eo`` and
+``alpha-zero-ap``, are ``alpha-zero`` under EO and under AP over
+``mfairfl``, ``fedavg_f``, ``cenfair`` and ``indfair``, so that every
+constrained regime takes constraint gradients (lambda > 0) under every
+metric. Each grid's ``results.csv`` and ``trace/`` go to
+``<out dir>/<grid>/``, and the machine stamp (numpy version, BLAS name,
+version, thread count and core) to ``<out dir>/stamp.json``.
 
 Usage: python tests/golden_grids.py <out dir>
 
@@ -52,7 +55,7 @@ def dirichlet_fractions(groups: tuple[str, ...], n_clients: int, concentration: 
 
 
 def grids() -> dict[str, ExperimentConfig]:
-    """The six configs; their data is set after construction, and
+    """The eight configs; their data is set after construction, and
     ``run`` checks it."""
     cross_device = ExperimentConfig(regimes=("mfairfl",), client_mode="single_step", rounds=ROUNDS, seeds=(SEED,))
     cross_device.dataset["synthetic"].update(n=6000, label_orientation_by_group=(1.0, -1.0))
@@ -64,6 +67,7 @@ def grids() -> dict[str, ExperimentConfig]:
         group_fractions=(0.4, 0.3, 0.2, 0.1), pos_rate_by_group=(0.65, 0.5, 0.4, 0.35)
     )
     groups = ("g0", "g1", "g2", "g3")
+    constrained = ("mfairfl", "fedavg_f", "cenfair", "indfair")
     eo_multigroup.partition = {"attribute": "group", "fractions": dirichlet_fractions(groups, 10, 1.0)}
     return {
         "cross-silo": ExperimentConfig(rounds=ROUNDS, seeds=(SEED,)),
@@ -73,6 +77,12 @@ def grids() -> dict[str, ExperimentConfig]:
         "alpha-zero": ExperimentConfig(alpha=0.0, rounds=ROUNDS, seeds=(SEED,)),
         "other-regimes": ExperimentConfig(
             regimes=("mfairfl_rnd", "mfairfl_rev", "indfair", "cenfair"), rounds=ROUNDS, seeds=(SEED,)
+        ),
+        "alpha-zero-eo": ExperimentConfig(
+            alpha=0.0, constraint="eo", regimes=constrained, rounds=ROUNDS, seeds=(SEED,)
+        ),
+        "alpha-zero-ap": ExperimentConfig(
+            alpha=0.0, constraint="ap", regimes=constrained, rounds=ROUNDS, seeds=(SEED,)
         ),
     }
 
