@@ -15,8 +15,9 @@ models; the mfairfl variants only override the projection order
 (``order_policy="random"`` and ``"reversed"``). Every regime averages the
 client update gradients 1/K.
 
-``run_federated`` decides the run's constraint keys once, as a
-``fairness.KeyTable`` over its shards, and keeps the multipliers as arrays
+``run_federated`` lays out every shard it trains on in
+``fairness.key_order``, decides the run's constraint keys once, as a
+``fairness.KeyTable`` over those blocks, and keeps the multipliers as arrays
 aligned to it: an (n_keys,) global vector and, for fedavg_f, a (K, n_keys)
 array with one row per client. A client is its position k in the shard
 list: its block of the table, its multiplier row and its entries in the
@@ -136,17 +137,18 @@ def run_federated(
     (server-side, merged statistics) to per-client vectors updated from
     each client's own statistics (the fair-local-training baseline). The
     final multipliers are returned by key name: one dict, or one per
-    client index. An empty shard is refused before the first round. Every
-    local step writes into one ``model.Workspace``, sized to the largest
-    shard and built here, in the training path alone.
+    client index. An empty shard is refused before the first round; each
+    is trained on as a copy in ``fairness.key_order``. Every local step
+    writes into one ``model.Workspace``, sized to the largest shard and
+    built here, in the training path alone.
     """
     if not shards:
         raise ValueError("need at least one shard")
     client_mod.check_shards(shards)
+    shards = [s.take(fairness.key_order(s.y, s.S)) for s in shards]
     input_dim = shards[0].X.shape[1]
     spec = MlpSpec(input_dim, cfg.hidden_dims)
-    params = MlpParams.init(spec, cfg.seed)
-    flat = params.flatten()
+    flat = MlpParams.init(spec, cfg.seed).flat
     work = model.Workspace(spec, max(len(s) for s in shards))
 
     table = KeyTable.build([(s.y, s.S) for s in shards], shards[0].group_names, cfg.constraint)
@@ -162,7 +164,7 @@ def run_federated(
     client_s = server_s = 0.0
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
-        params_t = MlpParams.unflatten(spec, flat)
+        params_t = MlpParams(spec, flat)  # no client writes the parameters it receives
         stats: list[ClientStatistics] = [
             client_mod.compute_statistics(
                 params_t,

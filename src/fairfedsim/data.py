@@ -43,7 +43,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -275,7 +275,8 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     """Z-score numeric columns of every split using training statistics.
 
     One-hot columns pass through untouched (detected as {0,1}-valued).
-    Constant columns keep scale 1 to avoid division by zero.
+    Constant columns keep scale 1 to avoid division by zero. Each output
+    holds a new X and shares ``y``, ``S`` and ``row_ids`` with its input.
     """
     X = train.X
     is_onehot = ((X == 0.0) | (X == 1.0)).all(axis=0)
@@ -285,12 +286,7 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     sd[is_onehot] = 1.0
     sd[sd == 0.0] = 1.0
 
-    def apply(ds: Dataset) -> Dataset:
-        out = ds.take(np.arange(len(ds)))
-        out.X = (ds.X - mu) / sd
-        return out
-
-    return tuple(apply(ds) for ds in (train, *others))
+    return tuple(replace(ds, X=(ds.X - mu) / sd) for ds in (train, *others))
 
 
 def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -382,22 +378,13 @@ def assign_clients(data: Dataset, spec: PartitionSpec, seed: int) -> np.ndarray:
 
 
 def partition(train: Dataset, spec: PartitionSpec, seed: int) -> list[Dataset]:
-    """Client k's shard at index k: its rows of ``assign_clients``. A
-    client may get no rows; ``client.check_shards`` refuses an empty shard
-    once per run.
-
-    Each shard holds its rows ordered by the first sensitive attribute's
-    code, then the label, and in the order of ``train`` within ties. So
-    every DP, AP and EO key of attribute 0 is one run of rows on every
-    shard, which ``fairness.KeyTable`` records as a slice. One stable sort
-    on the composite key (client * n_codes + code) * 2 + label orders all
-    shards at once, and each client's run of that order is one take."""
+    """Client k's shard at index k: its rows of ``assign_clients``, in the
+    order of ``train``. A client may get no rows; ``client.check_shards``
+    refuses an empty shard once per run. One stable sort by client orders
+    all shards at once, and each client's run of that order is one take."""
     client = assign_clients(train, spec, seed)
     K = spec.n_clients
-    n_codes = len(train.group_names[0])
-    key = (client * n_codes + train.S[:, 0]) * 2 + train.y
-    # the key in the narrowest unsigned type: at 8 or 16 bits numpy's stable sort is a radix sort
-    order = np.argsort(key.astype(np.min_scalar_type(2 * K * n_codes - 1)), kind="stable")
+    order = np.argsort(client, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(client, minlength=K)))).tolist()
     return [train.take(order[bounds[k] : bounds[k + 1]]) for k in range(K)]
 

@@ -16,11 +16,12 @@ members in the pooled training data, in ``GroupKey.sort_key`` order. Every
 per-key quantity is an array aligned to that table. The table also holds,
 per block, each key's rows as the indexer a step reads them by, the member
 counts and the constraint metric; client k's step reads block k.
-``data.partition`` orders a shard's rows by the first sensitive
-attribute's code, then the label, so every key of attribute 0 is
-one run of rows, recorded as a ``slice``: a statistic's sum and a key's
-backward pass (``model.batch_outputs``) read views of the step's arrays,
-not gathered copies. Keys of a further attribute keep an index array.
+``baselines.run_federated`` lays out every block it trains on in
+``key_order`` (the first sensitive attribute's code, then the label), so
+every key of attribute 0 is one run of rows, recorded as a ``slice``: a
+statistic's sum and a key's backward pass (``model.batch_outputs``) read
+views of the step's arrays, not gathered copies. Keys of a further
+attribute keep an index array.
 
 A block's statistics are an (n_keys, 2) array, per key the sum of the
 surrogate over the key's rows and the member count; that is all a client
@@ -74,6 +75,13 @@ class GroupKey:
         return s if self.label is None else f"{s}|y={self.label}"
 
 
+def key_order(y: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The rows of a block ``(y, S)`` by the first sensitive attribute's
+    code, then the label, and in the block's order within ties: the order
+    in which every key of attribute 0 is one run of rows."""
+    return np.lexsort((y, S[:, 0]))
+
+
 @dataclass(frozen=True, eq=False)
 class KeyTable:
     """The run's constraint keys, decided once from its blocks (shards).
@@ -82,7 +90,8 @@ class KeyTable:
     ``GroupKey.sort_key`` order; ``families[j]`` numbers key j's family
     (the keys that share a population total) in key order. ``rows[i][j]``
     indexes block i's rows of key j, ``a[rows[i][j]]`` for any array ``a``
-    over the block's rows: a ``slice`` where they are one run (an empty one
+    over the block's rows: a ``slice`` where they are one run, as every
+    key of attribute 0's are on a block in ``key_order`` (an empty one
     where the block has none), their int64 index array otherwise.
     ``counts[i, j]`` is their number, as a float64 (n_blocks, n_keys) array:
     the count column of block i's statistics and, where nonzero, the keys
@@ -189,13 +198,13 @@ def _family_totals(values: np.ndarray, families: np.ndarray) -> np.ndarray:
     family's keys added in key order from 0.0 (``np.bincount``), for one
     block (n_keys,) or row by row for a stack (K, n_keys). A stack is one
     bincount with block b's families numbered from b * n_families, so each
-    row equals its block's totals alone bit for bit."""
-    if values.ndim == 1:
-        return np.bincount(families, weights=values)[families]
+    row equals its block's totals alone bit for bit; one block is a stack
+    of one."""
+    stack = np.atleast_2d(values)
     n_families = int(families.max(initial=-1)) + 1
-    index = families + n_families * np.arange(len(values))[:, None]
-    totals = np.bincount(index.reshape(-1), weights=values.reshape(-1), minlength=len(values) * n_families)
-    return totals.reshape(len(values), n_families)[:, families]
+    index = families + n_families * np.arange(len(stack))[:, None]
+    totals = np.bincount(index.reshape(-1), weights=stack.reshape(-1), minlength=len(stack) * n_families)
+    return totals.reshape(len(stack), n_families)[:, families].reshape(values.shape)
 
 
 def _gaps(groups: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +246,7 @@ def constraint_grads(
     """
     gap, n_group, n_family = _gaps(stats.groups, families)
     a = lam * np.sign(gap)
-    family_a = np.bincount(families, weights=a)[families]
+    family_a = _family_totals(a, families)
     keys = np.fromiter(grad_sums, dtype=np.intp, count=len(grad_sums))
     c = family_a[keys] / n_family[keys] - a[keys] / n_group[keys]
     return sum(c_j * g for c_j, g in zip(c, grad_sums.values()))

@@ -38,10 +38,10 @@ sized to their batch. A batch longer than the workspace is refused.
   returns). The forward pass checks its probabilities.
 - A pass over some rows indexes every activation and ``dlogit`` by them,
   ``a[rows]``, one path for both kinds of ``rows``: a slice (a run of rows,
-  as ``fairness.KeyTable`` records every key of the first sensitive
-  attribute) gives views of the workspace, so the pass copies nothing; an
-  integer index gathers fresh copies of those rows. Either gives the bytes
-  of a pass over a batch holding just those rows.
+  as every key of the first sensitive attribute is on a block in
+  ``fairness.key_order``) gives views of the workspace, so the pass copies
+  nothing; an integer index gathers fresh copies of those rows. Either
+  gives the bytes of a pass over a batch holding just those rows.
 In-place work touches only the workspace and arrays the pass made itself,
 never ``X``, ``dlogit`` or the parameters. Every buffer a product writes
 is C-contiguous, so it runs the BLAS call a fresh result would, and every

@@ -389,6 +389,15 @@ class TestGramSweepMatchesDspaceOracle:
         )
 
 
+TIE_ULPS = 4
+
+
+def rounding_ties(tests):
+    """The tests whose phi and goal lie within ``TIE_ULPS`` ulps of 1, the
+    scale of a cosine's rounding error."""
+    return np.abs(tests.phi - tests.goal) <= TIE_ULPS * np.spacing(1.0)
+
+
 class TestSweepMetamorphic:
     """Properties that relate two sweeps, with no oracle: the sweep reads
     only angles, so scaling every gradient by a power of two changes no
@@ -412,6 +421,11 @@ class TestSweepMetamorphic:
     @settings(max_examples=200, deadline=None)
     @given(sweep_inputs(), st.integers(0, 2**32 - 1))
     def test_relabelling_the_clients_maps_the_tests(self, inputs, seed):
+        """A test whose phi and goal lie within ``TIE_ULPS`` of each other
+        in either sweep is a rounding tie: identical clients give a phi
+        equal to the goal in exact arithmetic, and rounding decides whether
+        it adjusts (``aggregation``'s "Rounding ties"). Its flag is not
+        compared, and the adjustment counts may differ by one per tie."""
         grads, order, beta, goals, delta = inputs
         K = len(order)
         label = make_rng(seed).permutation(K)  # client i becomes client label[i]
@@ -423,8 +437,9 @@ class TestSweepMetamorphic:
         )
         np.testing.assert_array_equal(got.tests.client, label[res.tests.client])
         np.testing.assert_array_equal(got.tests.target, label[res.tests.target])
-        np.testing.assert_array_equal(got.tests.adjusted, res.tests.adjusted)
-        assert got.n_adjustments == res.n_adjustments
+        tie = rounding_ties(got.tests) | rounding_ties(res.tests)
+        np.testing.assert_array_equal(got.tests.adjusted[~tie], res.tests.adjusted[~tie])
+        assert abs(got.n_adjustments - res.n_adjustments) <= np.count_nonzero(tie)
         for field in ("phi", "goal"):
             np.testing.assert_allclose(getattr(got.tests, field), getattr(res.tests, field), rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got.goals[np.ix_(label, label)], res.goals, rtol=1e-9, atol=1e-12)

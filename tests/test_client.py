@@ -148,12 +148,18 @@ def test_clients_isolated_and_deterministic():
     shard_a = small_shard(4)
     shard_b = small_shard(5)
     params = init_params(shard_a, seed=10)
+    received = params.flat.tobytes()
     before = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     # mutating another client's shard must not change this client's upload
     shard_b.X[:] = 999.0
     after = upload(params, 0.0, shard_a, epochs=3, lr=0.1)
     np.testing.assert_array_equal(before.update_grad, after.update_grad)
     assert before.loss == after.loss
+    # a round leaves the parameters it received as they were: the run
+    # hands every client the same vector, without a copy
+    for epochs in (1, 3):
+        upload(params, 0.3, shard_a, epochs=epochs, lr=0.1)
+        assert params.flat.tobytes() == received
 
 
 def test_empty_shard_rejected():
@@ -302,10 +308,11 @@ def test_step_not_uploaded_returns_no_loss_and_the_same_gradient(metric):
 
 def round_peak_bytes(n, metric):
     """Peak bytes traced over one client round (3 steps, lambda > 0) on an
-    n-row shard ordered as ``data.partition`` orders one, after a warm round
-    with the same workspace."""
+    n-row shard laid out as ``baselines.run_federated`` lays out every
+    block (``fairness.key_order``), after a warm round with the same
+    workspace."""
     shard = synthetic_dataset(n, seed=4, input_dim=6)
-    shard = shard.take(np.lexsort((shard.y, shard.S[:, 0])))
+    shard = shard.take(fairness.key_order(shard.y, shard.S))
     table = shard_keys(shard, metric)
     assert all(isinstance(r, slice) for r in table.rows[0])
     params = MlpParams.init(MlpSpec(6, (32, 32, 32, 32)), seed=1)

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairfedsim import client
+from fairfedsim.baselines import TrainConfig, train
+from fairfedsim.client import compute_statistics
 from fairfedsim.data import (
     Dataset,
     DatasetSchema,
@@ -22,7 +25,6 @@ from fairfedsim.data import (
     standardize,
     synthetic_dataset,
 )
-from fairfedsim.fairness import KeyTable
 from fairfedsim.numeric import make_rng
 
 FIXTURE_CSV = """age,color,sex,outcome
@@ -429,9 +431,9 @@ class TestPartition:
 
     @staticmethod
     def per_client_shards(train, spec, seed):
-        """Each client's rows gathered by its own mask, after the same
-        per-group shuffle and apportionment as ``partition``, then ordered
-        by the first attribute's code and the label (``lexsort`` is stable)."""
+        """Each client's rows gathered by its own mask, in the order of
+        ``train``, after the same per-group shuffle and apportionment as
+        ``partition``."""
         a = train.attr_names.index(spec.attribute)
         rng = make_rng(seed, 0xFA)
         client = np.full(len(train), -1, dtype=np.int64)
@@ -440,11 +442,7 @@ class TestPartition:
             members = members[rng.permutation(members.size)]
             counts = largest_remainder_counts(members.size, spec.fractions[value])
             client[members] = np.repeat(np.arange(spec.n_clients), counts)
-        shards = []
-        for k in range(spec.n_clients):
-            rows = np.flatnonzero(client == k)
-            shards.append(train.take(rows[np.lexsort((train.y[rows], train.S[rows, 0]))]))
-        return shards
+        return [train.take(np.flatnonzero(client == k)) for k in range(spec.n_clients)]
 
     @staticmethod
     def random_spec(rng, attribute, names):
@@ -481,11 +479,15 @@ class TestPartition:
                 assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["dp", "eo"]), by=st.sampled_from(["group", "s1"]))
+    @given(
+        seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["dp", "eo", "ap"]), by=st.sampled_from(["group", "s1"])
+    )
     def test_every_first_attribute_key_is_one_run(self, seed, metric, by):
-        """Whichever attribute the clients are split by, every key of the
-        first attribute is recorded as a slice on every shard, empty ones
-        included; the keys of a second attribute select their members."""
+        """Whichever attribute the clients are split by, every block a run
+        trains on (the shards under ``mfairfl``, ``cenfair``'s pooled shard,
+        ``indfair``'s single shards) holds every key of the first attribute
+        as a slice, empty ones included, and every key selects exactly its
+        members."""
         rng = make_rng(seed)
         n_groups = int(rng.integers(2, 5))
         raw = rng.dirichlet(np.ones(n_groups)) + 0.05
@@ -498,10 +500,21 @@ class TestPartition:
                      (ds.group_names[0], ("h0", "h1", "h2")), ds.feature_names, ds.row_ids)
         a = ds.attr_names.index(by)
         spec, _ = self.random_spec(rng, by, [ds.group_names[a][c] for c in np.unique(ds.S[:, a])])
-        shards = partition(ds, spec, seed=seed)
-        table = KeyTable.build([(s.y, s.S) for s in shards], ds.group_names, metric)
-        for shard, rows in zip(shards, table.rows):
-            for key, r in zip(table.keys, rows):
+        shards = [s for s in partition(ds, spec, seed=seed) if len(s)]
+        blocks = []  # (shard, keys, rows) of every client step
+
+        def recorded(params, lam, shard, table, k, **kwargs):
+            blocks.append((shard, table.keys, table.rows[k]))
+            return compute_statistics(params, lam, shard, table, k, **kwargs)
+
+        cfg = TrainConfig(hidden_dims=(2,), rounds=1, local_epochs=1, constraint=metric)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(client, "compute_statistics", recorded)
+            for regime in ("mfairfl", "cenfair", "indfair"):
+                train(regime, shards, cfg)
+        assert len(blocks) == 2 * len(shards) + 1
+        for shard, keys, rows in blocks:
+            for key, r in zip(keys, rows):
                 member = shard.S[:, key.attribute] == ds.group_names[key.attribute].index(key.value)
                 if key.label is not None:
                     member &= shard.y == key.label
