@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfedsim import model
 from fairfedsim.model import (
@@ -464,3 +466,70 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="exceeds the workspace"):
             weighted_grad(np.ones(29), np.zeros(30, dtype=np.int64))  # a gather longer than the batch
         assert [a.shape for a in work.acts] == [(29, 8), (29, 5), (29, 3)]  # nothing grew
+
+
+class TestDegenerateShapes:
+    """The byte contract on the smallest shapes: one- and two-row passes,
+    width-1 layers and -0.0 weights on the logits. A product with a
+    one-element operand is where a scalar shortcut would keep a -0.0 that
+    the BLAS product writes as +0.0."""
+
+    def check(self, spec, X, dlogit, rows_list, seed=5):
+        params = MlpParams.init(spec, seed=seed)
+        want_probs, want_logits, want_acts = forward_out_of_place(params, X)
+        probs, logits, acts = model._forward_cache(params, X, Workspace(spec, len(X) + 3))
+        assert probs.tobytes() == want_probs.tobytes()
+        assert logits.tobytes() == want_logits.tobytes()
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
+        _, _, weighted_grad = batch_outputs(params, X, np.zeros(len(X)), work=Workspace(spec, len(X) + 3))
+        for rows in rows_list:
+            sel = slice(None) if rows is None else rows
+            want = backward_out_of_place(params, [a[sel] for a in want_acts], dlogit[sel])
+            assert weighted_grad(dlogit, rows).tobytes() == want.tobytes(), (spec, rows)
+
+    @pytest.mark.parametrize(
+        "spec", [MlpSpec(1, (1,)), MlpSpec(1, (1, 4)), MlpSpec(3, (1, 4)), MlpSpec(4, (4, 1)), MlpSpec(5, (7, 6))],
+        ids=["1-1", "1-1x4", "3-1x4", "4-4x1", "5-7x6"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_small_passes_match_the_out_of_place_formulas(self, spec, n):
+        rng = make_rng(61, n)
+        X, _ = random_batch(rng, n, spec.input_dim)
+        for dlogit in (rng.normal(size=n), np.full(n, -0.0), np.where(np.arange(n) % 2 == 0, -0.0, 1.5)):
+            rows_list = [None, slice(0, 1), slice(n - 1, n), np.array([0]), np.array([n - 1])]
+            if n >= 2:
+                rows_list += [slice(0, 2), np.array([1, 0]), np.array([0, 0])]
+            self.check(spec, X, dlogit, rows_list)
+
+    def test_negative_zero_inputs_and_weights(self):
+        spec = MlpSpec(1, (1,))
+        params = MlpParams.zeros(spec)
+        params.weights[0][0, 0] = -1.0
+        params.weights[1][0, 0] = -0.0
+        X = np.array([[-0.0], [2.0]])
+        want_probs, _, want_acts = forward_out_of_place(params, X)
+        probs, _, weighted_grad = batch_outputs(params, X, np.zeros(2))
+        assert probs.tobytes() == want_probs.tobytes()
+        for dlogit in (np.array([-0.0, -0.0]), np.array([-0.0, 3.0])):
+            for rows in (None, slice(0, 1), np.array([1])):
+                sel = slice(None) if rows is None else rows
+                want = backward_out_of_place(params, [a[sel] for a in want_acts], dlogit[sel])
+                assert weighted_grad(dlogit, rows).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+    )
+    def test_property_small_widths_and_rows(self, widths, n, seed, zeros):
+        rng = make_rng(seed)
+        spec = MlpSpec(widths[0], tuple(widths[1:]))
+        X, _ = random_batch(rng, n, spec.input_dim)
+        dlogit = rng.normal(size=n)
+        if zeros:
+            dlogit[rng.random(n) < 0.5] = -0.0
+        start = int(rng.integers(0, n))
+        index = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        self.check(spec, X, dlogit, [None, slice(start, n), slice(start, start + 1), index], seed=seed % 1000)
