@@ -21,12 +21,14 @@ grad f over that key's rows (``fairness.group_grad_sums``), whatever its
 multiplier: the benchmark pins ``model.backward_per_step == 1 + #keys``.
 Every pass on an n-row shard writes into the first n rows of the run's
 one ``model.Workspace`` (``baselines.run_federated`` builds it, sized to
-the largest shard). A key of the first sensitive attribute is one run of
-the shard's rows (the run lays out every block in ``fairness.key_order``),
-so its pass and its statistic read views of the forward pass's
-activations; only a key of a further attribute gathers its rows. So a
-step allocates no (n, width) array: only the flat gradients it keeps,
-n-length vectors and those gathered rows. The multipliers are frozen for the round, so
+the largest shard). The forward pass writes each hidden layer's ReLU
+mask there once, and all 1 + #keys backward passes read it. A key of the
+first sensitive attribute is one run of the shard's rows (the run lays
+out every block in ``fairness.key_order``), so its statistic and its
+pass read views of the forward pass's outputs, activations and masks;
+only a key of a further attribute gathers its rows. So a step allocates
+no (n, width) array: only the flat gradients it keeps, n-length vectors
+and those gathered rows. The multipliers are frozen for the round, so
 ``compute_statistics`` decides once per round whether any key with
 members carries a positive one. Only then is sum_s lambda_s grad h_s
 formed, as one weighted sum of the per-key sums

@@ -7,10 +7,11 @@ differentiable fairness surrogates.
 
 Parameters live in one float64 vector, layer by layer: each layer's
 (out, in) weight matrix row-major, then its (out,) biases. The offsets are
-computed once per ``MlpSpec`` (``MlpSpec.layout``); ``MlpParams.weights``
-and ``biases`` are views into the vector, so ``unflatten`` and ``flatten``
-each make one copy, and a backward pass writes every layer's gradient
-straight into its slice of one new vector.
+computed once per ``MlpSpec``, on first use (``MlpSpec.layout``, and
+``MlpSpec.plan`` in the order a backward pass visits the layers);
+``MlpParams.weights`` and ``biases`` are views into the vector, so
+``unflatten`` and ``flatten`` each make one copy, and a backward pass
+writes every layer's gradient straight into its slice of one new vector.
 
 Arrays per pass, for a batch of n rows: the passes write into a
 ``Workspace``, arrays made once for up to ``rows`` rows and reused by every
@@ -20,35 +21,45 @@ shares it (clients run one after another); ``predict_proba``,
 ``loss_and_grad`` and a ``batch_outputs`` call without one build one
 sized to their batch. A batch longer than the workspace is refused.
 - A forward pass writes each hidden product into its layer's activation
-  buffer (``np.matmul(a, W.T, out=...)``), then adds the bias and applies
-  the ReLU in place; these are the pass's activations, kept for its
+  buffer (``a @ W.T``, written by ``out=``), then adds the bias and
+  applies the ReLU in place, and writes ``a > 0`` into the layer's bool
+  mask buffer, once; these activations and masks are kept for the pass's
   backward passes. It stamps the workspace, and a ``weighted_grad`` of an
-  earlier pass, whose activations it overwrote, raises instead of reading
-  them. The (n,) logits and ``sigmoid`` take a few fresh n-length vectors.
+  earlier pass, whose activations and masks it overwrote, raises instead
+  of reading them. The (n,) logits and ``sigmoid`` take a few fresh
+  n-length vectors.
 - A backward pass allocates only the flat gradient vector, which it
   returns. Per hidden layer it writes ``delta @ W`` into the layer's
-  ``delta`` buffer (two arrays, which the layers take in turn) and the
-  bool ReLU mask into the layer's mask buffer, and multiplies the two in
-  place. Each layer's weight gradient ``delta.T @ a`` and bias gradient
-  ``ones @ delta`` (the workspace's ``ones``) are BLAS products written
-  straight into the layer's slices of the flat vector. The pass does not
-  check its result for finiteness: ``weighted_grad`` returns an unchecked
-  gradient, and its callers check the gradients they read
-  (``loss_and_grad`` its own result, a client step the gradient it
-  returns). The forward pass checks its probabilities.
-- A pass over some rows indexes every activation and ``dlogit`` by them,
-  ``a[rows]``, one path for both kinds of ``rows``: a slice (a run of rows,
-  as every key of the first sensitive attribute is on a block in
+  ``delta`` buffer (two arrays, which the layers take in turn) and
+  multiplies it in place by the layer's mask. Each layer's weight gradient
+  ``delta.T @ a`` and bias gradient ``ones @ delta`` (the workspace's
+  ``ones``) are BLAS products written straight into the layer's slices of
+  the flat vector. The pass does not check its result for finiteness:
+  ``weighted_grad`` returns an unchecked gradient, and its callers check
+  the gradients they read (``loss_and_grad`` its own result, a client step
+  the gradient it returns). The forward pass checks its probabilities.
+- A pass over some rows reads every activation, mask and ``dlogit`` by
+  them, ``a[rows]``, one path for both kinds of ``rows``: a slice (a run of
+  rows, as every key of the first sensitive attribute is on a block in
   ``fairness.key_order``) gives views of the workspace, so the pass copies
-  nothing; an integer index gathers fresh copies of those rows. Either
+  nothing; an integer index gathers fresh copies of those rows. A mask is
+  read from its first n rows, so an index past the forward pass's batch
+  raises rather than reading a longer earlier pass's rows. Either kind
   gives the bytes of a pass over a batch holding just those rows.
+- Every product goes through ``_dot``, which calls ``np.dot``: at 24 to
+  48 rows of 32-wide layers ``np.matmul``'s gufunc dispatch costs 0.5 to
+  1.5 us a call more, as much as the arithmetic. ``np.dot`` takes a
+  one-element operand as a scalar, and a scalar product keeps a -0.0 that
+  the BLAS product writes as +0.0 (one-row passes and width-1 layers), so
+  such a product stays on ``np.matmul``.
 In-place work touches only the workspace and arrays the pass made itself,
 never ``X``, ``dlogit`` or the parameters. Every buffer a product writes
 is C-contiguous, so it runs the BLAS call a fresh result would, and every
-result is bit for bit that of the out-of-place formulas. Weights enter the
-products as views (``W.T``), not as contiguous transposed copies: OpenBLAS
-rounds its N/T and N/N gemm paths differently (a 32 x 32 layer over 5
-rows differs in the last bits), so a copy would change the gradients.
+result is bit for bit that of the out-of-place ``@`` formulas. Weights
+enter the products as views (``W.T``), not as contiguous transposed
+copies: OpenBLAS rounds its N/T and N/N gemm paths differently (a 32 x 32
+layer over 5 rows differs in the last bits), so a copy would change the
+gradients.
 """
 
 from __future__ import annotations
@@ -103,6 +114,14 @@ class MlpSpec:
     def n_params(self) -> int:
         return self.layout[-1][2]
 
+    @cached_property
+    def plan(self) -> tuple[tuple[int, slice, tuple[int, int], slice], ...]:
+        """Per layer, last to first as a backward pass visits them: (layer
+        index, weight slice, (out, in) weight shape, bias slice) in the flat
+        vector."""
+        layers = reversed(list(enumerate(self.layout)))
+        return tuple((li, slice(w, b), (e - b, fan_in), slice(b, e)) for li, (w, b, e, fan_in) in layers)
+
 
 def _views(spec: MlpSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (out, in) weight and (out,) bias views into ``flat``."""
@@ -151,7 +170,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     below, with e = exp(-|z|) <= 1, so nothing overflows."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 _P_CLAMP = 1e-12
@@ -170,18 +189,19 @@ class Workspace:
     ``spec``'s network. Per hidden layer: an activation buffer, a ``delta``
     buffer and a bool ReLU mask buffer, each (rows, width) and C-contiguous.
     The delta buffers are views into two arrays of rows x the widest layer,
-    taken in turn from layer to layer, and the masks views into one such
-    array; a pass over n rows uses the first n rows of each. ``ones`` is a
+    taken in turn from layer to layer; the masks are arrays of their own,
+    since each keeps the forward pass's mask for every backward pass after
+    it. A pass over n rows uses the first n rows of each. ``ones`` is a
     vector of ones; ``stamp`` counts the forward passes written into it."""
 
     def __init__(self, spec: MlpSpec, rows: int):
         self.rows = rows
         widths = spec.hidden_dims
         self.acts = [np.empty((rows, h)) for h in widths]
+        self.masks = [np.empty((rows, h), dtype=bool) for h in widths]
         size = rows * max(widths)
-        pair, mask = (np.empty(size), np.empty(size)), np.empty(size, dtype=bool)
+        pair = np.empty(size), np.empty(size)
         self.deltas = [pair[j % 2][: rows * h].reshape(rows, h) for j, h in enumerate(widths)]
-        self.masks = [mask[: rows * h].reshape(rows, h) for h in widths]
         self.ones = np.ones(rows)
         self.stamp = 0
 
@@ -191,9 +211,20 @@ class Workspace:
             raise ValueError(f"a batch of {n} rows exceeds the workspace's {self.rows}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a @ b`` by ``np.dot``, which skips ``np.matmul``'s gufunc dispatch,
+    written into ``out`` if given. ``np.dot`` takes a one-element operand
+    as a scalar and multiplies, keeping a -0.0 that the BLAS product writes
+    as +0.0, so such a product stays on ``np.matmul``."""
+    if a.size == 1 or b.size == 1:
+        return np.matmul(a, b, out=out)
+    return np.dot(a, b, out=out)
+
+
 def _forward_cache(params: MlpParams, X: np.ndarray, work: Workspace):
     """Forward pass keeping the activations for backprop, written into
-    ``work``'s first len(X) rows; stamps ``work``.
+    ``work``'s first len(X) rows with each hidden layer's ReLU mask; stamps
+    ``work``.
 
     Returns (probs, logits, activations) where activations[0] is the input.
     """
@@ -205,32 +236,35 @@ def _forward_cache(params: MlpParams, X: np.ndarray, work: Workspace):
     acts = [X]
     a = X
     for li in range(len(params.weights) - 1):
-        a = np.matmul(a, params.weights[li].T, out=work.acts[li][:n])
+        a = _dot(a, params.weights[li].T, work.acts[li][:n])
         a += params.biases[li]
         np.maximum(a, 0.0, out=a)
+        np.greater(a, 0.0, out=work.masks[li][:n])
         acts.append(a)
-    logits = (a @ params.weights[-1].T + params.biases[-1]).ravel()
+    logits = (_dot(a, params.weights[-1].T) + params.biases[-1]).ravel()
     probs = sigmoid(logits)
     check_finite(probs, "forward probabilities")
     return probs, logits, acts
 
 
-def _backward(params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray, work: Workspace) -> np.ndarray:
-    """Flat gradient of sum_i dlogit[i] * logit_i with respect to the
-    parameters, unchecked; the temporaries are ``work``'s."""
-    layout = params.spec.layout
-    n = dlogit.shape[0]
-    work.fit(n)
-    flat = np.empty(layout[-1][2])
-    ones = work.ones[:n]
-    delta = dlogit[:, None]  # (n, 1)
-    for li in range(len(layout) - 1, -1, -1):
-        w, b, e, fan_in = layout[li]
-        np.matmul(delta.T, acts[li], out=flat[w:b].reshape(e - b, fan_in))
-        np.matmul(ones, delta, out=flat[b:e])
+def _backward(
+    params: MlpParams, acts: list[np.ndarray], dlogit: np.ndarray, work: Workspace, rows: slice | np.ndarray = slice(None)
+) -> np.ndarray:
+    """Flat gradient of sum_i dlogit[i] * logit_i over the rows ``rows`` (a
+    slice or an integer index) of the forward pass whose activations are
+    ``acts``, unchecked; ``dlogit`` holds those rows' weights. The
+    temporaries and the pass's ReLU masks are ``work``'s."""
+    n, m = acts[0].shape[0], dlogit.shape[0]
+    work.fit(m)
+    flat = np.empty(params.spec.n_params)
+    ones = work.ones[:m]
+    delta = dlogit[:, None]  # (m, 1)
+    for li, weights, shape, bias in params.spec.plan:
+        _dot(delta.T, acts[li][rows], flat[weights].reshape(shape))
+        _dot(ones, delta, flat[bias])
         if li > 0:
-            delta = np.matmul(delta, params.weights[li], out=work.deltas[li - 1][:n])
-            delta *= np.greater(acts[li], 0.0, out=work.masks[li - 1][:n])
+            delta = _dot(delta, params.weights[li], work.deltas[li - 1][:m])
+            delta *= work.masks[li - 1][:n][rows]
     return flat
 
 
@@ -290,6 +324,6 @@ def batch_outputs(
             rows = np.asarray(rows)
             if rows.dtype.kind not in "iu":  # one kind of row selection: a mask is refused, not applied
                 raise TypeError(f"rows must be a slice or an integer index, not {rows.dtype}")
-        return _backward(params, [a[rows] for a in acts], dlogit[rows], work)
+        return _backward(params, acts, dlogit[rows], work, rows)
 
     return probs, sample_losses, weighted_grad

@@ -252,8 +252,8 @@ def nan_passes(monkeypatch, poisoned):
     row count ``poisoned`` accepts."""
     backward = model._backward
 
-    def patched(params, acts, dlogit, work):
-        grad = backward(params, acts, dlogit, work)
+    def patched(params, acts, dlogit, work, rows=slice(None)):
+        grad = backward(params, acts, dlogit, work, rows)
         return np.full_like(grad, np.nan) if poisoned(len(dlogit)) else grad
 
     monkeypatch.setattr(model, "_backward", patched)

@@ -401,17 +401,35 @@ class TestKernelBytes:
         with pytest.raises(TypeError, match="integer index"):
             weighted_grad(self.dlogit, self.y == 1)
 
-    def test_a_run_is_read_in_place_and_equals_its_gather(self, monkeypatch):
+    def test_a_run_is_read_in_place_and_equals_its_gather(self):
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
-        cached = inspect.getclosurevars(weighted_grad).nonlocals["acts"]
-        passed = []
-        backward = model._backward
-        monkeypatch.setattr(model, "_backward", lambda p, acts, d, w: passed.append(acts) or backward(p, acts, d, w))
+        closure = inspect.getclosurevars(weighted_grad).nonlocals
+        acts, work = closure["acts"], closure["work"]
+        reads = []
+
+        class Recorded(np.ndarray):
+            """A buffer that records each array read from it, with its key."""
+
+            def __getitem__(self, key):
+                out = np.ndarray.__getitem__(self, key)
+                reads.append((key, out))
+                return out
+
+        cached = [*acts, *(m[:57] for m in work.masks)]  # every activation and ReLU mask of the pass
+        acts[:] = [a.view(Recorded) for a in acts]
+        work.masks = [m.view(Recorded) for m in work.masks]
         for run in (slice(0, 57), slice(10, 11), slice(20, 45)):
+            reads.clear()
             got = weighted_grad(self.dlogit, run)
-            assert all(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))
-            assert got.tobytes() == weighted_grad(self.dlogit, np.arange(57)[run]).tobytes()
-            assert not any(np.shares_memory(a, c) for a, c in zip(passed[-1], cached))  # a gather copies
+            by_rows = [out for key, out in reads if key is run]
+            assert len(by_rows) == len(cached)
+            assert all(any(np.shares_memory(out, c) for out in by_rows) for c in cached)
+            gather = np.arange(57)[run]
+            reads.clear()
+            assert got.tobytes() == weighted_grad(self.dlogit, gather).tobytes()
+            by_rows = [out for key, out in reads if key is gather]
+            assert len(by_rows) == len(cached)
+            assert not any(np.shares_memory(out, c) for out in by_rows for c in cached)  # a gather copies
 
     def test_take_equals_fancy_index_gather(self):
         work = Workspace(self.params.spec, 57)
@@ -419,7 +437,12 @@ class TestKernelBytes:
         _, _, weighted_grad = batch_outputs(self.params, self.X, self.y)
         for rows in self.rows:
             assert [a.take(rows, axis=0).tobytes() for a in acts] == [a[rows].tobytes() for a in acts]
-            want = model._backward(self.params, [a[rows] for a in acts], self.dlogit[rows], work)
+            masks = [m[:57] for m in work.masks]
+            assert [m.take(rows, axis=0).tobytes() for m in masks] == [m[rows].tobytes() for m in masks]
+            gathered = Workspace(self.params.spec, len(rows))  # a batch holding just those rows' pass
+            for held, a in zip(gathered.acts + gathered.masks, acts[1:] + masks):
+                held[...] = a[rows]
+            want = model._backward(self.params, [self.X[rows], *gathered.acts], self.dlogit[rows], gathered)
             assert weighted_grad(self.dlogit, rows).tobytes() == want.tobytes()
 
 
@@ -457,6 +480,29 @@ class TestWorkspace:
         with pytest.raises(RuntimeError, match="stale"):
             first(np.ones(30))
         second(np.ones(10))
+
+    def test_each_mask_is_the_forward_activations_sign(self):
+        work = Workspace(self.spec, 41)
+        for n in (30, 12):
+            _, _, acts = model._forward_cache(self.params, self.X[:n], work)
+            assert [m[:n].tobytes() for m in work.masks] == [(a > 0.0).tobytes() for a in acts[1:]]
+
+    def test_an_index_reads_only_the_passes_own_mask_rows(self):
+        """Rows past the pass's n hold a longer earlier pass's activations and
+        masks; a pass reads none of them, and an index past n raises."""
+        work = Workspace(self.spec, 30)
+        batch_outputs(self.params, self.X, self.y, work=work)
+        _, _, weighted_grad = batch_outputs(self.params, self.X[:10], self.y[:10], work=work)
+        _, _, fresh = batch_outputs(self.params, self.X[:10], self.y[:10])
+        for m, a in zip(work.masks, work.acts):
+            m[10:] = ~m[10:]
+            a[10:] = np.nan
+        dlogit = make_rng(23).normal(size=10)
+        for rows in (None, slice(3, 10), np.array([9, 0, 4, 4])):
+            assert weighted_grad(dlogit, rows).tobytes() == fresh(dlogit, rows).tobytes()
+        for past in (10, 29):
+            with pytest.raises(IndexError):
+                weighted_grad(dlogit, np.array([0, past]))
 
     def test_a_batch_longer_than_the_workspace_is_refused(self):
         work = Workspace(self.spec, 29)
