@@ -6,12 +6,12 @@ gradients for the loss and for any per-sample weighting of the logits
 differentiable fairness surrogates.
 
 Parameters live in one float64 vector, layer by layer: each layer's
-(out, in) weight matrix row-major, then its (out,) biases. The offsets are
-computed once per ``MlpSpec``, on first use (``MlpSpec.layout``, and
-``MlpSpec.plan`` in the order a backward pass visits the layers);
-``MlpParams.weights`` and ``biases`` are views into the vector, so
-``unflatten`` and ``flatten`` each make one copy, and a backward pass
-writes every layer's gradient straight into its slice of one new vector.
+(out, in) weight matrix row-major, then its (out,) biases. The slices and
+shapes are computed once per ``MlpSpec``, on first use
+(``MlpSpec.layout``); ``MlpParams.weights`` and ``biases`` are views into
+the vector, so ``unflatten`` and ``flatten`` each make one copy, and a
+backward pass writes every layer's gradient straight into its slice of
+one new vector.
 
 Arrays per pass, for a batch of n rows: the passes write into a
 ``Workspace``, arrays made once for up to ``rows`` rows and reused by every
@@ -99,34 +99,27 @@ class MlpSpec:
         return (self.input_dim, *self.hidden_dims, 1)
 
     @cached_property
-    def layout(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Per layer (weight start, bias start, bias end, fan_in) in the flat
-        vector: each layer's (out, in) weights row-major, then its biases."""
+    def layout(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """Per layer (weight slice, (out, in) weight shape, bias slice) in the
+        flat vector: each layer's (out, in) weights row-major, then its
+        biases."""
         dims = self.layer_dims
         out, pos = [], 0
-        for i in range(len(dims) - 1):
-            b_start = pos + dims[i + 1] * dims[i]
-            out.append((pos, b_start, b_start + dims[i + 1], dims[i]))
-            pos = b_start + dims[i + 1]
+        for fan_in, width in zip(dims, dims[1:]):
+            b_start = pos + width * fan_in
+            out.append((slice(pos, b_start), (width, fan_in), slice(b_start, b_start + width)))
+            pos = b_start + width
         return tuple(out)
 
     @property
     def n_params(self) -> int:
-        return self.layout[-1][2]
-
-    @cached_property
-    def plan(self) -> tuple[tuple[int, slice, tuple[int, int], slice], ...]:
-        """Per layer, last to first as a backward pass visits them: (layer
-        index, weight slice, (out, in) weight shape, bias slice) in the flat
-        vector."""
-        layers = reversed(list(enumerate(self.layout)))
-        return tuple((li, slice(w, b), (e - b, fan_in), slice(b, e)) for li, (w, b, e, fan_in) in layers)
+        return self.layout[-1][2].stop
 
 
 def _views(spec: MlpSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (out, in) weight and (out,) bias views into ``flat``."""
-    weights = [flat[w:b].reshape(e - b, fan_in) for w, b, e, fan_in in spec.layout]
-    biases = [flat[b:e] for _, b, e, _ in spec.layout]
+    weights = [flat[w].reshape(shape) for w, shape, _ in spec.layout]
+    biases = [flat[b] for _, _, b in spec.layout]
     return weights, biases
 
 
@@ -259,9 +252,11 @@ def _backward(
     flat = np.empty(params.spec.n_params)
     ones = work.ones[:m]
     delta = dlogit[:, None]  # (m, 1)
-    for li, weights, shape, bias in params.spec.plan:
-        _dot(delta.T, acts[li][rows], flat[weights].reshape(shape))
-        _dot(ones, delta, flat[bias])
+    layout = params.spec.layout
+    for li in range(len(layout) - 1, -1, -1):
+        w, shape, b = layout[li]
+        _dot(delta.T, acts[li][rows], flat[w].reshape(shape))
+        _dot(ones, delta, flat[b])
         if li > 0:
             delta = _dot(delta, params.weights[li], work.deltas[li - 1][:m])
             delta *= work.masks[li - 1][:n][rows]
