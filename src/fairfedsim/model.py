@@ -22,12 +22,19 @@ shares it (clients run one after another); ``predict_proba``,
 sized to their batch. A batch longer than the workspace is refused.
 - A forward pass writes each hidden product into its layer's activation
   buffer (``a @ W.T``, written by ``out=``), then adds the bias and
-  applies the ReLU in place, and writes ``a > 0`` into the layer's bool
-  mask buffer, once; these activations and masks are kept for the pass's
-  backward passes. It stamps the workspace, and a ``weighted_grad`` of an
-  earlier pass, whose activations and masks it overwrote, raises instead
-  of reading them. The (n,) logits and ``sigmoid`` take a few fresh
-  n-length vectors.
+  applies the ReLU in place, and writes ``a > 0`` as 1.0/0.0 into the
+  layer's float64 mask buffer, once; these activations and masks are kept
+  for the pass's backward passes. It stamps the workspace, and a
+  ``weighted_grad`` of an earlier pass, whose activations and masks it
+  overwrote, raises instead of reading them. The (n,) logits and
+  ``sigmoid`` take a few fresh n-length vectors.
+- The masks are float64, not bool, so each backward pass's
+  ``delta *= mask`` multiplies two float64 arrays with no bool-to-float64
+  cast: at 30 rows x 32 (one OpenBLAS thread) that multiply takes 0.65 us
+  against 1.64 us with a bool mask, while writing the mask, once a forward
+  pass, takes 1.76 us against 0.80 us. The bytes are the same (a product
+  by 1.0 or 0.0 either way). A float64 mask costs 8 bytes a cell: about
+  590 KB on the 576-row ``cross-silo`` shard, against 74 KB as bool.
 - A backward pass allocates only the flat gradient vector, which it
   returns. Per hidden layer it writes ``delta @ W`` into the layer's
   ``delta`` buffer (two arrays, which the layers take in turn) and
@@ -46,12 +53,18 @@ sized to their batch. A batch longer than the workspace is refused.
   read from its first n rows, so an index past the forward pass's batch
   raises rather than reading a longer earlier pass's rows. Either kind
   gives the bytes of a pass over a batch holding just those rows.
-- Every product goes through ``_dot``, which calls ``np.dot``: at 24 to
-  48 rows of 32-wide layers ``np.matmul``'s gufunc dispatch costs 0.5 to
-  1.5 us a call more, as much as the arithmetic. ``np.dot`` takes a
-  one-element operand as a scalar, and a scalar product keeps a -0.0 that
-  the BLAS product writes as +0.0 (one-row passes and width-1 layers), so
-  such a product stays on ``np.matmul``.
+- A pass picks its product once, from its row count and the spec
+  (``_product``): ``np.dot`` for a pass over two rows or more on a spec
+  with no 1 x 1 weight, ``np.matmul`` for every other pass. At 24 to 48
+  rows of 32-wide layers ``np.matmul``'s gufunc dispatch costs 0.5 to
+  1.5 us a call more than ``np.dot``, as much as the arithmetic, and a
+  check of the operands on every product costs 0.2 to 0.4 us more.
+  ``np.dot`` takes a one-element operand as a scalar, and a scalar
+  product keeps a -0.0 that the BLAS product writes as +0.0. Over
+  m >= 2 rows, ``delta``, ``delta.T``, ``ones`` and the row-sliced
+  activations each have at least m elements, so only a 1 x 1 weight can
+  be a one-element operand (``MlpSpec.unit_weight``). ``np.matmul`` is
+  the byte reference, so the other route is exact by construction.
 In-place work touches only the workspace and arrays the pass made itself,
 never ``X``, ``dlogit`` or the parameters. Every buffer a product writes
 is C-contiguous, so it runs the BLAS call a fresh result would, and every
@@ -110,6 +123,12 @@ class MlpSpec:
             out.append((slice(pos, b_start), (width, fan_in), slice(b_start, b_start + width)))
             pos = b_start + width
         return tuple(out)
+
+    @cached_property
+    def unit_weight(self) -> bool:
+        """Whether some layer's weight is 1 x 1, a one-element operand of
+        that layer's products however many rows a pass has."""
+        return (1, 1) in (shape for _, shape, _ in self.layout)
 
     @property
     def n_params(self) -> int:
@@ -180,7 +199,8 @@ def _rows(X) -> np.ndarray:
 class Workspace:
     """The arrays a pass writes, for batches of up to ``rows`` rows of
     ``spec``'s network. Per hidden layer: an activation buffer, a ``delta``
-    buffer and a bool ReLU mask buffer, each (rows, width) and C-contiguous.
+    buffer and a float64 ReLU mask buffer (1.0 where the activation is
+    positive, else 0.0), each (rows, width) and C-contiguous.
     The delta buffers are views into two arrays of rows x the widest layer,
     taken in turn from layer to layer; the masks are arrays of their own,
     since each keeps the forward pass's mask for every backward pass after
@@ -191,7 +211,7 @@ class Workspace:
         self.rows = rows
         widths = spec.hidden_dims
         self.acts = [np.empty((rows, h)) for h in widths]
-        self.masks = [np.empty((rows, h), dtype=bool) for h in widths]
+        self.masks = [np.empty((rows, h)) for h in widths]
         size = rows * max(widths)
         pair = np.empty(size), np.empty(size)
         self.deltas = [pair[j % 2][: rows * h].reshape(rows, h) for j, h in enumerate(widths)]
@@ -204,14 +224,11 @@ class Workspace:
             raise ValueError(f"a batch of {n} rows exceeds the workspace's {self.rows}")
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``a @ b`` by ``np.dot``, which skips ``np.matmul``'s gufunc dispatch,
-    written into ``out`` if given. ``np.dot`` takes a one-element operand
-    as a scalar and multiplies, keeping a -0.0 that the BLAS product writes
-    as +0.0, so such a product stays on ``np.matmul``."""
-    if a.size == 1 or b.size == 1:
-        return np.matmul(a, b, out=out)
-    return np.dot(a, b, out=out)
+def _product(spec: MlpSpec, rows: int):
+    """The product every step of a pass over ``rows`` rows calls: ``np.dot``,
+    or ``np.matmul`` for a one-row pass or a spec with a 1 x 1 weight, the
+    only passes where an operand can have one element."""
+    return np.dot if rows >= 2 and not spec.unit_weight else np.matmul
 
 
 def _forward_cache(params: MlpParams, X: np.ndarray, work: Workspace):
@@ -226,15 +243,16 @@ def _forward_cache(params: MlpParams, X: np.ndarray, work: Workspace):
     n = X.shape[0]
     work.fit(n)
     work.stamp += 1
+    dot = _product(params.spec, n)
     acts = [X]
     a = X
     for li in range(len(params.weights) - 1):
-        a = _dot(a, params.weights[li].T, work.acts[li][:n])
+        a = dot(a, params.weights[li].T, out=work.acts[li][:n])
         a += params.biases[li]
         np.maximum(a, 0.0, out=a)
         np.greater(a, 0.0, out=work.masks[li][:n])
         acts.append(a)
-    logits = (_dot(a, params.weights[-1].T) + params.biases[-1]).ravel()
+    logits = (dot(a, params.weights[-1].T) + params.biases[-1]).ravel()
     probs = sigmoid(logits)
     check_finite(probs, "forward probabilities")
     return probs, logits, acts
@@ -250,15 +268,16 @@ def _backward(
     n, m = acts[0].shape[0], dlogit.shape[0]
     work.fit(m)
     flat = np.empty(params.spec.n_params)
+    dot = _product(params.spec, m)
     ones = work.ones[:m]
     delta = dlogit[:, None]  # (m, 1)
     layout = params.spec.layout
     for li in range(len(layout) - 1, -1, -1):
         w, shape, b = layout[li]
-        _dot(delta.T, acts[li][rows], flat[w].reshape(shape))
-        _dot(ones, delta, flat[b])
+        dot(delta.T, acts[li][rows], out=flat[w].reshape(shape))
+        dot(ones, delta, out=flat[b])
         if li > 0:
-            delta = _dot(delta, params.weights[li], work.deltas[li - 1][:m])
+            delta = dot(delta, params.weights[li], out=work.deltas[li - 1][:m])
             delta *= work.masks[li - 1][:n][rows]
     return flat
 

@@ -485,7 +485,7 @@ class TestWorkspace:
         work = Workspace(self.spec, 41)
         for n in (30, 12):
             _, _, acts = model._forward_cache(self.params, self.X[:n], work)
-            assert [m[:n].tobytes() for m in work.masks] == [(a > 0.0).tobytes() for a in acts[1:]]
+            assert [m[:n].tobytes() for m in work.masks] == [(a > 0.0).astype(np.float64).tobytes() for a in acts[1:]]
 
     def test_an_index_reads_only_the_passes_own_mask_rows(self):
         """Rows past the pass's n hold a longer earlier pass's activations and
@@ -495,7 +495,7 @@ class TestWorkspace:
         _, _, weighted_grad = batch_outputs(self.params, self.X[:10], self.y[:10], work=work)
         _, _, fresh = batch_outputs(self.params, self.X[:10], self.y[:10])
         for m, a in zip(work.masks, work.acts):
-            m[10:] = ~m[10:]
+            m[10:] = 1.0 - m[10:]
             a[10:] = np.nan
         dlogit = make_rng(23).normal(size=10)
         for rows in (None, slice(3, 10), np.array([9, 0, 4, 4])):
@@ -533,12 +533,9 @@ class TestDegenerateShapes:
             want = backward_out_of_place(params, [a[sel] for a in want_acts], dlogit[sel])
             assert weighted_grad(dlogit, rows).tobytes() == want.tobytes(), (spec, rows)
 
-    @pytest.mark.parametrize(
-        "spec", [MlpSpec(1, (1,)), MlpSpec(1, (1, 4)), MlpSpec(3, (1, 4)), MlpSpec(4, (4, 1)), MlpSpec(5, (7, 6))],
-        ids=["1-1", "1-1x4", "3-1x4", "4-4x1", "5-7x6"],
-    )
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_small_passes_match_the_out_of_place_formulas(self, spec, n):
+    def small_passes(self, spec, n):
+        """Every small pass of ``spec`` over an n-row batch: three dlogits
+        (one with -0.0 throughout) and one-, two- and n-row selections."""
         rng = make_rng(61, n)
         X, _ = random_batch(rng, n, spec.input_dim)
         for dlogit in (rng.normal(size=n), np.full(n, -0.0), np.where(np.arange(n) % 2 == 0, -0.0, 1.5)):
@@ -546,6 +543,35 @@ class TestDegenerateShapes:
             if n >= 2:
                 rows_list += [slice(0, 2), np.array([1, 0]), np.array([0, 0])]
             self.check(spec, X, dlogit, rows_list)
+
+    SPECS = pytest.mark.parametrize(
+        "spec",
+        [MlpSpec(1, (1,)), MlpSpec(1, (1, 4)), MlpSpec(3, (1, 4)), MlpSpec(4, (4, 1)), MlpSpec(3, (4, 1, 1, 4)),
+         MlpSpec(5, (7, 6))],
+        ids=["1-1", "1-1x4", "3-1x4", "4-4x1", "3-4x1x1x4", "5-7x6"],
+    )
+
+    @SPECS
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_small_passes_match_the_out_of_place_formulas(self, spec, n):
+        self.small_passes(spec, n)
+
+    @SPECS
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_dot_never_sees_a_one_element_operand(self, spec, n, monkeypatch):
+        """``np.dot`` serves exactly the passes over two rows or more on a spec
+        with no 1 x 1 weight, and none of its operands has one element."""
+        dot, operands = np.dot, []
+
+        def spy(a, b, out=None):
+            operands.append((np.shape(a), np.shape(b)))
+            return dot(a, b, out=out)
+
+        monkeypatch.setattr(model.np, "dot", spy)
+        self.small_passes(spec, n)
+        unit_weight = any(w.shape == (1, 1) for w in MlpParams.zeros(spec).weights)
+        assert bool(operands) == (n >= 2 and not unit_weight)
+        assert all(np.prod(shape) > 1 for pair in operands for shape in pair), operands
 
     def test_negative_zero_inputs_and_weights(self):
         spec = MlpSpec(1, (1,))
