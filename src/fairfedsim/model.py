@@ -225,9 +225,9 @@ class Workspace:
 
 
 def _product(spec: MlpSpec, rows: int):
-    """The product every step of a pass over ``rows`` rows calls: ``np.dot``,
-    or ``np.matmul`` for a one-row pass or a spec with a 1 x 1 weight, the
-    only passes where an operand can have one element."""
+    """The function every product of a pass over ``rows`` rows calls:
+    ``np.dot``, or ``np.matmul`` on a one-row pass or a spec with a 1 x 1
+    weight, the only passes where an operand can have one element."""
     return np.dot if rows >= 2 and not spec.unit_weight else np.matmul
 
 
